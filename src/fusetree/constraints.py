@@ -337,6 +337,12 @@ def solve(
     for e in edges:
         consumes.setdefault(e.consumer, []).append(e)
     pins: dict[str, tuple[str, ...]] = dict(tree.layouts)
+    # an assignment placed between an open producer/consumer pair mirrors the
+    # whole fused prefix, which position_ok cannot check past its last loop
+    too_short = {
+        c.cid: [e for e in edges if e.order - bound > len(keys[c.cid]) and e.consumer != c.cid]
+        for c in contractions
+    }
 
     order: list[int] = []
     placed: set[int] = set()
@@ -395,6 +401,9 @@ def solve(
             return finalize()
         for c in contractions:
             if c.cid in placed or any(ch not in placed for ch in children[c.cid]):
+                continue
+            short = too_short[c.cid]
+            if short and any(e.producer in placed and e.consumer not in placed for e in short):
                 continue
             order.append(c.cid)
             placed.add(c.cid)

@@ -1,20 +1,31 @@
-"""Interpretation of forall/where IR over CSF tensors and dense workspaces.
+"""Execution of forall/where IR over CSF tensors as generated Python kernels.
 
-Each ``forall`` iterates the merged (union) coordinate set of the sparse
-operands it drills at that nesting level; loops touched only through dense
-operands run over the full index range. A statement contributes only when
-every sparse operand carries the current coordinates (intersection realized
-by guards). Each ``where`` zeroes the producer's workspace, runs the
-producer subtree, then the consumer, once per enclosing iteration.
+Each call walks the IR once, checking the schedule and writing the source of
+one function in which loop variables, CSF positions and counters are locals.
+A ``forall`` drilled by a single CSF operand steps through that fiber's
+positions; other loops iterate the sorted union of the coordinate streams of
+the present operands that drill them, or the full index range when some
+statement reaches the index only through dense operands, and find each
+operand's position by bisection. Dense inputs and workspaces are flat lists
+indexed with row-major strides. A statement contributes only when every
+sparse operand carries the current coordinates and no factor is exactly zero.
+Each ``where`` zeroes the producer's workspaces, runs the producer, then the
+consumer, once per enclosing iteration.
 
-Dense n-ary and unfused sequential oracles provide independent ground truth
-for the interpreter.
+The source numbers every identifier and passes all data as parameters, so it
+depends on the IR's structure alone; its code object is compiled once and
+cached by the source text. Dense n-ary and unfused sequential oracles provide
+independent ground truth for the kernels.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
+import math
 import string
 from dataclasses import dataclass, field
+from types import CodeType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +41,7 @@ from .errors import (
 )
 from .lowering import Assign, Forall, IrNode, Where
 from .network import ContractionTree, TensorRef
-from .tensor import CsfTensor, DenseWorkspace, SparseTensor, coo_from_entries, csf_build
+from .tensor import CsfTensor, SparseTensor, coo_from_entries, csf_build
 
 DENSE_SPACE_BUDGET = 100_000_000
 
@@ -98,280 +109,290 @@ def bind(
     return Binding(tree, raw, csf, dense)
 
 
-class _Cursor:
-    """Drill position of one CSF reference; -1 marks an absent subtree."""
+def _extent(extents: Mapping[str, int], index: str) -> int:
+    try:
+        return extents[index]
+    except KeyError:
+        raise ExtentMismatchError(index, f"no extent declared for index '{index}'") from None
 
-    __slots__ = ("csf", "stack")
 
-    def __init__(self, csf: CsfTensor):
-        self.csf = csf
-        self.stack: list[int] = []
-
-    @property
-    def absent(self) -> bool:
-        return -1 in self.stack
-
-    def stream(self) -> Sequence[int]:
-        d = len(self.stack)
-        if d == 0:
-            lo, hi = self.csf.root_range()
-        else:
-            lo, hi = self.csf.child_range(d - 1, self.stack[-1])
-        return self.csf.coords[d][lo:hi]
-
-    def push(self, coord: int) -> None:
-        if self.absent:
-            self.stack.append(-1)
-            return
-        d = len(self.stack)
-        if d == 0:
-            lo, hi = self.csf.root_range()
-        else:
-            lo, hi = self.csf.child_range(d - 1, self.stack[-1])
-        self.stack.append(self.csf.find(d, lo, hi, coord))
-
-    def pop(self) -> None:
-        self.stack.pop()
-
-    def leaf_value(self) -> float:
-        return self.csf.values[self.stack[-1]]
+@functools.lru_cache(maxsize=1024)  # room for a thousand small kernels, about 4 kB each
+def _compiled(source: str) -> CodeType:
+    """Code object of one kernel source; the text holds no network names or data."""
+    return compile(source, "<fusetree kernel>", "exec")
 
 
 @dataclass
-class _OperandPlan:
-    kind: str  # "csf" | "dense" | "workspace"
-    ref: TensorRef
-    cursor: _Cursor | None = None
-    array: np.ndarray | None = None
-    abstract: tuple[str, ...] = ()
-    workspace: DenseWorkspace | None = None
+class _Fiber:
+    """One CSF operand of one statement, with position locals ``p<n>_<level>``."""
+
+    n: int
+    searched: list[bool]  # per level: found by bisection, so the position may be -1
 
 
 @dataclass
-class _AssignPlan:
-    node: Assign
-    operands: list[_OperandPlan]
-    result_workspace: DenseWorkspace | None  # None = root accumulator
-    result_key: tuple[str, ...]
+class _Loop:
+    """A ``forall``: its local, the fiber levels it drives, how it iterates."""
+
+    var: str
+    drivers: list[tuple[_Fiber, int]] = field(default_factory=list)
+    full: bool = False  # some statement reaches the index only through dense operands
+    extent: str | None = None  # parameter of a full-range loop
+    body: object = None
 
 
-class _Program:
-    """Static execution plan: drill registrations, loop ranges, zero sets."""
+@dataclass
+class _Where:
+    zero: list[str]  # workspaces
+    producer: object
+    consumer: object
+
+
+@dataclass
+class _Stmt:
+    """An ``Assign``: its counter, CSF operands, factors and update lines."""
+
+    n: int
+    fibers: list[_Fiber]
+    factors: list[str]
+    update: list[str]
+
+
+class _Kernel:
+    """One IR under one binding: the schedule's typed checks and its kernel source.
+
+    Planning walks the IR once, raising on a malformed schedule and numbering
+    every identifier the kernel uses, so that no network name reaches the
+    source; the data travel as parameters. Rendering then decides per loop
+    whether it steps through one fiber's positions, a sorted coordinate union
+    or the full range, which needs the whole loop body planned first.
+    """
 
     def __init__(self, ir: IrNode, binding: Binding):
         tree = binding.tree
         self.binding = binding
-        self.extents = dict(tree.extents)
-        self.root_name = tree.root.result.tensor
-        self.acc: dict[tuple[int, ...], float] = {}
-        self.stats = ExecStats()
-        self.workspaces: dict[str, DenseWorkspace] = {}
-        self.drills: dict[int, list[_Cursor]] = {}
-        self.full_range: dict[int, bool] = {}
-        self.loop_index: dict[int, str] = {}
-        self.zero_sets: dict[int, list[DenseWorkspace]] = {}
-        self.assigns: dict[int, _AssignPlan] = {}
-        self.workspace_layout: dict[str, tuple[str, ...]] = {}
-        intermediates = set(tree.intermediate_names)
+        self.extents = tree.extents
+        self.root = tree.root.result
+        self.intermediates = set(tree.intermediate_names)
+        self.params: dict[str, object] = {"bl": bisect.bisect_left}
+        self.dense: dict[str, tuple[str, list[str | None]]] = {}
+        self.workspaces: dict[str, tuple[str, tuple[str, ...], list[str | None]]] = {}
+        self.cells: list[int] = []
+        self.stmts: list[tuple[str, set[str]]] = []  # result and operand names
+        self.loops = 0
+        self.fibers = 0
+        self.plan = self._plan(ir, {})
 
-        # allocate workspaces at the producer's surviving dims, once
-        def scan_results(node: IrNode) -> None:
-            if isinstance(node, Assign):
-                name = node.result.tensor
-                if name in intermediates and name not in self.workspaces:
-                    dims = [self._extent(i) for i in node.result.indices]
-                    self.workspaces[name] = DenseWorkspace(dims)
-                    self.workspace_layout[name] = node.result.indices
-            elif isinstance(node, Forall):
-                scan_results(node.body)
-            else:
-                scan_results(node.producer)
-                scan_results(node.consumer)
+    def _param(self, name: str, value: object) -> str:
+        self.params[name] = value
+        return name
 
-        scan_results(ir)
-        self.stats.max_workspace_cells = max(
-            (w.ncells for w in self.workspaces.values()), default=0
-        )
+    def _strides(self, var: str, dims: Sequence[int]) -> list[str | None]:
+        """Row-major stride parameters; the innermost stride is 1 and omitted."""
+        strides: list[str | None] = []
+        for j in range(len(dims)):
+            inner = dims[j + 1 :]
+            strides.append(self._param(f"{var}s{j}", math.prod(inner)) if inner else None)
+        return strides
 
-        def produced(node: IrNode) -> set[str]:
-            if isinstance(node, Assign):
-                return {node.result.tensor}
-            if isinstance(node, Forall):
-                return produced(node.body)
-            return produced(node.producer) | produced(node.consumer)
+    def _var(self, ref: TensorRef, index: str, scope: Mapping[str, _Loop]) -> str:
+        if index not in scope:
+            raise ModeOrderMismatchError(
+                f"reference {ref}: index '{index}' not bound by an enclosing loop"
+            )
+        return scope[index].var
 
-        def consumed(node: IrNode) -> set[str]:
-            if isinstance(node, Assign):
-                return {node.lhs.tensor, node.rhs.tensor}
-            if isinstance(node, Forall):
-                return consumed(node.body)
-            return consumed(node.producer) | consumed(node.consumer)
+    def _offset(self, ref, indices, strides, scope) -> str:
+        terms = []
+        for index, stride in zip(indices, strides):
+            var = self._var(ref, index, scope)
+            terms.append(var if stride is None else f"{var} * {stride}")
+        return " + ".join(terms) or "0"
 
-        def plan(node: IrNode, path: list[tuple[int, str]]) -> None:
-            if isinstance(node, Forall):
-                if any(idx == node.index for _, idx in path):
-                    raise MalformedScheduleError(f"loop index '{node.index}' bound twice")
-                self.loop_index[id(node)] = node.index
-                self.drills.setdefault(id(node), [])
-                self.full_range.setdefault(id(node), False)
-                plan(node.body, path + [(id(node), node.index)])
-                return
-            if isinstance(node, Where):
-                links = produced(node.producer) & consumed(node.consumer)
-                self.zero_sets[id(node)] = [
-                    self.workspaces[name] for name in sorted(links) if name in self.workspaces
-                ]
-                plan(node.producer, path)
-                plan(node.consumer, path)
-                return
-            self.assigns[id(node)] = self._plan_assign(node, path)
+    def _workspace(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> str:
+        if ref.tensor not in self.workspaces:
+            raise UnboundTensorError(f"no binding or workspace for tensor '{ref.tensor}'")
+        var, layout, strides = self.workspaces[ref.tensor]
+        if ref.indices != layout:
+            raise ModeOrderMismatchError(f"reference {ref} disagrees with workspace layout {layout}")
+        return f"{var}[{self._offset(ref, layout, strides, scope)}]"
 
-        plan(ir, [])
-        self.ir = ir
+    def _plan(self, node: IrNode, scope: dict[str, _Loop]):
+        if isinstance(node, Forall):
+            if node.index in scope:
+                raise MalformedScheduleError(f"loop index '{node.index}' bound twice")
+            loop = _Loop(f"x{self.loops}")
+            self.loops += 1
+            loop.body = self._plan(node.body, {**scope, node.index: loop})
+            if loop.full or not loop.drivers:
+                loop.extent = self._param(f"e{loop.var}", _extent(self.extents, node.index))
+            return loop
+        if isinstance(node, Where):
+            start = len(self.stmts)
+            producer = self._plan(node.producer, scope)
+            mid = len(self.stmts)
+            consumer = self._plan(node.consumer, scope)
+            links = {name for name, _ in self.stmts[start:mid]}
+            links &= set().union(*(names for _, names in self.stmts[mid:]))
+            zero = [self.workspaces[name][0] for name in sorted(links) if name in self.workspaces]
+            return _Where(zero, producer, consumer)
+        return self._statement(node, scope)
 
-    def _extent(self, index: str) -> int:
-        try:
-            return self.extents[index]
-        except KeyError:
-            raise ExtentMismatchError(index, f"no extent declared for index '{index}'")
-
-    def _plan_assign(self, node: Assign, path: list[tuple[int, str]]) -> _AssignPlan:
+    def _statement(self, node: Assign, scope: dict[str, _Loop]) -> _Stmt:
         binding = self.binding
-        tree = binding.tree
-        contraction = tree.contractions[node.cid]
-        operands = []
-        loop_positions = {idx: pos for pos, (_, idx) in enumerate(path)}
+        contraction = binding.tree.contractions[node.cid]
+        order = list(scope)
+        fibers: list[_Fiber] = []
+        factors: list[str] = []
         sparse_at: dict[str, bool] = {}
         for ref, abstract in ((node.lhs, contraction.lhs), (node.rhs, contraction.rhs)):
+            for index in ref.indices:
+                self._var(ref, index, scope)
+                sparse_at.setdefault(index, False)
             name = ref.tensor
             if name in binding.csf:
-                cursor = _Cursor(binding.csf[name])
-                positions = []
-                for level, idx in enumerate(ref.indices):
-                    if idx not in loop_positions:
-                        raise ModeOrderMismatchError(
-                            f"reference {ref}: index '{idx}' not bound by an enclosing loop"
-                        )
-                    positions.append(loop_positions[idx])
-                    node_id = path[loop_positions[idx]][0]
-                    self.drills[node_id].append(cursor)
+                positions = [order.index(index) for index in ref.indices]
                 if positions != sorted(positions):
                     raise ModeOrderMismatchError(
-                        f"reference {ref}: CSF layout incompatible with loop order "
-                        f"{[idx for _, idx in path]}"
+                        f"reference {ref}: CSF layout incompatible with loop order {order}"
                     )
-                operands.append(_OperandPlan("csf", ref, cursor=cursor))
-                for idx in ref.indices:
-                    sparse_at[idx] = True
+                csf = binding.csf[name]
+                fiber = _Fiber(self.fibers, [False] * csf.order)
+                self.fibers += 1
+                for level, index in enumerate(ref.indices):
+                    self._param(f"c{fiber.n}_{level}", csf.coords[level])
+                    self._param(f"s{fiber.n}_{level}", csf.segs[level])
+                    scope[index].drivers.append((fiber, level))
+                    sparse_at[index] = True
+                values = self._param(f"v{fiber.n}", csf.values)
+                factors.append(f"{values}[p{fiber.n}_{csf.order - 1}]")
+                fibers.append(fiber)
             elif name in binding.dense:
-                operands.append(
-                    _OperandPlan("dense", ref, array=binding.dense[name], abstract=abstract.indices)
-                )
-            elif name in self.workspaces:
-                if ref.indices != self.workspace_layout[name]:
-                    raise ModeOrderMismatchError(
-                        f"reference {ref} disagrees with workspace layout "
-                        f"{self.workspace_layout[name]}"
-                    )
-                operands.append(_OperandPlan("workspace", ref, workspace=self.workspaces[name]))
+                if name not in self.dense:
+                    array = binding.dense[name]
+                    var = self._param(f"d{len(self.dense)}", array.ravel().tolist())
+                    self.dense[name] = (var, self._strides(var, array.shape))
+                var, strides = self.dense[name]
+                factors.append(f"{var}[{self._offset(ref, abstract.indices, strides, scope)}]")
             else:
-                raise UnboundTensorError(f"no binding or workspace for tensor '{name}'")
-            for idx in ref.indices:
-                if idx not in loop_positions:
-                    raise ModeOrderMismatchError(
-                        f"reference {ref}: index '{idx}' not bound by an enclosing loop"
-                    )
-                sparse_at.setdefault(idx, False)
-
-        # loops this statement touches only through dense operands need the
-        # full index range; sparse-guarded loops get coordinate streams
-        for idx, has_sparse in sparse_at.items():
-            if not has_sparse and idx in loop_positions:
-                self.full_range[path[loop_positions[idx]][0]] = True
+                factors.append(self._workspace(ref, scope))
+        # a loop this statement reaches only through dense operands or
+        # workspaces runs over the full range
+        for index, sparse in sparse_at.items():
+            if not sparse:
+                scope[index].full = True
 
         name = node.result.tensor
-        if name == self.root_name:
-            result_ws = None
-            result_key = tree.root.result.indices  # declared order, for interchange
+        if name == self.root.tensor:
+            key = "".join(self._var(node.result, index, scope) + ", " for index in self.root.indices)
+            update = [f"k = ({key.rstrip()})", "acc[k] = get(k, 0.0) + f * g"]
         else:
-            result_ws = self.workspaces[name]
-            result_key = node.result.indices
-        for idx in result_key:
-            if idx not in loop_positions:
-                raise ModeOrderMismatchError(
-                    f"result {node.result}: index '{idx}' not bound by an enclosing loop"
-                )
-        return _AssignPlan(node, operands, result_ws, result_key)
+            if name in self.intermediates and name not in self.workspaces:
+                dims = [_extent(self.extents, index) for index in node.result.indices]
+                var = f"w{len(self.workspaces)}"
+                self.cells.append(math.prod(dims))
+                self._param(f"m{var}", self.cells[-1])
+                self.workspaces[name] = (var, node.result.indices, self._strides(var, dims))
+            update = [f"{self._workspace(node.result, scope)} += f * g"]
+        self.stmts.append((name, {node.lhs.tensor, node.rhs.tensor}))
+        return _Stmt(len(self.stmts) - 1, fibers, factors, update)
+
+    def source(self) -> str:
+        out = [f"def kernel({', '.join(self.params)}):", "    acc = {}", "    get = acc.get"]
+        for var, _, _ in self.workspaces.values():
+            out.append(f"    {var} = [0.0] * m{var}")
+            out.append(f"    z{var} = [0.0] * m{var}")
+        counters = [f"n{s}" for s in range(len(self.stmts))]
+        out.append(f"    {' = '.join(counters)} = 0")
+        self._render(self.plan, 1, out)
+        out.append(f"    return acc, ({''.join(c + ', ' for c in counters)})")
+        return "\n".join(out) + "\n"
+
+    def _render(self, node, depth: int, out: list[str]) -> None:
+        pad = "    " * depth
+        if isinstance(node, _Where):
+            out.extend(f"{pad}{var}[:] = z{var}" for var in node.zero)
+            self._render(node.producer, depth, out)
+            self._render(node.consumer, depth, out)
+        elif isinstance(node, _Loop):
+            self._render_loop(node, depth, out)
+        else:
+            guards = [f"p{f.n}_{len(f.searched) - 1} >= 0" for f in node.fibers if f.searched[-1]]
+            if guards:
+                out.append(f"{pad}if {' and '.join(guards)}:")
+                pad += "    "
+            out.append(f"{pad}f = {node.factors[0]}")
+            out.append(f"{pad}if f:")
+            out.append(f"{pad}    g = {node.factors[1]}")
+            out.append(f"{pad}    if g:")
+            out.extend(f"{pad}        {line}" for line in node.update)
+            out.append(f"{pad}        n{node.n} += 1")
+
+    def _render_loop(self, loop: _Loop, depth: int, out: list[str]) -> None:
+        """Bind the loop variable and the position of every fiber level it drives.
+
+        A missing coordinate sets a position to -1, and a level under a -1
+        parent gets the empty range, so presence is decided by the deepest level.
+        """
+        pad = "    " * depth
+        x = loop.var
+        direct = len(loop.drivers) == 1 and not loop.full
+        for fiber, level in loop.drivers:
+            fiber.searched[level] = not direct
+
+        def names(fiber: _Fiber, level: int):
+            n = fiber.n
+            parent = f"p{n}_{level - 1}" if level else "0"
+            seg = f"s{n}_{level}"
+            absent = level > 0 and fiber.searched[level - 1]
+            return f"p{n}_{level}", f"c{n}_{level}", parent, seg, absent
+
+        if direct:
+            p, coords, parent, seg, absent = names(*loop.drivers[0])
+            if absent:
+                out.append(f"{pad}if {parent} >= 0:")
+                pad += "    "
+                depth += 1
+            out.append(f"{pad}for {p} in range({seg}[{parent}], {seg}[{parent} + 1]):")
+            out.append(f"{pad}    {x} = {coords}[{p}]")
+        else:
+            streams = []
+            for fiber, level in loop.drivers:
+                p, coords, parent, seg, absent = names(fiber, level)
+                bounds = f"{seg}[{parent}], {seg}[{parent} + 1]"
+                if absent:
+                    bounds = f"({bounds}) if {parent} >= 0 else (0, 0)"
+                out.append(f"{pad}l{p}, h{p} = {bounds}")
+                streams.append(f"*{coords}[l{p}:h{p}]")
+            values = f"range({loop.extent})" if loop.extent else f"sorted({{{', '.join(streams)}}})"
+            out.append(f"{pad}for {x} in {values}:")
+            for fiber, level in loop.drivers:
+                p, coords, _, _, _ = names(fiber, level)
+                out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
+                out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
+        self._render(loop.body, depth + 1, out)
 
 
 def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
-    """Interpret the loop IR and assemble the (canonical) result tensor.
+    """Run the loop IR as a generated kernel and assemble the canonical result.
 
-    Workspaces and counters are private to the call, so independent calls may
-    run concurrently over the same (immutable) binding.
+    The kernel's source depends only on the IR's structure and operand kinds;
+    its code object is compiled once and cached by that text, and each call
+    runs it in fresh globals. Workspaces, the root accumulator and counters
+    are locals of the call, so independent calls may run concurrently over
+    the same (immutable) binding.
     """
-    prog = _Program(ir, binding)
-    env: dict[str, int] = {}
-
-    def run(node: IrNode) -> None:
-        if isinstance(node, Forall):
-            nid = id(node)
-            drills = prog.drills[nid]
-            if prog.full_range[nid] or not drills:
-                values: Sequence[int] = range(prog._extent(node.index))
-            else:
-                streams = [c.stream() for c in drills if not c.absent]
-                if not streams:
-                    values = ()  # every sparse operand is absent under this path
-                elif len(streams) == 1:
-                    values = streams[0]
-                else:
-                    values = sorted(set().union(*streams))
-            index = node.index
-            body = node.body
-            for v in values:
-                for c in drills:
-                    c.push(v)
-                env[index] = v
-                run(body)
-                for c in drills:
-                    c.pop()
-            env.pop(index, None)
-            return
-        if isinstance(node, Where):
-            for ws in prog.zero_sets[id(node)]:
-                ws.zero()
-            run(node.producer)
-            run(node.consumer)
-            return
-        plan = prog.assigns[id(node)]
-        value = 1.0
-        for op in plan.operands:
-            if op.kind == "csf":
-                if op.cursor.absent:
-                    return
-                factor = op.cursor.leaf_value()
-            elif op.kind == "dense":
-                factor = op.array[tuple(env[i] for i in op.abstract)]
-            else:
-                factor = op.workspace.cells[tuple(env[i] for i in op.ref.indices)]
-            if factor == 0.0:
-                return  # exact zero annihilates; no multiply-add performed
-            value *= factor
-        key = tuple(env[i] for i in plan.result_key)
-        if plan.result_workspace is not None:
-            plan.result_workspace.cells[key] += value
-        else:
-            prog.acc[key] = prog.acc.get(key, 0.0) + value
-        prog.stats.multiply_adds += 1
-        name = plan.node.result.tensor
-        prog.stats.per_assignment[name] = prog.stats.per_assignment.get(name, 0) + 1
-
-    run(ir)
-    root_ref = binding.tree.root.result
-    shape = binding.tree.ref_shape(root_ref)
-    result = coo_from_entries(list(prog.acc.items()), shape)
-    return result, prog.stats
+    kernel = _Kernel(ir, binding)
+    namespace: dict = {}
+    exec(_compiled(kernel.source()), namespace)
+    run = namespace.pop("kernel")  # no function <-> globals cycle left for the collector
+    acc, counts = run(*kernel.params.values())
+    stats = ExecStats(sum(counts), max(kernel.cells, default=0))
+    for (name, _), count in zip(kernel.stmts, counts):
+        if count:
+            stats.per_assignment[name] = stats.per_assignment.get(name, 0) + count
+    shape = binding.tree.ref_shape(binding.tree.root.result)
+    return coo_from_entries(list(acc.items()), shape), stats
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +551,9 @@ def compare(
 ) -> CompareReport:
     """Pointwise comparison over the union of coordinates.
 
-    Passes iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|) everywhere; the
-    report carries the worst offender.
+    Passes iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|) everywhere and no
+    value on either side is NaN or infinite; the report carries the worst
+    offender, a non-finite one first.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
@@ -545,12 +567,13 @@ def compare(
     for coords in sorted(set(va) | set(vb)):
         x = va.get(coords, 0.0)
         y = vb.get(coords, 0.0)
-        err = abs(x - y)
+        finite = math.isfinite(x) and math.isfinite(y)
+        err = abs(x - y) if finite else math.inf
         checked += 1
         if err > max_err:
             max_err = err
             worst_coords = coords
             worst_values = (x, y)
-        if err > abs_tol + rel_tol * max(abs(x), abs(y)):
+        if not finite or err > abs_tol + rel_tol * max(abs(x), abs(y)):
             passed = False
     return CompareReport(passed, checked, max_err, worst_coords, worst_values)

@@ -116,13 +116,6 @@ class ContractionTree:
                 out.append(producer[ref.tensor])
         return tuple(out)
 
-    def parent_of(self, cid: int) -> int | None:
-        name = self.contractions[cid].result.tensor
-        for c in self.contractions:
-            if name in (c.lhs.tensor, c.rhs.tensor):
-                return c.cid
-        return None
-
     def abstract_ref(self, tensor: str) -> TensorRef:
         """First reference to ``tensor`` (result ref for produced tensors)."""
         for c in self.contractions:

@@ -3,12 +3,10 @@
 Tensors live in two forms: a canonical coordinate list (:class:`SparseTensor`)
 used for interchange, oracles, and I/O, and a compressed-sparse-fiber tree
 (:class:`CsfTensor`) built under a chosen mode permutation for execution.
-Dense temporaries produced by fused schedules use :class:`DenseWorkspace`.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -127,14 +125,6 @@ class CsfTensor:
         seg = self.segs[level + 1]
         return seg[pos], seg[pos + 1]
 
-    def find(self, level: int, lo: int, hi: int, coord: int) -> int:
-        """Position of ``coord`` among coords[level][lo:hi], or -1."""
-        cs = self.coords[level]
-        pos = bisect.bisect_left(cs, coord, lo, hi)
-        if pos < hi and cs[pos] == coord:
-            return pos
-        return -1
-
 
 def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
     """Group a tensor's non-zeros into a CSF tree under ``order``."""
@@ -214,31 +204,6 @@ def csf_check(c: CsfTensor) -> None:
             fiber = c.coords[d][seg[i] : seg[i + 1]]
             assert all(fiber[j] < fiber[j + 1] for j in range(len(fiber) - 1)), "fiber not strictly increasing"
     assert len(c.values) == len(c.coords[n - 1])
-
-
-class DenseWorkspace:
-    """Dense temporary array with constant-time cell access.
-
-    Mutable by design (the one mutable type in this module); owned by a single
-    executor call and never shared.
-    """
-
-    def __init__(self, dims: Sequence[int]):
-        self.dims = tuple(int(d) for d in dims)
-        self.cells = np.zeros(self.dims, dtype=np.float64)
-
-    @property
-    def ncells(self) -> int:
-        return int(np.prod(self.dims, dtype=np.int64)) if self.dims else 1
-
-    def zero(self) -> None:
-        self.cells.fill(0.0)
-
-    def add(self, key: Coords, value: float) -> None:
-        self.cells[key] += value
-
-    def get(self, key: Coords) -> float:
-        return float(self.cells[key])
 
 
 def read_tns(stream: TextIO | Iterable[str], shape: Sequence[int] | None = None) -> SparseTensor:

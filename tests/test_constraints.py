@@ -7,8 +7,11 @@ import random
 import pytest
 
 from fusetree import (
+    Assign,
+    Forall,
     brute_force_sat,
     build_model,
+    lower,
     parse_network,
     report_text,
     search_min_order,
@@ -137,6 +140,29 @@ class TestSearchMinOrder:
     def test_unsat_beyond_cap(self, running_tree):
         with pytest.raises(UnsatisfiableError):
             search_min_order(running_tree, l_max=1)
+
+    def test_short_assignment_not_placed_inside_a_fused_prefix(self):
+        # V has two loops; placed between W's producer and consumer it cannot
+        # mirror W's three-position fused prefix at bound 1
+        text = (
+            "extent b 2\nextent d 2\nextent e 2\nextent g 2\n"
+            "W[b,d,e,g] = A[b,d] * B[e,g]\nV[d,e] = C[e] * D[d]\n"
+            "R[] = W[b,d,e,g] * V[d,e]\n"
+        )
+        tree = parse_network(text)
+        bound, sol = search_min_order(tree)
+        assert bound == 1 and brute_force_sat(tree, 1)
+        assert verify_solution(tree, bound, sol) == []
+
+        def workspace_orders(node):
+            if isinstance(node, Assign):
+                refs = (node.result, node.lhs, node.rhs)
+                return [len(r.indices) for r in refs if r.tensor in ("W", "V")]
+            if isinstance(node, Forall):
+                return workspace_orders(node.body)
+            return workspace_orders(node.producer) + workspace_orders(node.consumer)
+
+        assert max(workspace_orders(lower(tree, sol))) <= bound
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Interpreter semantics, oracles, counters, and comparisons."""
+"""Executor semantics, oracles, counters, and comparisons."""
 
 from __future__ import annotations
 
@@ -286,3 +286,27 @@ class TestCompare:
         b = coo_from_entries([], (3,))
         with pytest.raises(ShapeMismatchError):
             compare(a, b)
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (float("nan"), 1.0),
+            (float("inf"), 1.0),
+            (1.0, float("-inf")),
+            (float("nan"), float("nan")),
+            (float("inf"), float("inf")),
+        ],
+    )
+    def test_non_finite_fails(self, x, y):
+        a = coo_from_entries([((0,), x)], (2,))
+        b = coo_from_entries([((0,), y)], (2,))
+        rep = compare(a, b, rel_tol=1e-10)
+        assert not rep.passed
+        assert rep.worst_coords == (0,)
+        assert "FAIL" in rep.message()
+
+    def test_non_finite_against_absent_fails(self):
+        a = coo_from_entries([((1,), 1.0)], (2,))
+        b = coo_from_entries([((0,), float("nan")), ((1,), 1.0)], (2,))
+        assert not compare(a, b).passed
+        assert not compare(b, a).passed

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from fusetree import (
     CsfTensor,
-    DenseWorkspace,
     SparseTensor,
     coo_from_entries,
     csf_build,
@@ -136,22 +135,6 @@ def test_csf_round_trip_property(case):
     csf_check(c)
     assert c.nnz == t.nnz
     assert csf_flatten(c) == permute(t, perm)
-
-
-class TestWorkspace:
-    def test_zero_and_access(self):
-        w = DenseWorkspace((2, 3))
-        w.add((1, 2), 4.0)
-        assert w.get((1, 2)) == 4.0
-        w.zero()
-        assert np.all(w.cells == 0.0)
-        assert w.ncells == 6
-
-    def test_scalar_workspace(self):
-        w = DenseWorkspace(())
-        w.add((), 2.0)
-        assert w.get(()) == 2.0
-        assert w.ncells == 1
 
 
 class TestTns:
