@@ -56,7 +56,7 @@ def _load_tree(args) -> ContractionTree:
 def _plan(tree: ContractionTree, args):
     l_max = getattr(args, "max_order", None)
     started = time.monotonic()
-    bound, sol = search_min_order(tree, l_max=l_max, seed=args.seed)
+    bound, sol = search_min_order(tree, l_max=l_max)
     elapsed = time.monotonic() - started
     ir = lower(tree, sol)
     return bound, sol, ir, elapsed
@@ -224,7 +224,6 @@ def cmd_bench(args) -> int:
 def _add_common_plan_flags(p) -> None:
     p.add_argument("--max-order", type=int, default=None, help="largest workspace order to try")
     p.add_argument("--root-layout", default=None, help="pin the result layout, e.g. 'j,k,i'")
-    p.add_argument("--seed", type=int, default=0, help="determinism seed for reports")
     p.add_argument("--emit-ir", default=None, help="write the loop IR (text, or JSON for *.json)")
     p.add_argument("--solution", default=None, help="write the schedule report as JSON")
 

@@ -313,19 +313,18 @@ def _candidate_key(c: Contraction) -> tuple[str, ...]:
 
 
 def solve(
-    model: ConstraintModel,
-    seed: int = 0,
+    tree: ContractionTree,
+    bound: int,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> ScheduleSolution | None:
-    """First satisfying schedule under the deterministic search order, or None.
+    """First satisfying schedule at ``bound`` under the deterministic search order, or None.
 
-    The search is fully deterministic; ``seed`` is accepted for interface
-    stability and does not influence the result. Raises :class:`SolveTimeout`
-    when the budget is exceeded.
+    The search reads the tree directly; :func:`build_model` materializes the
+    same system only for :func:`verify_solution`. Raises
+    :class:`SolveTimeout` when the budget is exceeded.
     """
-    del seed
-    tree = model.tree
-    bound = model.bound
+    if bound < 1:
+        raise ValueError(f"bound must be >= 1, got {bound}")
     deadline = time.monotonic() + time_budget
     m = tree.m
     contractions = tree.contractions
@@ -343,16 +342,27 @@ def solve(
         c.cid: [e for e in edges if e.order - bound > len(keys[c.cid]) and e.consumer != c.cid]
         for c in contractions
     }
+    # forward check: the index a producer puts at fused position s is mirrored
+    # by its consumer, which must fill s from its own result while s lies in
+    # its own fused prefix, and so on up the chain
+    allowed: dict[tuple[int, int], set[str]] = {}
+    for edge in edges:
+        for s in range(edge.order - bound):
+            indices = set(edge.indices)
+            up = produces.get(edge.consumer)
+            while up is not None and s < up.order - bound:
+                indices &= set(up.indices)
+                up = produces.get(up.consumer)
+            allowed[edge.producer, s] = indices
 
     order: list[int] = []
     placed: set[int] = set()
     loops: dict[int, list[str]] = {}
 
     def position_ok(cid: int, s: int, x: str) -> bool:
-        edge = produces.get(cid)
-        if edge is not None and edge.order > bound and s < edge.order - bound:
-            if x not in edge.indices:
-                return False
+        indices = allowed.get((cid, s))
+        if indices is not None and x not in indices:
+            return False
         for edge in consumes.get(cid, ()):  # producer already placed (child first)
             if edge.order > bound and s < edge.order - bound:
                 if x != loops[edge.producer][s]:
@@ -378,7 +388,7 @@ def solve(
 
     def try_loops(cid: int, idx: tuple[str, ...]) -> ScheduleSolution | None:
         if time.monotonic() > deadline:
-            raise SolveTimeout(time_budget, model)
+            raise SolveTimeout(time_budget, tree, bound)
         s = len(loops[cid])
         if s == len(idx):
             return try_place()
@@ -396,7 +406,7 @@ def solve(
 
     def try_place() -> ScheduleSolution | None:
         if time.monotonic() > deadline:
-            raise SolveTimeout(time_budget, model)
+            raise SolveTimeout(time_budget, tree, bound)
         if len(order) == m:
             return finalize()
         for c in contractions:
@@ -446,7 +456,6 @@ def solve(
 def search_min_order(
     tree: ContractionTree,
     l_max: int | None = None,
-    seed: int = 0,
     time_budget: float = DEFAULT_TIME_BUDGET,
 ) -> tuple[int, ScheduleSolution]:
     """Smallest workspace-order bound admitting a schedule, with its witness.
@@ -463,7 +472,7 @@ def search_min_order(
     if l_max is None:
         l_max = max(intermediate_orders, default=1)
     for bound in range(1, l_max + 1):
-        sol = solve(build_model(tree, bound), seed=seed, time_budget=time_budget)
+        sol = solve(tree, bound, time_budget)
         if sol is not None:
             return bound, sol
     raise UnsatisfiableError(f"no schedule with workspace order <= {l_max}")

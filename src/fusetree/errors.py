@@ -16,6 +16,10 @@ class OutOfBoundsError(FusetreeError):
         self.shape = tuple(shape)
 
 
+class NonFiniteValueError(FusetreeError):
+    """A tensor value is NaN or infinite; an absent value means exactly zero."""
+
+
 class RankMismatchError(FusetreeError):
     """A coordinate tuple or mode permutation has the wrong length."""
 
@@ -59,12 +63,13 @@ class TooLargeError(FusetreeError):
 
 
 class SolveTimeout(FusetreeError):
-    """The solver exceeded its time budget; the offending model is attached."""
+    """The solver exceeded its time budget; the tree and the bound are attached."""
 
-    def __init__(self, budget, model=None):
+    def __init__(self, budget, tree=None, bound=None):
         super().__init__(f"solve exceeded time budget of {budget:.3f}s")
         self.budget = budget
-        self.model = model
+        self.tree = tree
+        self.bound = bound
 
 
 class UnsatisfiableError(FusetreeError):

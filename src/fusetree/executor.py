@@ -3,14 +3,21 @@
 Each call walks the IR once, checking the schedule and writing the source of
 one function in which loop variables, CSF positions and counters are locals.
 A ``forall`` drilled by a single CSF operand steps through that fiber's
-positions; other loops iterate the sorted union of the coordinate streams of
-the present operands that drill them, or the full index range when some
-statement reaches the index only through dense operands, and find each
-operand's position by bisection. Dense inputs and workspaces are flat lists
-indexed with row-major strides. A statement contributes only when every
-sparse operand carries the current coordinates and no factor is exactly zero.
-Each ``where`` zeroes the producer's workspaces, runs the producer, then the
-consumer, once per enclosing iteration.
+positions. A ``forall`` over one statement that several CSF operands drill
+co-iterates their intersection: it steps through one fiber and bisects the
+others, skipping a coordinate any of them lacks. A ``forall`` that a ``where``
+shares across statements keeps the sorted union of the present operands'
+coordinate streams, so every statement sees the coordinates it needs, and a
+loop that some statement reaches only through dense operands runs over the
+full index range; both find each operand's position by bisection. Dense
+inputs and workspaces are flat lists indexed with row-major strides. A
+statement contributes only when every sparse operand carries the current
+coordinates and no factor is exactly zero. Each ``where`` zeroes the
+producer's workspaces, runs the producer, then the consumer, once per
+enclosing iteration. When the consumer reads an order-1 workspace in an
+innermost full-range loop, the producer also records the cells it writes and
+the consumer visits only those, in ascending order. The root accumulator is
+keyed by the row-major offset of the result coordinates.
 
 The source numbers every identifier and passes all data as parameters, so it
 depends on the IR's structure alone; its code object is compiled once and
@@ -41,7 +48,7 @@ from .errors import (
 )
 from .lowering import Assign, Forall, IrNode, Where
 from .network import ContractionTree, TensorRef
-from .tensor import CsfTensor, SparseTensor, coo_from_entries, csf_build
+from .tensor import CsfTensor, SparseTensor, csf_build
 
 DENSE_SPACE_BUDGET = 100_000_000
 
@@ -137,7 +144,9 @@ class _Loop:
     var: str
     drivers: list[tuple[_Fiber, int]] = field(default_factory=list)
     full: bool = False  # some statement reaches the index only through dense operands
+    single: bool = False  # one statement sits under the loop
     extent: str | None = None  # parameter of a full-range loop
+    touched: str | None = None  # workspace whose written cells replace the full range
     body: object = None
 
 
@@ -156,6 +165,8 @@ class _Stmt:
     fibers: list[_Fiber]
     factors: list[str]
     update: list[str]
+    reads: list[tuple[str, str]]  # (workspace, index) of each order-1 workspace read
+    writes: tuple[str, str] | None  # (workspace, offset) of the workspace written
 
 
 class _Kernel:
@@ -164,8 +175,9 @@ class _Kernel:
     Planning walks the IR once, raising on a malformed schedule and numbering
     every identifier the kernel uses, so that no network name reaches the
     source; the data travel as parameters. Rendering then decides per loop
-    whether it steps through one fiber's positions, a sorted coordinate union
-    or the full range, which needs the whole loop body planned first.
+    whether it steps through one fiber's positions, an intersection, a sorted
+    coordinate union, a workspace's written cells or the full range, which
+    needs the whole loop body planned first.
     """
 
     def __init__(self, ir: IrNode, binding: Binding):
@@ -178,6 +190,7 @@ class _Kernel:
         self.dense: dict[str, tuple[str, list[str | None]]] = {}
         self.workspaces: dict[str, tuple[str, tuple[str, ...], list[str | None]]] = {}
         self.cells: list[int] = []
+        self.touched: set[str] = set()  # workspaces that record their written cells
         self.stmts: list[tuple[str, set[str]]] = []  # result and operand names
         self.loops = 0
         self.fibers = 0
@@ -209,13 +222,14 @@ class _Kernel:
             terms.append(var if stride is None else f"{var} * {stride}")
         return " + ".join(terms) or "0"
 
-    def _workspace(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> str:
+    def _cell(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> tuple[str, str]:
+        """A workspace's local and the offset of the cell ``ref`` addresses."""
         if ref.tensor not in self.workspaces:
             raise UnboundTensorError(f"no binding or workspace for tensor '{ref.tensor}'")
         var, layout, strides = self.workspaces[ref.tensor]
         if ref.indices != layout:
             raise ModeOrderMismatchError(f"reference {ref} disagrees with workspace layout {layout}")
-        return f"{var}[{self._offset(ref, layout, strides, scope)}]"
+        return var, self._offset(ref, layout, strides, scope)
 
     def _plan(self, node: IrNode, scope: dict[str, _Loop]):
         if isinstance(node, Forall):
@@ -223,8 +237,18 @@ class _Kernel:
                 raise MalformedScheduleError(f"loop index '{node.index}' bound twice")
             loop = _Loop(f"x{self.loops}")
             self.loops += 1
+            start = len(self.stmts)
             loop.body = self._plan(node.body, {**scope, node.index: loop})
-            if loop.full or not loop.drivers:
+            loop.single = len(self.stmts) == start + 1
+            if isinstance(loop.body, _Stmt) and not loop.drivers:
+                # an innermost full-range loop over an order-1 workspace needs
+                # only the cells its producer wrote; the others hold 0.0
+                loop.touched = next(
+                    (var for var, index in loop.body.reads if index == node.index), None
+                )
+            if loop.touched:
+                self.touched.add(loop.touched)
+            elif loop.full or not loop.drivers:
                 loop.extent = self._param(f"e{loop.var}", _extent(self.extents, node.index))
             return loop
         if isinstance(node, Where):
@@ -244,6 +268,7 @@ class _Kernel:
         order = list(scope)
         fibers: list[_Fiber] = []
         factors: list[str] = []
+        reads: list[tuple[str, str]] = []
         sparse_at: dict[str, bool] = {}
         for ref, abstract in ((node.lhs, contraction.lhs), (node.rhs, contraction.rhs)):
             for index in ref.indices:
@@ -275,7 +300,10 @@ class _Kernel:
                 var, strides = self.dense[name]
                 factors.append(f"{var}[{self._offset(ref, abstract.indices, strides, scope)}]")
             else:
-                factors.append(self._workspace(ref, scope))
+                var, offset = self._cell(ref, scope)
+                factors.append(f"{var}[{offset}]")
+                if len(ref.indices) == 1:
+                    reads.append((var, ref.indices[0]))
         # a loop this statement reaches only through dense operands or
         # workspaces runs over the full range
         for index, sparse in sparse_at.items():
@@ -283,9 +311,12 @@ class _Kernel:
                 scope[index].full = True
 
         name = node.result.tensor
+        writes = None
         if name == self.root.tensor:
-            key = "".join(self._var(node.result, index, scope) + ", " for index in self.root.indices)
-            update = [f"k = ({key.rstrip()})", "acc[k] = get(k, 0.0) + f * g"]
+            # the accumulator is keyed by the row-major offset of the result
+            dims = [_extent(self.extents, index) for index in self.root.indices]
+            key = self._offset(node.result, self.root.indices, self._strides("r", dims), scope)
+            update = [f"k = {key}", "acc[k] = get(k, 0.0) + f * g"]
         else:
             if name in self.intermediates and name not in self.workspaces:
                 dims = [_extent(self.extents, index) for index in node.result.indices]
@@ -293,15 +324,19 @@ class _Kernel:
                 self.cells.append(math.prod(dims))
                 self._param(f"m{var}", self.cells[-1])
                 self.workspaces[name] = (var, node.result.indices, self._strides(var, dims))
-            update = [f"{self._workspace(node.result, scope)} += f * g"]
+            writes = self._cell(node.result, scope)
+            update = ["{}[{}] += f * g".format(*writes)]
         self.stmts.append((name, {node.lhs.tensor, node.rhs.tensor}))
-        return _Stmt(len(self.stmts) - 1, fibers, factors, update)
+        return _Stmt(len(self.stmts) - 1, fibers, factors, update, reads, writes)
 
     def source(self) -> str:
         out = [f"def kernel({', '.join(self.params)}):", "    acc = {}", "    get = acc.get"]
         for var, _, _ in self.workspaces.values():
             out.append(f"    {var} = [0.0] * m{var}")
             out.append(f"    z{var} = [0.0] * m{var}")
+            if var in self.touched:
+                out.append(f"    f{var} = [False] * m{var}")
+                out.append(f"    t{var} = []")
         counters = [f"n{s}" for s in range(len(self.stmts))]
         out.append(f"    {' = '.join(counters)} = 0")
         self._render(self.plan, 1, out)
@@ -311,8 +346,14 @@ class _Kernel:
     def _render(self, node, depth: int, out: list[str]) -> None:
         pad = "    " * depth
         if isinstance(node, _Where):
+            touched = [var for var in node.zero if var in self.touched]
             out.extend(f"{pad}{var}[:] = z{var}" for var in node.zero)
+            for var in touched:
+                out.append(f"{pad}for c in t{var}: f{var}[c] = False")
+                out.append(f"{pad}t{var}.clear()")
             self._render(node.producer, depth, out)
+            # ascending cells keep the consumer's sums in full-range order
+            out.extend(f"{pad}t{var}.sort()" for var in touched)
             self._render(node.consumer, depth, out)
         elif isinstance(node, _Loop):
             self._render_loop(node, depth, out)
@@ -325,20 +366,29 @@ class _Kernel:
             out.append(f"{pad}if f:")
             out.append(f"{pad}    g = {node.factors[1]}")
             out.append(f"{pad}    if g:")
+            if node.writes and node.writes[0] in self.touched:
+                var, cell = node.writes
+                out.append(f"{pad}        if not f{var}[{cell}]:")
+                out.append(f"{pad}            f{var}[{cell}] = True")
+                out.append(f"{pad}            t{var}.append({cell})")
             out.extend(f"{pad}        {line}" for line in node.update)
             out.append(f"{pad}        n{node.n} += 1")
 
     def _render_loop(self, loop: _Loop, depth: int, out: list[str]) -> None:
         """Bind the loop variable and the position of every fiber level it drives.
 
-        A missing coordinate sets a position to -1, and a level under a -1
-        parent gets the empty range, so presence is decided by the deepest level.
+        In a union or full-range loop a missing coordinate sets a position to
+        -1, and a level under a -1 parent gets the empty range, so presence is
+        decided by the deepest level. Positions stepped through or found by
+        an intersection are never -1.
         """
         pad = "    " * depth
         x = loop.var
-        direct = len(loop.drivers) == 1 and not loop.full
+        # a single fiber, or a single statement that needs every fiber present:
+        # step through the first, bisect the others, stop once one runs out
+        step = (len(loop.drivers) == 1 and not loop.full) or (len(loop.drivers) > 1 and loop.single)
         for fiber, level in loop.drivers:
-            fiber.searched[level] = not direct
+            fiber.searched[level] = not step
 
         def names(fiber: _Fiber, level: int):
             n = fiber.n
@@ -347,14 +397,22 @@ class _Kernel:
             absent = level > 0 and fiber.searched[level - 1]
             return f"p{n}_{level}", f"c{n}_{level}", parent, seg, absent
 
-        if direct:
-            p, coords, parent, seg, absent = names(*loop.drivers[0])
-            if absent:
-                out.append(f"{pad}if {parent} >= 0:")
+        if step:
+            drivers = [names(*d) for d in loop.drivers]
+            guards = [f"{parent} >= 0" for _, _, parent, _, absent in drivers if absent]
+            if guards:
+                out.append(f"{pad}if {' and '.join(guards)}:")
                 pad += "    "
                 depth += 1
+            (p, coords, parent, seg, _), *others = drivers
+            for q, _, parent_q, seg_q, _ in others:
+                out.append(f"{pad}l{q}, h{q} = {seg_q}[{parent_q}], {seg_q}[{parent_q} + 1]")
             out.append(f"{pad}for {p} in range({seg}[{parent}], {seg}[{parent} + 1]):")
             out.append(f"{pad}    {x} = {coords}[{p}]")
+            for q, coords_q, _, _, _ in others:
+                out.append(f"{pad}    {q} = l{q} = bl({coords_q}, {x}, l{q}, h{q})")
+                out.append(f"{pad}    if {q} == h{q}: break")
+                out.append(f"{pad}    if {coords_q}[{q}] != {x}: continue")
         else:
             streams = []
             for fiber, level in loop.drivers:
@@ -364,7 +422,12 @@ class _Kernel:
                     bounds = f"({bounds}) if {parent} >= 0 else (0, 0)"
                 out.append(f"{pad}l{p}, h{p} = {bounds}")
                 streams.append(f"*{coords}[l{p}:h{p}]")
-            values = f"range({loop.extent})" if loop.extent else f"sorted({{{', '.join(streams)}}})"
+            if loop.touched:
+                values = f"t{loop.touched}"
+            elif loop.extent:
+                values = f"range({loop.extent})"
+            else:
+                values = f"sorted({{{', '.join(streams)}}})"
             out.append(f"{pad}for {x} in {values}:")
             for fiber, level in loop.drivers:
                 p, coords, _, _, _ = names(fiber, level)
@@ -392,7 +455,17 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
         if count:
             stats.per_assignment[name] = stats.per_assignment.get(name, 0) + count
     shape = binding.tree.ref_shape(binding.tree.root.result)
-    return coo_from_entries(list(acc.items()), shape), stats
+    # row-major offsets sort in the lexicographic order of their coordinates
+    entries = []
+    for key in sorted(acc):
+        value = acc[key]
+        if value != 0.0:
+            coords = []
+            for extent in reversed(shape):
+                key, c = divmod(key, extent)
+                coords.append(c)
+            entries.append((tuple(reversed(coords)), value))
+    return SparseTensor(shape, tuple(entries)), stats
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ used for interchange, oracles, and I/O, and a compressed-sparse-fiber tree
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import OutOfBoundsError, ParseError, RankMismatchError
+from .errors import NonFiniteValueError, OutOfBoundsError, ParseError, RankMismatchError
 
 Coords = tuple[int, ...]
 
@@ -70,7 +71,11 @@ class SparseTensor:
 
 
 def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence[int]) -> SparseTensor:
-    """Build a canonical tensor, merging duplicate coordinates by summation."""
+    """Build a canonical tensor, merging duplicate coordinates by summation.
+
+    Raises :class:`NonFiniteValueError` on a NaN or infinite value, given or
+    summed.
+    """
     shape = _check_shape(shape)
     order = len(shape)
     acc: dict[Coords, float] = {}
@@ -80,7 +85,10 @@ def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence
             raise RankMismatchError(f"coordinates {key} have rank {len(key)}, expected {order}")
         if any(c < 0 or c >= shape[k] for k, c in enumerate(key)):
             raise OutOfBoundsError(key, shape)
-        acc[key] = acc.get(key, 0.0) + float(value)
+        total = acc.get(key, 0.0) + float(value)
+        if not math.isfinite(total):
+            raise NonFiniteValueError(f"value {total!r} at coordinates {key} is not finite")
+        acc[key] = total
     entries = tuple(sorted((k, v) for k, v in acc.items() if v != 0.0))
     return SparseTensor(shape, entries)
 

@@ -15,7 +15,6 @@ from fusetree import (
     ScheduleSolution,
     bind,
     brute_force_sat,
-    build_model,
     compare,
     coo_from_entries,
     csf_build,
@@ -91,7 +90,7 @@ def test_criterion_3_solver_oracle_sat_agreement():
     checked = 0
     for name, tree in sorted(trees.items()):
         for bound in (1, 2, 3):
-            got = solve(build_model(tree, bound)) is not None
+            got = solve(tree, bound) is not None
             want = brute_force_sat(tree, bound)
             assert got == want, (name, bound, got, want)
             checked += 1
@@ -208,7 +207,7 @@ def test_criterion_7b_solver_output_permutation_invariants():
     solutions = 0
     for tree in trees:
         for bound in (1, 2, 3):
-            sol = solve(build_model(tree, bound))
+            sol = solve(tree, bound)
             if sol is None:
                 continue
             solutions += 1
@@ -225,7 +224,7 @@ def test_criterion_7c_satisfiability_monotone_in_bound():
     rng = random.Random(77)
     for trial in range(200):
         tree = random_tree(rng)
-        sats = [solve(build_model(tree, bound)) is not None for bound in (1, 2, 3, 4)]
+        sats = [solve(tree, bound) is not None for bound in (1, 2, 3, 4)]
         for lo, hi in zip(sats, sats[1:]):
             assert not (lo and not hi), (trial, sats)
     _ok("7c", "satisfiability monotone in the bound over 200 random trees")
@@ -236,10 +235,10 @@ def test_criterion_7d_deterministic_reports():
     reports = set()
     results = set()
     for run in range(2):
-        bound, sol = search_min_order(tree, seed=42)
+        bound, sol = search_min_order(tree)
         reports.add(report_text(tree, sol) + print_ir(lower(tree, sol)))
         inst = bench_generate("running_example", extents=6, density=0.2, seed=42)
-        b2, s2 = search_min_order(inst.tree, seed=42)
+        b2, s2 = search_min_order(inst.tree)
         result, stats = execute(lower(inst.tree, s2), bind(inst.tree, s2, inst.tensors, ()))
         results.add(str(result.entries) + str(stats.to_json_dict()))
     assert len(reports) == 1

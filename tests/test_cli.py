@@ -51,9 +51,9 @@ class TestPlan:
         assert "'k'" in capsys.readouterr().err
 
     def test_byte_identical_reports(self, running_net, capsys):
-        main(["plan", "--network", str(running_net), "--seed", "0"])
+        main(["plan", "--network", str(running_net)])
         first = capsys.readouterr().out
-        main(["plan", "--network", str(running_net), "--seed", "0"])
+        main(["plan", "--network", str(running_net)])
         second = capsys.readouterr().out
         assert first == second
 
@@ -122,6 +122,17 @@ class TestRun:
         argv = ["run", "--network", str(net), "--tensor", f"T={tmp_path}/nope.tns",
                 "--tensor", f"S={tmp_path}/nope.tns"]
         assert main(argv) == 1
+
+    def test_non_finite_tensor_file(self, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        net.write_text(MATMUL_NETWORK)
+        t = tmp_path / "T.tns"
+        s = tmp_path / "S.tns"
+        t.write_text("1 1 2.0\n2 2 inf\n")
+        s.write_text("1 2 5.0\n")
+        code = main(["run", "--network", str(net), "--tensor", f"T={t}", "--tensor", f"S={s}"])
+        assert code == 1
+        assert "not finite" in capsys.readouterr().err
 
     def test_missing_network_file(self, tmp_path):
         assert main(["plan", "--network", str(tmp_path / "absent.net")]) == 1

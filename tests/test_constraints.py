@@ -69,55 +69,76 @@ class TestBuildModel:
         assert dict(pins[0].positions) == {0: 2, 1: 0, 2: 1}
 
     def test_chain_assignment_positions_forced(self, running_tree):
-        sol = solve(build_model(running_tree, 2))
+        sol = solve(running_tree, 2)
         assert [sol.ap[c] for c in range(3)] == [0, 1, 2]
 
 
 class TestSolve:
     def test_reference_witness_found_at_bound_2(self, running_tree):
-        sol = solve(build_model(running_tree, 2))
+        sol = solve(running_tree, 2)
         ref = reference_witness()
         assert sol.ap == ref.ap
         assert sol.lp == ref.lp
         assert sol.dp == ref.dp
 
     def test_unsat_at_bound_1_with_pinned_root(self, running_tree):
-        assert solve(build_model(running_tree, 1)) is None
+        assert solve(running_tree, 1) is None
 
     def test_free_root_admits_deeper_fusion(self, running_tree_free):
-        assert solve(build_model(running_tree_free, 1)) is not None
+        assert solve(running_tree_free, 1) is not None
 
     def test_single_contraction_any_bound(self, matmul_tree):
         for bound in (1, 2, 3):
-            assert solve(build_model(matmul_tree, bound)) is not None
+            assert solve(matmul_tree, bound) is not None
 
     def test_solutions_verify(self, running_tree, chain_tree, matmul_tree):
         for tree in (running_tree, chain_tree, matmul_tree):
             for bound in (1, 2, 3):
-                sol = solve(build_model(tree, bound))
+                sol = solve(tree, bound)
                 if sol is not None:
                     assert verify_solution(tree, bound, sol) == []
 
     def test_permutation_property(self, running_tree):
-        sol = solve(build_model(running_tree, 2))
+        sol = solve(running_tree, 2)
         assert sorted(sol.ap.values()) == [0, 1, 2]
         for cid, lp in sol.lp.items():
             assert sorted(lp.values()) == list(range(len(lp)))
         for tensor, dp in sol.dp.items():
             assert sorted(dp.values()) == list(range(len(dp)))
 
-    def test_deterministic_and_seed_independent(self, running_tree):
-        a = solve(build_model(running_tree, 2), seed=0)
-        b = solve(build_model(running_tree, 2), seed=12345)
+    def test_deterministic(self, running_tree):
+        a = solve(running_tree, 2)
+        b = solve(parse_network(running_example_network(4)), 2)
         assert a == b
         assert report_text(running_tree, a) == report_text(running_tree, b)
 
     def test_timeout(self, running_tree):
-        with pytest.raises(SolveTimeout):
-            solve(build_model(running_tree, 2), time_budget=-1.0)
+        with pytest.raises(SolveTimeout) as info:
+            solve(running_tree, 2, time_budget=-1.0)
+        assert info.value.tree is running_tree
+        assert info.value.bound == 2
+
+
+def _ttmc_chain(order: int) -> str:
+    """X1[r0,i1..] = T[i0..] * U0[i0,r0], ..., R[r0..] = X{order-1}[..] * U{order-1}[..]."""
+    lines = [f"extent {x}{k} 2" for x in "ir" for k in range(order)]
+    cur, prev = [f"i{k}" for k in range(order)], "T"
+    for m in range(order):
+        new = cur[:m] + [f"r{m}"] + cur[m + 1 :]
+        out = "R" if m == order - 1 else f"X{m + 1}"
+        lines.append(f"{out}[{','.join(new)}] = {prev}[{','.join(cur)}] * U{m}[i{m},r{m}]")
+        cur, prev = new, out
+    return "\n".join(lines) + "\n"
 
 
 class TestSearchMinOrder:
+    def test_order6_ttmc_chain_proves_its_minimal_bound(self):
+        # bounds 1-3 are unsat; the forward check proves it without a timeout
+        tree = parse_network(_ttmc_chain(6))
+        bound, sol = search_min_order(tree)
+        assert bound == 4
+        assert verify_solution(tree, 4, sol) == []
+
     def test_running_example_needs_two(self, running_tree):
         bound, sol = search_min_order(running_tree)
         assert bound == 2
@@ -200,7 +221,7 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("bound", [1, 2, 3])
     def test_agreement(self, kind, bound):
         tree = _bench_trees()[kind]
-        got = solve(build_model(tree, bound)) is not None
+        got = solve(tree, bound) is not None
         want = brute_force_sat(tree, bound)
         assert got == want
 
@@ -221,7 +242,7 @@ class TestBruteForceAgreement:
         for _ in range(40):
             tree = random_tree(rng)
             for bound in (1, 2, 3):
-                assert (solve(build_model(tree, bound)) is not None) == brute_force_sat(
+                assert (solve(tree, bound) is not None) == brute_force_sat(
                     tree, bound
                 )
 
@@ -231,20 +252,20 @@ class TestMonotonicity:
         rng = random.Random(7)
         for _ in range(60):
             tree = random_tree(rng)
-            sats = [solve(build_model(tree, bound)) is not None for bound in (1, 2, 3, 4)]
+            sats = [solve(tree, bound) is not None for bound in (1, 2, 3, 4)]
             for lo, hi in zip(sats, sats[1:]):
                 assert not (lo and not hi)
 
 
 class TestSerialization:
     def test_json_round_trip(self, running_tree):
-        sol = solve(build_model(running_tree, 2))
+        sol = solve(running_tree, 2)
         doc = sol.to_json_dict(running_tree)
         again = ScheduleSolution.from_json_dict(doc)
         assert again == sol
 
     def test_report_stable(self, running_tree):
-        sol = solve(build_model(running_tree, 2))
+        sol = solve(running_tree, 2)
         text = report_text(running_tree, sol)
         assert text == report_text(running_tree, sol)
         assert "loops (outer to inner): r, j, p, q, i" in text

@@ -10,9 +10,9 @@ import pytest
 from fusetree import (
     Assign,
     Forall,
+    SparseTensor,
     TensorRef,
     bind,
-    build_model,
     compare,
     coo_from_entries,
     execute,
@@ -81,20 +81,20 @@ class TestExecuteBasics:
             assert csf.mode_order == sol.mode_perm(name)
 
     def test_unbound_tensor(self, matmul_tree):
-        sol = solve(build_model(matmul_tree, 1))
+        sol = solve(matmul_tree, 1)
         T = coo_from_entries([((0, 0), 1.0)], (2, 2))
         with pytest.raises(UnboundTensorError):
             bind(matmul_tree, sol, {"T": T})
 
     def test_extent_mismatch_at_bind(self, matmul_tree):
-        sol = solve(build_model(matmul_tree, 1))
+        sol = solve(matmul_tree, 1)
         T = coo_from_entries([((0, 0), 1.0)], (2, 2))
         S3 = coo_from_entries([((0, 0), 1.0)], (3, 2))
         with pytest.raises(ExtentMismatchError):
             bind(matmul_tree, sol, {"T": T, "S": S3})
 
     def test_mode_order_mismatch(self, matmul_tree):
-        sol = solve(build_model(matmul_tree, 1))
+        sol = solve(matmul_tree, 1)
         T = coo_from_entries([((0, 0), 1.0)], (2, 2))
         S = coo_from_entries([((0, 0), 1.0)], (2, 2))
         binding = bind(matmul_tree, sol, {"T": T, "S": S})
@@ -298,15 +298,15 @@ class TestCompare:
         ],
     )
     def test_non_finite_fails(self, x, y):
-        a = coo_from_entries([((0,), x)], (2,))
-        b = coo_from_entries([((0,), y)], (2,))
+        a = SparseTensor((2,), (((0,), x),))
+        b = SparseTensor((2,), (((0,), y),))
         rep = compare(a, b, rel_tol=1e-10)
         assert not rep.passed
         assert rep.worst_coords == (0,)
         assert "FAIL" in rep.message()
 
     def test_non_finite_against_absent_fails(self):
-        a = coo_from_entries([((1,), 1.0)], (2,))
-        b = coo_from_entries([((0,), float("nan")), ((1,), 1.0)], (2,))
+        a = SparseTensor((2,), (((1,), 1.0),))
+        b = SparseTensor((2,), (((0,), float("nan")), ((1,), 1.0)))
         assert not compare(a, b).passed
         assert not compare(b, a).passed

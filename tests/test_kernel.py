@@ -2,11 +2,14 @@
 
 The expected multiply-add counts were produced by the recursive scalar
 interpreter this kernel replaced, so they pin its counting semantics exactly.
+Further tests pin the shape of the generated source (intersection, union,
+touched workspace cells) and the corner cases of each.
 """
 
 from __future__ import annotations
 
 import random
+import re
 import sys
 import threading
 
@@ -15,7 +18,6 @@ import pytest
 
 from fusetree import (
     bind,
-    build_model,
     compare,
     coo_from_entries,
     execute,
@@ -27,6 +29,8 @@ from fusetree import (
     solve,
 )
 from fusetree.bench import bench_generate, synthetic_tensor
+from fusetree.executor import _Kernel
+from fusetree.tensor import SparseTensor
 from conftest import random_tree
 
 MODES = ("sparse", "mixed", "dense", "zero", "single")
@@ -220,7 +224,7 @@ def _schedules(tree):
     bound, sol = search_min_order(tree)
     yield "min", sol
     trivial = max((len(tree.abstract_ref(n).indices) for n in tree.intermediate_names), default=1)
-    yield "trivial", solve(build_model(tree, max(trivial, 1)))
+    yield "trivial", solve(tree, max(trivial, 1))
 
 
 def _run_case(seed: int, mode: str):
@@ -287,3 +291,126 @@ def test_concurrent_calls_share_nothing():
     for result, stats in outcomes:
         assert result == want[0]
         assert stats == want[1]
+
+
+# ---------------------------------------------------------------------------
+# generated source and its corner cases
+
+MATMUL = "extent i 3\nextent k 4\nextent j 2\nR[i,j] = T[i,k] * S[k,j]\n"
+
+# W is an order-1 workspace the consumer reads in an innermost full-range loop
+TOUCHED = (
+    "extent r 2\nextent j 3\nextent i 3\n"
+    "W[r,i] = A[j,i] * B[r,j]\n"
+    "R[r] = W[r,i] * V[i]\n"
+)
+
+
+def _tensor(shape, entries):
+    return coo_from_entries(list(entries.items()), shape)
+
+
+def _plan(text, tensors, dense=()):
+    tree = parse_network(text)
+    bound, sol = search_min_order(tree)
+    return tree, lower(tree, sol), bind(tree, sol, tensors, dense)
+
+
+def _source(text, tensors, dense=()):
+    _, ir, binding = _plan(text, tensors, dense)
+    return _Kernel(ir, binding).source()
+
+
+def _run(text, tensors, dense=()):
+    tree, ir, binding = _plan(text, tensors, dense)
+    result, stats = execute(ir, binding)
+    assert compare(result, oracle_nary(tree, tensors), rel_tol=1e-10).passed
+    return result, stats
+
+
+def _matmul_inputs(s_entries):
+    t = _tensor((3, 4), {(0, 0): 1.0, (0, 2): 2.0, (0, 3): 7.0, (1, 1): 3.0, (2, 2): 4.0})
+    return {"T": t, "S": _tensor((4, 2), s_entries)}
+
+
+def test_single_statement_loop_intersects():
+    source = _source(MATMUL, _matmul_inputs({(1, 0): 5.0}))
+    assert "sorted({" not in source
+    assert "continue" in source
+
+
+def test_loop_shared_by_a_where_keeps_its_union():
+    inst = bench_generate("running_example", extents=4, density=0.3, seed=1)
+    assert "sorted({" in _source(inst.network_text, inst.tensors)
+
+
+def test_ttmc_consumer_iterates_touched_cells():
+    inst = bench_generate("ttmc1", extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+    source = _source(inst.network_text, inst.tensors, inst.dense_names)
+    assert re.search(r"for x\d+ in tw\d+:", source)
+    assert re.search(r"tw\d+\.sort\(\)", source)
+
+
+def test_operand_absent_under_an_intersection():
+    # T's k = 0 is missing from S (a miss), k = 3 lies past S's last k (the
+    # rest of the fiber is skipped), and an empty S matches nothing
+    tensors = _matmul_inputs({(1, 0): 5.0, (2, 1): 6.0})
+    result, stats = _run(MATMUL, tensors)
+    assert result.entries == (((0, 1), 12.0), ((1, 0), 15.0), ((2, 1), 24.0))
+    assert stats.multiply_adds == 3
+    result, stats = _run(MATMUL, _matmul_inputs({}))
+    assert result.entries == () and stats.multiply_adds == 0
+
+
+def test_absent_parent_under_an_intersection():
+    # B lacks most (r, j) fibers that C and D carry, so the intersected loop
+    # under the shared union loops often has no parent position
+    inst = bench_generate("running_example", extents=4, density=0.5, seed=2)
+    tensors = dict(inst.tensors)
+    tensors["B"] = _tensor((4, 4, 4), {(1, 2, 3): 0.5, (3, 0, 1): -2.0})
+    _run(inst.network_text, tensors)
+
+
+def _touched_inputs():
+    a = {(j, i): 1.0 for j, i in ((0, 0), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1))}
+    b = {(0, 0): 1.0, (0, 1): -1.0, (0, 2): 3.0, (1, 0): 2.0, (1, 1): -1.0}
+    v = _tensor((3,), {(0,): 5.0, (1,): 7.0, (2,): 11.0})
+    return {"A": _tensor((3, 3), a), "B": _tensor((2, 3), b), "V": v}
+
+
+def test_touched_cells_cancel_and_rewrite():
+    # r = 0: W(0) goes 1 -> 0 -> 3 and is visited once; W(2) cancels to
+    # exactly 0 and counts nothing. r = 1 rewrites cells r = 0 touched.
+    source = _source(TOUCHED, _touched_inputs(), ("V",))
+    assert re.search(r"for x\d+ in tw0:", source)
+    result, stats = _run(TOUCHED, _touched_inputs(), ("V",))
+    assert result.entries == (((0,), 36.0), ((1,), 16.0))
+    assert stats.per_assignment == {"W": 10, "R": 4}
+
+
+def test_touched_cells_keep_full_range_order():
+    # the producer writes W(2), W(0), W(1); summed in ascending order
+    # (1e16 + 1) - 1e16 rounds to exactly 0, in write order it is 1
+    network = "extent i 3\nextent j 3\nW[i] = A[j,i] * B[j]\nR[] = W[i] * V[i]\n"
+    tensors = {
+        "A": _tensor((3, 3), {(0, 2): 1.0, (1, 0): 1.0, (2, 1): 1.0}),
+        "B": _tensor((3,), {(0,): -1e16, (1,): 1e16, (2,): 1.0}),
+        "V": _tensor((3,), {(0,): 1.0, (1,): 1.0, (2,): 1.0}),
+    }
+    assert re.search(r"for x\d+ in tw0:", _source(network, tensors, ("V",)))
+    tree, ir, binding = _plan(network, tensors, ("V",))
+    result, stats = execute(ir, binding)
+    assert result == SparseTensor((), ())
+    assert stats.per_assignment == {"W": 3, "R": 3}
+
+
+def test_order_zero_root():
+    network = "extent i 3\nextent j 2\nR[] = A[i,j] * B[i,j]\n"
+    a = _tensor((3, 2), {(0, 0): 1.5, (1, 1): 2.0, (2, 0): -1.0})
+    b = {(0, 0): 2.0, (1, 0): 5.0, (2, 0): 4.0, (2, 1): 9.0}
+    result, stats = _run(network, {"A": a, "B": _tensor((3, 2), b)})
+    assert result == SparseTensor((), (((), -1.0),))
+    assert stats.multiply_adds == 2
+    b[2, 0] = 3.0  # the two products cancel exactly
+    result, _ = _run(network, {"A": a, "B": _tensor((3, 2), b)})
+    assert result == SparseTensor((), ())

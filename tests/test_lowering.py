@@ -192,14 +192,14 @@ class TestLoweringProperties:
     def test_workspace_order_bounded_and_prefix_shared(self):
         import random
         from conftest import random_tree
-        from fusetree import build_model, solve
+        from fusetree import solve
 
         rng = random.Random(31)
         checked_edges = 0
         for _ in range(60):
             tree = random_tree(rng)
             for bound in (1, 2, 3):
-                sol = solve(build_model(tree, bound))
+                sol = solve(tree, bound)
                 if sol is None:
                     continue
                 ir = generate(schedule_from_solution(tree, sol))

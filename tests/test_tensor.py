@@ -20,7 +20,7 @@ from fusetree import (
     read_tns,
     write_tns,
 )
-from fusetree.errors import OutOfBoundsError, ParseError, RankMismatchError
+from fusetree.errors import NonFiniteValueError, OutOfBoundsError, ParseError, RankMismatchError
 from fusetree.tensor import csf_check
 
 
@@ -48,6 +48,15 @@ class TestCoo:
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatchError):
             coo_from_entries([((0,), 1.0)], (2, 2))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "-inf"])
+    def test_non_finite_rejected(self, value):
+        with pytest.raises(NonFiniteValueError):
+            coo_from_entries([((0, 0), 1.0), ((1, 1), value)], (2, 2))
+
+    def test_duplicates_overflowing_to_inf_rejected(self):
+        with pytest.raises(NonFiniteValueError):
+            coo_from_entries([((0, 1), 1e308), ((0, 1), 1e308)], (2, 2))
 
     def test_dense_round_trip(self):
         arr = np.array([[0.0, 1.5], [2.0, 0.0]])
@@ -164,6 +173,11 @@ class TestTns:
     def test_duplicates_merged(self):
         t = read_tns(["1 1 2.0", "1 1 3.0"])
         assert t.entries == (((0, 0), 5.0),)
+
+    @pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-Infinity"])
+    def test_non_finite_rejected(self, field):
+        with pytest.raises(NonFiniteValueError):
+            read_tns(["1 1 2.0", f"2 1 {field}"])
 
     def test_write_read_identity(self):
         rng = random.Random(3)
