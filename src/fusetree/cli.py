@@ -1,7 +1,8 @@
 """Command-line front end: plan, run, verify, and bench.
 
 Exit codes: 0 success/pass, 1 usage or validation error, 2 no schedule within
-the bound limit, 3 verification or comparison failure.
+the bound limit, 3 verification or comparison failure, 4 the solver ran out of
+its time budget at some bound (the message names the bound).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .constraints import (
 from .errors import (
     ExtentMismatchError,
     FusetreeError,
+    SolveTimeout,
     TooLargeError,
     UnsatisfiableError,
 )
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_UNSAT = 2
 EXIT_MISMATCH = 3
+EXIT_TIMEOUT = 4
 
 
 def _with_root_layout(tree: ContractionTree, spec: str) -> ContractionTree:
@@ -76,11 +79,7 @@ def _emit_plan_outputs(tree, bound, sol, ir, args) -> None:
 
 def cmd_plan(args) -> int:
     tree = _load_tree(args)
-    try:
-        bound, sol, ir, elapsed = _plan(tree, args)
-    except UnsatisfiableError as exc:
-        print(f"unsat: {exc}", file=sys.stderr)
-        return EXIT_UNSAT
+    bound, sol, ir, elapsed = _plan(tree, args)
     print(f"minimal workspace order: {bound}")
     print(report_text(tree, sol), end="")
     print("loop IR:")
@@ -160,11 +159,7 @@ def _run_and_check(tree, bound, sol, ir, tensors, dense_names, args) -> int:
 
 def cmd_run(args) -> int:
     tree = _load_tree(args)
-    try:
-        bound, sol, ir, _ = _plan(tree, args)
-    except UnsatisfiableError as exc:
-        print(f"unsat: {exc}", file=sys.stderr)
-        return EXIT_UNSAT
+    bound, sol, ir, _ = _plan(tree, args)
     print(f"minimal workspace order: {bound}")
     _emit_plan_outputs(tree, bound, sol, ir, args)
     tensors = _gather_tensors(tree, args)
@@ -209,11 +204,7 @@ def cmd_bench(args) -> int:
             "dense": list(inst.dense_names),
         }
         (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    try:
-        bound, sol, ir, elapsed = _plan(tree, args)
-    except UnsatisfiableError as exc:
-        print(f"unsat: {exc}", file=sys.stderr)
-        return EXIT_UNSAT
+    bound, sol, ir, elapsed = _plan(tree, args)
     print(f"kind: {inst.kind}")
     print(f"minimal workspace order: {bound}")
     print(f"planning time: {elapsed:.3f}s", file=sys.stderr)
@@ -272,16 +263,19 @@ def main(argv=None) -> int:
     p.add_argument("--density", type=float, default=0.01)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out-dir", default=None, help="write network and tensors here")
-    p.add_argument("--max-order", type=int, default=None)
-    p.add_argument("--root-layout", default=None)
-    p.add_argument("--emit-ir", default=None)
-    p.add_argument("--solution", default=None)
+    _add_common_plan_flags(p)
     _add_check_flags(p)
     p.set_defaults(func=cmd_bench)
 
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UnsatisfiableError as exc:
+        print(f"unsat: {exc}", file=sys.stderr)
+        return EXIT_UNSAT
+    except SolveTimeout as exc:
+        print(f"timeout: {exc} at workspace order bound {exc.bound}", file=sys.stderr)
+        return EXIT_TIMEOUT
     except (FusetreeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

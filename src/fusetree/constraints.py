@@ -2,12 +2,13 @@
 
 Variables: ``ap_i`` orders the assignments, ``lp_{i,k}`` positions each loop
 index of contraction ``i``, and ``dp_{T,j}`` positions each mode of a
-layout-constrained tensor (network inputs and the root result; intermediates
-are workspace-lowered and carry no layout variables). Five constraint
-families tie them together; lowering an intermediate of order ``n`` to a
-workspace of order at most ``l`` requires the producer's outermost ``n-l``
-loops to be indices of that intermediate and to be mirrored by the consumer
-and by every assignment scheduled between them.
+layout-constrained tensor (``tree.layout_constrained``: network inputs and
+the root result; intermediates are workspace-lowered and carry no layout
+variables). Five constraint families tie them together; lowering an
+intermediate of order ``n`` to a workspace of order at most ``l`` requires
+the producer's outermost ``n-l`` loops to be indices of that intermediate and
+to be mirrored by the consumer and by every assignment scheduled between
+them. Producer/consumer pairs are the tree's fusion edges (``tree.edges``).
 
 Three routes answer satisfiability questions and are kept as separate code
 paths: :func:`solve` (backtracking search), :func:`verify_solution` (direct
@@ -28,7 +29,7 @@ from .errors import (
     TooLargeError,
     UnsatisfiableError,
 )
-from .network import Contraction, ContractionTree, TensorRef, topological_orders
+from .network import Contraction, ContractionTree, Edge, TensorRef, topological_orders
 
 DEFAULT_TIME_BUDGET = 10.0
 
@@ -119,35 +120,6 @@ class ConstraintModel:
     constraints: tuple[Constraint, ...]
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Producer/consumer pair over one intermediate tensor."""
-
-    tensor: str
-    producer: int
-    consumer: int
-    indices: tuple[str, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.indices)
-
-
-def layout_constrained(tree: ContractionTree) -> tuple[str, ...]:
-    """Tensors that get mode-position variables: inputs plus the root result."""
-    return tree.input_names + (tree.root.result.tensor,)
-
-
-def fusion_edges(tree: ContractionTree) -> tuple[Edge, ...]:
-    producer = tree.producer_of
-    edges = []
-    for c in tree.contractions:
-        for ref in (c.lhs, c.rhs):
-            if ref.tensor in producer:
-                edges.append(Edge(ref.tensor, producer[ref.tensor], c.cid, tuple(ref.indices)))
-    return tuple(edges)
-
-
 def _pin_positions(tree: ContractionTree, tensor: str) -> tuple[tuple[int, int], ...] | None:
     order = tree.layouts.get(tensor)
     if order is None:
@@ -167,11 +139,10 @@ def build_model(tree: ContractionTree, bound: int) -> ConstraintModel:
     for c in tree.contractions:
         variables[f"ap_{c.cid}"] = m
     constraints.append(AllDifferent("ap", "*", tuple(f"ap_{c.cid}" for c in tree.contractions)))
-    for c in tree.contractions:
-        for child in tree.children_of(c.cid):
-            constraints.append(ChildBefore(child, c.cid))
+    for edge in tree.edges:
+        constraints.append(ChildBefore(edge.producer, edge.consumer))
 
-    constrained = layout_constrained(tree)
+    constrained = tree.layout_constrained
     for name in constrained:
         ref = tree.abstract_ref(name)
         n = len(ref.indices)
@@ -189,10 +160,9 @@ def build_model(tree: ContractionTree, bound: int) -> ConstraintModel:
             AllDifferent("lp", str(c.cid), tuple(f"lp_{c.cid}_{k}" for k in idx))
         )
 
-    pinnable = set(constrained)
     for c in tree.contractions:
         for ref in (c.result, c.lhs, c.rhs):
-            if ref.tensor not in pinnable:
+            if ref.tensor not in constrained:
                 continue  # workspace-lowered intermediates need no consistency
             n = len(ref.indices)
             for a in range(n):
@@ -204,7 +174,7 @@ def build_model(tree: ContractionTree, bound: int) -> ConstraintModel:
                     )
 
     others = [c.cid for c in tree.contractions]
-    for edge in fusion_edges(tree):
+    for edge in tree.edges:
         n = edge.order
         if n <= bound:
             continue  # already small enough: no fusion required for this edge
@@ -328,9 +298,8 @@ def solve(
     deadline = time.monotonic() + time_budget
     m = tree.m
     contractions = tree.contractions
-    children = {c.cid: tree.children_of(c.cid) for c in contractions}
     keys = {c.cid: _candidate_key(c) for c in contractions}
-    edges = fusion_edges(tree)
+    edges = tree.edges
     produces = {e.producer: e for e in edges}
     consumes: dict[int, list[Edge]] = {}
     for e in edges:
@@ -410,7 +379,7 @@ def solve(
         if len(order) == m:
             return finalize()
         for c in contractions:
-            if c.cid in placed or any(ch not in placed for ch in children[c.cid]):
+            if c.cid in placed or any(e.producer not in placed for e in consumes.get(c.cid, ())):
                 continue
             short = too_short[c.cid]
             if short and any(e.producer in placed and e.consumer not in placed for e in short):
@@ -428,7 +397,7 @@ def solve(
 
     def finalize() -> ScheduleSolution | None:
         dp: dict[str, dict[int, int]] = {}
-        for name in layout_constrained(tree):
+        for name in tree.layout_constrained:
             projections = []
             for c in contractions:
                 for ref in (c.result, c.lhs, c.rhs):
@@ -464,13 +433,8 @@ def search_min_order(
     order always admits the unfused schedule, so the default ``l_max`` is
     exactly that.
     """
-    intermediate_orders = [
-        len(c.result.indices)
-        for c in tree.contractions
-        if c.result.tensor in tree.intermediate_names
-    ]
     if l_max is None:
-        l_max = max(intermediate_orders, default=1)
+        l_max = max((e.order for e in tree.edges), default=1)
     for bound in range(1, l_max + 1):
         sol = solve(tree, bound, time_budget)
         if sol is not None:
@@ -576,8 +540,8 @@ def brute_force_sat(tree: ContractionTree, bound: int) -> bool:
         if len(c.index_set) > 5:
             raise TooLargeError(f"brute force limited to 5 indices, {c} has {len(c.index_set)}")
 
-    edges = fusion_edges(tree)
-    constrained = layout_constrained(tree)
+    edges = tree.edges
+    constrained = tree.layout_constrained
 
     def pos_of(perm: tuple[str, ...], k: str) -> int | None:
         return perm.index(k) if k in perm else None

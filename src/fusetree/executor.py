@@ -77,12 +77,10 @@ class Binding:
     """Input tensors prepared for execution under one schedule.
 
     CSF inputs are built with the solution's mode orders; tensors flagged
-    dense are kept as plain arrays in their declared mode order. ``raw``
-    keeps the canonical tensors for oracles.
+    dense are kept as plain arrays in their declared mode order.
     """
 
     tree: ContractionTree
-    raw: Mapping[str, SparseTensor]
     csf: Mapping[str, CsfTensor]
     dense: Mapping[str, np.ndarray]
 
@@ -96,7 +94,6 @@ def bind(
     """Validate shapes against declared extents and build per-layout CSF trees."""
     csf: dict[str, CsfTensor] = {}
     dense: dict[str, np.ndarray] = {}
-    raw: dict[str, SparseTensor] = {}
     for name in tree.input_names:
         if name not in tensors:
             raise UnboundTensorError(f"no tensor bound for input '{name}'")
@@ -108,12 +105,11 @@ def bind(
                 ref.indices[0],
                 f"tensor '{name}' has shape {t.shape}, declared extents give {expected}",
             )
-        raw[name] = t
         if name in dense_names or t.order == 0:
             dense[name] = t.to_dense()
         else:
             csf[name] = csf_build(t, sol.mode_perm(name))
-    return Binding(tree, raw, csf, dense)
+    return Binding(tree, csf, dense)
 
 
 def _extent(extents: Mapping[str, int], index: str) -> int:
@@ -495,12 +491,11 @@ def oracle_nary(
     Evaluates the flat product of every input reference, summing all indices
     absent from the root result; equivalent to one nested loop per index.
     """
-    produced = {c.result.tensor for c in tree.contractions}
     leaf_refs = [
         ref
         for c in tree.contractions
         for ref in (c.lhs, c.rhs)
-        if ref.tensor not in produced
+        if ref.tensor not in tree.producer_of
     ]
     all_indices = sorted({i for ref in leaf_refs for i in ref.indices})
     space = 1
@@ -527,51 +522,34 @@ def oracle_nary(
     return SparseTensor.from_dense(dense.reshape(tree.ref_shape(out_ref)))
 
 
-def _topological_ids(tree: ContractionTree) -> list[int]:
-    placed: list[int] = []
-    done: set[int] = set()
-    while len(placed) < tree.m:
-        for c in tree.contractions:
-            if c.cid in done:
-                continue
-            if all(ch in done for ch in tree.children_of(c.cid)):
-                placed.append(c.cid)
-                done.add(c.cid)
-                break
-    return placed
-
-
 def oracle_unfused(
     tree: ContractionTree,
     tensors: Mapping[str, SparseTensor | np.ndarray],
-    order: Sequence[int] | None = None,
     budget: int = DENSE_SPACE_BUDGET,
 ) -> tuple[SparseTensor, dict]:
-    """Evaluate contractions one at a time with full-order dense intermediates.
+    """Evaluate contractions children first with full-order dense intermediates.
 
     Returns the result plus ``{"max_intermediate_cells": ...}`` for memory
     comparisons against fused execution.
     """
-    if order is None:
-        order = _topological_ids(tree)
-    produced = {c.result.tensor for c in tree.contractions}
     env: dict[str, np.ndarray] = {}
 
     def fetch(ref: TensorRef) -> np.ndarray:
         name = ref.tensor
         if name in env:
             return env[name]
-        if name in produced:
-            raise MalformedScheduleError(f"'{name}' used before it is produced")
         if name not in tensors:
             raise UnboundTensorError(f"no tensor bound for input '{name}'")
         arr = _as_dense(tensors[name])
         env[name] = arr
         return arr
 
+    preorder = [tree.root.cid]  # parents before children, without recursion
+    for cid in preorder:
+        preorder.extend(tree.children_of(cid))
     max_cells = 0
     root_name = tree.root.result.tensor
-    for cid in order:
+    for cid in reversed(preorder):
         c = tree.contractions[cid]
         sub = _letters(sorted(c.index_set))
         expr = (

@@ -63,14 +63,13 @@ def schedule_from_solution(tree: ContractionTree, sol: ScheduleSolution) -> list
     """
     ordered = sorted(tree.contractions, key=lambda c: sol.ap[c.cid])
     producer_layout: dict[str, tuple[str, ...]] = {}
-    constrained = set(tree.input_names) | {tree.root.result.tensor}
     pairs: list[SchedulePair] = []
     for c in ordered:
         lp = sol.lp[c.cid]
         loops = tuple(sorted(lp, key=lambda k: lp[k]))
 
         def concrete(ref: TensorRef) -> TensorRef:
-            if ref.tensor in constrained:
+            if ref.tensor in tree.layout_constrained:
                 return TensorRef(ref.tensor, sol.layout_indices(ref))
             if ref.tensor in producer_layout:
                 return TensorRef(ref.tensor, producer_layout[ref.tensor])

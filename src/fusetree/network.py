@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 from .errors import (
@@ -69,60 +69,57 @@ def classify_indices(c: Contraction) -> tuple[frozenset[str], frozenset[str]]:
 
 
 @dataclass(frozen=True)
+class Edge:
+    """Producer/consumer pair over one intermediate tensor."""
+
+    tensor: str
+    producer: int
+    consumer: int
+    indices: tuple[str, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.indices)
+
+
+@dataclass(frozen=True)
 class ContractionTree:
-    """Validated binary contraction tree with resolved extents and layouts."""
+    """Validated binary contraction tree with resolved extents and layouts.
+
+    :func:`build_tree` derives the structure once: the root contraction, the
+    producer of every result, one edge per intermediate (in the listing order
+    of its consumer), the inputs in order of first use, the intermediates in
+    listing order, and each tensor's first reference.
+    """
 
     contractions: tuple[Contraction, ...]
     extents: Mapping[str, int]
-    layouts: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    layouts: Mapping[str, tuple[str, ...]]
+    root: Contraction
+    producer_of: Mapping[str, int]
+    edges: tuple[Edge, ...]
+    input_names: tuple[str, ...]
+    intermediate_names: tuple[str, ...]
+    first_ref: Mapping[str, TensorRef]
 
     @property
     def m(self) -> int:
         return len(self.contractions)
 
     @property
-    def root(self) -> Contraction:
-        consumed = {r.tensor for c in self.contractions for r in (c.lhs, c.rhs)}
-        roots = [c for c in self.contractions if c.result.tensor not in consumed]
-        assert len(roots) == 1, "validated tree has exactly one root"
-        return roots[0]
-
-    @property
-    def producer_of(self) -> dict[str, int]:
-        """Map intermediate/result tensor name -> producing contraction id."""
-        return {c.result.tensor: c.cid for c in self.contractions}
-
-    @property
-    def input_names(self) -> tuple[str, ...]:
-        produced = {c.result.tensor for c in self.contractions}
-        seen: list[str] = []
-        for c in self.contractions:
-            for ref in (c.lhs, c.rhs):
-                if ref.tensor not in produced and ref.tensor not in seen:
-                    seen.append(ref.tensor)
-        return tuple(seen)
-
-    @property
-    def intermediate_names(self) -> tuple[str, ...]:
-        root = self.root.result.tensor
-        return tuple(c.result.tensor for c in self.contractions if c.result.tensor != root)
+    def layout_constrained(self) -> tuple[str, ...]:
+        """Tensors that get mode-position variables: inputs plus the root result."""
+        return self.input_names + (self.root.result.tensor,)
 
     def children_of(self, cid: int) -> tuple[int, ...]:
-        producer = self.producer_of
-        c = self.contractions[cid]
-        out = []
-        for ref in (c.lhs, c.rhs):
-            if ref.tensor in producer:
-                out.append(producer[ref.tensor])
-        return tuple(out)
+        return tuple(e.producer for e in self.edges if e.consumer == cid)
 
     def abstract_ref(self, tensor: str) -> TensorRef:
         """First reference to ``tensor`` (result ref for produced tensors)."""
-        for c in self.contractions:
-            for ref in (c.result, c.lhs, c.rhs):
-                if ref.tensor == tensor:
-                    return ref
-        raise UnknownTensorError(f"tensor '{tensor}' does not appear in the network")
+        try:
+            return self.first_ref[tensor]
+        except KeyError:
+            raise UnknownTensorError(f"tensor '{tensor}' does not appear in the network") from None
 
     def ref_shape(self, ref: TensorRef) -> tuple[int, ...]:
         try:
@@ -151,9 +148,11 @@ def build_tree(
     if not contractions:
         raise NotATreeError("network has no contractions")
     produced: dict[str, int] = {}
+    first_ref: dict[str, TensorRef] = {}
     for c in contractions:
         for ref in (c.result, c.lhs, c.rhs):
             _check_ref(ref)
+            first_ref.setdefault(ref.tensor, ref)
         missing = set(c.result.indices) - set(c.lhs.indices) - set(c.rhs.indices)
         if missing:
             raise InvalidContractionError(
@@ -163,35 +162,38 @@ def build_tree(
             raise NotATreeError(f"tensor '{c.result.tensor}' is produced twice")
         produced[c.result.tensor] = c.cid
 
-    consumers: dict[str, list[int]] = {}
+    edges: list[Edge] = []
+    consumed: dict[str, int] = {}
     for c in contractions:
         for ref in (c.lhs, c.rhs):
             if ref.tensor in produced:
-                consumers.setdefault(ref.tensor, []).append(c.cid)
+                consumed[ref.tensor] = consumed.get(ref.tensor, 0) + 1
                 prod_ref = contractions[produced[ref.tensor]].result
                 if tuple(ref.indices) != tuple(prod_ref.indices):
                     raise InvalidContractionError(
                         f"reference {ref} disagrees with its producer {prod_ref}"
                     )
-    for name, cids in consumers.items():
-        if len(cids) > 1:
-            raise NotATreeError(f"intermediate '{name}' consumed by {len(cids)} contractions")
-    roots = [c for c in contractions if c.result.tensor not in consumers]
+                edges.append(Edge(ref.tensor, produced[ref.tensor], c.cid, tuple(ref.indices)))
+    for name, count in consumed.items():
+        if count > 1:
+            raise NotATreeError(f"intermediate '{name}' consumed by {count} contractions")
+    roots = [c for c in contractions if c.result.tensor not in consumed]
     if len(roots) != 1:
         raise NotATreeError(f"expected exactly one root, found {len(roots)}")
+    root = roots[0]
+    children: dict[int, list[int]] = {c.cid: [] for c in contractions}
+    for e in edges:
+        children[e.consumer].append(e.producer)
 
     # reachability from the root guards against cycles split off the main tree
     reach: set[int] = set()
-    stack = [roots[0].cid]
+    stack = [root.cid]
     while stack:
         cid = stack.pop()
         if cid in reach:
             raise NotATreeError("cycle among contractions")
         reach.add(cid)
-        c = contractions[cid]
-        for ref in (c.lhs, c.rhs):
-            if ref.tensor in produced:
-                stack.append(produced[ref.tensor])
+        stack.extend(children[cid])
     if len(reach) != len(contractions):
         raise NotATreeError("contractions disconnected from the root")
 
@@ -201,10 +203,8 @@ def build_tree(
     def members(cid: int) -> set[int]:
         if cid not in subtree_members:
             out = {cid}
-            c = contractions[cid]
-            for ref in (c.lhs, c.rhs):
-                if ref.tensor in produced:
-                    out |= members(produced[ref.tensor])
+            for child in children[cid]:
+                out |= members(child)
             subtree_members[cid] = out
         return subtree_members[cid]
 
@@ -224,11 +224,12 @@ def build_tree(
         if int(ext) < 1:
             raise ExtentMismatchError(name, f"extent of '{name}' must be >= 1, got {ext}")
 
+    input_names = tuple(
+        dict.fromkeys(r.tensor for c in contractions for r in (c.lhs, c.rhs) if r.tensor not in produced)
+    )
     norm_layouts: dict[str, tuple[str, ...]] = {}
     if layouts:
-        input_like = {c.lhs.tensor for c in contractions} | {c.rhs.tensor for c in contractions}
-        input_like -= set(produced)
-        pinnable = input_like | {roots[0].result.tensor}
+        pinnable = set(input_names) | {root.result.tensor}
         for name, order in layouts.items():
             if name not in pinnable and name in produced:
                 raise InvalidContractionError(
@@ -236,19 +237,18 @@ def build_tree(
                 )
             if name not in pinnable:
                 raise UnknownTensorError(f"layout directive names unknown tensor '{name}'")
-            ref = next(
-                r
-                for c in contractions
-                for r in (c.result, c.lhs, c.rhs)
-                if r.tensor == name
-            )
+            ref = first_ref[name]
             if sorted(order) != sorted(ref.indices):
                 raise InvalidContractionError(
                     f"layout {tuple(order)} for '{name}' is not a permutation of {ref.indices}"
                 )
             norm_layouts[name] = tuple(order)
 
-    return ContractionTree(tuple(contractions), dict(extents), norm_layouts)
+    return ContractionTree(
+        tuple(contractions), dict(extents), norm_layouts, root=root, producer_of=produced,
+        edges=tuple(edges), input_names=input_names, first_ref=first_ref,
+        intermediate_names=tuple(c.result.tensor for c in contractions if c is not root),
+    )
 
 
 def _parse_ref(text: str, lineno: int | None = None) -> TensorRef:

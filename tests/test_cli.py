@@ -9,6 +9,7 @@ import pytest
 from fusetree import ir_text_equal, read_tns
 from fusetree.bench import running_example_network
 from fusetree.cli import main
+from fusetree.errors import SolveTimeout
 from conftest import GOLDEN_IR, MATMUL_NETWORK
 
 
@@ -38,6 +39,25 @@ class TestPlan:
 
     def test_unsat_exit_code(self, running_net):
         assert main(["plan", "--network", str(running_net), "--max-order", "1"]) == 2
+
+    @pytest.mark.parametrize("command", (["plan"], ["run"], ["bench", "--kind", "ttmc1", "--seed", "1"]))
+    def test_solver_timeout_exit_code(self, command, running_net, monkeypatch, capsys):
+        import fusetree.cli as cli
+
+        def timed_out(tree, l_max=None, time_budget=10.0):
+            raise SolveTimeout(time_budget, tree, 3)
+
+        monkeypatch.setattr(cli, "search_min_order", timed_out)
+        argv = command if command[0] == "bench" else command + ["--network", str(running_net)]
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "timeout: solve exceeded time budget of 10.000s at workspace order bound 3\n"
+
+    def test_bench_unsat_exit_code(self, capsys):
+        argv = ["bench", "--kind", "running_example", "--extents", "4", "--seed", "1", "--max-order", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "unsat: no schedule with workspace order <= 1\n"
 
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.net"

@@ -18,6 +18,7 @@ import pytest
 
 from fusetree import (
     bind,
+    build_tree,
     compare,
     coo_from_entries,
     execute,
@@ -27,9 +28,11 @@ from fusetree import (
     parse_network,
     search_min_order,
     solve,
+    verify_solution,
 )
 from fusetree.bench import bench_generate, synthetic_tensor
 from fusetree.executor import _Kernel
+from fusetree.network import Contraction
 from fusetree.tensor import SparseTensor
 from conftest import random_tree
 
@@ -244,6 +247,30 @@ def test_kernel_matches_oracles_and_interpreter_counts(seed, mode):
         assert compare(result, ref, rel_tol=1e-10).passed, (kind, tree)
         assert compare(result, unfused, rel_tol=1e-10).passed, (kind, tree)
         assert (stats.multiply_adds, stats.per_assignment) == EXPECTED[seed, mode, kind]
+
+
+def _consumer_first(tree, rng: random.Random):
+    """The same tree re-listed in shuffled order with the root first."""
+    listed = list(tree.contractions)
+    rng.shuffle(listed)
+    listed.sort(key=lambda c: c is not tree.root)
+    relisted = [Contraction(k, c.result, c.lhs, c.rhs) for k, c in enumerate(listed)]
+    return build_tree(relisted, tree.extents, tree.layouts)
+
+
+@pytest.mark.parametrize("mode", ("sparse", "mixed"))
+@pytest.mark.parametrize("seed", SEEDS)
+def test_consumer_first_listing_schedules_and_runs(seed, mode):
+    tree = random_tree(random.Random(seed))
+    relisted = _consumer_first(tree, random.Random(seed))
+    assert relisted.root.cid == 0
+    bound, sol = search_min_order(relisted)
+    assert bound == search_min_order(tree)[0]
+    assert verify_solution(relisted, bound, sol) == []
+    tensors, dense = _inputs(tree, mode, seed)
+    result, _ = execute(lower(relisted, sol), bind(relisted, sol, tensors, dense))
+    assert compare(result, oracle_nary(relisted, tensors), rel_tol=1e-10).passed
+    assert compare(result, oracle_unfused(relisted, tensors)[0], rel_tol=1e-10).passed
 
 
 def test_network_names_are_never_spliced_into_source():

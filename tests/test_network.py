@@ -37,6 +37,18 @@ class TestParse:
             "R[i,j,k] = Y[i,j,k,r] * D[j,k,r]",
         ]
 
+    def test_consumer_first_listing(self):
+        tree = parse_network(
+            "R[i] = W1[i] * W2[i]\nW2[i] = C[i,l] * D[l,i]\nW1[i] = A[i,j] * B[j,i]\n"
+        )
+        assert tree.root.cid == 0
+        assert tree.root.result.tensor == "R"
+        assert tree.input_names == ("C", "D", "A", "B")
+        assert tree.intermediate_names == ("W2", "W1")
+        assert [tree.children_of(cid) for cid in range(3)] == [(2, 1), (), ()]
+        assert [(e.tensor, e.producer, e.consumer) for e in tree.edges] == [("W1", 2, 0), ("W2", 1, 0)]
+        assert list(topological_orders(tree)) == [(1, 2, 0), (2, 1, 0)]
+
     def test_single_contraction(self, matmul_tree):
         assert matmul_tree.m == 1
         ext, con = classify_indices(matmul_tree.contractions[0])
