@@ -291,7 +291,8 @@ def solve(
 
     The search reads the tree directly; :func:`build_model` materializes the
     same system only for :func:`verify_solution`. Raises
-    :class:`SolveTimeout` when the budget is exceeded.
+    :class:`SolveTimeout` when the budget is exceeded and
+    :class:`TooLargeError` when the tree is deeper than the search can recurse.
     """
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound}")
@@ -419,7 +420,12 @@ def solve(
         lp = {cid: {k: p for p, k in enumerate(loops[cid])} for cid in loops}
         return ScheduleSolution(bound, ap, lp, dp)
 
-    return try_place()
+    try:
+        return try_place()
+    except RecursionError:  # the search recurses per placed contraction and loop
+        raise TooLargeError(
+            f"a tree of {m} contractions is too deep for the search at bound {bound}"
+        ) from None
 
 
 def search_min_order(

@@ -100,5 +100,9 @@ class ShapeMismatchError(FusetreeError):
     """Two tensors that should be comparable have different shapes."""
 
 
+class NonCanonicalTensorError(FusetreeError):
+    """A tensor's coordinates are not unique and in lexicographic order."""
+
+
 class UnknownKindError(FusetreeError):
     """An unrecognized benchmark kind was requested."""

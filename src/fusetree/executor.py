@@ -21,8 +21,14 @@ keyed by the row-major offset of the result coordinates.
 
 The source numbers every identifier and passes all data as parameters, so it
 depends on the IR's structure alone; its code object is compiled once and
-cached by the source text. Dense n-ary and unfused sequential oracles provide
-independent ground truth for the kernels.
+cached by the source text.
+
+Two dense oracles provide independent ground truth for the kernels. The n-ary
+oracle contracts the flat product of every leaf; above a small index space it
+lets numpy choose a pairwise order from that flat expression alone, never from
+the tree or the schedule. The unfused oracle evaluates the contractions one by
+one, children first. ``compare`` walks the two canonical entry lists in one
+merge.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .errors import (
     ExtentMismatchError,
     MalformedScheduleError,
     ModeOrderMismatchError,
+    NonCanonicalTensorError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
@@ -51,6 +58,10 @@ from .network import ContractionTree, TensorRef
 from .tensor import CsfTensor, SparseTensor, csf_build
 
 DENSE_SPACE_BUDGET = 100_000_000
+# flat index spaces above this many points are contracted along numpy's
+# pairwise path; below it, planning the path (about 0.2 ms) costs more than
+# one flat einsum
+EINSUM_PATH_CUTOFF = 2**14
 
 
 @dataclass
@@ -489,7 +500,13 @@ def oracle_nary(
     """Ground truth by direct n-ary contraction over the densified leaves.
 
     Evaluates the flat product of every input reference, summing all indices
-    absent from the root result; equivalent to one nested loop per index.
+    absent from the root result. The tree supplies only its leaf references
+    and its root. Over a flat index space above ``EINSUM_PATH_CUTOFF`` points
+    numpy contracts the operands pairwise, in an order it derives from that
+    flat expression alone, so the oracle never follows the schedule under
+    test; numpy caps each intermediate at the size of the largest operand or
+    of the result. Smaller spaces take one flat einsum, which is cheaper than
+    planning a path.
     """
     leaf_refs = [
         ref
@@ -518,7 +535,7 @@ def oracle_nary(
     out_ref = tree.root.result
     expr = ",".join("".join(sub[i] for i in ref.indices) for ref in leaf_refs)
     expr += "->" + "".join(sub[i] for i in out_ref.indices)
-    dense = np.einsum(expr, *operands)
+    dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
     return SparseTensor.from_dense(dense.reshape(tree.ref_shape(out_ref)))
 
 
@@ -604,23 +621,55 @@ def compare(
 
     Passes iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|) everywhere and no
     value on either side is NaN or infinite; the report carries the worst
-    offender, a non-finite one first.
+    offender, a non-finite one first. Both entry lists are walked in one
+    merge, so each side's coordinates must be unique and in lexicographic
+    order; :class:`NonCanonicalTensorError` is raised otherwise.
     """
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    va = dict(a.entries)
-    vb = dict(b.entries)
+    ea, eb = a.entries, b.entries
+    na, nb = len(ea), len(eb)
+    i = j = 0
     passed = True
     max_err = 0.0
     worst_coords = None
     worst_values = None
     checked = 0
-    for coords in sorted(set(va) | set(vb)):
-        x = va.get(coords, 0.0)
-        y = vb.get(coords, 0.0)
-        finite = math.isfinite(x) and math.isfinite(y)
-        err = abs(x - y) if finite else math.inf
+    prev = None
+    while i < na or j < nb:
+        if j == nb:
+            coords, x = ea[i]
+            y = 0.0
+            i += 1
+        elif i == na:
+            coords, y = eb[j]
+            x = 0.0
+            j += 1
+        else:
+            coords, x = ea[i]
+            other, y = eb[j]
+            if coords == other:
+                i += 1
+                j += 1
+            elif coords < other:
+                y = 0.0
+                i += 1
+            else:
+                coords, x = other, 0.0
+                j += 1
+        # the merge emits each side's coordinates in their stored order, so
+        # it stays strictly increasing exactly when both sides are canonical
+        if prev is not None and not prev < coords:
+            raise NonCanonicalTensorError(
+                f"coordinates {coords} follow {prev}: entries are not unique and sorted"
+            )
+        prev = coords
         checked += 1
+        err = abs(x - y)
+        # a finite difference means finite values; only inf or NaN needs a look
+        finite = err < math.inf or (math.isfinite(x) and math.isfinite(y))
+        if not finite:
+            err = math.inf
         if err > max_err:
             max_err = err
             worst_coords = coords

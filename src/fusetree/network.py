@@ -185,40 +185,44 @@ def build_tree(
     for e in edges:
         children[e.consumer].append(e.producer)
 
-    # reachability from the root guards against cycles split off the main tree
-    reach: set[int] = set()
+    # reachability from the root guards against cycles split off the main tree;
+    # the walk enters every subtree as one contiguous run, so contraction d
+    # lies in the subtree of c iff enter[c] <= enter[d] < enter[c] + size[c]
+    enter: dict[int, int] = {}
     stack = [root.cid]
     while stack:
         cid = stack.pop()
-        if cid in reach:
+        if cid in enter:
             raise NotATreeError("cycle among contractions")
-        reach.add(cid)
+        enter[cid] = len(enter)
         stack.extend(children[cid])
-    if len(reach) != len(contractions):
+    if len(enter) != len(contractions):
         raise NotATreeError("contractions disconnected from the root")
+    size = dict.fromkeys(enter, 1)
+    for cid in reversed(enter):
+        for child in children[cid]:
+            size[cid] += size[child]
 
-    # an index summed away at a node must not occur outside that node's subtree
-    subtree_members: dict[int, set[int]] = {}
-
-    def members(cid: int) -> set[int]:
-        if cid not in subtree_members:
-            out = {cid}
-            for child in children[cid]:
-                out |= members(child)
-            subtree_members[cid] = out
-        return subtree_members[cid]
-
+    # an index summed away at a node must not occur outside that node's
+    # subtree; report the first such contraction and, for it, the first
+    # contraction in listing order that reuses one of its summed indices
+    users: dict[str, list[int]] = {}
+    for c in contractions:
+        for index in c.index_set:
+            users.setdefault(index, []).append(c.cid)
     for c in contractions:
         _, summed = classify_indices(c)
-        inside = members(c.cid)
-        for other in contractions:
-            if other.cid in inside:
-                continue
+        low, high = enter[c.cid], enter[c.cid] + size[c.cid]
+        first = min(
+            (d for index in summed for d in users[index] if not low <= enter[d] < high),
+            default=None,
+        )
+        if first is not None:
+            other = contractions[first]
             leak = summed & other.index_set
-            if leak:
-                raise InvalidContractionError(
-                    f"indices {sorted(leak)} are summed in {c} but reused outside its subtree"
-                )
+            raise InvalidContractionError(
+                f"indices {sorted(leak)} are summed in {c} but reused outside its subtree"
+            )
 
     for name, ext in extents.items():
         if int(ext) < 1:

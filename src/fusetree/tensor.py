@@ -55,6 +55,8 @@ class SparseTensor:
         return len(self.entries)
 
     def to_dense(self) -> np.ndarray:
+        # per-entry stores beat one fancy-index store here: building the
+        # index arrays from coordinate tuples costs more than the stores
         out = np.zeros(self.shape, dtype=np.float64)
         for coords, value in self.entries:
             out[coords] = value
@@ -62,12 +64,15 @@ class SparseTensor:
 
     @staticmethod
     def from_dense(arr: np.ndarray) -> "SparseTensor":
+        """Every value that is not exactly zero, NaN included, in canonical order."""
         arr = np.asarray(arr, dtype=np.float64)
-        entries = []
-        for coords in np.argwhere(arr):  # handles 0-d arrays too
-            key = tuple(int(c) for c in coords)
-            entries.append((key, float(arr[key])))
-        return SparseTensor(_check_shape(arr.shape), tuple(sorted(entries)))
+        if arr.ndim == 0:  # np.nonzero rejects 0-d arrays
+            entries = (((), float(arr)),) if arr else ()
+        else:
+            found = np.nonzero(arr)  # row-major, so already lexicographic
+            coords = zip(*(modes.tolist() for modes in found))
+            entries = tuple(zip(coords, arr[found].tolist()))
+        return SparseTensor(_check_shape(arr.shape), entries)
 
 
 def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence[int]) -> SparseTensor:

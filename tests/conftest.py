@@ -33,6 +33,14 @@ R[i,j] = T[i,k] * S[k,j]
 """
 
 
+def chain_network(n: int, root_first: bool = False) -> str:
+    """The chain ``Xk[a] = Xk-1[a] * Bk[a]`` of ``n`` contractions."""
+    lines = [f"X{k}[a] = X{k - 1}[a] * B{k}[a]" for k in range(1, n + 1)]
+    if root_first:
+        lines.reverse()
+    return "extent a 3\n" + "\n".join(lines) + "\n"
+
+
 @pytest.fixture
 def running_tree() -> ContractionTree:
     """The four-tensor example with the root layout pinned to R(j,k,i)."""

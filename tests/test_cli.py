@@ -10,7 +10,7 @@ from fusetree import ir_text_equal, read_tns
 from fusetree.bench import running_example_network
 from fusetree.cli import main
 from fusetree.errors import SolveTimeout
-from conftest import GOLDEN_IR, MATMUL_NETWORK
+from conftest import GOLDEN_IR, MATMUL_NETWORK, chain_network
 
 
 @pytest.fixture
@@ -53,6 +53,15 @@ class TestPlan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "timeout: solve exceeded time budget of 10.000s at workspace order bound 3\n"
+
+    @pytest.mark.parametrize("n, root_first", [(400, False), (1100, True)])
+    def test_deep_chain_exits_with_an_error_line(self, n, root_first, tmp_path, capsys):
+        net = tmp_path / "chain.net"
+        net.write_text(chain_network(n, root_first))
+        assert main(["plan", "--network", str(net)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: a tree of {n} contractions is too deep for the search at bound 1\n"
 
     def test_bench_unsat_exit_code(self, capsys):
         argv = ["bench", "--kind", "running_example", "--extents", "4", "--seed", "1", "--max-order", "1"]

@@ -20,7 +20,7 @@ from fusetree.errors import (
     TooLargeError,
     UnknownTensorError,
 )
-from conftest import CHAIN_NETWORK, MATMUL_NETWORK
+from conftest import CHAIN_NETWORK, MATMUL_NETWORK, chain_network
 
 import json
 
@@ -92,6 +92,45 @@ class TestParse:
         text = "X[i] = A[i,p] * B[p,i]\nR[i] = X[i] * C[i,p]\n"
         with pytest.raises(InvalidContractionError):
             parse_network(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "X[i] = A[i,p] * B[p,i]\nR[i] = X[i] * C[i,p]\n",
+                "indices ['p'] are summed in X[i] = A[i,p] * B[p,i] but reused outside its subtree",
+            ),
+            # the first user outside the subtree, in listing order, names the leak
+            (
+                "R[i] = W1[i] * W2[i,q]\nW1[i] = A[i,p,q] * B[p,q,i]\nW2[i,q] = C[i,q] * D[i,p,q]\n",
+                "indices ['q'] are summed in W1[i] = A[i,p,q] * B[p,q,i] but reused outside its subtree",
+            ),
+            (
+                "R[i] = W1[i] * W2[i]\nW2[i] = C[i,q] * D[q,i]\nW1[i] = A[i,p,q] * B[p,q,i]\n",
+                "indices ['q'] are summed in W2[i] = C[i,q] * D[q,i] but reused outside its subtree",
+            ),
+            (
+                "R[i] = W1[i] * W2[i]\nW2[i] = C[i,p] * D[p,i]\nW1[i] = A[i,p,q] * B[p,q,i]\n",
+                "indices ['p'] are summed in W2[i] = C[i,p] * D[p,i] but reused outside its subtree",
+            ),
+            (
+                "R[i] = W1[i] * W2[i]\nW1[i] = A[i,p,q] * B[p,q,i]\nW2[i] = C[i,q] * D[q,p,i]\n",
+                "indices ['p', 'q'] are summed in W1[i] = A[i,p,q] * B[p,q,i] but reused outside its subtree",
+            ),
+        ],
+    )
+    def test_escaping_index_message(self, text, message):
+        with pytest.raises(InvalidContractionError) as info:
+            parse_network(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("root_first", (False, True))
+    def test_long_chains_parse(self, root_first):
+        n = 1100 if root_first else 1000
+        tree = parse_network(chain_network(n, root_first))
+        assert tree.m == n
+        assert tree.root.result.tensor == f"X{n}"
+        assert len(tree.edges) == n - 1
 
     def test_layout_directives(self, running_tree):
         assert running_tree.layouts == {"R": ("j", "k", "i")}
