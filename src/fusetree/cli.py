@@ -65,7 +65,7 @@ def _plan(tree: ContractionTree, args):
     return bound, sol, ir, elapsed
 
 
-def _emit_plan_outputs(tree, bound, sol, ir, args) -> None:
+def _emit_plan_outputs(tree, sol, ir, args) -> None:
     if getattr(args, "solution", None):
         doc = sol.to_json_dict(tree)
         Path(args.solution).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -85,7 +85,7 @@ def cmd_plan(args) -> int:
     print("loop IR:")
     print(print_ir(ir, pretty=True))
     print(f"planning time: {elapsed:.3f}s", file=sys.stderr)
-    _emit_plan_outputs(tree, bound, sol, ir, args)
+    _emit_plan_outputs(tree, sol, ir, args)
     return EXIT_OK
 
 
@@ -132,7 +132,7 @@ def _gather_tensors(tree: ContractionTree, args):
     return tensors
 
 
-def _run_and_check(tree, bound, sol, ir, tensors, dense_names, args) -> int:
+def _run_and_check(tree, sol, ir, tensors, dense_names, args) -> int:
     binding = bind(tree, sol, tensors, dense_names)
     result, stats = execute(ir, binding)
     print(f"result: {result.nnz} stored values, shape {result.shape}")
@@ -161,9 +161,9 @@ def cmd_run(args) -> int:
     tree = _load_tree(args)
     bound, sol, ir, _ = _plan(tree, args)
     print(f"minimal workspace order: {bound}")
-    _emit_plan_outputs(tree, bound, sol, ir, args)
+    _emit_plan_outputs(tree, sol, ir, args)
     tensors = _gather_tensors(tree, args)
-    return _run_and_check(tree, bound, sol, ir, tensors, tuple(args.dense or ()), args)
+    return _run_and_check(tree, sol, ir, tensors, tuple(args.dense or ()), args)
 
 
 def cmd_verify(args) -> int:
@@ -208,8 +208,8 @@ def cmd_bench(args) -> int:
     print(f"kind: {inst.kind}")
     print(f"minimal workspace order: {bound}")
     print(f"planning time: {elapsed:.3f}s", file=sys.stderr)
-    _emit_plan_outputs(tree, bound, sol, ir, args)
-    return _run_and_check(tree, bound, sol, ir, inst.tensors, inst.dense_names, args)
+    _emit_plan_outputs(tree, sol, ir, args)
+    return _run_and_check(tree, sol, ir, inst.tensors, inst.dense_names, args)
 
 
 def _add_common_plan_flags(p) -> None:

@@ -9,6 +9,10 @@ intermediate of order ``n`` to a workspace of order at most ``l`` requires
 the producer's outermost ``n-l`` loops to be indices of that intermediate and
 to be mirrored by the consumer and by every assignment scheduled between
 them. Producer/consumer pairs are the tree's fusion edges (``tree.edges``).
+The search checks both mirror conditions as one rule: a placed producer whose
+consumer is not yet placed leaves its fused prefix open, and the contraction
+placed next must have at least as many loops as the longest open prefix and
+copy it position by position.
 
 Three routes answer satisfiability questions and are kept as separate code
 paths: :func:`solve` (backtracking search), :func:`verify_solution` (direct
@@ -24,12 +28,14 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import (
+    InvalidBoundError,
+    MalformedSolutionError,
     MissingVariableError,
     SolveTimeout,
     TooLargeError,
     UnsatisfiableError,
 )
-from .network import Contraction, ContractionTree, Edge, TensorRef, topological_orders
+from .network import Contraction, ContractionTree, TensorRef, topological_orders
 
 DEFAULT_TIME_BUDGET = 10.0
 
@@ -114,8 +120,6 @@ Constraint = (
 
 @dataclass(frozen=True)
 class ConstraintModel:
-    tree: ContractionTree
-    bound: int
     variables: Mapping[str, int]  # name -> domain size (values 0..size-1)
     constraints: tuple[Constraint, ...]
 
@@ -131,7 +135,7 @@ def _pin_positions(tree: ContractionTree, tensor: str) -> tuple[tuple[int, int],
 def build_model(tree: ContractionTree, bound: int) -> ConstraintModel:
     """Materialize every constraint of the scheduling system at the given bound."""
     if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+        raise InvalidBoundError(f"bound must be >= 1, got {bound}")
     variables: dict[str, int] = {}
     constraints: list[Constraint] = []
     m = tree.m
@@ -194,7 +198,7 @@ def build_model(tree: ContractionTree, bound: int) -> ConstraintModel:
         if pin is not None:
             constraints.append(LayoutPin(name, pin))
 
-    return ConstraintModel(tree, bound, variables, tuple(constraints))
+    return ConstraintModel(variables, tuple(constraints))
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +240,24 @@ class ScheduleSolution:
 
     @staticmethod
     def from_json_dict(doc: dict) -> "ScheduleSolution":
-        ap = {int(cid): int(pos) for cid, pos in doc["assignment_positions"].items()}
-        lp = {
-            int(cid): {name: pos for pos, name in enumerate(order)}
-            for cid, order in doc["loop_orders"].items()
-        }
-        dp = {
-            name: {int(mode): pos for pos, mode in enumerate(entry["perm"])}
-            for name, entry in doc["mode_orders"].items()
-        }
-        return ScheduleSolution(int(doc["bound"]), ap, lp, dp)
+        """Read the :meth:`to_json_dict` form; raises :class:`MalformedSolutionError`."""
+        if not isinstance(doc, dict):
+            raise MalformedSolutionError("a solution must be a JSON object")
+        try:
+            ap = {int(cid): int(pos) for cid, pos in doc["assignment_positions"].items()}
+            lp = {
+                int(cid): {name: pos for pos, name in enumerate(order)}
+                for cid, order in doc["loop_orders"].items()
+            }
+            dp = {
+                name: {int(mode): pos for pos, mode in enumerate(entry["perm"])}
+                for name, entry in doc["mode_orders"].items()
+            }
+            return ScheduleSolution(int(doc["bound"]), ap, lp, dp)
+        except KeyError as exc:
+            raise MalformedSolutionError(f"solution has no key {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedSolutionError(f"malformed solution: {exc}") from None
 
 
 def report_text(tree: ContractionTree, sol: ScheduleSolution) -> str:
@@ -290,28 +302,22 @@ def solve(
     """First satisfying schedule at ``bound`` under the deterministic search order, or None.
 
     The search reads the tree directly; :func:`build_model` materializes the
-    same system only for :func:`verify_solution`. Raises
-    :class:`SolveTimeout` when the budget is exceeded and
-    :class:`TooLargeError` when the tree is deeper than the search can recurse.
+    same system only for :func:`verify_solution`. The search checks the
+    consumer and in-between conditions as one rule, the open prefix of the
+    module docstring. Raises :class:`SolveTimeout` when the budget is exceeded
+    and :class:`TooLargeError` when the tree is deeper than the search can
+    recurse.
     """
     if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound}")
+        raise InvalidBoundError(f"bound must be >= 1, got {bound}")
     deadline = time.monotonic() + time_budget
     m = tree.m
     contractions = tree.contractions
     keys = {c.cid: _candidate_key(c) for c in contractions}
     edges = tree.edges
     produces = {e.producer: e for e in edges}
-    consumes: dict[int, list[Edge]] = {}
-    for e in edges:
-        consumes.setdefault(e.consumer, []).append(e)
+    children = {c.cid: tree.children_of(c.cid) for c in contractions}
     pins: dict[str, tuple[str, ...]] = dict(tree.layouts)
-    # an assignment placed between an open producer/consumer pair mirrors the
-    # whole fused prefix, which position_ok cannot check past its last loop
-    too_short = {
-        c.cid: [e for e in edges if e.order - bound > len(keys[c.cid]) and e.consumer != c.cid]
-        for c in contractions
-    }
     # forward check: the index a producer puts at fused position s is mirrored
     # by its consumer, which must fill s from its own result while s lies in
     # its own fused prefix, and so on up the chain
@@ -325,27 +331,12 @@ def solve(
                 up = produces.get(up.consumer)
             allowed[edge.producer, s] = indices
 
-    order: list[int] = []
-    placed: set[int] = set()
-    loops: dict[int, list[str]] = {}
+    loops: dict[int, list[str]] = {}  # the loops of each placed contraction, in placement order
 
     def position_ok(cid: int, s: int, x: str) -> bool:
         indices = allowed.get((cid, s))
         if indices is not None and x not in indices:
             return False
-        for edge in consumes.get(cid, ()):  # producer already placed (child first)
-            if edge.order > bound and s < edge.order - bound:
-                if x != loops[edge.producer][s]:
-                    return False
-        for pid in placed:
-            edge = produces.get(pid)
-            if edge is None or pid == cid or edge.consumer == cid:
-                continue
-            if edge.consumer in placed:
-                continue  # cid is after the consumer, not in between
-            if edge.order > bound and s < edge.order - bound:
-                if x != loops[pid][s]:
-                    return False
         c = contractions[cid]
         for ref in (c.result, c.lhs, c.rhs):
             pin = pins.get(ref.tensor)
@@ -356,19 +347,19 @@ def solve(
                 return False
         return True
 
-    def try_loops(cid: int, idx: tuple[str, ...]) -> ScheduleSolution | None:
+    def try_loops(cid: int, prefix: list[str]) -> ScheduleSolution | None:
         if time.monotonic() > deadline:
             raise SolveTimeout(time_budget, tree, bound)
         s = len(loops[cid])
-        if s == len(idx):
+        if s == len(keys[cid]):
             return try_place()
         for x in keys[cid]:
-            if x in loops[cid]:
+            if x in loops[cid] or (s < len(prefix) and x != prefix[s]):
                 continue
             if not position_ok(cid, s, x):
                 continue
             loops[cid].append(x)
-            sol = try_loops(cid, idx)
+            sol = try_loops(cid, prefix)
             if sol is not None:
                 return sol
             loops[cid].pop()
@@ -377,23 +368,23 @@ def solve(
     def try_place() -> ScheduleSolution | None:
         if time.monotonic() > deadline:
             raise SolveTimeout(time_budget, tree, bound)
-        if len(order) == m:
+        if len(loops) == m:
             return finalize()
+        # open prefixes agree where they overlap (each copied the earlier ones), so the longest decides
+        prefix: list[str] = []
+        for e in edges:
+            if e.order - bound > len(prefix) and e.producer in loops and e.consumer not in loops:
+                prefix = loops[e.producer][: e.order - bound]
         for c in contractions:
-            if c.cid in placed or any(e.producer not in placed for e in consumes.get(c.cid, ())):
+            if c.cid in loops or len(keys[c.cid]) < len(prefix):
                 continue
-            short = too_short[c.cid]
-            if short and any(e.producer in placed and e.consumer not in placed for e in short):
+            if any(child not in loops for child in children[c.cid]):
                 continue
-            order.append(c.cid)
-            placed.add(c.cid)
             loops[c.cid] = []
-            sol = try_loops(c.cid, keys[c.cid])
+            sol = try_loops(c.cid, prefix)
             if sol is not None:
                 return sol
             del loops[c.cid]
-            placed.remove(c.cid)
-            order.pop()
         return None
 
     def finalize() -> ScheduleSolution | None:
@@ -416,7 +407,7 @@ def solve(
                 if tuple(ref.indices[j] for j in first) != pin:
                     return None
             dp[name] = {mode: pos for pos, mode in enumerate(first)}
-        ap = {cid: pos for pos, cid in enumerate(order)}
+        ap = {cid: pos for pos, cid in enumerate(loops)}
         lp = {cid: {k: p for p, k in enumerate(loops[cid])} for cid in loops}
         return ScheduleSolution(bound, ap, lp, dp)
 

@@ -76,6 +76,14 @@ class UnsatisfiableError(FusetreeError):
     """No schedule exists within the searched bound range."""
 
 
+class InvalidBoundError(FusetreeError, ValueError):
+    """A workspace order bound below 1 was requested."""
+
+
+class MalformedSolutionError(FusetreeError):
+    """A solution document does not have the shape that ``to_json_dict`` writes."""
+
+
 class MissingVariableError(FusetreeError):
     """A solution does not assign one of the model variables."""
 

@@ -194,9 +194,3 @@ def ir_to_json(node: IrNode) -> dict:
     if isinstance(node, Forall):
         return {"forall": {"index": node.index, "body": ir_to_json(node.body)}}
     return {"where": {"consumer": ir_to_json(node.consumer), "producer": ir_to_json(node.producer)}}
-
-
-def ir_text_equal(a: str, b: str) -> bool:
-    """Structural comparison of two renderings, ignoring all whitespace."""
-    strip = lambda s: "".join(s.split())
-    return strip(a) == strip(b)

@@ -98,14 +98,6 @@ def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence
     return SparseTensor(shape, entries)
 
 
-def permute(t: SparseTensor, perm: Sequence[int]) -> SparseTensor:
-    """Reorder modes: mode k of the result is mode perm[k] of the input."""
-    p = _check_perm(perm, t.order)
-    shape = tuple(t.shape[k] for k in p)
-    entries = sorted((tuple(c[k] for k in p), v) for c, v in t.entries)
-    return SparseTensor(shape, tuple(entries))
-
-
 @dataclass(frozen=True)
 class CsfTensor:
     """Compressed-sparse-fiber tree under a fixed outer-to-inner mode order.
@@ -129,14 +121,6 @@ class CsfTensor:
     @property
     def nnz(self) -> int:
         return len(self.values)
-
-    def root_range(self) -> tuple[int, int]:
-        return self.segs[0][0], self.segs[0][1]
-
-    def child_range(self, level: int, pos: int) -> tuple[int, int]:
-        """Bracket the children (at level+1) of node ``pos`` at ``level``."""
-        seg = self.segs[level + 1]
-        return seg[pos], seg[pos + 1]
 
 
 def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
@@ -176,47 +160,6 @@ def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
         segs=tuple(segs),
         values=tuple(v for _, v in permuted),
     )
-
-
-def csf_flatten(c: CsfTensor) -> SparseTensor:
-    """Rebuild the coordinate list (in the permuted coordinate system)."""
-    n = c.order
-    if n == 0:
-        entries = tuple(((), v) for v in c.values)
-        return SparseTensor((), entries)
-    entries: list[tuple[Coords, float]] = []
-    path = [0] * n
-
-    def walk(level: int, lo: int, hi: int) -> None:
-        for pos in range(lo, hi):
-            path[level] = c.coords[level][pos]
-            if level + 1 == n:
-                entries.append((tuple(path), c.values[pos]))
-            else:
-                walk(level + 1, *c.child_range(level, pos))
-
-    walk(0, *c.root_range())
-    return SparseTensor(c.shape, tuple(entries))
-
-
-def csf_check(c: CsfTensor) -> None:
-    """Assert the structural CSF invariants; raises AssertionError on violation."""
-    n = c.order
-    assert len(c.coords) == n and len(c.segs) == max(n, 1)
-    lo, hi = c.root_range()
-    assert lo == 0
-    if n == 0:
-        assert hi == len(c.values) <= 1
-        return
-    assert hi == len(c.coords[0])
-    for d in range(n):
-        seg = c.segs[d]
-        assert all(seg[i] <= seg[i + 1] for i in range(len(seg) - 1))
-        assert seg[0] == 0 and seg[-1] == len(c.coords[d])
-        for i in range(len(seg) - 1):
-            fiber = c.coords[d][seg[i] : seg[i + 1]]
-            assert all(fiber[j] < fiber[j + 1] for j in range(len(fiber) - 1)), "fiber not strictly increasing"
-    assert len(c.values) == len(c.coords[n - 1])
 
 
 def read_tns(stream: TextIO | Iterable[str], shape: Sequence[int] | None = None) -> SparseTensor:

@@ -1,4 +1,5 @@
-"""Shared fixtures: reference networks, the worked witness, random trees."""
+"""Shared fixtures and helpers: reference networks, the worked witness,
+random trees, and the CSF and IR-text checks that only the tests use."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import random
 
 import pytest
 
-from fusetree import ContractionTree, ScheduleSolution, build_tree, parse_network
+from fusetree import ContractionTree, CsfTensor, ScheduleSolution, SparseTensor, build_tree, parse_network
 from fusetree.bench import running_example_network
 from fusetree.network import Contraction, TensorRef
 
@@ -31,6 +32,60 @@ extent j 2
 extent k 2
 R[i,j] = T[i,k] * S[k,j]
 """
+
+
+def ir_text_equal(a: str, b: str) -> bool:
+    """Structural comparison of two renderings, ignoring all whitespace."""
+    strip = lambda s: "".join(s.split())
+    return strip(a) == strip(b)
+
+
+def permute(t: SparseTensor, perm) -> SparseTensor:
+    """Reorder modes: mode k of the result is mode perm[k] of the input."""
+    shape = tuple(t.shape[k] for k in perm)
+    entries = sorted((tuple(c[k] for k in perm), v) for c, v in t.entries)
+    return SparseTensor(shape, tuple(entries))
+
+
+def csf_flatten(c: CsfTensor) -> SparseTensor:
+    """Rebuild the coordinate list (in the permuted coordinate system)."""
+    n = c.order
+    if n == 0:
+        return SparseTensor((), tuple(((), v) for v in c.values))
+    entries: list[tuple[tuple[int, ...], float]] = []
+    path = [0] * n
+
+    def walk(level: int, lo: int, hi: int) -> None:
+        for pos in range(lo, hi):
+            path[level] = c.coords[level][pos]
+            if level + 1 == n:
+                entries.append((tuple(path), c.values[pos]))
+            else:
+                seg = c.segs[level + 1]  # brackets the children of each node at this level
+                walk(level + 1, seg[pos], seg[pos + 1])
+
+    walk(0, *c.segs[0])
+    return SparseTensor(c.shape, tuple(entries))
+
+
+def csf_check(c: CsfTensor) -> None:
+    """Assert the structural CSF invariants; raises AssertionError on violation."""
+    n = c.order
+    assert len(c.coords) == n and len(c.segs) == max(n, 1)
+    lo, hi = c.segs[0]
+    assert lo == 0
+    if n == 0:
+        assert hi == len(c.values) <= 1
+        return
+    assert hi == len(c.coords[0])
+    for d in range(n):
+        seg = c.segs[d]
+        assert all(seg[i] <= seg[i + 1] for i in range(len(seg) - 1))
+        assert seg[0] == 0 and seg[-1] == len(c.coords[d])
+        for i in range(len(seg) - 1):
+            fiber = c.coords[d][seg[i] : seg[i + 1]]
+            assert all(fiber[j] < fiber[j + 1] for j in range(len(fiber) - 1)), "fiber not strictly increasing"
+    assert len(c.values) == len(c.coords[n - 1])
 
 
 def chain_network(n: int, root_first: bool = False) -> str:

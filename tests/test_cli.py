@@ -6,11 +6,11 @@ import json
 
 import pytest
 
-from fusetree import ir_text_equal, read_tns
+from fusetree import read_tns
 from fusetree.bench import running_example_network
 from fusetree.cli import main
 from fusetree.errors import SolveTimeout
-from conftest import GOLDEN_IR, MATMUL_NETWORK, chain_network
+from conftest import GOLDEN_IR, MATMUL_NETWORK, chain_network, ir_text_equal
 
 
 @pytest.fixture
@@ -195,6 +195,29 @@ class TestVerifyCmd:
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(doc))
         assert main(["verify", "--network", str(running_net), "--solution", str(tampered)]) == 3
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda doc: {"bound": 1}, "solution has no key 'assignment_positions'"),
+            (lambda doc: [doc], "a solution must be a JSON object"),
+            (
+                lambda doc: {**doc, "assignment_positions": {"x": 0}},
+                "malformed solution: invalid literal for int() with base 10: 'x'",
+            ),
+            (lambda doc: {**doc, "bound": 0}, "bound must be >= 1, got 0"),
+        ],
+        ids=["bound-only", "list", "non-integer-id", "bound-0"],
+    )
+    def test_malformed_solution_exits_with_an_error_line(self, tamper, message, running_net, tmp_path, capsys):
+        sol_path = tmp_path / "sol.json"
+        assert main(["plan", "--network", str(running_net), "--solution", str(sol_path)]) == 0
+        sol_path.write_text(json.dumps(tamper(json.loads(sol_path.read_text()))))
+        capsys.readouterr()
+        assert main(["verify", "--network", str(running_net), "--solution", str(sol_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestBenchCmd:

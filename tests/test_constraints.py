@@ -34,6 +34,19 @@ from fusetree.errors import (
 )
 from conftest import random_tree, reference_witness
 
+# Both children of R stay open while R is placed: W0 fixes one fused loop and
+# W1 two, so R must copy the longer prefix, not only the first one opened.
+TWO_OPEN_PREFIXES_NETWORK = """
+extent b 4
+extent c 3
+extent e 2
+extent f 2
+extent h 3
+W0[c,f] = A1[c,h] * B2[f]
+W1[b,e,f] = C3[e] * D4[f,b]
+R[b,e,f] = W0[c,f] * W1[b,e,f]
+"""
+
 
 class TestBuildModel:
     def test_producer_disjunction_at_outermost(self, running_tree):
@@ -92,7 +105,7 @@ class TestSolve:
             assert solve(matmul_tree, bound) is not None
 
     def test_solutions_verify(self, running_tree, chain_tree, matmul_tree):
-        for tree in (running_tree, chain_tree, matmul_tree):
+        for tree in (running_tree, chain_tree, matmul_tree, parse_network(TWO_OPEN_PREFIXES_NETWORK)):
             for bound in (1, 2, 3):
                 sol = solve(tree, bound)
                 if sol is not None:

@@ -13,7 +13,6 @@ from fusetree import (
     TensorRef,
     Where,
     generate,
-    ir_text_equal,
     ir_to_json,
     lower,
     print_ir,
@@ -21,7 +20,7 @@ from fusetree import (
     schedule_from_solution,
 )
 from fusetree.errors import MalformedScheduleError, PrefixMismatchError
-from conftest import GOLDEN_IR, reference_witness
+from conftest import GOLDEN_IR, ir_text_equal, reference_witness
 
 
 def _pair_strs(pairs):

@@ -15,13 +15,11 @@ from fusetree import (
     SparseTensor,
     coo_from_entries,
     csf_build,
-    csf_flatten,
-    permute,
     read_tns,
     write_tns,
 )
 from fusetree.errors import NonFiniteValueError, OutOfBoundsError, ParseError, RankMismatchError
-from fusetree.tensor import csf_check
+from conftest import csf_check, csf_flatten, permute
 
 
 class TestCoo:
