@@ -454,10 +454,21 @@ def verify_solution(tree: ContractionTree, bound: int, sol: ScheduleSolution) ->
     """Re-evaluate every constraint record directly against an assignment.
 
     Returns the list of violated constraints (empty means pass). This path
-    shares no logic with the solver; it walks the materialized model.
+    shares no logic with the solver; it walks the materialized model. An
+    entry the model does not name is a violation too, so together with the
+    domain and all-different checks every loop order and mode order must be
+    a permutation; a variable the solution lacks raises
+    :class:`MissingVariableError`.
     """
     model = build_model(tree, bound)
-    violations: list[str] = []
+    given = [f"ap_{cid}" for cid in sol.ap]
+    given += [f"lp_{cid}_{idx}" for cid, loops in sol.lp.items() for idx in loops]
+    given += [f"dp_{name}_{mode}" for name, modes in sol.dp.items() for mode in modes]
+    violations = [
+        f"extra: {name} is not a variable of the model"
+        for name in given
+        if name not in model.variables
+    ]
 
     def value(name: str) -> int:
         kind, rest = name.split("_", 1)

@@ -10,14 +10,26 @@ shares across statements keeps the sorted union of the present operands'
 coordinate streams, so every statement sees the coordinates it needs, and a
 loop that some statement reaches only through dense operands runs over the
 full index range; both find each operand's position by bisection. Dense
-inputs and workspaces are flat lists indexed with row-major strides. A
-statement contributes only when every sparse operand carries the current
-coordinates and no factor is exactly zero. Each ``where`` zeroes the
-producer's workspaces, runs the producer, then the consumer, once per
-enclosing iteration. When the consumer reads an order-1 workspace in an
-innermost full-range loop, the producer also records the cells it writes and
-the consumer visits only those, in ascending order. The root accumulator is
-keyed by the row-major offset of the result coordinates.
+inputs and workspaces are flat lists indexed with row-major strides.
+
+A statement contributes only when every sparse operand carries the current
+coordinates and no factor is exactly zero. Each factor is loaded, and tested
+for presence and for an exact zero, just inside the loop that binds the last
+of its variables (for a CSF operand, the loop driving its deepest level), but
+never outside the loops that run its statement alone; each flat offset is
+summed there term by term as its variables are bound. A zero factor therefore
+skips the whole inner loop, never a ``where`` sibling. Zeros annihilate: a
+zero factor skips its partner even when that is inf or NaN, so such a product
+adds nothing and counts no multiply-add, while the dense oracles compute NaN
+and ``compare`` fails the run.
+
+Each ``where`` zeroes the producer's workspaces, runs the producer, then the
+consumer, once per enclosing iteration. When the consumer reads an order-1
+workspace in an innermost full-range loop, the producer also records the
+cells it writes and the consumer visits only those, in ascending order. The
+root accumulates into a flat list of its row-major cells, which
+``SparseTensor.from_dense`` turns into the result; a root of more than
+``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
 
 The source numbers every identifier and passes all data as parameters, so it
 depends on the IR's structure alone; its code object is compiled once and
@@ -37,6 +49,8 @@ import bisect
 import functools
 import math
 import string
+import sys
+from collections import defaultdict
 from dataclasses import dataclass, field
 from types import CodeType
 from typing import Mapping, Sequence
@@ -62,6 +76,11 @@ DENSE_SPACE_BUDGET = 100_000_000
 # pairwise path; below it, planning the path (about 0.2 ms) costs more than
 # one flat einsum
 EINSUM_PATH_CUTOFF = 2**14
+# a root of up to this many cells accumulates into a flat list, a larger one
+# into a dict keyed by flat offset: filling and scanning the list costs about
+# 40 ns per cell (2.5 ms at the limit on a 2-core Xeon VM), about what sorting
+# and decoding a few thousand dict entries costs
+ROOT_DENSE_CELLS = 2**16
 
 
 @dataclass
@@ -152,6 +171,7 @@ class _Loop:
     drivers: list[tuple[_Fiber, int]] = field(default_factory=list)
     full: bool = False  # some statement reaches the index only through dense operands
     single: bool = False  # one statement sits under the loop
+    step: bool = False  # steps through one fiber's positions, bisecting any others
     extent: str | None = None  # parameter of a full-range loop
     touched: str | None = None  # workspace whose written cells replace the full range
     body: object = None
@@ -164,16 +184,24 @@ class _Where:
     consumer: object
 
 
+# the terms of a flat offset, each with the loop variable it reads
+Terms = list[tuple[str, str]]
+
+
 @dataclass
 class _Stmt:
-    """An ``Assign``: its counter, CSF operands, factors and update lines."""
+    """An ``Assign``: its counter, its two factors and the cell it updates.
+
+    A factor is an array local, the terms of its offset and, for a CSF
+    operand, its fiber, whose offset is the position of its deepest level.
+    The cell is one of the ``target`` workspace or root accumulator.
+    """
 
     n: int
-    fibers: list[_Fiber]
-    factors: list[str]
-    update: list[str]
+    factors: list[tuple[str, Terms, _Fiber | None]]
+    target: str
+    cell: Terms
     reads: list[tuple[str, str]]  # (workspace, index) of each order-1 workspace read
-    writes: tuple[str, str] | None  # (workspace, offset) of the workspace written
 
 
 class _Kernel:
@@ -192,8 +220,16 @@ class _Kernel:
         self.binding = binding
         self.extents = tree.extents
         self.root = tree.root.result
+        self.shape = tree.ref_shape(self.root)
         self.intermediates = set(tree.intermediate_names)
         self.params: dict[str, object] = {"bl": bisect.bisect_left}
+        cells = math.prod(self.shape)
+        # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
+        self.dense_root = cells <= ROOT_DENSE_CELLS or not self.shape
+        if not self.dense_root and cells > sys.maxsize:
+            raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
+        new = (lambda: [0.0] * cells) if self.dense_root else (lambda: defaultdict(float))
+        self._param("newacc", new)
         self.dense: dict[str, tuple[str, list[str | None]]] = {}
         self.workspaces: dict[str, tuple[str, tuple[str, ...], list[str | None]]] = {}
         self.cells: list[int] = []
@@ -222,14 +258,14 @@ class _Kernel:
             )
         return scope[index].var
 
-    def _offset(self, ref, indices, strides, scope) -> str:
+    def _offset(self, ref, indices, strides, scope) -> Terms:
         terms = []
         for index, stride in zip(indices, strides):
             var = self._var(ref, index, scope)
-            terms.append(var if stride is None else f"{var} * {stride}")
-        return " + ".join(terms) or "0"
+            terms.append((var, var if stride is None else f"{var} * {stride}"))
+        return terms
 
-    def _cell(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> tuple[str, str]:
+    def _cell(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> tuple[str, Terms]:
         """A workspace's local and the offset of the cell ``ref`` addresses."""
         if ref.tensor not in self.workspaces:
             raise UnboundTensorError(f"no binding or workspace for tensor '{ref.tensor}'")
@@ -247,6 +283,13 @@ class _Kernel:
             start = len(self.stmts)
             loop.body = self._plan(node.body, {**scope, node.index: loop})
             loop.single = len(self.stmts) == start + 1
+            # a single fiber, or a single statement that needs every fiber
+            # present: step through the first, bisect the others
+            loop.step = (len(loop.drivers) == 1 and not loop.full) or (
+                len(loop.drivers) > 1 and loop.single
+            )
+            for fiber, level in loop.drivers:
+                fiber.searched[level] = not loop.step
             if isinstance(loop.body, _Stmt) and not loop.drivers:
                 # an innermost full-range loop over an order-1 workspace needs
                 # only the cells its producer wrote; the others hold 0.0
@@ -273,8 +316,7 @@ class _Kernel:
         binding = self.binding
         contraction = binding.tree.contractions[node.cid]
         order = list(scope)
-        fibers: list[_Fiber] = []
-        factors: list[str] = []
+        factors: list[tuple[str, Terms, _Fiber | None]] = []
         reads: list[tuple[str, str]] = []
         sparse_at: dict[str, bool] = {}
         for ref, abstract in ((node.lhs, contraction.lhs), (node.rhs, contraction.rhs)):
@@ -297,18 +339,18 @@ class _Kernel:
                     scope[index].drivers.append((fiber, level))
                     sparse_at[index] = True
                 values = self._param(f"v{fiber.n}", csf.values)
-                factors.append(f"{values}[p{fiber.n}_{csf.order - 1}]")
-                fibers.append(fiber)
+                deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{csf.order - 1}")
+                factors.append((values, [deepest], fiber))
             elif name in binding.dense:
                 if name not in self.dense:
                     array = binding.dense[name]
                     var = self._param(f"d{len(self.dense)}", array.ravel().tolist())
                     self.dense[name] = (var, self._strides(var, array.shape))
                 var, strides = self.dense[name]
-                factors.append(f"{var}[{self._offset(ref, abstract.indices, strides, scope)}]")
+                factors.append((var, self._offset(ref, abstract.indices, strides, scope), None))
             else:
                 var, offset = self._cell(ref, scope)
-                factors.append(f"{var}[{offset}]")
+                factors.append((var, offset, None))
                 if len(ref.indices) == 1:
                     reads.append((var, ref.indices[0]))
         # a loop this statement reaches only through dense operands or
@@ -318,12 +360,11 @@ class _Kernel:
                 scope[index].full = True
 
         name = node.result.tensor
-        writes = None
         if name == self.root.tensor:
-            # the accumulator is keyed by the row-major offset of the result
-            dims = [_extent(self.extents, index) for index in self.root.indices]
-            key = self._offset(node.result, self.root.indices, self._strides("r", dims), scope)
-            update = [f"k = {key}", "acc[k] = get(k, 0.0) + f * g"]
+            # the accumulator is indexed by the row-major offset of the result
+            target = "acc"
+            strides = self._strides("r", self.shape)
+            cell = self._offset(node.result, self.root.indices, strides, scope)
         else:
             if name in self.intermediates and name not in self.workspaces:
                 dims = [_extent(self.extents, index) for index in node.result.indices]
@@ -331,13 +372,12 @@ class _Kernel:
                 self.cells.append(math.prod(dims))
                 self._param(f"m{var}", self.cells[-1])
                 self.workspaces[name] = (var, node.result.indices, self._strides(var, dims))
-            writes = self._cell(node.result, scope)
-            update = ["{}[{}] += f * g".format(*writes)]
+            target, cell = self._cell(node.result, scope)
         self.stmts.append((name, {node.lhs.tensor, node.rhs.tensor}))
-        return _Stmt(len(self.stmts) - 1, fibers, factors, update, reads, writes)
+        return _Stmt(len(self.stmts) - 1, factors, target, cell, reads)
 
     def source(self) -> str:
-        out = [f"def kernel({', '.join(self.params)}):", "    acc = {}", "    get = acc.get"]
+        out = [f"def kernel({', '.join(self.params)}):", "    acc = newacc()"]
         for var, _, _ in self.workspaces.values():
             out.append(f"    {var} = [0.0] * m{var}")
             out.append(f"    z{var} = [0.0] * m{var}")
@@ -362,27 +402,73 @@ class _Kernel:
             # ascending cells keep the consumer's sums in full-range order
             out.extend(f"{pad}t{var}.sort()" for var in touched)
             self._render(node.consumer, depth, out)
-        elif isinstance(node, _Loop):
-            self._render_loop(node, depth, out)
+        elif isinstance(node, _Loop) and not node.single:
+            self._render(node.body, self._render_head(node, depth, out), out)
         else:
-            guards = [f"p{f.n}_{len(f.searched) - 1} >= 0" for f in node.fibers if f.searched[-1]]
-            if guards:
-                out.append(f"{pad}if {' and '.join(guards)}:")
-                pad += "    "
-            out.append(f"{pad}f = {node.factors[0]}")
-            out.append(f"{pad}if f:")
-            out.append(f"{pad}    g = {node.factors[1]}")
-            out.append(f"{pad}    if g:")
-            if node.writes and node.writes[0] in self.touched:
-                var, cell = node.writes
-                out.append(f"{pad}        if not f{var}[{cell}]:")
-                out.append(f"{pad}            f{var}[{cell}] = True")
-                out.append(f"{pad}            t{var}.append({cell})")
-            out.extend(f"{pad}        {line}" for line in node.update)
-            out.append(f"{pad}        n{node.n} += 1")
+            self._render_own(node, depth, out)
 
-    def _render_loop(self, loop: _Loop, depth: int, out: list[str]) -> None:
-        """Bind the loop variable and the position of every fiber level it drives.
+    def _render_own(self, node, depth: int, out: list[str]) -> None:
+        """A statement under the loops that run it alone, outermost first.
+
+        Slot 0 lies just before the outermost of these loops and slot k just
+        inside the k-th. Each factor is guarded, loaded and tested for an
+        exact zero in the slot of the loop that binds its last variable, and
+        each offset adds up its terms slot by slot, so no loop recomputes
+        what it leaves unchanged. A zero factor thus skips the loops inside
+        its slot, which run nothing else: a ``where`` sibling is never skipped.
+        """
+        own: list[_Loop] = []
+        while isinstance(node, _Loop):
+            own.append(node)
+            node = node.body
+        slot_of = {loop.var: k for k, loop in enumerate(own, 1)}
+        at: list[list[str]] = [[] for _ in range(len(own) + 1)]
+
+        def offset(name: str, terms: Terms, use: int | None = None) -> tuple[int, str]:
+            """Sum the terms bound before slot ``use`` into locals of their
+            slots; return ``use``, by default the slot of the last term, and
+            the expression that adds the terms bound there."""
+            groups: dict[int, list[str]] = {}
+            for var, term in terms:
+                groups.setdefault(slot_of.get(var, 0), []).append(term)
+            slots = sorted(groups)
+            if use is None:
+                use = slots[-1] if slots else 0
+            partial: list[str] = []
+            for slot in slots:
+                expr = " + ".join(partial + groups[slot])
+                if slot == use:
+                    return use, expr
+                if not expr.isidentifier():
+                    at[slot].append(f"{name}{slot} = {expr}")
+                    expr = f"{name}{slot}"
+                partial = [expr]
+            return use, partial[0] if partial else "0"
+
+        n = node.n
+        for role, (array, terms, fiber) in zip("fg", node.factors):
+            use, index = offset(f"o{n}{role}", terms)
+            if fiber is not None and fiber.searched[-1]:
+                at[use].append(f"if {index} >= 0:")
+            at[use] += (f"{role} = {array}[{index}]", f"if {role}:")
+        _, cell = offset(f"o{n}k", node.cell, len(own))
+        var = node.target
+        if var in self.touched:
+            at[-1].append(f"if not f{var}[{cell}]: f{var}[{cell}] = True; t{var}.append({cell})")
+        at[-1] += (f"{var}[{cell}] += f * g", f"n{n} += 1")
+        for k, lines in enumerate(at):
+            if k:
+                depth = self._render_head(own[k - 1], depth, out)
+            pad = "    " * depth
+            for line in lines:
+                out.append(pad + line)
+                if line[-1] == ":":
+                    pad += "    "
+                    depth += 1
+
+    def _render_head(self, loop: _Loop, depth: int, out: list[str]) -> int:
+        """Bind the loop variable and the position of every fiber level it
+        drives; returns the depth of the loop body.
 
         In a union or full-range loop a missing coordinate sets a position to
         -1, and a level under a -1 parent gets the empty range, so presence is
@@ -391,11 +477,6 @@ class _Kernel:
         """
         pad = "    " * depth
         x = loop.var
-        # a single fiber, or a single statement that needs every fiber present:
-        # step through the first, bisect the others, stop once one runs out
-        step = (len(loop.drivers) == 1 and not loop.full) or (len(loop.drivers) > 1 and loop.single)
-        for fiber, level in loop.drivers:
-            fiber.searched[level] = not step
 
         def names(fiber: _Fiber, level: int):
             n = fiber.n
@@ -404,7 +485,7 @@ class _Kernel:
             absent = level > 0 and fiber.searched[level - 1]
             return f"p{n}_{level}", f"c{n}_{level}", parent, seg, absent
 
-        if step:
+        if loop.step:
             drivers = [names(*d) for d in loop.drivers]
             guards = [f"{parent} >= 0" for _, _, parent, _, absent in drivers if absent]
             if guards:
@@ -440,7 +521,7 @@ class _Kernel:
                 p, coords, _, _, _ = names(fiber, level)
                 out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
                 out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
-        self._render(loop.body, depth + 1, out)
+        return depth + 1
 
 
 def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
@@ -448,9 +529,9 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
 
     The kernel's source depends only on the IR's structure and operand kinds;
     its code object is compiled once and cached by that text, and each call
-    runs it in fresh globals. Workspaces, the root accumulator and counters
-    are locals of the call, so independent calls may run concurrently over
-    the same (immutable) binding.
+    runs it in fresh globals.
+    Workspaces, the root accumulator and counters are locals of the call, so
+    independent calls may run concurrently over the same (immutable) binding.
     """
     kernel = _Kernel(ir, binding)
     namespace: dict = {}
@@ -461,18 +542,14 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     for (name, _), count in zip(kernel.stmts, counts):
         if count:
             stats.per_assignment[name] = stats.per_assignment.get(name, 0) + count
-    shape = binding.tree.ref_shape(binding.tree.root.result)
+    shape = kernel.shape
+    if kernel.dense_root:
+        return SparseTensor.from_dense(np.array(acc).reshape(shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
-    entries = []
-    for key in sorted(acc):
-        value = acc[key]
-        if value != 0.0:
-            coords = []
-            for extent in reversed(shape):
-                key, c = divmod(key, extent)
-                coords.append(c)
-            entries.append((tuple(reversed(coords)), value))
-    return SparseTensor(shape, tuple(entries)), stats
+    offsets = sorted(key for key, value in acc.items() if value != 0.0)
+    modes = np.unravel_index(np.array(offsets, dtype=np.intp), shape)
+    coords = zip(*(mode.tolist() for mode in modes))
+    return SparseTensor(shape, tuple(zip(coords, [acc[key] for key in offsets]))), stats
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 """Shared fixtures and helpers: reference networks, the worked witness,
-random trees, and the CSF and IR-text checks that only the tests use."""
+random trees, the CSF and IR-text checks and the multiply-add count model
+that only the tests use."""
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from fusetree import ContractionTree, CsfTensor, ScheduleSolution, SparseTensor, build_tree, parse_network
 from fusetree.bench import running_example_network
+from fusetree.executor import _letters
 from fusetree.network import Contraction, TensorRef
 
 GOLDEN_IR = """
@@ -205,3 +208,27 @@ def _random_tree_once(rng: random.Random, max_contractions: int) -> ContractionT
             contractions = [c0, c1, make_contraction(2, c0.result, c1.result, True)]
     used = {i for c in contractions for i in c.index_set}
     return build_tree(contractions, {k: v for k, v in extents.items() if k in used})
+
+
+def nonzero_products(tree: ContractionTree, tensors) -> dict[str, int]:
+    """Multiply-adds per result that a kernel performs: for each contraction,
+    the points of its index space where both operands are non-zero.
+
+    Intermediates are evaluated densely, children first, so the count holds
+    when no sum of non-zero products cancels to exactly zero.
+    """
+    env = {name: tensors[name].to_dense() for name in tree.input_names}
+    preorder = [tree.root.cid]
+    for cid in preorder:
+        preorder.extend(tree.children_of(cid))
+    counts: dict[str, int] = {}
+    for cid in reversed(preorder):
+        c = tree.contractions[cid]
+        sub = _letters(sorted(c.index_set))
+        lhs, rhs, out = ("".join(sub[i] for i in ref.indices) for ref in (c.lhs, c.rhs, c.result))
+        a, b = env[c.lhs.tensor], env[c.rhs.tensor]
+        count = int(np.einsum(f"{lhs},{rhs}->", (a != 0).astype(float), (b != 0).astype(float)))
+        if count:
+            counts[c.result.tensor] = count
+        env[c.result.tensor] = np.einsum(f"{lhs},{rhs}->{out}", a, b)
+    return counts

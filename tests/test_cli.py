@@ -197,6 +197,27 @@ class TestVerifyCmd:
         assert main(["verify", "--network", str(running_net), "--solution", str(tampered)]) == 3
 
     @pytest.mark.parametrize(
+        "extra", [["lp_0_zz"], ["dp_A_7"], ["lp_0_zz", "dp_A_7"]], ids=["loop", "mode", "both"]
+    )
+    def test_extra_entries_are_violations(self, extra, running_net, tmp_path, capsys):
+        # a loop the contraction lacks, or a mode the tensor lacks, appended
+        # to an order that the solver wrote
+        sol_path = tmp_path / "sol.json"
+        assert main(["plan", "--network", str(running_net), "--solution", str(sol_path)]) == 0
+        doc = json.loads(sol_path.read_text())
+        if "lp_0_zz" in extra:
+            doc["loop_orders"]["0"].append("zz")
+        if "dp_A_7" in extra:
+            doc["mode_orders"]["A"]["perm"].append(7)
+        sol_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--network", str(running_net), "--solution", str(sol_path)]) == 3
+        assert capsys.readouterr().out == "".join(
+            [f"{len(extra)} violated constraints:\n"]
+            + [f"  extra: {name} is not a variable of the model\n" for name in extra]
+        )
+
+    @pytest.mark.parametrize(
         "tamper, message",
         [
             (lambda doc: {"bound": 1}, "solution has no key 'assignment_positions'"),

@@ -3,7 +3,8 @@
 The expected multiply-add counts were produced by the recursive scalar
 interpreter this kernel replaced, so they pin its counting semantics exactly.
 Further tests pin the shape of the generated source (intersection, union,
-touched workspace cells) and the corner cases of each.
+touched workspace cells, hoisted loads) and the corner cases of each, the
+dict accumulator of large roots, and zeros that annihilate inf and NaN.
 """
 
 from __future__ import annotations
@@ -12,11 +13,13 @@ import random
 import re
 import sys
 import threading
+from typing import Sequence
 
 import numpy as np
 import pytest
 
 from fusetree import (
+    ScheduleSolution,
     bind,
     build_tree,
     compare,
@@ -34,7 +37,7 @@ from fusetree.bench import bench_generate, synthetic_tensor
 from fusetree.executor import _Kernel
 from fusetree.network import Contraction
 from fusetree.tensor import SparseTensor
-from conftest import random_tree
+from conftest import nonzero_products, random_tree
 
 MODES = ("sparse", "mixed", "dense", "zero", "single")
 SEEDS = range(16)
@@ -337,6 +340,10 @@ def _tensor(shape, entries):
     return coo_from_entries(list(entries.items()), shape)
 
 
+def _zero_rows(t: SparseTensor, rows) -> SparseTensor:
+    return SparseTensor(t.shape, tuple((c, v) for c, v in t.entries if c[0] not in rows))
+
+
 def _plan(text, tensors, dense=()):
     tree = parse_network(text)
     bound, sol = search_min_order(tree)
@@ -348,11 +355,20 @@ def _source(text, tensors, dense=()):
     return _Kernel(ir, binding).source()
 
 
-def _run(text, tensors, dense=()):
-    tree, ir, binding = _plan(text, tensors, dense)
-    result, stats = execute(ir, binding)
+def _check(tree, sol, tensors, dense=()):
+    """Execute one schedule: its result must match both oracles, and its
+    multiply-adds the count of non-zero operand pairs."""
+    assert verify_solution(tree, sol.bound, sol) == []
+    result, stats = execute(lower(tree, sol), bind(tree, sol, tensors, dense))
     assert compare(result, oracle_nary(tree, tensors), rel_tol=1e-10).passed
+    assert compare(result, oracle_unfused(tree, tensors)[0], rel_tol=1e-10).passed
+    assert stats.per_assignment == nonzero_products(tree, tensors)
     return result, stats
+
+
+def _run(text, tensors, dense=()):
+    tree = parse_network(text)
+    return _check(tree, search_min_order(tree)[1], tensors, dense)
 
 
 def _matmul_inputs(s_entries):
@@ -391,10 +407,12 @@ def test_operand_absent_under_an_intersection():
 
 def test_absent_parent_under_an_intersection():
     # B lacks most (r, j) fibers that C and D carry, so the intersected loop
-    # under the shared union loops often has no parent position
+    # under the shared union loops often has no parent position; D lacks
+    # whole r slices
     inst = bench_generate("running_example", extents=4, density=0.5, seed=2)
     tensors = dict(inst.tensors)
     tensors["B"] = _tensor((4, 4, 4), {(1, 2, 3): 0.5, (3, 0, 1): -2.0})
+    tensors["D"] = _zero_rows(tensors["D"], {0, 2})
     _run(inst.network_text, tensors)
 
 
@@ -441,3 +459,155 @@ def test_order_zero_root():
     b[2, 0] = 3.0  # the two products cancel exactly
     result, _ = _run(network, {"A": a, "B": _tensor((3, 2), b)})
     assert result == SparseTensor((), ())
+
+
+# ---------------------------------------------------------------------------
+# hoisted factors and offsets, the dense root and its dict fallback
+
+
+def _indent(line: str) -> int:
+    return len(line) - len(line.lstrip())
+
+
+def _line(lines, pattern: str) -> int:
+    """Index of the only line matching ``pattern``."""
+    found = [k for k, line in enumerate(lines) if re.search(pattern, line)]
+    assert len(found) == 1, (pattern, found)
+    return found[0]
+
+
+# the producer's factor never varies with its innermost loop, nor does the
+# consumer's in mttkrp1 and ttmc1; in mttkrp3 and ttmc3 it does
+@pytest.mark.parametrize(
+    "kind, updates",
+    [
+        ("mttkrp1", (r"w0\[.*\] \+= f \* g", r"acc\[.*\] \+= f \* g")),
+        ("mttkrp3", (r"w0\[.*\] \+= f \* g",)),
+        ("ttmc1", (r"w0\[.*\] \+= f \* g", r"acc\[.*\] \+= f \* g")),
+        ("ttmc3", (r"w0\[.*\] \+= f \* g",)),
+    ],
+)
+def test_dense_factors_are_loaded_outside_their_innermost_loop(kind, updates):
+    inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+    lines = _source(inst.network_text, inst.tensors, inst.dense_names).splitlines()
+    for n, update in enumerate(updates):
+        # the dense factor of statement n is loaded, and tested for zero,
+        # outside the innermost loop around its update
+        load = _line(lines, r"^\s*g = d%d\[" % n)
+        assert lines[load + 1].strip() == "if g:"
+        inner = max(k for k in range(_line(lines, update)) if lines[k].lstrip().startswith("for "))
+        assert load < inner and _indent(lines[load]) <= _indent(lines[inner])
+
+
+def test_consumer_factor_stays_below_its_where():
+    # C(r,k) is fixed once the where-shared k loop binds k, but it is loaded
+    # in the consumer, after the producer filled W, just before the loop over
+    # W's cells: a zero C(r,k) skips the consumer, never the producer
+    inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+    lines = _source(inst.network_text, inst.tensors, inst.dense_names).splitlines()
+    load = _line(lines, r"^\s*g = d1\[")
+    assert lines[load - 1].strip() == "tw0.sort()"
+    assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 2])
+    assert _line(lines, r"w0\[:\] = zw0") < _line(lines, r"w0\[x\d+\] \+= f \* g") < load
+
+
+@pytest.mark.parametrize("kind", ("mttkrp1", "mttkrp2", "mttkrp3", "ttmc1", "ttmc2", "ttmc3"))
+def test_zero_rows_in_dense_factors(kind):
+    inst = bench_generate(kind, extents=(5, 6, 7), rank=3, density=0.3, seed=4)
+    tensors = dict(inst.tensors)
+    for k, name in enumerate(inst.dense_names):
+        tensors[name] = _zero_rows(tensors[name], {k, k + 2})
+    bound, sol = search_min_order(inst.tree)
+    _check(inst.tree, sol, tensors, inst.dense_names)
+
+
+def _pinned(text: str, loops: Sequence[str]):
+    """``text`` scheduled by hand at bound 1: contraction k comes k-th and
+    runs its loops in the order ``loops[k]``, and every layout keeps its
+    declared mode order."""
+    tree = parse_network(text)
+    dp = {name: {j: j for j in range(len(tree.abstract_ref(name).indices))} for name in tree.layout_constrained}
+    lp = {k: {x: pos for pos, x in enumerate(order)} for k, order in enumerate(loops)}
+    sol = ScheduleSolution(1, {k: k for k in range(len(loops))}, lp, dp)
+    assert verify_solution(tree, 1, sol) == []
+    return tree, sol
+
+
+# the where shares the i loop, so the consumer finds C(i) by bisection in the
+# union of A's and C's rows; C(i) is loaded before the loop over W's cells
+GUARDED = "extent i 4\nextent j 3\nextent k 3\nW[i,j] = A[i,k] * B[k,j]\nR[i,j] = W[i,j] * C[i]\n"
+
+
+def test_hoisted_csf_load_keeps_its_guard():
+    tree, sol = _pinned(GUARDED, ("ikj", "ij"))
+    # C lacks rows 0 and 2, which A carries, and A lacks row 3
+    a = _tensor((4, 3), {(0, 1): 2.0, (1, 0): -1.0, (1, 2): 3.0, (2, 2): 5.0})
+    tensors = {"A": a, "B": synthetic_tensor((3, 3), 0.6, np.random.default_rng(5)),
+               "C": _tensor((4,), {(1,): 2.0, (3,): -3.0})}
+    lines = _Kernel(lower(tree, sol), bind(tree, sol, tensors)).source().splitlines()
+    load = _line(lines, r"^\s*g = v2\[p2_0\]")
+    assert lines[load - 1].strip() == "if p2_0 >= 0:"
+    assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 3])
+    _check(tree, sol, tensors)
+
+
+def test_dict_root_matches_the_dense_root(monkeypatch):
+    import fusetree.executor as executor
+
+    dense = {
+        (seed, mode, kind): (result, stats)
+        for seed in SEEDS
+        for mode in MODES
+        for kind, _, result, stats, _, _ in _run_case(seed, mode)
+    }
+    monkeypatch.setattr(executor, "ROOT_DENSE_CELLS", 0)
+    for seed in SEEDS:
+        for mode in MODES:
+            for kind, tree, result, stats, _, _ in _run_case(seed, mode):
+                assert (result, stats) == dense[seed, mode, kind], (seed, mode, kind)
+    _, ir, binding = _plan(MATMUL, _matmul_inputs({(1, 0): 5.0}))
+    assert _Kernel(ir, binding).params["newacc"]() == {}
+
+
+# ---------------------------------------------------------------------------
+# annihilating zeros: an exactly-zero factor skips its partner, inf and NaN too
+
+INF, NAN = float("inf"), float("nan")
+ROW = "extent i 2\nextent j 3\nR[i,j] = A[i] * B[i,j]\n"
+
+
+def _annihilate(a_values, b_entries):
+    """ROW with A dense, its load hoisted out of the j loop, and B sparse,
+    possibly storing exact zeros; the fused result and the n-ary oracle's."""
+    tree, sol = _pinned(ROW, ("ij",))
+    a = SparseTensor((2,), tuple(((i,), v) for i, v in enumerate(a_values) if v != 0.0))
+    b = SparseTensor((2, 3), tuple(sorted(b_entries.items())))
+    tensors = {"A": a, "B": b}
+    lines = _Kernel(lower(tree, sol), bind(tree, sol, tensors, ("A",))).source().splitlines()
+    assert _line(lines, r"^\s*f = d0\[") < _line(lines, r"for p0_1 in")
+    return execute(lower(tree, sol), bind(tree, sol, tensors, ("A",))), oracle_nary(tree, tensors)
+
+
+@pytest.mark.parametrize("bad", (INF, -INF, NAN), ids=("inf", "-inf", "nan"))
+def test_hoisted_zero_annihilates_a_non_finite_partner(bad):
+    # A(0) = 0 is loaded outside the j loop, so row 0 of B is never read
+    b = {(0, 0): bad, (0, 2): bad, (1, 1): 3.0}
+    (result, stats), oracle = _annihilate([0.0, 2.0], b)
+    assert result.entries == (((1, 1), 6.0),)
+    assert stats.multiply_adds == 1
+    finite, _ = _annihilate([0.0, 2.0], {**b, (0, 0): 1.0, (0, 2): 1.0})
+    assert (result, stats) == finite
+    assert not compare(result, oracle).passed  # the oracle holds 0 * bad = NaN
+
+
+@pytest.mark.parametrize("bad", (INF, -INF, NAN), ids=("inf", "-inf", "nan"))
+def test_innermost_zero_annihilates_a_hoisted_non_finite_partner(bad):
+    # B stores exact zeros at (0, 0) and (0, 2); A(0) = bad is hoisted and
+    # non-zero, so the zero is found in the inner loop
+    b = {(0, 0): 0.0, (0, 2): 0.0, (1, 1): 3.0}
+    (result, stats), oracle = _annihilate([bad, 2.0], b)
+    assert result.entries == (((1, 1), 6.0),)
+    assert stats.multiply_adds == 1
+    finite, _ = _annihilate([1.0, 2.0], b)
+    assert (result, stats) == finite
+    assert not compare(result, oracle).passed
