@@ -1,6 +1,6 @@
 """Execution of forall/where IR over CSF tensors as generated Python kernels.
 
-Each call walks the IR once, checking the schedule and writing the source of
+Planning walks the IR once, checking the schedule and writing the source of
 one function in which loop variables, CSF positions and counters are locals.
 A ``forall`` drilled by a single CSF operand steps through that fiber's
 positions. A ``forall`` over one statement that several CSF operands drill
@@ -17,8 +17,9 @@ coordinates and no factor is exactly zero. Each factor is loaded, and tested
 for presence and for an exact zero, just inside the loop that binds the last
 of its variables (for a CSF operand, the loop driving its deepest level), but
 never outside the loops that run its statement alone; each flat offset is
-summed there term by term as its variables are bound. A zero factor therefore
-skips the whole inner loop, never a ``where`` sibling. Zeros annihilate: a
+summed term by term as its variables are bound, after the zero tests of the
+loop that binds them. A zero factor therefore skips the whole inner loop and
+its index arithmetic, never a ``where`` sibling. Zeros annihilate: a
 zero factor skips its partner even when that is inf or NaN, so such a product
 adds nothing and counts no multiply-add, while the dense oracles compute NaN
 and ``compare`` fails the run.
@@ -31,9 +32,17 @@ root accumulates into a flat list of its row-major cells, which
 ``SparseTensor.from_dense`` turns into the result; a root of more than
 ``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
 
-The source numbers every identifier and passes all data as parameters, so it
-depends on the IR's structure alone; its code object is compiled once and
-cached by the source text.
+The source numbers every identifier and passes all data as parameters. A
+kernel is planned and compiled once per signature: the IR; each input's kind,
+with its CSF order or its dense shape; the declared indices of every operand;
+and the tree's extents, root reference and intermediate names. The cache entry
+keeps the compiled function, its constants and a recipe naming where each
+data parameter lies in a binding, and no tensor data. Each call gathers its
+parameters by the recipe, picks the root accumulator and runs the kernel, so
+only the first run of a signature, such as a one-shot ``fusetree run``, pays
+for planning and compilation. A schedule that fails its checks raises on every
+call, and a kernel nesting more than ``MAX_NESTED_LOOPS`` loops, which Python
+cannot compile, raises ``TooLargeError``.
 
 Two dense oracles provide independent ground truth for the kernels. The n-ary
 oracle contracts the flat product of every leaf; above a small index space it
@@ -52,8 +61,7 @@ import string
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
-from types import CodeType
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -81,6 +89,9 @@ EINSUM_PATH_CUTOFF = 2**14
 # 40 ns per cell (2.5 ms at the limit on a 2-core Xeon VM), about what sorting
 # and decoding a few thousand dict entries costs
 ROOT_DENSE_CELLS = 2**16
+# CPython compiles at most 20 statically nested blocks, and each forall of a
+# kernel nests one for loop
+MAX_NESTED_LOOPS = 20
 
 
 @dataclass
@@ -149,12 +160,6 @@ def _extent(extents: Mapping[str, int], index: str) -> int:
         raise ExtentMismatchError(index, f"no extent declared for index '{index}'") from None
 
 
-@functools.lru_cache(maxsize=1024)  # room for a thousand small kernels, about 4 kB each
-def _compiled(source: str) -> CodeType:
-    """Code object of one kernel source; the text holds no network names or data."""
-    return compile(source, "<fusetree kernel>", "exec")
-
-
 @dataclass
 class _Fiber:
     """One CSF operand of one statement, with position locals ``p<n>_<level>``."""
@@ -204,32 +209,66 @@ class _Stmt:
     reads: list[tuple[str, str]]  # (workspace, index) of each order-1 workspace read
 
 
+def _signature(ir: IrNode, binding: Binding) -> tuple:
+    """Everything a kernel's source and constants depend on.
+
+    That is the IR; each input's kind, with its CSF order or its dense
+    shape; the declared indices of every operand, by which a dense input is
+    indexed; and the tree's extents, root reference and intermediate names.
+    Extents and declared indices are keyed whole, a little more than one
+    kernel reads. The data of the binding are left out, so a cached kernel
+    pins no tensor.
+    """
+    tree = binding.tree
+    return (
+        ir,
+        tuple((name, csf.order) for name, csf in binding.csf.items()),
+        tuple((name, array.shape) for name, array in binding.dense.items()),
+        tuple((c.lhs.indices, c.rhs.indices) for c in tree.contractions),
+        tuple(sorted(tree.extents.items())),
+        tree.root.result,
+        tree.intermediate_names,
+    )
+
+
 class _Kernel:
-    """One IR under one binding: the schedule's typed checks and its kernel source.
+    """One IR under one binding signature: the schedule's typed checks and its
+    kernel source.
 
     Planning walks the IR once, raising on a malformed schedule and numbering
     every identifier the kernel uses, so that no network name reaches the
-    source; the data travel as parameters. Rendering then decides per loop
-    whether it steps through one fiber's positions, an intersection, a sorted
-    coordinate union, a workspace's written cells or the full range, which
-    needs the whole loop body planned first.
+    source; the data travel as parameters. Each parameter is either a constant
+    (a stride, an extent, a workspace size) or a recipe step naming where a
+    call's binding holds it: a level of a CSF operand's coordinates or
+    segments, its values, or a dense operand's flat list. Rendering then
+    decides per loop whether it steps through one fiber's positions, an
+    intersection, a sorted coordinate union, a workspace's written cells or
+    the full range, which needs the whole loop body planned first.
     """
 
-    def __init__(self, ir: IrNode, binding: Binding):
-        tree = binding.tree
-        self.binding = binding
-        self.extents = tree.extents
-        self.root = tree.root.result
-        self.shape = tree.ref_shape(self.root)
-        self.intermediates = set(tree.intermediate_names)
-        self.params: dict[str, object] = {"bl": bisect.bisect_left}
-        cells = math.prod(self.shape)
-        # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
-        self.dense_root = cells <= ROOT_DENSE_CELLS or not self.shape
-        if not self.dense_root and cells > sys.maxsize:
-            raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
-        new = (lambda: [0.0] * cells) if self.dense_root else (lambda: defaultdict(float))
-        self._param("newacc", new)
+    def __init__(
+        self,
+        ir: IrNode,
+        csf: tuple[tuple[str, int], ...],
+        dense: tuple[tuple[str, tuple[int, ...]], ...],
+        declared: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...],
+        extents: tuple[tuple[str, int], ...],
+        root: TensorRef,
+        intermediates: tuple[str, ...],
+    ):
+        self.csf = dict(csf)
+        self.dense_shapes = dict(dense)
+        self.declared = declared
+        self.extents = dict(extents)
+        self.root = root
+        self.shape = tuple(_extent(self.extents, index) for index in root.indices)
+        self.intermediates = set(intermediates)
+        # parameter name -> recipe step (source, key, level): the key is an
+        # operand's name, or for a constant, whose source is None, the value
+        self.params: dict[str, tuple] = {
+            "bl": (None, bisect.bisect_left, None),
+            "newacc": ("newacc", None, None),
+        }
         self.dense: dict[str, tuple[str, list[str | None]]] = {}
         self.workspaces: dict[str, tuple[str, tuple[str, ...], list[str | None]]] = {}
         self.cells: list[int] = []
@@ -240,7 +279,8 @@ class _Kernel:
         self.plan = self._plan(ir, {})
 
     def _param(self, name: str, value: object) -> str:
-        self.params[name] = value
+        """A constant parameter."""
+        self.params[name] = (None, value, None)
         return name
 
     def _strides(self, var: str, dims: Sequence[int]) -> list[str | None]:
@@ -278,6 +318,10 @@ class _Kernel:
         if isinstance(node, Forall):
             if node.index in scope:
                 raise MalformedScheduleError(f"loop index '{node.index}' bound twice")
+            if len(scope) == MAX_NESTED_LOOPS:
+                raise TooLargeError(
+                    f"a kernel nests more than {MAX_NESTED_LOOPS} loops, which Python cannot compile"
+                )
             loop = _Loop(f"x{self.loops}")
             self.loops += 1
             start = len(self.stmts)
@@ -313,41 +357,39 @@ class _Kernel:
         return self._statement(node, scope)
 
     def _statement(self, node: Assign, scope: dict[str, _Loop]) -> _Stmt:
-        binding = self.binding
-        contraction = binding.tree.contractions[node.cid]
         order = list(scope)
         factors: list[tuple[str, Terms, _Fiber | None]] = []
         reads: list[tuple[str, str]] = []
         sparse_at: dict[str, bool] = {}
-        for ref, abstract in ((node.lhs, contraction.lhs), (node.rhs, contraction.rhs)):
+        for ref, declared in zip((node.lhs, node.rhs), self.declared[node.cid]):
             for index in ref.indices:
                 self._var(ref, index, scope)
                 sparse_at.setdefault(index, False)
             name = ref.tensor
-            if name in binding.csf:
+            if name in self.csf:
                 positions = [order.index(index) for index in ref.indices]
                 if positions != sorted(positions):
                     raise ModeOrderMismatchError(
                         f"reference {ref}: CSF layout incompatible with loop order {order}"
                     )
-                csf = binding.csf[name]
-                fiber = _Fiber(self.fibers, [False] * csf.order)
+                fiber = _Fiber(self.fibers, [False] * self.csf[name])
                 self.fibers += 1
                 for level, index in enumerate(ref.indices):
-                    self._param(f"c{fiber.n}_{level}", csf.coords[level])
-                    self._param(f"s{fiber.n}_{level}", csf.segs[level])
+                    self.params[f"c{fiber.n}_{level}"] = ("coords", name, level)
+                    self.params[f"s{fiber.n}_{level}"] = ("segs", name, level)
                     scope[index].drivers.append((fiber, level))
                     sparse_at[index] = True
-                values = self._param(f"v{fiber.n}", csf.values)
-                deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{csf.order - 1}")
+                values = f"v{fiber.n}"
+                self.params[values] = ("values", name, None)
+                deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{self.csf[name] - 1}")
                 factors.append((values, [deepest], fiber))
-            elif name in binding.dense:
+            elif name in self.dense_shapes:
                 if name not in self.dense:
-                    array = binding.dense[name]
-                    var = self._param(f"d{len(self.dense)}", array.ravel().tolist())
-                    self.dense[name] = (var, self._strides(var, array.shape))
+                    var = f"d{len(self.dense)}"
+                    self.params[var] = ("dense", name, None)
+                    self.dense[name] = (var, self._strides(var, self.dense_shapes[name]))
                 var, strides = self.dense[name]
-                factors.append((var, self._offset(ref, abstract.indices, strides, scope), None))
+                factors.append((var, self._offset(ref, declared, strides, scope), None))
             else:
                 var, offset = self._cell(ref, scope)
                 factors.append((var, offset, None))
@@ -416,13 +458,16 @@ class _Kernel:
         each offset adds up its terms slot by slot, so no loop recomputes
         what it leaves unchanged. A zero factor thus skips the loops inside
         its slot, which run nothing else: a ``where`` sibling is never skipped.
+        A slot sums its partial offsets after its zero tests, so a zero
+        factor skips those multiplications too.
         """
         own: list[_Loop] = []
         while isinstance(node, _Loop):
             own.append(node)
             node = node.body
         slot_of = {loop.var: k for k, loop in enumerate(own, 1)}
-        at: list[list[str]] = [[] for _ in range(len(own) + 1)]
+        at: list[list[str]] = [[] for _ in range(len(own) + 1)]  # guards, loads, tests
+        sums: list[list[str]] = [[] for _ in range(len(own) + 1)]  # partial offsets
 
         def offset(name: str, terms: Terms, use: int | None = None) -> tuple[int, str]:
             """Sum the terms bound before slot ``use`` into locals of their
@@ -440,7 +485,7 @@ class _Kernel:
                 if slot == use:
                     return use, expr
                 if not expr.isidentifier():
-                    at[slot].append(f"{name}{slot} = {expr}")
+                    sums[slot].append(f"{name}{slot} = {expr}")
                     expr = f"{name}{slot}"
                 partial = [expr]
             return use, partial[0] if partial else "0"
@@ -452,6 +497,8 @@ class _Kernel:
                 at[use].append(f"if {index} >= 0:")
             at[use] += (f"{role} = {array}[{index}]", f"if {role}:")
         _, cell = offset(f"o{n}k", node.cell, len(own))
+        for lines, partial in zip(at, sums):
+            lines += partial
         var = node.target
         if var in self.touched:
             at[-1].append(f"if not f{var}[{cell}]: f{var}[{cell}] = True; t{var}.append({cell})")
@@ -524,26 +571,81 @@ class _Kernel:
         return depth + 1
 
 
+@dataclass(frozen=True)
+class _Compiled:
+    """A compiled kernel with its recipe: for each parameter in order, a
+    constant or where a call's binding holds it. It holds no binding data."""
+
+    run: Callable
+    recipe: tuple[tuple, ...]
+    shape: tuple[int, ...]  # of the root
+    results: tuple[str, ...]  # of each statement, in counter order
+    max_cells: int  # of the largest workspace
+
+    def gather(self, binding: Binding, newacc) -> list:
+        """The kernel's arguments, following the recipe through ``binding``."""
+        csf, dense = binding.csf, binding.dense
+        args = []
+        for source, key, level in self.recipe:
+            if source is None:
+                args.append(key)
+            elif source == "coords":
+                args.append(csf[key].coords[level])
+            elif source == "segs":
+                args.append(csf[key].segs[level])
+            elif source == "values":
+                args.append(csf[key].values)
+            elif source == "dense":
+                args.append(dense[key].ravel().tolist())
+            else:
+                args.append(newacc)
+        return args
+
+
+@functools.lru_cache(maxsize=1024)  # room for a thousand small kernels, a few kB each
+def _kernel(*signature) -> _Compiled:
+    """The kernel of one signature, planned and compiled on its first call.
+
+    Exceptions are not cached, so a malformed schedule raises on every call.
+    """
+    kernel = _Kernel(*signature)
+    namespace: dict = {}
+    exec(compile(kernel.source(), "<fusetree kernel>", "exec"), namespace)
+    return _Compiled(
+        namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
+        tuple(kernel.params.values()),
+        kernel.shape,
+        tuple(name for name, _ in kernel.stmts),
+        max(kernel.cells, default=0),
+    )
+
+
 def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     """Run the loop IR as a generated kernel and assemble the canonical result.
 
-    The kernel's source depends only on the IR's structure and operand kinds;
-    its code object is compiled once and cached by that text, and each call
-    runs it in fresh globals.
+    The kernel is planned and compiled on the first call of its signature
+    (see ``_signature``): the IR; each input's kind, with its CSF order or
+    dense shape; the declared indices of every operand; and the tree's
+    extents, root and intermediates. Later calls of the signature only gather
+    the parameters from ``binding`` and run it, so a one-shot run gains
+    nothing. The root accumulator, a flat list or a dict, is chosen per call.
     Workspaces, the root accumulator and counters are locals of the call, so
     independent calls may run concurrently over the same (immutable) binding.
     """
-    kernel = _Kernel(ir, binding)
-    namespace: dict = {}
-    exec(_compiled(kernel.source()), namespace)
-    run = namespace.pop("kernel")  # no function <-> globals cycle left for the collector
-    acc, counts = run(*kernel.params.values())
-    stats = ExecStats(sum(counts), max(kernel.cells, default=0))
-    for (name, _), count in zip(kernel.stmts, counts):
+    kernel = _kernel(*_signature(ir, binding))
+    shape = kernel.shape
+    cells = math.prod(shape)
+    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
+    dense_root = cells <= ROOT_DENSE_CELLS or not shape
+    if not dense_root and cells > sys.maxsize:
+        raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
+    newacc = (lambda: [0.0] * cells) if dense_root else (lambda: defaultdict(float))
+    acc, counts = kernel.run(*kernel.gather(binding, newacc))
+    stats = ExecStats(sum(counts), kernel.max_cells)
+    for name, count in zip(kernel.results, counts):
         if count:
             stats.per_assignment[name] = stats.per_assignment.get(name, 0) + count
-    shape = kernel.shape
-    if kernel.dense_root:
+    if dense_root:
         return SparseTensor.from_dense(np.array(acc).reshape(shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
     offsets = sorted(key for key, value in acc.items() if value != 0.0)

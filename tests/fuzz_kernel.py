@@ -1,26 +1,33 @@
-"""Seeded kernel fuzz: random trees, six binding kinds, every satisfiable bound.
+"""Seeded kernel fuzz: random trees, eight binding kinds, every satisfiable bound.
 
 Run from the root of a checkout (pytest does not collect this file):
 
     PYTHONPATH=src python3 tests/fuzz_kernel.py --seed 1 --trees 300
 
 Trees come from ``conftest.random_tree`` (1-3 contractions, extents 2-4).
-Each tree's inputs are drawn in six binding kinds:
+Each tree's inputs are drawn in eight binding kinds:
 
 - ``sparse``: every input sparse at density 0.3;
 - ``mixed``: every second input dense, the others sparse;
+- ``ones``: as ``mixed``, with a random half of the extents set to 1;
 - ``dense``: every input full and bound dense;
 - ``zero``: as ``sparse``, with the first input empty;
 - ``single``: every input holds one non-zero;
 - ``holes``: every input bound dense, with a slice of its first mode and a
-  few more cells exactly zero, so that hoisted zero tests skip inner loops.
+  few more cells exactly zero, so that hoisted zero tests skip inner loops;
+- ``scalar``: as ``sparse``, on the tree whose root result is multiplied by
+  an order-0 input in one more contraction.
 
-Every bound from 1 to the largest intermediate order is solved. Each
-satisfiable bound's schedule must pass ``verify_solution``, and its kernel's
-result must match ``oracle_nary`` and ``oracle_unfused`` and its multiply-adds
-per result must equal ``conftest.nonzero_products``. One line is printed per
-tree: its number, its size, the bounds it ran and the multiply-adds per kind.
-The last line counts the runs. The exit status is 1 on any mismatch or
+Every bound from 1 to the largest intermediate order is solved; ``ones``
+reuses the schedules of the unchanged tree. Each satisfiable bound's schedule
+must pass ``verify_solution``, and its kernel's result must match
+``oracle_nary`` and ``oracle_unfused`` and its multiply-adds per result must
+equal ``conftest.nonzero_products``. Each run goes first through the kernel
+cache as the previous kind left it, which holds the kernel of the same IR
+bound otherwise (``ones`` differs from ``mixed`` only in its extents), and
+must give what it gives again after ``cache_clear()``. One line is printed
+per tree: its number, its size, the bounds it ran and the multiply-adds per
+kind. The last line counts the runs. The exit status is 1 on any mismatch or
 violation, each of which is described on standard error. ``--show N`` prints
 the network of tree N instead.
 """
@@ -35,7 +42,10 @@ import numpy as np
 
 from conftest import nonzero_products, random_tree
 from fusetree import (
+    Contraction,
+    TensorRef,
     bind,
+    build_tree,
     compare,
     coo_from_entries,
     execute,
@@ -47,8 +57,21 @@ from fusetree import (
     synthetic_tensor,
     verify_solution,
 )
+from fusetree.executor import _kernel
 
-KINDS = ("sparse", "mixed", "dense", "zero", "single", "holes")
+KINDS = ("sparse", "mixed", "ones", "dense", "zero", "single", "holes", "scalar")
+
+
+def kind_tree(tree, kind: str, rng: np.random.Generator):
+    """The tree one binding kind runs."""
+    if kind == "ones":
+        extents = {index: 1 if rng.random() < 0.5 else e for index, e in sorted(tree.extents.items())}
+        return build_tree(tree.contractions, extents)
+    if kind == "scalar":
+        root = tree.root.result
+        scaled = Contraction(tree.m, TensorRef("Q", root.indices), root, TensorRef("Z", ()))
+        return build_tree(tree.contractions + (scaled,), tree.extents)
+    return tree
 
 
 def draw_inputs(tree, kind: str, rng: np.random.Generator):
@@ -58,7 +81,7 @@ def draw_inputs(tree, kind: str, rng: np.random.Generator):
         shape = tree.ref_shape(tree.abstract_ref(name))
         if kind == "single":
             t = synthetic_tensor(shape, 1e-9, rng)
-        elif kind in ("dense", "holes") or (kind == "mixed" and k % 2):
+        elif kind in ("dense", "holes") or (kind in ("mixed", "ones") and k % 2):
             t = synthetic_tensor(shape, 1.0, rng)
             dense.append(name)
         else:
@@ -78,7 +101,11 @@ def draw_inputs(tree, kind: str, rng: np.random.Generator):
 def check(tree, tensors, dense, bound: int, sol) -> tuple[int, list[str]]:
     """Multiply-adds of one run, and what it got wrong."""
     problems = [f"verify: {v}" for v in verify_solution(tree, bound, sol)]
-    result, stats = execute(lower(tree, sol), bind(tree, sol, tensors, dense))
+    ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
+    result, stats = execute(ir, binding)
+    _kernel.cache_clear()
+    if execute(ir, binding) != (result, stats):
+        problems.append("the cached kernel's run differs from a fresh kernel's")
     for name, reference in (("n-ary", oracle_nary(tree, tensors)), ("unfused", oracle_unfused(tree, tensors)[0])):
         report = compare(result, reference, rel_tol=1e-10)
         if not report.passed:
@@ -87,6 +114,14 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int, list[str]]:
     if stats.per_assignment != expected:
         problems.append(f"multiply-adds {stats.per_assignment}, expected {expected}")
     return stats.multiply_adds, problems
+
+
+def satisfiable(tree) -> list:
+    """(bound, schedule) for each satisfiable bound up to the largest
+    intermediate order."""
+    l_max = max((len(tree.abstract_ref(name).indices) for name in tree.intermediate_names), default=1)
+    schedules = [(bound, solve(tree, bound)) for bound in range(1, max(l_max, 1) + 1)]
+    return [(bound, sol) for bound, sol in schedules if sol is not None]
 
 
 def main(argv=None) -> int:
@@ -104,15 +139,15 @@ def main(argv=None) -> int:
                 print(format_network(tree), end="")
                 return 0
             continue
-        l_max = max((len(tree.abstract_ref(name).indices) for name in tree.intermediate_names), default=1)
-        schedules = [(bound, solve(tree, bound)) for bound in range(1, max(l_max, 1) + 1)]
-        schedules = [(bound, sol) for bound, sol in schedules if sol is not None]
+        schedules = satisfiable(tree)
         madds = []
         for k, kind in enumerate(KINDS):
-            tensors, dense = draw_inputs(tree, kind, np.random.default_rng([args.seed, n, k]))
+            nprng = np.random.default_rng([args.seed, n, k])
+            run_tree = kind_tree(tree, kind, nprng)
+            tensors, dense = draw_inputs(run_tree, kind, nprng)
             counts = set()
-            for bound, sol in schedules:
-                count, problems = check(tree, tensors, dense, bound, sol)
+            for bound, sol in satisfiable(run_tree) if kind == "scalar" else schedules:
+                count, problems = check(run_tree, tensors, dense, bound, sol)
                 runs += 1
                 counts.add(count)
                 bad += bool(problems)

@@ -140,6 +140,25 @@ class TestRun:
         result = read_tns(out.open())
         assert result.entries == (((0, 1), 10.0), ((1, 0), 21.0))
 
+    @pytest.mark.parametrize("dense", (False, True))
+    @pytest.mark.parametrize("n", (20, 21))
+    def test_kernel_nesting_limit(self, n, dense, tmp_path, capsys):
+        # one loop per index: Python compiles at most 20 nested for loops
+        indices = [f"a{k}" for k in range(n)]
+        net = tmp_path / "deep.net"
+        net.write_text("".join(f"extent {i} 1\n" for i in indices)
+                       + f"R[a0] = A[{','.join(indices)}] * B[a{n - 1}]\n")
+        argv = ["run", "--network", str(net), "--check",
+                "--synthetic", f"A={'x'.join(['1'] * n)}:1:1", "--synthetic", "B=1:1:2"]
+        code = main(argv + (["--dense", "A"] if dense else []))
+        captured = capsys.readouterr()
+        if n == 20:
+            assert code == 0
+            assert "check against n-ary oracle: pass: 1 coordinates" in captured.out
+        else:
+            assert code == 1
+            assert captured.err == "error: a kernel nests more than 20 loops, which Python cannot compile\n"
+
     def test_missing_tensor(self, tmp_path):
         net = tmp_path / "mm.net"
         net.write_text(MATMUL_NETWORK)

@@ -3,7 +3,8 @@
 A tracer times each bound of the search by replacing
 ``fusetree.constraints.solve`` and each CSF build by replacing
 ``fusetree.executor.csf_build``. A direct reference would bypass the wrapper,
-and the per-layer figures built on it would silently read 0.
+and the per-layer figures built on it would silently read 0. The same hooks
+show that ``execute`` plans and compiles a repeated network's kernel once.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import pytest
 
 import fusetree.constraints as constraints
 import fusetree.executor as executor
-from fusetree import bench_generate, bind, search_min_order
+from fusetree import bench_generate, bind, execute, lower, parse_network, search_min_order
 from fusetree.errors import UnsatisfiableError
 
 
@@ -56,3 +57,30 @@ def test_bind_calls_csf_build_once_per_csf_input(monkeypatch):
     sparse = [n for n in inst.tree.input_names if n not in inst.dense_names]
     assert sparse and sorted(binding.csf) == sorted(sparse)
     assert calls == [sol.mode_perm(n) for n in sparse]
+
+
+def test_execute_plans_and_compiles_once_per_signature(monkeypatch):
+    planned, compiled = [], []
+    real = executor._Kernel
+
+    def planning(*signature):
+        planned.append(signature[0])
+        return real(*signature)
+
+    def compiling(source, filename, mode):
+        compiled.append(source)
+        return compile(source, filename, mode)
+
+    monkeypatch.setattr(executor, "_Kernel", planning)
+    monkeypatch.setattr(executor, "compile", compiling, raising=False)
+    executor._kernel.cache_clear()
+    inst = bench_generate("running_example", extents=4, density=0.4, seed=1)
+    outcomes = []
+    for _ in range(3):
+        # a fresh tree, schedule, IR and binding, as each run of a network gets
+        tree = parse_network(inst.network_text)
+        _, sol = search_min_order(tree)
+        outcomes.append(execute(lower(tree, sol), bind(tree, sol, inst.tensors)))
+    assert len(planned) == 1 and len(compiled) == 1
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    assert executor._kernel.cache_info().hits == 2

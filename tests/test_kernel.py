@@ -4,15 +4,19 @@ The expected multiply-add counts were produced by the recursive scalar
 interpreter this kernel replaced, so they pin its counting semantics exactly.
 Further tests pin the shape of the generated source (intersection, union,
 touched workspace cells, hoisted loads) and the corner cases of each, the
-dict accumulator of large roots, and zeros that annihilate inf and NaN.
+dict accumulator of large roots, zeros that annihilate inf and NaN, and the
+kernel cache: what its signature must tell apart, and that it pins no input.
 """
 
 from __future__ import annotations
 
+import gc
 import random
 import re
 import sys
 import threading
+import weakref
+from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -33,8 +37,10 @@ from fusetree import (
     solve,
     verify_solution,
 )
-from fusetree.bench import bench_generate, synthetic_tensor
-from fusetree.executor import _Kernel
+from fusetree.bench import KINDS, bench_generate, synthetic_tensor
+from fusetree.errors import MalformedScheduleError, TooLargeError
+from fusetree.executor import _Kernel, _kernel, _signature
+from fusetree.lowering import Forall
 from fusetree.network import Contraction
 from fusetree.tensor import SparseTensor
 from conftest import nonzero_products, random_tree
@@ -276,6 +282,13 @@ def test_consumer_first_listing_schedules_and_runs(seed, mode):
     assert compare(result, oracle_unfused(relisted, tensors)[0], rel_tol=1e-10).passed
 
 
+def test_kernel_fuzz_runs_clean(capsys):
+    import fuzz_kernel
+
+    assert fuzz_kernel.main(["--seed", "1", "--trees", "30"]) == 0
+    assert capsys.readouterr().out.endswith("trees 30: runs 405, failed 0\n")
+
+
 def test_network_names_are_never_spliced_into_source():
     text = (
         "extent i' 3\nextent for 2\nextent in 4\nextent acc 2\n"
@@ -350,9 +363,12 @@ def _plan(text, tensors, dense=()):
     return tree, lower(tree, sol), bind(tree, sol, tensors, dense)
 
 
+def _kernel_source(ir, binding) -> str:
+    return _Kernel(*_signature(ir, binding)).source()
+
+
 def _source(text, tensors, dense=()):
-    _, ir, binding = _plan(text, tensors, dense)
-    return _Kernel(ir, binding).source()
+    return _kernel_source(*_plan(text, tensors, dense)[1:])
 
 
 def _check(tree, sol, tensors, dense=()):
@@ -511,6 +527,22 @@ def test_consumer_factor_stays_below_its_where():
     assert _line(lines, r"w0\[:\] = zw0") < _line(lines, r"w0\[x\d+\] \+= f \* g") < load
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_partial_offsets_follow_the_zero_tests(kind):
+    # a slot sums its partial offsets only once its factors passed their zero
+    # tests; the consumer of running_example loads R's g in the loop where
+    # its f's offset gains a term
+    inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
+    lines = _source(inst.network_text, inst.tensors, inst.dense_names).splitlines()
+    for k, line in enumerate(lines):
+        if re.match(r"\s*o\d+[fgk]\d+ = ", line):
+            assert not re.match(r"\s*(if )?[fg]\b", lines[k + 1]), lines[k : k + 2]
+    if kind == "running_example":
+        test = _line(lines, r"^\s*g = v3\[")
+        assert lines[test + 1].strip() == "if g:"
+        assert re.fullmatch(r"\s*o2f1 = x\d+ \* w1s0", lines[test + 2])
+
+
 @pytest.mark.parametrize("kind", ("mttkrp1", "mttkrp2", "mttkrp3", "ttmc1", "ttmc2", "ttmc3"))
 def test_zero_rows_in_dense_factors(kind):
     inst = bench_generate(kind, extents=(5, 6, 7), rank=3, density=0.3, seed=4)
@@ -544,7 +576,7 @@ def test_hoisted_csf_load_keeps_its_guard():
     a = _tensor((4, 3), {(0, 1): 2.0, (1, 0): -1.0, (1, 2): 3.0, (2, 2): 5.0})
     tensors = {"A": a, "B": synthetic_tensor((3, 3), 0.6, np.random.default_rng(5)),
                "C": _tensor((4,), {(1,): 2.0, (3,): -3.0})}
-    lines = _Kernel(lower(tree, sol), bind(tree, sol, tensors)).source().splitlines()
+    lines = _kernel_source(lower(tree, sol), bind(tree, sol, tensors)).splitlines()
     load = _line(lines, r"^\s*g = v2\[p2_0\]")
     assert lines[load - 1].strip() == "if p2_0 >= 0:"
     assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 3])
@@ -560,13 +592,124 @@ def test_dict_root_matches_the_dense_root(monkeypatch):
         for mode in MODES
         for kind, _, result, stats, _, _ in _run_case(seed, mode)
     }
+    # the kernels cached by the first round must take the dict accumulator:
+    # the root is chosen per call, never when the kernel is built
+    made = []
+
+    def recording(factory):
+        made.append(defaultdict(factory))
+        return made[-1]
+
     monkeypatch.setattr(executor, "ROOT_DENSE_CELLS", 0)
+    monkeypatch.setattr(executor, "defaultdict", recording)
+    runs = 0
     for seed in SEEDS:
         for mode in MODES:
             for kind, tree, result, stats, _, _ in _run_case(seed, mode):
                 assert (result, stats) == dense[seed, mode, kind], (seed, mode, kind)
-    _, ir, binding = _plan(MATMUL, _matmul_inputs({(1, 0): 5.0}))
-    assert _Kernel(ir, binding).params["newacc"]() == {}
+                runs += bool(tree.root.result.indices)  # an order-0 root takes the list
+    assert runs > 0 and len(made) == runs
+
+
+# ---------------------------------------------------------------------------
+# the kernel cache: one planned, compiled kernel per signature
+
+
+def _cold(ir, binding):
+    """``execute`` with an empty kernel cache."""
+    _kernel.cache_clear()
+    return execute(ir, binding)
+
+
+def _warm_matches_cold(runs):
+    """Each (ir, binding) run, in turn, in one cache, gives what it gives
+    with a cache of its own."""
+    cold = [_cold(ir, binding) for ir, binding in runs]
+    _kernel.cache_clear()
+    assert [execute(ir, binding) for ir, binding in runs] == cold
+
+
+@pytest.mark.parametrize("sizes", ((3, 4), (4, 3)))
+def test_cache_keys_on_extents(sizes):
+    runs = []
+    for n in sizes:
+        inst = bench_generate("running_example", extents=n, density=0.4, seed=n)
+        _, sol = search_min_order(inst.tree)
+        runs.append((lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors)))
+        assert compare(_cold(*runs[-1])[0], oracle_nary(inst.tree, inst.tensors)).passed
+    assert runs[0][0] == runs[1][0]  # one IR
+    _warm_matches_cold(runs)
+
+
+def test_cache_keys_on_operand_kinds():
+    # every input CSF, then B and C dense, then every input CSF again
+    inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+    _, sol = search_min_order(inst.tree)
+    ir = lower(inst.tree, sol)
+    _warm_matches_cold([(ir, bind(inst.tree, sol, inst.tensors, dense)) for dense in ((), ("B", "C"), ())])
+
+
+def test_cache_keys_on_declared_dense_indices():
+    # S is declared S[k,j] in one network and S[j,k] in the other; stored
+    # (k, j) in both, the two lower to one IR, and j and k share an extent
+    runs = []
+    for declared, perm in (("k,j", {0: 0, 1: 1}), ("j,k", {0: 1, 1: 0})):
+        tree = parse_network(f"extent i 3\nextent j 3\nextent k 3\nR[i,j] = T[i,k] * S[{declared}]\n")
+        dp = {"T": {0: 0, 1: 1}, "S": perm, "R": {0: 0, 1: 1}}
+        sol = ScheduleSolution(1, {0: 0}, {0: {"i": 0, "k": 1, "j": 2}}, dp)
+        assert verify_solution(tree, 1, sol) == []
+        nprng = np.random.default_rng(len(runs))
+        tensors = {"T": synthetic_tensor((3, 3), 0.6, nprng), "S": synthetic_tensor((3, 3), 1.0, nprng)}
+        runs.append((lower(tree, sol), bind(tree, sol, tensors, ("S",))))
+        assert compare(_cold(*runs[-1])[0], oracle_nary(tree, tensors)).passed
+    assert runs[0][0] == runs[1][0]
+    _warm_matches_cold(runs)
+
+
+def _nested(n: int):
+    """An IR of ``n`` nested loops, and a schedule binding one loop twice."""
+    indices = [f"a{k}" for k in range(n)]
+    text = "".join(f"extent {i} 1\n" for i in indices) + f"R[a0] = A[{','.join(indices)}] * B[a{n - 1}]\n"
+    tree = parse_network(text)
+    _, sol = search_min_order(tree)
+    tensors = {name: synthetic_tensor(tree.ref_shape(tree.abstract_ref(name)), 1.0, np.random.default_rng(0))
+               for name in tree.input_names}
+    ir = lower(tree, sol)
+    return ir, Forall(ir.index, ir), bind(tree, sol, tensors)
+
+
+def test_typed_errors_raise_on_every_call():
+    deep, _, deep_binding = _nested(21)
+    _, twice, binding = _nested(2)
+    _kernel.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TooLargeError, match="more than 20 loops"):
+            execute(deep, deep_binding)
+        with pytest.raises(MalformedScheduleError, match="bound twice"):
+            execute(twice, binding)
+    assert _kernel.cache_info().currsize == 0
+
+
+def test_cached_kernels_pin_no_binding():
+    inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+    _, sol = search_min_order(inst.tree)
+    ir = lower(inst.tree, sol)
+    binding = bind(inst.tree, sol, inst.tensors, ("B",))
+    assert binding.csf and binding.dense
+    refs = [weakref.ref(binding)]
+    refs += [weakref.ref(t) for t in (*binding.csf.values(), *binding.dense.values())]
+    # the CSF tuples and the flat lists a call hands its kernel
+    tuples = [x for t in binding.csf.values() for x in (*t.coords, *t.segs, t.values) if x]
+    held = [sys.getrefcount(x) for x in tuples]
+    flat = [array.ravel().tolist() for array in binding.dense.values()]
+    _kernel.cache_clear()
+    execute(ir, binding)
+    assert _kernel.cache_info().currsize == 1
+    assert [sys.getrefcount(x) for x in tuples] == held
+    del binding
+    gc.collect()
+    assert [ref() for ref in refs] == [None] * len(refs)
+    assert not [x for x in gc.get_objects() if type(x) is list and any(x is not f and x == f for f in flat)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +726,7 @@ def _annihilate(a_values, b_entries):
     a = SparseTensor((2,), tuple(((i,), v) for i, v in enumerate(a_values) if v != 0.0))
     b = SparseTensor((2, 3), tuple(sorted(b_entries.items())))
     tensors = {"A": a, "B": b}
-    lines = _Kernel(lower(tree, sol), bind(tree, sol, tensors, ("A",))).source().splitlines()
+    lines = _kernel_source(lower(tree, sol), bind(tree, sol, tensors, ("A",))).splitlines()
     assert _line(lines, r"^\s*f = d0\[") < _line(lines, r"for p0_1 in")
     return execute(lower(tree, sol), bind(tree, sol, tensors, ("A",))), oracle_nary(tree, tensors)
 
