@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownKindError
+from .errors import InvalidDensityError, UnknownKindError
 from .network import ContractionTree, parse_network
 from .tensor import SparseTensor, coo_from_entries
 
@@ -56,8 +56,12 @@ def synthetic_tensor(
 ) -> SparseTensor:
     """Uniform-random coordinates without replacement, values in [-1, 1].
 
-    ``values01`` makes every stored value exactly 1.0 (0/1 mask tensors).
+    ``values01`` makes every stored value exactly 1.0 (0/1 mask tensors). A
+    density that is not a finite number in [0, 1] raises
+    :class:`InvalidDensityError`.
     """
+    if not 0.0 <= density <= 1.0:
+        raise InvalidDensityError(f"density must be a number in [0, 1], got {density}")
     shape = tuple(int(n) for n in shape)
     total = int(np.prod(shape)) if shape else 1
     nnz = int(round(density * total))

@@ -428,10 +428,12 @@ def search_min_order(
 
     Starts at 1 and increments; a bound equal to the largest intermediate
     order always admits the unfused schedule, so the default ``l_max`` is
-    exactly that.
+    exactly that. An ``l_max`` below 1 raises :class:`InvalidBoundError`.
     """
     if l_max is None:
         l_max = max((e.order for e in tree.edges), default=1)
+    if l_max < 1:
+        raise InvalidBoundError(f"bound must be >= 1, got {l_max}")
     for bound in range(1, l_max + 1):
         sol = solve(tree, bound, time_budget)
         if sol is not None:

@@ -80,6 +80,14 @@ class InvalidBoundError(FusetreeError, ValueError):
     """A workspace order bound below 1 was requested."""
 
 
+class InvalidToleranceError(FusetreeError, ValueError):
+    """A comparison tolerance is negative, infinite or NaN."""
+
+
+class InvalidDensityError(FusetreeError, ValueError):
+    """A synthetic tensor's density is not a finite number in [0, 1]."""
+
+
 class MalformedSolutionError(FusetreeError):
     """A solution document does not have the shape that ``to_json_dict`` writes."""
 

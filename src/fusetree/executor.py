@@ -32,17 +32,21 @@ root accumulates into a flat list of its row-major cells, which
 ``SparseTensor.from_dense`` turns into the result; a root of more than
 ``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
 
-The source numbers every identifier and passes all data as parameters. A
-kernel is planned and compiled once per signature: the IR; each input's kind,
-with its CSF order or its dense shape; the declared indices of every operand;
-and the tree's extents, root reference and intermediate names. The cache entry
-keeps the compiled function, its constants and a recipe naming where each
-data parameter lies in a binding, and no tensor data. Each call gathers its
-parameters by the recipe, picks the root accumulator and runs the kernel, so
-only the first run of a signature, such as a one-shot ``fusetree run``, pays
-for planning and compilation. A schedule that fails its checks raises on every
-call, and a kernel nesting more than ``MAX_NESTED_LOOPS`` loops, which Python
-cannot compile, raises ``TooLargeError``.
+The source numbers every identifier, so no network name reaches it, and
+writes every stride, loop extent and workspace size as a literal. A kernel's
+parameters are the root accumulator and its operands: each CSF operand whole,
+unpacked into its levels' coordinates and segments and its values at the top
+of the kernel, and each dense operand as its flat list. A kernel is planned
+and compiled once per signature: the IR; each input's kind, with its CSF
+order or its dense shape; the declared indices of every operand; and the
+tree's extents, root reference and intermediate names. The cache entry keeps
+the compiled function and its operands' names in parameter order, and no
+tensor data. Each call picks the root accumulator and runs the kernel on it
+and the binding's operands, so only the first run of a signature, such as a
+one-shot ``fusetree run``, pays for planning and compilation. A schedule that
+fails its checks raises on every call, and a kernel nesting more than
+``MAX_NESTED_LOOPS`` loops, which Python cannot compile, raises
+``TooLargeError``.
 
 Two dense oracles provide independent ground truth for the kernels. The n-ary
 oracle contracts the flat product of every leaf; above a small index space it
@@ -68,12 +72,14 @@ import numpy as np
 from .constraints import ScheduleSolution
 from .errors import (
     ExtentMismatchError,
+    InvalidToleranceError,
     MalformedScheduleError,
     ModeOrderMismatchError,
     NonCanonicalTensorError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
+    UnknownTensorError,
 )
 from .lowering import Assign, Forall, IrNode, Where
 from .network import ContractionTree, TensorRef
@@ -132,7 +138,13 @@ def bind(
     tensors: Mapping[str, SparseTensor],
     dense_names: Sequence[str] = (),
 ) -> Binding:
-    """Validate shapes against declared extents and build per-layout CSF trees."""
+    """Validate shapes against declared extents and build per-layout CSF trees.
+
+    Every name in ``dense_names`` must be an input of ``tree``.
+    """
+    unknown = sorted(set(dense_names) - set(tree.input_names))
+    if unknown:
+        raise UnknownTensorError(f"no input {', '.join(map(repr, unknown))} to bind dense")
     csf: dict[str, CsfTensor] = {}
     dense: dict[str, np.ndarray] = {}
     for name in tree.input_names:
@@ -177,7 +189,7 @@ class _Loop:
     full: bool = False  # some statement reaches the index only through dense operands
     single: bool = False  # one statement sits under the loop
     step: bool = False  # steps through one fiber's positions, bisecting any others
-    extent: str | None = None  # parameter of a full-range loop
+    extent: int | None = None  # of a full-range loop
     touched: str | None = None  # workspace whose written cells replace the full range
     body: object = None
 
@@ -210,7 +222,7 @@ class _Stmt:
 
 
 def _signature(ir: IrNode, binding: Binding) -> tuple:
-    """Everything a kernel's source and constants depend on.
+    """Everything a kernel's source depends on.
 
     That is the IR; each input's kind, with its CSF order or its dense
     shape; the declared indices of every operand, by which a dense input is
@@ -237,13 +249,13 @@ class _Kernel:
 
     Planning walks the IR once, raising on a malformed schedule and numbering
     every identifier the kernel uses, so that no network name reaches the
-    source; the data travel as parameters. Each parameter is either a constant
-    (a stride, an extent, a workspace size) or a recipe step naming where a
-    call's binding holds it: a level of a CSF operand's coordinates or
-    segments, its values, or a dense operand's flat list. Rendering then
-    decides per loop whether it steps through one fiber's positions, an
-    intersection, a sorted coordinate union, a workspace's written cells or
-    the full range, which needs the whole loop body planned first.
+    source. Strides, extents and workspace sizes become literals, which the
+    signature keys; the operands, ``t<k>`` for a CSF tensor and ``d<k>`` for a
+    dense one, are the only parameters besides the root accumulator ``acc``.
+    Rendering then decides per loop whether it steps through one fiber's
+    positions, an intersection, a sorted coordinate union, a workspace's
+    written cells or the full range, which needs the whole loop body planned
+    first.
     """
 
     def __init__(
@@ -263,33 +275,17 @@ class _Kernel:
         self.root = root
         self.shape = tuple(_extent(self.extents, index) for index in root.indices)
         self.intermediates = set(intermediates)
-        # parameter name -> recipe step (source, key, level): the key is an
-        # operand's name, or for a constant, whose source is None, the value
-        self.params: dict[str, tuple] = {
-            "bl": (None, bisect.bisect_left, None),
-            "newacc": ("newacc", None, None),
-        }
-        self.dense: dict[str, tuple[str, list[str | None]]] = {}
-        self.workspaces: dict[str, tuple[str, tuple[str, ...], list[str | None]]] = {}
+        self.operands: dict[str, str] = {}  # CSF operand -> parameter
+        self.unpack: list[str] = []  # prologue lines binding each fiber's arrays
+        self.dense: dict[str, str] = {}  # dense operand -> parameter
+        # intermediate -> its local, layout and extents
+        self.workspaces: dict[str, tuple[str, tuple[str, ...], list[int]]] = {}
         self.cells: list[int] = []
         self.touched: set[str] = set()  # workspaces that record their written cells
         self.stmts: list[tuple[str, set[str]]] = []  # result and operand names
         self.loops = 0
         self.fibers = 0
         self.plan = self._plan(ir, {})
-
-    def _param(self, name: str, value: object) -> str:
-        """A constant parameter."""
-        self.params[name] = (None, value, None)
-        return name
-
-    def _strides(self, var: str, dims: Sequence[int]) -> list[str | None]:
-        """Row-major stride parameters; the innermost stride is 1 and omitted."""
-        strides: list[str | None] = []
-        for j in range(len(dims)):
-            inner = dims[j + 1 :]
-            strides.append(self._param(f"{var}s{j}", math.prod(inner)) if inner else None)
-        return strides
 
     def _var(self, ref: TensorRef, index: str, scope: Mapping[str, _Loop]) -> str:
         if index not in scope:
@@ -298,21 +294,23 @@ class _Kernel:
             )
         return scope[index].var
 
-    def _offset(self, ref, indices, strides, scope) -> Terms:
+    def _offset(self, ref, indices, dims, scope) -> Terms:
+        """The row-major offset of ``indices`` in an array of extents ``dims``."""
         terms = []
-        for index, stride in zip(indices, strides):
+        for j, index in enumerate(indices):
             var = self._var(ref, index, scope)
-            terms.append((var, var if stride is None else f"{var} * {stride}"))
+            stride = math.prod(dims[j + 1 :])
+            terms.append((var, var if stride == 1 else f"{var} * {stride}"))
         return terms
 
     def _cell(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> tuple[str, Terms]:
         """A workspace's local and the offset of the cell ``ref`` addresses."""
         if ref.tensor not in self.workspaces:
             raise UnboundTensorError(f"no binding or workspace for tensor '{ref.tensor}'")
-        var, layout, strides = self.workspaces[ref.tensor]
+        var, layout, dims = self.workspaces[ref.tensor]
         if ref.indices != layout:
             raise ModeOrderMismatchError(f"reference {ref} disagrees with workspace layout {layout}")
-        return var, self._offset(ref, layout, strides, scope)
+        return var, self._offset(ref, layout, dims, scope)
 
     def _plan(self, node: IrNode, scope: dict[str, _Loop]):
         if isinstance(node, Forall):
@@ -343,7 +341,7 @@ class _Kernel:
             if loop.touched:
                 self.touched.add(loop.touched)
             elif loop.full or not loop.drivers:
-                loop.extent = self._param(f"e{loop.var}", _extent(self.extents, node.index))
+                loop.extent = _extent(self.extents, node.index)
             return loop
         if isinstance(node, Where):
             start = len(self.stmts)
@@ -374,22 +372,21 @@ class _Kernel:
                     )
                 fiber = _Fiber(self.fibers, [False] * self.csf[name])
                 self.fibers += 1
+                operand = self.operands.setdefault(name, f"t{len(self.operands)}")
+                for array, field in (("c", "coords"), ("s", "segs")):
+                    levels = [f"{array}{fiber.n}_{level}" for level in range(self.csf[name])]
+                    self.unpack.append(f"[{', '.join(levels)}] = {operand}.{field}")
+                values = f"v{fiber.n}"
+                self.unpack.append(f"{values} = {operand}.values")
                 for level, index in enumerate(ref.indices):
-                    self.params[f"c{fiber.n}_{level}"] = ("coords", name, level)
-                    self.params[f"s{fiber.n}_{level}"] = ("segs", name, level)
                     scope[index].drivers.append((fiber, level))
                     sparse_at[index] = True
-                values = f"v{fiber.n}"
-                self.params[values] = ("values", name, None)
                 deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{self.csf[name] - 1}")
                 factors.append((values, [deepest], fiber))
             elif name in self.dense_shapes:
-                if name not in self.dense:
-                    var = f"d{len(self.dense)}"
-                    self.params[var] = ("dense", name, None)
-                    self.dense[name] = (var, self._strides(var, self.dense_shapes[name]))
-                var, strides = self.dense[name]
-                factors.append((var, self._offset(ref, declared, strides, scope), None))
+                var = self.dense.setdefault(name, f"d{len(self.dense)}")
+                offset = self._offset(ref, declared, self.dense_shapes[name], scope)
+                factors.append((var, offset, None))
             else:
                 var, offset = self._cell(ref, scope)
                 factors.append((var, offset, None))
@@ -405,27 +402,25 @@ class _Kernel:
         if name == self.root.tensor:
             # the accumulator is indexed by the row-major offset of the result
             target = "acc"
-            strides = self._strides("r", self.shape)
-            cell = self._offset(node.result, self.root.indices, strides, scope)
+            cell = self._offset(node.result, self.root.indices, self.shape, scope)
         else:
             if name in self.intermediates and name not in self.workspaces:
                 dims = [_extent(self.extents, index) for index in node.result.indices]
                 var = f"w{len(self.workspaces)}"
                 self.cells.append(math.prod(dims))
-                self._param(f"m{var}", self.cells[-1])
-                self.workspaces[name] = (var, node.result.indices, self._strides(var, dims))
+                self.workspaces[name] = (var, node.result.indices, dims)
             target, cell = self._cell(node.result, scope)
         self.stmts.append((name, {node.lhs.tensor, node.rhs.tensor}))
         return _Stmt(len(self.stmts) - 1, factors, target, cell, reads)
 
     def source(self) -> str:
-        out = [f"def kernel({', '.join(self.params)}):", "    acc = newacc()"]
-        for var, _, _ in self.workspaces.values():
-            out.append(f"    {var} = [0.0] * m{var}")
-            out.append(f"    z{var} = [0.0] * m{var}")
+        params = ["acc", *self.operands.values(), *self.dense.values()]
+        out = [f"def kernel({', '.join(params)}, bl=bl):"]
+        out += [f"    {line}" for line in self.unpack]
+        for (var, _, _), cells in zip(self.workspaces.values(), self.cells):
+            out += (f"    {var} = [0.0] * {cells}", f"    z{var} = [0.0] * {cells}")
             if var in self.touched:
-                out.append(f"    f{var} = [False] * m{var}")
-                out.append(f"    t{var} = []")
+                out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
         counters = [f"n{s}" for s in range(len(self.stmts))]
         out.append(f"    {' = '.join(counters)} = 0")
         self._render(self.plan, 1, out)
@@ -559,7 +554,7 @@ class _Kernel:
                 streams.append(f"*{coords}[l{p}:h{p}]")
             if loop.touched:
                 values = f"t{loop.touched}"
-            elif loop.extent:
+            elif loop.extent is not None:
                 values = f"range({loop.extent})"
             else:
                 values = f"sorted({{{', '.join(streams)}}})"
@@ -573,33 +568,15 @@ class _Kernel:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """A compiled kernel with its recipe: for each parameter in order, a
-    constant or where a call's binding holds it. It holds no binding data."""
+    """A compiled kernel and the names of its CSF and dense operands, in
+    parameter order after the root accumulator. It holds no binding data."""
 
     run: Callable
-    recipe: tuple[tuple, ...]
+    csf: tuple[str, ...]
+    dense: tuple[str, ...]
     shape: tuple[int, ...]  # of the root
     results: tuple[str, ...]  # of each statement, in counter order
     max_cells: int  # of the largest workspace
-
-    def gather(self, binding: Binding, newacc) -> list:
-        """The kernel's arguments, following the recipe through ``binding``."""
-        csf, dense = binding.csf, binding.dense
-        args = []
-        for source, key, level in self.recipe:
-            if source is None:
-                args.append(key)
-            elif source == "coords":
-                args.append(csf[key].coords[level])
-            elif source == "segs":
-                args.append(csf[key].segs[level])
-            elif source == "values":
-                args.append(csf[key].values)
-            elif source == "dense":
-                args.append(dense[key].ravel().tolist())
-            else:
-                args.append(newacc)
-        return args
 
 
 @functools.lru_cache(maxsize=1024)  # room for a thousand small kernels, a few kB each
@@ -609,11 +586,12 @@ def _kernel(*signature) -> _Compiled:
     Exceptions are not cached, so a malformed schedule raises on every call.
     """
     kernel = _Kernel(*signature)
-    namespace: dict = {}
+    namespace: dict = {"bl": bisect.bisect_left}
     exec(compile(kernel.source(), "<fusetree kernel>", "exec"), namespace)
     return _Compiled(
         namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
-        tuple(kernel.params.values()),
+        tuple(kernel.operands),
+        tuple(kernel.dense),
         kernel.shape,
         tuple(name for name, _ in kernel.stmts),
         max(kernel.cells, default=0),
@@ -626,9 +604,9 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     The kernel is planned and compiled on the first call of its signature
     (see ``_signature``): the IR; each input's kind, with its CSF order or
     dense shape; the declared indices of every operand; and the tree's
-    extents, root and intermediates. Later calls of the signature only gather
-    the parameters from ``binding`` and run it, so a one-shot run gains
-    nothing. The root accumulator, a flat list or a dict, is chosen per call.
+    extents, root and intermediates. Later calls of the signature only run it
+    on the operands of ``binding``, so a one-shot run gains nothing. The root
+    accumulator, a flat list or a dict, is chosen per call.
     Workspaces, the root accumulator and counters are locals of the call, so
     independent calls may run concurrently over the same (immutable) binding.
     """
@@ -639,12 +617,13 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     dense_root = cells <= ROOT_DENSE_CELLS or not shape
     if not dense_root and cells > sys.maxsize:
         raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
-    newacc = (lambda: [0.0] * cells) if dense_root else (lambda: defaultdict(float))
-    acc, counts = kernel.run(*kernel.gather(binding, newacc))
-    stats = ExecStats(sum(counts), kernel.max_cells)
-    for name, count in zip(kernel.results, counts):
-        if count:
-            stats.per_assignment[name] = stats.per_assignment.get(name, 0) + count
+    acc, counts = kernel.run(
+        [0.0] * cells if dense_root else defaultdict(float),
+        *(binding.csf[name] for name in kernel.csf),
+        *(binding.dense[name].ravel().tolist() for name in kernel.dense),
+    )
+    per_assignment = {name: count for name, count in zip(kernel.results, counts) if count}
+    stats = ExecStats(sum(counts), kernel.max_cells, per_assignment)
     if dense_root:
         return SparseTensor.from_dense(np.array(acc).reshape(shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
@@ -802,8 +781,11 @@ def compare(
     value on either side is NaN or infinite; the report carries the worst
     offender, a non-finite one first. Both entry lists are walked in one
     merge, so each side's coordinates must be unique and in lexicographic
-    order; :class:`NonCanonicalTensorError` is raised otherwise.
+    order; :class:`NonCanonicalTensorError` is raised otherwise. A tolerance
+    that is negative, infinite or NaN raises :class:`InvalidToleranceError`.
     """
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
+        raise InvalidToleranceError(f"tolerances must be finite and >= 0: rel {rel_tol}, abs {abs_tol}")
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
     ea, eb = a.entries, b.entries

@@ -25,11 +25,12 @@ must pass ``verify_solution``, and its kernel's result must match
 equal ``conftest.nonzero_products``. Each run goes first through the kernel
 cache as the previous kind left it, which holds the kernel of the same IR
 bound otherwise (``ones`` differs from ``mixed`` only in its extents), and
-must give what it gives again after ``cache_clear()``. One line is printed
+must give what it gives again after ``cache_clear()``. A run that raises
+counts as failed, and the fuzz goes on with the next. One line is printed
 per tree: its number, its size, the bounds it ran and the multiply-adds per
-kind. The last line counts the runs. The exit status is 1 on any mismatch or
-violation, each of which is described on standard error. ``--show N`` prints
-the network of tree N instead.
+kind. The last line counts the runs. The exit status is 1 on any mismatch,
+violation or exception, each of which is described on standard error.
+``--show N`` prints the network of tree N instead.
 """
 
 from __future__ import annotations
@@ -98,21 +99,25 @@ def draw_inputs(tree, kind: str, rng: np.random.Generator):
     return tensors, tuple(dense)
 
 
-def check(tree, tensors, dense, bound: int, sol) -> tuple[int, list[str]]:
-    """Multiply-adds of one run, and what it got wrong."""
-    problems = [f"verify: {v}" for v in verify_solution(tree, bound, sol)]
-    ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
-    result, stats = execute(ir, binding)
-    _kernel.cache_clear()
-    if execute(ir, binding) != (result, stats):
-        problems.append("the cached kernel's run differs from a fresh kernel's")
-    for name, reference in (("n-ary", oracle_nary(tree, tensors)), ("unfused", oracle_unfused(tree, tensors)[0])):
-        report = compare(result, reference, rel_tol=1e-10)
-        if not report.passed:
-            problems.append(f"{name} oracle: {report.message()}")
-    expected = nonzero_products(tree, tensors)
-    if stats.per_assignment != expected:
-        problems.append(f"multiply-adds {stats.per_assignment}, expected {expected}")
+def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]:
+    """Multiply-adds of one run, None if it raised, and what it got wrong."""
+    problems: list[str] = []
+    try:
+        problems += [f"verify: {v}" for v in verify_solution(tree, bound, sol)]
+        ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
+        result, stats = execute(ir, binding)
+        _kernel.cache_clear()
+        if execute(ir, binding) != (result, stats):
+            problems.append("the cached kernel's run differs from a fresh kernel's")
+        for name, reference in (("n-ary", oracle_nary(tree, tensors)), ("unfused", oracle_unfused(tree, tensors)[0])):
+            report = compare(result, reference, rel_tol=1e-10)
+            if not report.passed:
+                problems.append(f"{name} oracle: {report.message()}")
+        expected = nonzero_products(tree, tensors)
+        if stats.per_assignment != expected:
+            problems.append(f"multiply-adds {stats.per_assignment}, expected {expected}")
+    except Exception as exc:
+        return None, problems + [f"raised {type(exc).__name__}: {exc}"]
     return stats.multiply_adds, problems
 
 
@@ -149,7 +154,8 @@ def main(argv=None) -> int:
             for bound, sol in satisfiable(run_tree) if kind == "scalar" else schedules:
                 count, problems = check(run_tree, tensors, dense, bound, sol)
                 runs += 1
-                counts.add(count)
+                if count is not None:
+                    counts.add(count)
                 bad += bool(problems)
                 for problem in problems:
                     print(f"tree {n} {kind} bound {bound}: {problem}", file=sys.stderr)

@@ -7,7 +7,7 @@ import pytest
 
 from fusetree import classify_indices, parse_network
 from fusetree.bench import KINDS, bench_generate, synthetic_tensor
-from fusetree.errors import UnknownKindError
+from fusetree.errors import FusetreeError, InvalidDensityError, UnknownKindError
 
 
 class TestGenerators:
@@ -80,6 +80,12 @@ class TestSynthetic:
     def test_minimum_one_entry(self):
         t = synthetic_tensor((50, 50), 0.0001, np.random.default_rng(1))
         assert t.nnz == 1
+
+    @pytest.mark.parametrize("density", (-0.5, float("nan"), float("inf"), 1.5))
+    def test_density_outside_the_unit_interval_raises(self, density):
+        with pytest.raises(InvalidDensityError, match="density must be a number in \\[0, 1\\]"):
+            synthetic_tensor((3, 3), density, np.random.default_rng(1))
+        assert issubclass(InvalidDensityError, (FusetreeError, ValueError))
 
     def test_mask_values(self):
         t = synthetic_tensor((8, 8), 0.5, np.random.default_rng(2), values01=True)

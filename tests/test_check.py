@@ -16,7 +16,7 @@ import pytest
 from fusetree import build_tree, compare, coo_from_entries, oracle_nary, parse_network
 from fusetree import executor
 from fusetree.bench import synthetic_tensor
-from fusetree.errors import FusetreeError, NonCanonicalTensorError
+from fusetree.errors import FusetreeError, InvalidToleranceError, NonCanonicalTensorError
 from fusetree.executor import CompareReport
 from fusetree.network import Contraction, TensorRef
 from fusetree.tensor import SparseTensor
@@ -223,6 +223,20 @@ class TestMergeCompare:
         one = SparseTensor((2, 2), (((1, 0), 3.0),))
         assert compare(empty, one) == dict_compare(empty, one)
         assert compare(one, empty) == dict_compare(one, empty)
+
+    @pytest.mark.parametrize(
+        "tols",
+        [{"rel_tol": math.nan}, {"abs_tol": math.nan}, {"rel_tol": math.inf},
+         {"abs_tol": math.inf}, {"rel_tol": -1e-10}, {"abs_tol": -0.5}],
+        ids=["rel-nan", "abs-nan", "rel-inf", "abs-inf", "rel-negative", "abs-negative"],
+    )
+    def test_invalid_tolerance_raises(self, tols):
+        # a NaN tolerance would pass every mismatch
+        a = SparseTensor((1,), (((0,), 1.0),))
+        b = SparseTensor((1,), (((0,), 2.0),))
+        with pytest.raises(InvalidToleranceError):
+            compare(a, b, **tols)
+        assert issubclass(InvalidToleranceError, (FusetreeError, ValueError))
 
     def test_order_zero(self):
         a = SparseTensor((), (((), 2.0),))

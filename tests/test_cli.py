@@ -68,6 +68,13 @@ class TestPlan:
         assert main(argv) == 2
         assert capsys.readouterr().err == "unsat: no schedule with workspace order <= 1\n"
 
+    @pytest.mark.parametrize("bound", ("0", "-3"))
+    def test_bound_below_one_exits_with_an_error_line(self, bound, running_net, capsys):
+        assert main(["plan", "--network", str(running_net), "--max-order", bound]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bound must be >= 1, got {bound}\n"
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.net"
         bad.write_text("R[i,j] == T[i,k] * S[k,j]\n")
@@ -202,6 +209,30 @@ class TestRun:
     def test_bad_synthetic_spec(self, running_net):
         assert main(["run", "--network", str(running_net), "--synthetic", "A=oops"]) == 1
 
+    @pytest.mark.parametrize("density", ("-0.5", "nan"))
+    def test_bad_synthetic_density(self, density, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        net.write_text(MATMUL_NETWORK)
+        argv = ["run", "--network", str(net), "--synthetic", f"T=2x2:{density}:1", "--synthetic", "S=2x2:1:2"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: density must be a number in [0, 1], got {density}\n"
+
+    @pytest.mark.parametrize("tol", (["--rel-tol", "nan"], ["--abs-tol", "nan"], ["--rel-tol", "-1"]))
+    def test_invalid_tolerance(self, tol, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        net.write_text(MATMUL_NETWORK)
+        argv = ["run", "--network", str(net), "--synthetic", "T=2x2:1:1", "--synthetic", "S=2x2:1:2", "--check"]
+        assert main(argv + tol) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: tolerances must be finite and >= 0") and err.count("\n") == 1
+
+    def test_misspelled_dense_name(self, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        net.write_text(MATMUL_NETWORK)
+        argv = ["run", "--network", str(net), "--synthetic", "T=2x2:1:1", "--synthetic", "S=2x2:1:2", "--dense", "s"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: no input 's' to bind dense\n"
+
 
 class TestVerifyCmd:
     def test_round_trip_pass_and_tampered_fail(self, running_net, tmp_path):
@@ -284,6 +315,12 @@ class TestBenchCmd:
         for name, fname in manifest["tensors"].items():
             argv += ["--tensor", f"{name}={out_dir / fname}"]
         assert main(argv) == 0
+
+    def test_bad_density(self, capsys):
+        assert main(["bench", "--kind", "ttmc1", "--seed", "1", "--density", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: density must be a number in [0, 1], got -1.0\n"
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):

@@ -27,6 +27,7 @@ from fusetree.constraints import (
     ScheduleSolution,
 )
 from fusetree.errors import (
+    InvalidBoundError,
     MissingVariableError,
     SolveTimeout,
     TooLargeError,
@@ -96,6 +97,12 @@ class TestSolve:
 
     def test_unsat_at_bound_1_with_pinned_root(self, running_tree):
         assert solve(running_tree, 1) is None
+
+    @pytest.mark.parametrize("l_max", (0, -3))
+    def test_bound_search_rejects_a_limit_below_one(self, running_tree, l_max):
+        # no bound is tried, so this is a bad request, not an unsat proof
+        with pytest.raises(InvalidBoundError, match=f"got {l_max}"):
+            search_min_order(running_tree, l_max=l_max)
 
     def test_free_root_admits_deeper_fusion(self, running_tree_free):
         assert solve(running_tree_free, 1) is not None

@@ -10,7 +10,9 @@ kernel cache: what its signature must tell apart, and that it pins no input.
 
 from __future__ import annotations
 
+import bisect
 import gc
+import inspect
 import random
 import re
 import sys
@@ -289,6 +291,24 @@ def test_kernel_fuzz_runs_clean(capsys):
     assert capsys.readouterr().out.endswith("trees 30: runs 405, failed 0\n")
 
 
+def test_kernel_fuzz_counts_a_raising_run_and_goes_on(monkeypatch, capsys):
+    import fuzz_kernel
+
+    calls = []
+
+    def raising_once(ir, binding):
+        calls.append(ir)
+        if len(calls) == 1:
+            raise KeyError("stale")
+        return execute(ir, binding)
+
+    monkeypatch.setattr(fuzz_kernel, "execute", raising_once)
+    assert fuzz_kernel.main(["--seed", "1", "--trees", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.endswith("trees 2: runs 24, failed 1\n")
+    assert captured.err == "tree 0 sparse bound 1: raised KeyError: 'stale'\n"
+
+
 def test_network_names_are_never_spliced_into_source():
     text = (
         "extent i' 3\nextent for 2\nextent in 4\nextent acc 2\n"
@@ -540,7 +560,7 @@ def test_partial_offsets_follow_the_zero_tests(kind):
     if kind == "running_example":
         test = _line(lines, r"^\s*g = v3\[")
         assert lines[test + 1].strip() == "if g:"
-        assert re.fullmatch(r"\s*o2f1 = x\d+ \* w1s0", lines[test + 2])
+        assert re.fullmatch(r"\s*o2f1 = x\d+ \* \d+", lines[test + 2])
 
 
 @pytest.mark.parametrize("kind", ("mttkrp1", "mttkrp2", "mttkrp3", "ttmc1", "ttmc2", "ttmc3"))
@@ -676,6 +696,27 @@ def _nested(n: int):
                for name in tree.input_names}
     ir = lower(tree, sol)
     return ir, Forall(ir.index, ir), bind(tree, sol, tensors)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_parameters_are_its_operands(kind):
+    # sizes are compiled in: a kernel takes the root accumulator, each CSF
+    # operand whole, each dense operand's flat list and the bisection
+    inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
+    _, sol = search_min_order(inst.tree)
+    ir = lower(inst.tree, sol)
+    binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
+    _kernel.cache_clear()
+    execute(ir, binding)
+    compiled = _kernel(*_signature(ir, binding))
+    assert _kernel.cache_info().hits == 1
+    params = inspect.signature(compiled.run).parameters
+    csf = [f"t{k}" for k in range(len(binding.csf))]
+    dense = [f"d{k}" for k in range(len(binding.dense))]
+    assert list(params) == ["acc", *csf, *dense, "bl"]
+    assert params["bl"].default is bisect.bisect_left
+    assert sorted(compiled.csf) == sorted(binding.csf)
+    assert sorted(compiled.dense) == sorted(binding.dense)
 
 
 def test_typed_errors_raise_on_every_call():
