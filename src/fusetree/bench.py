@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidDensityError, UnknownKindError
+from .errors import InvalidDensityError, InvalidExtentsError, UnknownKindError
 from .network import ContractionTree, parse_network
 from .tensor import SparseTensor, coo_from_entries
 
@@ -146,11 +146,19 @@ def bench_generate(
     density: float = 0.01,
     seed: int = 0,
 ) -> BenchInstance:
-    """Emit a network spec plus synthetic tensors for the requested kind."""
+    """Emit a network spec plus synthetic tensors for the requested kind.
+
+    ``running_example`` cycles through any number of extents; every other
+    kind takes three, or one int for all three, else
+    :class:`InvalidExtentsError`.
+    """
     rng = np.random.default_rng(seed)
-    if kind in ("mttkrp1", "mttkrp2", "mttkrp3", "ttmc1", "ttmc2", "ttmc3"):
+    if kind in KINDS and kind != "running_example":
         if isinstance(extents, int):
             extents = (extents,) * 3
+        if len(extents) != 3:
+            raise InvalidExtentsError(f"kind '{kind}' takes 3 extents, got {len(extents)}")
+    if kind in ("mttkrp1", "mttkrp2", "mttkrp3", "ttmc1", "ttmc2", "ttmc3"):
         mode = int(kind[-1])
         ni, nj, nk = (int(n) for n in extents)
         text = (
@@ -179,8 +187,6 @@ def bench_generate(
         return BenchInstance(kind, text, tree, tensors, ())
 
     if kind == "masked_3term":
-        if isinstance(extents, int):
-            extents = (extents,) * 3
         text = _masked_network(tuple(int(n) for n in extents), rank)
         tree = parse_network(text)
         tensors = {

@@ -25,11 +25,12 @@ from .constraints import (
 from .errors import (
     ExtentMismatchError,
     FusetreeError,
+    InvalidExtentsError,
     SolveTimeout,
     TooLargeError,
     UnsatisfiableError,
 )
-from .executor import bind, compare, execute, oracle_nary, oracle_unfused
+from .executor import bind, check_tolerances, compare, execute, oracle_nary, oracle_unfused
 from .lowering import ir_to_json, lower, print_ir
 from .network import ContractionTree, build_tree, parse_network
 from .tensor import read_tns, write_tns
@@ -158,6 +159,8 @@ def _run_and_check(tree, sol, ir, tensors, dense_names, args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.check:  # before anything is planned, printed or written
+        check_tolerances(args.rel_tol, args.abs_tol)
     tree = _load_tree(args)
     bound, sol, ir, _ = _plan(tree, args)
     print(f"minimal workspace order: {bound}")
@@ -181,7 +184,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    extents = tuple(int(n) for n in args.extents.lower().split("x"))
+    if args.check:
+        check_tolerances(args.rel_tol, args.abs_tol)
+    try:
+        extents = tuple(int(n) for n in args.extents.lower().split("x"))
+    except ValueError:
+        raise InvalidExtentsError(f"bad --extents {args.extents!r}; expected <e1>x<e2>x...") from None
     if len(extents) == 1:
         extents = extents[0]
     inst = bench_mod.bench_generate(

@@ -88,6 +88,10 @@ class InvalidDensityError(FusetreeError, ValueError):
     """A synthetic tensor's density is not a finite number in [0, 1]."""
 
 
+class InvalidExtentsError(FusetreeError, ValueError):
+    """Benchmark extents are not integers, or not as many as the kind takes."""
+
+
 class MalformedSolutionError(FusetreeError):
     """A solution document does not have the shape that ``to_json_dict`` writes."""
 
@@ -109,7 +113,7 @@ class UnboundTensorError(FusetreeError):
 
 
 class ModeOrderMismatchError(FusetreeError):
-    """A CSF layout is incompatible with the surrounding loop nest."""
+    """A reference disagrees with its loop nest, or with the layout its tensor is stored in."""
 
 
 class ShapeMismatchError(FusetreeError):

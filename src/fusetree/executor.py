@@ -9,8 +9,13 @@ others, skipping a coordinate any of them lacks. A ``forall`` that a ``where``
 shares across statements keeps the sorted union of the present operands'
 coordinate streams, so every statement sees the coordinates it needs, and a
 loop that some statement reaches only through dense operands runs over the
-full index range; both find each operand's position by bisection. Dense
-inputs and workspaces are flat lists indexed with row-major strides.
+full index range; both find each operand's position by bisection.
+
+``bind`` stores every input in the mode order the solution gives it, CSF or
+dense, and records that layout. Dense inputs and workspaces are flat lists,
+each addressed row-major in its reference's own index order; a reference
+that disagrees with the bound or workspace layout raises
+``ModeOrderMismatchError`` when the kernel is planned.
 
 A statement contributes only when every sparse operand carries the current
 coordinates and no factor is exactly zero. Each factor is loaded, and tested
@@ -37,16 +42,15 @@ writes every stride, loop extent and workspace size as a literal. A kernel's
 parameters are the root accumulator and its operands: each CSF operand whole,
 unpacked into its levels' coordinates and segments and its values at the top
 of the kernel, and each dense operand as its flat list. A kernel is planned
-and compiled once per signature: the IR; each input's kind, with its CSF
-order or its dense shape; the declared indices of every operand; and the
-tree's extents, root reference and intermediate names. The cache entry keeps
-the compiled function and its operands' names in parameter order, and no
-tensor data. Each call picks the root accumulator and runs the kernel on it
-and the binding's operands, so only the first run of a signature, such as a
-one-shot ``fusetree run``, pays for planning and compilation. A schedule that
-fails its checks raises on every call, and a kernel nesting more than
-``MAX_NESTED_LOOPS`` loops, which Python cannot compile, raises
-``TooLargeError``.
+and compiled once per signature: the IR; each input's bound layout and kind,
+CSF or dense; and the tree's extents, root reference and intermediate names.
+The cache entry keeps the compiled function and its operands' names in
+parameter order, and no tensor data. Each call picks the root accumulator and
+runs the kernel on it and the binding's operands, so only the first run of a
+signature, such as a one-shot ``fusetree run``, pays for planning and
+compilation. A schedule that fails its checks raises on every call, and a
+kernel nesting more than ``MAX_NESTED_LOOPS`` loops, which Python cannot
+compile, raises ``TooLargeError``.
 
 Two dense oracles provide independent ground truth for the kernels. The n-ary
 oracle contracts the flat product of every leaf; above a small index space it
@@ -74,6 +78,7 @@ from .errors import (
     ExtentMismatchError,
     InvalidToleranceError,
     MalformedScheduleError,
+    MissingVariableError,
     ModeOrderMismatchError,
     NonCanonicalTensorError,
     ShapeMismatchError,
@@ -123,13 +128,16 @@ class ExecStats:
 class Binding:
     """Input tensors prepared for execution under one schedule.
 
-    CSF inputs are built with the solution's mode orders; tensors flagged
-    dense are kept as plain arrays in their declared mode order.
+    Every input is stored in the mode order the solution gives it: as a CSF
+    tree built in that order, or, flagged dense or of order 0, as an array
+    transposed to it. ``layouts`` names each input's indices in that order,
+    as ``ScheduleSolution.layout_indices`` does for its first reference.
     """
 
     tree: ContractionTree
     csf: Mapping[str, CsfTensor]
     dense: Mapping[str, np.ndarray]
+    layouts: Mapping[str, tuple[str, ...]]
 
 
 def bind(
@@ -138,15 +146,18 @@ def bind(
     tensors: Mapping[str, SparseTensor],
     dense_names: Sequence[str] = (),
 ) -> Binding:
-    """Validate shapes against declared extents and build per-layout CSF trees.
+    """Validate shapes against declared extents and store every input in its
+    solved mode order.
 
-    Every name in ``dense_names`` must be an input of ``tree``.
+    Every name in ``dense_names`` must be an input of ``tree``. ``sol`` must
+    order exactly the modes of every input, else :class:`MissingVariableError`.
     """
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
         raise UnknownTensorError(f"no input {', '.join(map(repr, unknown))} to bind dense")
     csf: dict[str, CsfTensor] = {}
     dense: dict[str, np.ndarray] = {}
+    layouts: dict[str, tuple[str, ...]] = {}
     for name in tree.input_names:
         if name not in tensors:
             raise UnboundTensorError(f"no tensor bound for input '{name}'")
@@ -158,11 +169,15 @@ def bind(
                 ref.indices[0],
                 f"tensor '{name}' has shape {t.shape}, declared extents give {expected}",
             )
+        if sorted(sol.dp.get(name, ())) != list(range(t.order)):
+            raise MissingVariableError(f"solution gives input '{name}' no order of its {t.order} modes")
+        perm = sol.mode_perm(name)
+        layouts[name] = tuple(ref.indices[j] for j in perm)  # sol.layout_indices(ref)
         if name in dense_names or t.order == 0:
-            dense[name] = t.to_dense()
+            dense[name] = np.ascontiguousarray(t.to_dense().transpose(perm))
         else:
-            csf[name] = csf_build(t, sol.mode_perm(name))
-    return Binding(tree, csf, dense)
+            csf[name] = csf_build(t, perm)
+    return Binding(tree, csf, dense, layouts)
 
 
 def _extent(extents: Mapping[str, int], index: str) -> int:
@@ -224,19 +239,17 @@ class _Stmt:
 def _signature(ir: IrNode, binding: Binding) -> tuple:
     """Everything a kernel's source depends on.
 
-    That is the IR; each input's kind, with its CSF order or its dense
-    shape; the declared indices of every operand, by which a dense input is
-    indexed; and the tree's extents, root reference and intermediate names.
-    Extents and declared indices are keyed whole, a little more than one
-    kernel reads. The data of the binding are left out, so a cached kernel
+    That is the IR; each input's bound layout and whether it is CSF or dense;
+    and the tree's extents, root reference and intermediate names. Extents
+    are keyed whole, a little more than one kernel reads. Networks that
+    declare an input's modes in different orders but bind it in one layout
+    share a kernel. The data of the binding are left out, so a cached kernel
     pins no tensor.
     """
     tree = binding.tree
     return (
         ir,
-        tuple((name, csf.order) for name, csf in binding.csf.items()),
-        tuple((name, array.shape) for name, array in binding.dense.items()),
-        tuple((c.lhs.indices, c.rhs.indices) for c in tree.contractions),
+        tuple((name, layout, name in binding.csf) for name, layout in binding.layouts.items()),
         tuple(sorted(tree.extents.items())),
         tree.root.result,
         tree.intermediate_names,
@@ -249,28 +262,30 @@ class _Kernel:
 
     Planning walks the IR once, raising on a malformed schedule and numbering
     every identifier the kernel uses, so that no network name reaches the
-    source. Strides, extents and workspace sizes become literals, which the
-    signature keys; the operands, ``t<k>`` for a CSF tensor and ``d<k>`` for a
-    dense one, are the only parameters besides the root accumulator ``acc``.
-    Rendering then decides per loop whether it steps through one fiber's
-    positions, an intersection, a sorted coordinate union, a workspace's
-    written cells or the full range, which needs the whole loop body planned
-    first.
+    source. Every flat array, a dense input or a workspace, is addressed
+    row-major in its reference's own index order, with strides from the
+    extents; an input's first reference (by contraction, then side) must be
+    in its bound layout, as a workspace reference must be in the workspace's,
+    else ``ModeOrderMismatchError``. The input's later references carry the
+    same solved mode order. Strides, extents and workspace sizes become
+    literals, which the signature keys; the operands, ``t<k>`` for a CSF
+    tensor and ``d<k>`` for a dense one, are the only parameters besides the
+    root accumulator ``acc``. Rendering then decides per loop whether it steps
+    through one fiber's positions, an intersection, a sorted coordinate union,
+    a workspace's written cells or the full range, which needs the whole loop
+    body planned first.
     """
 
     def __init__(
         self,
         ir: IrNode,
-        csf: tuple[tuple[str, int], ...],
-        dense: tuple[tuple[str, tuple[int, ...]], ...],
-        declared: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...],
+        inputs: tuple[tuple[str, tuple[str, ...], bool], ...],
         extents: tuple[tuple[str, int], ...],
         root: TensorRef,
         intermediates: tuple[str, ...],
     ):
-        self.csf = dict(csf)
-        self.dense_shapes = dict(dense)
-        self.declared = declared
+        self.layouts = {name: layout for name, layout, _ in inputs}
+        self.csf = {name for name, _, csf in inputs if csf}
         self.extents = dict(extents)
         self.root = root
         self.shape = tuple(_extent(self.extents, index) for index in root.indices)
@@ -278,14 +293,20 @@ class _Kernel:
         self.operands: dict[str, str] = {}  # CSF operand -> parameter
         self.unpack: list[str] = []  # prologue lines binding each fiber's arrays
         self.dense: dict[str, str] = {}  # dense operand -> parameter
-        # intermediate -> its local, layout and extents
-        self.workspaces: dict[str, tuple[str, tuple[str, ...], list[int]]] = {}
+        self.workspaces: dict[str, tuple[str, tuple[str, ...]]] = {}  # -> local, layout
         self.cells: list[int] = []
         self.touched: set[str] = set()  # workspaces that record their written cells
         self.stmts: list[tuple[str, set[str]]] = []  # result and operand names
+        # input -> (contraction, side) and reference of its first reference
+        self.first: dict[str, tuple[tuple[int, int], TensorRef]] = {}
         self.loops = 0
         self.fibers = 0
         self.plan = self._plan(ir, {})
+        for name, (_, ref) in self.first.items():
+            if ref.indices != self.layouts[name]:
+                raise ModeOrderMismatchError(
+                    f"reference {ref} disagrees with the bound layout {self.layouts[name]}"
+                )
 
     def _var(self, ref: TensorRef, index: str, scope: Mapping[str, _Loop]) -> str:
         if index not in scope:
@@ -294,12 +315,13 @@ class _Kernel:
             )
         return scope[index].var
 
-    def _offset(self, ref, indices, dims, scope) -> Terms:
-        """The row-major offset of ``indices`` in an array of extents ``dims``."""
+    def _offset(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> Terms:
+        """The row-major offset of the cell ``ref`` addresses in an array of
+        its indices' extents."""
         terms = []
-        for j, index in enumerate(indices):
+        for j, index in enumerate(ref.indices):
             var = self._var(ref, index, scope)
-            stride = math.prod(dims[j + 1 :])
+            stride = math.prod(_extent(self.extents, i) for i in ref.indices[j + 1 :])
             terms.append((var, var if stride == 1 else f"{var} * {stride}"))
         return terms
 
@@ -307,10 +329,10 @@ class _Kernel:
         """A workspace's local and the offset of the cell ``ref`` addresses."""
         if ref.tensor not in self.workspaces:
             raise UnboundTensorError(f"no binding or workspace for tensor '{ref.tensor}'")
-        var, layout, dims = self.workspaces[ref.tensor]
+        var, layout = self.workspaces[ref.tensor]
         if ref.indices != layout:
             raise ModeOrderMismatchError(f"reference {ref} disagrees with workspace layout {layout}")
-        return var, self._offset(ref, layout, dims, scope)
+        return var, self._offset(ref, scope)
 
     def _plan(self, node: IrNode, scope: dict[str, _Loop]):
         if isinstance(node, Forall):
@@ -359,34 +381,35 @@ class _Kernel:
         factors: list[tuple[str, Terms, _Fiber | None]] = []
         reads: list[tuple[str, str]] = []
         sparse_at: dict[str, bool] = {}
-        for ref, declared in zip((node.lhs, node.rhs), self.declared[node.cid]):
+        for side, ref in enumerate((node.lhs, node.rhs)):
             for index in ref.indices:
                 self._var(ref, index, scope)
                 sparse_at.setdefault(index, False)
             name = ref.tensor
+            if name in self.layouts and (name not in self.first or (node.cid, side) < self.first[name][0]):
+                self.first[name] = ((node.cid, side), ref)
             if name in self.csf:
                 positions = [order.index(index) for index in ref.indices]
                 if positions != sorted(positions):
                     raise ModeOrderMismatchError(
                         f"reference {ref}: CSF layout incompatible with loop order {order}"
                     )
-                fiber = _Fiber(self.fibers, [False] * self.csf[name])
+                fiber = _Fiber(self.fibers, [False] * len(ref.indices))
                 self.fibers += 1
                 operand = self.operands.setdefault(name, f"t{len(self.operands)}")
                 for array, field in (("c", "coords"), ("s", "segs")):
-                    levels = [f"{array}{fiber.n}_{level}" for level in range(self.csf[name])]
+                    levels = [f"{array}{fiber.n}_{level}" for level in range(len(ref.indices))]
                     self.unpack.append(f"[{', '.join(levels)}] = {operand}.{field}")
                 values = f"v{fiber.n}"
                 self.unpack.append(f"{values} = {operand}.values")
                 for level, index in enumerate(ref.indices):
                     scope[index].drivers.append((fiber, level))
                     sparse_at[index] = True
-                deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{self.csf[name] - 1}")
+                deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{len(ref.indices) - 1}")
                 factors.append((values, [deepest], fiber))
-            elif name in self.dense_shapes:
+            elif name in self.layouts:
                 var = self.dense.setdefault(name, f"d{len(self.dense)}")
-                offset = self._offset(ref, declared, self.dense_shapes[name], scope)
-                factors.append((var, offset, None))
+                factors.append((var, self._offset(ref, scope), None))
             else:
                 var, offset = self._cell(ref, scope)
                 factors.append((var, offset, None))
@@ -402,13 +425,12 @@ class _Kernel:
         if name == self.root.tensor:
             # the accumulator is indexed by the row-major offset of the result
             target = "acc"
-            cell = self._offset(node.result, self.root.indices, self.shape, scope)
+            cell = self._offset(self.root, scope)
         else:
             if name in self.intermediates and name not in self.workspaces:
-                dims = [_extent(self.extents, index) for index in node.result.indices]
                 var = f"w{len(self.workspaces)}"
-                self.cells.append(math.prod(dims))
-                self.workspaces[name] = (var, node.result.indices, dims)
+                self.cells.append(math.prod(_extent(self.extents, i) for i in node.result.indices))
+                self.workspaces[name] = (var, node.result.indices)
             target, cell = self._cell(node.result, scope)
         self.stmts.append((name, {node.lhs.tensor, node.rhs.tensor}))
         return _Stmt(len(self.stmts) - 1, factors, target, cell, reads)
@@ -417,7 +439,7 @@ class _Kernel:
         params = ["acc", *self.operands.values(), *self.dense.values()]
         out = [f"def kernel({', '.join(params)}, bl=bl):"]
         out += [f"    {line}" for line in self.unpack]
-        for (var, _, _), cells in zip(self.workspaces.values(), self.cells):
+        for (var, _), cells in zip(self.workspaces.values(), self.cells):
             out += (f"    {var} = [0.0] * {cells}", f"    z{var} = [0.0] * {cells}")
             if var in self.touched:
                 out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
@@ -602,9 +624,10 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     """Run the loop IR as a generated kernel and assemble the canonical result.
 
     The kernel is planned and compiled on the first call of its signature
-    (see ``_signature``): the IR; each input's kind, with its CSF order or
-    dense shape; the declared indices of every operand; and the tree's
-    extents, root and intermediates. Later calls of the signature only run it
+    (see ``_signature``): the IR; each input's bound layout and kind; and the
+    tree's extents, root and intermediates. An IR that walks an input in
+    another order than ``binding`` stores it raises
+    :class:`ModeOrderMismatchError`. Later calls of the signature only run it
     on the operands of ``binding``, so a one-shot run gains nothing. The root
     accumulator, a flat list or a dict, is chosen per call.
     Workspaces, the root accumulator and counters are locals of the call, so
@@ -653,7 +676,6 @@ def _letters(names: Sequence[str]) -> dict[str, str]:
 def oracle_nary(
     tree: ContractionTree,
     tensors: Mapping[str, SparseTensor | np.ndarray],
-    budget: int = DENSE_SPACE_BUDGET,
 ) -> SparseTensor:
     """Ground truth by direct n-ary contraction over the densified leaves.
 
@@ -664,7 +686,8 @@ def oracle_nary(
     flat expression alone, so the oracle never follows the schedule under
     test; numpy caps each intermediate at the size of the largest operand or
     of the result. Smaller spaces take one flat einsum, which is cheaper than
-    planning a path.
+    planning a path. A flat index space above ``DENSE_SPACE_BUDGET`` points,
+    or more leaves than one einsum call takes, raises :class:`TooLargeError`.
     """
     leaf_refs = [
         ref
@@ -676,8 +699,8 @@ def oracle_nary(
     space = 1
     for i in all_indices:
         space *= tree.extents[i]
-    if space > budget:
-        raise TooLargeError(f"n-ary iteration space {space} exceeds budget {budget}")
+    if space > DENSE_SPACE_BUDGET:
+        raise TooLargeError(f"n-ary iteration space {space} exceeds budget {DENSE_SPACE_BUDGET}")
     sub = _letters(all_indices)
     operands = []
     for ref in leaf_refs:
@@ -693,14 +716,18 @@ def oracle_nary(
     out_ref = tree.root.result
     expr = ",".join("".join(sub[i] for i in ref.indices) for ref in leaf_refs)
     expr += "->" + "".join(sub[i] for i in out_ref.indices)
-    dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
+    try:
+        dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
+    except ValueError as exc:
+        if "too many operands" not in str(exc):
+            raise
+        raise TooLargeError(f"{len(operands)} leaves are more than one einsum call takes") from None
     return SparseTensor.from_dense(dense.reshape(tree.ref_shape(out_ref)))
 
 
 def oracle_unfused(
     tree: ContractionTree,
     tensors: Mapping[str, SparseTensor | np.ndarray],
-    budget: int = DENSE_SPACE_BUDGET,
 ) -> tuple[SparseTensor, dict]:
     """Evaluate contractions children first with full-order dense intermediates.
 
@@ -737,7 +764,7 @@ def oracle_unfused(
         cells = 1
         for i in c.result.indices:
             cells *= tree.extents[i]
-        if cells > budget:
+        if cells > DENSE_SPACE_BUDGET:
             raise TooLargeError(f"intermediate '{c.result.tensor}' needs {cells} dense cells")
         out = np.einsum(expr, fetch(c.lhs), fetch(c.rhs))
         env[c.result.tensor] = out.reshape(tree.ref_shape(c.result))
@@ -769,6 +796,13 @@ class CompareReport:
         )
 
 
+def check_tolerances(rel_tol: float, abs_tol: float) -> None:
+    """Raise :class:`InvalidToleranceError` unless both tolerances are
+    finite and >= 0."""
+    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
+        raise InvalidToleranceError(f"tolerances must be finite and >= 0: rel {rel_tol}, abs {abs_tol}")
+
+
 def compare(
     a: SparseTensor,
     b: SparseTensor,
@@ -784,8 +818,7 @@ def compare(
     order; :class:`NonCanonicalTensorError` is raised otherwise. A tolerance
     that is negative, infinite or NaN raises :class:`InvalidToleranceError`.
     """
-    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
-        raise InvalidToleranceError(f"tolerances must be finite and >= 0: rel {rel_tol}, abs {abs_tol}")
+    check_tolerances(rel_tol, abs_tol)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
     ea, eb = a.entries, b.entries

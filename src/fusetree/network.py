@@ -255,13 +255,16 @@ def build_tree(
     )
 
 
-def _parse_ref(text: str, lineno: int | None = None) -> TensorRef:
+def _ref(name: str, indices: str) -> TensorRef:
+    """A reference from its name and the text of its comma-separated index list."""
+    return TensorRef(name, tuple(tok.strip() for tok in indices.split(",") if tok.strip()))
+
+
+def _parse_ref(text: str) -> TensorRef:
     m = _REF_RE.fullmatch(text.strip())
     if not m:
-        raise ParseError(f"malformed tensor reference {text!r}", line=lineno)
-    name, idx = m.groups()
-    indices = tuple(tok.strip() for tok in idx.split(",") if tok.strip())
-    return TensorRef(name, indices)
+        raise ParseError(f"malformed tensor reference {text!r}")
+    return _ref(*m.groups())
 
 
 def parse_network(text: str) -> ContractionTree:
@@ -300,16 +303,8 @@ def parse_network(text: str) -> ContractionTree:
         m = _LINE_RE.match(line)
         if not m:
             raise ParseError(f"malformed contraction {line!r}", line=lineno)
-        out_name, out_idx, lhs_name, lhs_idx, rhs_name, rhs_idx = m.groups()
-        cid = len(contractions)
-        contractions.append(
-            Contraction(
-                cid,
-                _parse_ref(f"{out_name}[{out_idx}]", lineno),
-                _parse_ref(f"{lhs_name}[{lhs_idx}]", lineno),
-                _parse_ref(f"{rhs_name}[{rhs_idx}]", lineno),
-            )
-        )
+        out, lhs, rhs = (_ref(*m.groups()[k : k + 2]) for k in (0, 2, 4))
+        contractions.append(Contraction(len(contractions), out, lhs, rhs))
     return build_tree(contractions, extents, layouts)
 
 

@@ -25,11 +25,17 @@ must pass ``verify_solution``, and its kernel's result must match
 equal ``conftest.nonzero_products``. Each run goes first through the kernel
 cache as the previous kind left it, which holds the kernel of the same IR
 bound otherwise (``ones`` differs from ``mixed`` only in its extents), and
-must give what it gives again after ``cache_clear()``. A run that raises
-counts as failed, and the fuzz goes on with the next. One line is printed
-per tree: its number, its size, the bounds it ran and the multiply-adds per
-kind. The last line counts the runs. The exit status is 1 on any mismatch,
-violation or exception, each of which is described on standard error.
+must give what it gives again after ``cache_clear()``. Each kind with two
+or more satisfiable bounds also runs one crossed pair: the IR of the first
+bound's schedule on the binding of the last one. Where the two schedules
+store every input in the same mode order, its result must match both
+oracles; otherwise it must raise ``ModeOrderMismatchError``. A run that
+raises anything else counts as failed, and the fuzz goes on with the next.
+One line is printed per tree: its number, its size, the bounds it ran and
+the multiply-adds per kind. The last line counts the runs, the crossed runs
+among them and those of these that raised the mismatch. The exit status is
+1 on any mismatch, violation or exception, each of which is described on
+standard error.
 ``--show N`` prints the network of tree N instead.
 """
 
@@ -58,6 +64,7 @@ from fusetree import (
     synthetic_tensor,
     verify_solution,
 )
+from fusetree.errors import ModeOrderMismatchError
 from fusetree.executor import _kernel
 
 KINDS = ("sparse", "mixed", "ones", "dense", "zero", "single", "holes", "scalar")
@@ -109,16 +116,39 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
         _kernel.cache_clear()
         if execute(ir, binding) != (result, stats):
             problems.append("the cached kernel's run differs from a fresh kernel's")
-        for name, reference in (("n-ary", oracle_nary(tree, tensors)), ("unfused", oracle_unfused(tree, tensors)[0])):
-            report = compare(result, reference, rel_tol=1e-10)
-            if not report.passed:
-                problems.append(f"{name} oracle: {report.message()}")
+        problems += oracle_problems(tree, tensors, result)
         expected = nonzero_products(tree, tensors)
         if stats.per_assignment != expected:
             problems.append(f"multiply-adds {stats.per_assignment}, expected {expected}")
     except Exception as exc:
         return None, problems + [f"raised {type(exc).__name__}: {exc}"]
     return stats.multiply_adds, problems
+
+
+def oracle_problems(tree, tensors, result) -> list[str]:
+    """Where ``result`` disagrees with either oracle."""
+    problems = []
+    for name, reference in (("n-ary", oracle_nary(tree, tensors)), ("unfused", oracle_unfused(tree, tensors)[0])):
+        report = compare(result, reference, rel_tol=1e-10)
+        if not report.passed:
+            problems.append(f"{name} oracle: {report.message()}")
+    return problems
+
+
+def check_crossed(tree, tensors, dense, first, last) -> tuple[bool, list[str]]:
+    """Run the IR of schedule ``first`` on the binding of schedule ``last``.
+    Returns whether the two store some input in different mode orders, and
+    what the run got wrong."""
+    differ = any(first.mode_perm(name) != last.mode_perm(name) for name in tree.input_names)
+    try:
+        result, _ = execute(lower(tree, first), bind(tree, last, tensors, dense))
+    except ModeOrderMismatchError as exc:
+        return differ, [] if differ else [f"crossed: raised ModeOrderMismatchError: {exc}"]
+    except Exception as exc:
+        return differ, [f"crossed: raised {type(exc).__name__}: {exc}"]
+    if differ:
+        return differ, ["crossed: ran although an input's mode order differs"]
+    return differ, [f"crossed: {problem}" for problem in oracle_problems(tree, tensors, result)]
 
 
 def satisfiable(tree) -> list:
@@ -136,7 +166,7 @@ def main(argv=None) -> int:
     parser.add_argument("--show", type=int, default=None, help="print the network of this tree")
     args = parser.parse_args(argv)
     rng = random.Random(args.seed)
-    runs = bad = 0
+    runs = bad = crossed = mismatched = 0
     for n in range(args.trees):
         tree = random_tree(rng)
         if args.show is not None:
@@ -151,7 +181,8 @@ def main(argv=None) -> int:
             run_tree = kind_tree(tree, kind, nprng)
             tensors, dense = draw_inputs(run_tree, kind, nprng)
             counts = set()
-            for bound, sol in satisfiable(run_tree) if kind == "scalar" else schedules:
+            run_schedules = satisfiable(run_tree) if kind == "scalar" else schedules
+            for bound, sol in run_schedules:
                 count, problems = check(run_tree, tensors, dense, bound, sol)
                 runs += 1
                 if count is not None:
@@ -159,10 +190,19 @@ def main(argv=None) -> int:
                 bad += bool(problems)
                 for problem in problems:
                     print(f"tree {n} {kind} bound {bound}: {problem}", file=sys.stderr)
+            if len(run_schedules) > 1:
+                (_, first), *_, (bound, last) = run_schedules
+                differ, problems = check_crossed(run_tree, tensors, dense, first, last)
+                runs += 1
+                crossed += 1
+                mismatched += bool(differ and not problems)
+                bad += bool(problems)
+                for problem in problems:
+                    print(f"tree {n} {kind} bound {bound}: {problem}", file=sys.stderr)
             madds.append(f"{kind} {'/'.join(str(c) for c in sorted(counts))}")
         bounds = ",".join(str(bound) for bound, _ in schedules)
         print(f"tree {n} m={tree.m} bounds {bounds}: {' '.join(madds)}", flush=True)
-    print(f"trees {args.trees}: runs {runs}, failed {bad}")
+    print(f"trees {args.trees}: runs {runs} ({crossed} crossed, {mismatched} mismatched), failed {bad}")
     return 1 if bad else 0
 
 

@@ -196,7 +196,7 @@ class TestRun:
         from fusetree import coo_from_entries
         import fusetree.cli as cli
 
-        def wrong_oracle(tree, tensors, budget=0):
+        def wrong_oracle(tree, tensors):
             shape = tree.ref_shape(tree.root.result)
             return coo_from_entries([((0,) * len(shape), 123.0)], shape)
 
@@ -225,6 +225,29 @@ class TestRun:
         assert main(argv + tol) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: tolerances must be finite and >= 0") and err.count("\n") == 1
+
+    def test_bad_tolerance_plans_and_writes_nothing(self, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        net.write_text(MATMUL_NETWORK)
+        out, stats = tmp_path / "r.tns", tmp_path / "s.json"
+        argv = ["run", "--network", str(net), "--synthetic", "T=2x2:1:1", "--synthetic", "S=2x2:1:2",
+                "--check", "--rel-tol", "nan", "--out", str(out), "--stats", str(stats)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerances must be finite and >= 0")
+        assert not out.exists() and not stats.exists()
+
+    @pytest.mark.parametrize("leaves, route", [(63, "n-ary"), (64, "unfused")])
+    def test_oracle_falls_back_past_the_einsum_operand_limit(self, leaves, route, tmp_path, capsys):
+        # numpy 2 takes at most 63 operands in one einsum call
+        net = tmp_path / "chain.net"
+        net.write_text(chain_network(leaves - 1).replace("extent a 3", "extent a 2"))
+        argv = ["run", "--network", str(net), "--check", "--synthetic", "X0=2:1:0"]
+        for k in range(1, leaves):
+            argv += ["--synthetic", f"B{k}=2:1:{k}"]
+        assert main(argv) == 0
+        assert f"check against {route} oracle: pass: 2 coordinates" in capsys.readouterr().out
 
     def test_misspelled_dense_name(self, tmp_path, capsys):
         net = tmp_path / "mm.net"
@@ -321,6 +344,16 @@ class TestBenchCmd:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: density must be a number in [0, 1], got -1.0\n"
+
+    @pytest.mark.parametrize("extents, message", [
+        ("3x3", "kind 'mttkrp1' takes 3 extents, got 2"),
+        ("3xa", "bad --extents '3xa'; expected <e1>x<e2>x..."),
+    ])
+    def test_bad_extents(self, extents, message, capsys):
+        assert main(["bench", "--kind", "mttkrp1", "--seed", "1", "--extents", extents]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):

@@ -10,6 +10,7 @@ import pytest
 from fusetree import (
     Assign,
     Forall,
+    ScheduleSolution,
     SparseTensor,
     TensorRef,
     bind,
@@ -23,9 +24,10 @@ from fusetree import (
     search_min_order,
     solve,
 )
-from fusetree.bench import bench_generate
+from fusetree.bench import bench_generate, synthetic_tensor
 from fusetree.errors import (
     ExtentMismatchError,
+    MissingVariableError,
     ModeOrderMismatchError,
     ShapeMismatchError,
     TooLargeError,
@@ -115,6 +117,57 @@ class TestExecuteBasics:
         )
         with pytest.raises(ModeOrderMismatchError):
             execute(bad_ir, binding)
+
+
+class TestBoundLayouts:
+    def test_dense_inputs_follow_the_solved_layout(self):
+        inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=3, density=0.3, seed=1)
+        _, sol = search_min_order(inst.tree)
+        binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
+        assert sol.layout_indices(inst.tree.abstract_ref("B")) == ("r", "j")  # declared B[j,r]
+        for name in inst.tree.input_names:
+            assert binding.layouts[name] == sol.layout_indices(inst.tree.abstract_ref(name))
+        for name in inst.dense_names:
+            stored = inst.tensors[name].to_dense().transpose(sol.mode_perm(name))
+            assert np.array_equal(binding.dense[name], stored)
+            assert binding.dense[name].flags.c_contiguous
+
+    @pytest.mark.parametrize("modes", (None, {0: 0}, {0: 0, 1: 1, 2: 2}, {0: 1, 2: 0}))
+    @pytest.mark.parametrize("dense", ((), ("S",)))
+    def test_an_input_without_a_mode_order(self, modes, dense, matmul_tree):
+        # S has two modes: no order at all, one of them, three, or 0 and 2
+        sol = solve(matmul_tree, 1)
+        dp = {name: perm for name, perm in sol.dp.items() if name != "S"}
+        if modes is not None:
+            dp["S"] = modes
+        T = coo_from_entries([((0, 0), 1.0)], (2, 2))
+        with pytest.raises(MissingVariableError, match="input 'S' no order of its 2 modes"):
+            bind(matmul_tree, ScheduleSolution(sol.bound, sol.ap, sol.lp, dp), {"T": T, "S": T}, dense)
+
+    @pytest.mark.parametrize("dense", ((), ("B",), ("A", "B", "C", "D")))
+    def test_an_ir_walking_an_input_in_another_order_raises(self, dense):
+        # B is stored r,p,j under the bound-3 schedule and walked r,j,p by
+        # the bound-2 IR; run unchecked, the pair gives a wrong result
+        inst = bench_generate("running_example", extents=4, density=0.5, seed=3)
+        ir, sol = lower(inst.tree, solve(inst.tree, 2)), solve(inst.tree, 3)
+        with pytest.raises(ModeOrderMismatchError, match=r"B\[r,j,p\] disagrees with the bound layout \('r', 'p', 'j'\)"):
+            execute(ir, bind(inst.tree, sol, inst.tensors, dense))
+
+    @pytest.mark.parametrize("second, layout", (("k,l", ("i", "j")), ("l,k", ("j", "i"))))
+    @pytest.mark.parametrize("dense", ((), ("A",), ("A", "B")))
+    def test_an_input_referenced_twice_under_other_indices(self, second, layout, dense):
+        # the second reference to A is checked through the first, A[i,j]
+        tree = parse_network(
+            "extent i 3\nextent j 3\nextent k 3\nextent l 3\n"
+            f"X[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * A[{second}]\n"
+        )
+        rng = np.random.default_rng(7)
+        tensors = {name: synthetic_tensor((3, 3), 0.7, rng) for name in ("A", "B")}
+        _, sol = search_min_order(tree)
+        binding = bind(tree, sol, tensors, dense)
+        assert binding.layouts["A"] == layout
+        result, _ = execute(lower(tree, sol), binding)
+        assert compare(result, oracle_nary(tree, tensors), rel_tol=1e-10).passed
 
 
 class TestCounters:

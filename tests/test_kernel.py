@@ -288,7 +288,7 @@ def test_kernel_fuzz_runs_clean(capsys):
     import fuzz_kernel
 
     assert fuzz_kernel.main(["--seed", "1", "--trees", "30"]) == 0
-    assert capsys.readouterr().out.endswith("trees 30: runs 405, failed 0\n")
+    assert capsys.readouterr().out.endswith("trees 30: runs 515 (110 crossed, 17 mismatched), failed 0\n")
 
 
 def test_kernel_fuzz_counts_a_raising_run_and_goes_on(monkeypatch, capsys):
@@ -305,7 +305,7 @@ def test_kernel_fuzz_counts_a_raising_run_and_goes_on(monkeypatch, capsys):
     monkeypatch.setattr(fuzz_kernel, "execute", raising_once)
     assert fuzz_kernel.main(["--seed", "1", "--trees", "2"]) == 1
     captured = capsys.readouterr()
-    assert captured.out.endswith("trees 2: runs 24, failed 1\n")
+    assert captured.out.endswith("trees 2: runs 32 (8 crossed, 8 mismatched), failed 1\n")
     assert captured.err == "tree 0 sparse bound 1: raised KeyError: 'stale'\n"
 
 
@@ -669,9 +669,10 @@ def test_cache_keys_on_operand_kinds():
     _warm_matches_cold([(ir, bind(inst.tree, sol, inst.tensors, dense)) for dense in ((), ("B", "C"), ())])
 
 
-def test_cache_keys_on_declared_dense_indices():
-    # S is declared S[k,j] in one network and S[j,k] in the other; stored
-    # (k, j) in both, the two lower to one IR, and j and k share an extent
+def _declared_s_runs():
+    """S declared S[k,j] in one network and S[j,k] in the other, bound dense
+    and stored (k, j) in both; the two lower to one IR, and j and k share an
+    extent."""
     runs = []
     for declared, perm in (("k,j", {0: 0, 1: 1}), ("j,k", {0: 1, 1: 0})):
         tree = parse_network(f"extent i 3\nextent j 3\nextent k 3\nR[i,j] = T[i,k] * S[{declared}]\n")
@@ -683,7 +684,21 @@ def test_cache_keys_on_declared_dense_indices():
         runs.append((lower(tree, sol), bind(tree, sol, tensors, ("S",))))
         assert compare(_cold(*runs[-1])[0], oracle_nary(tree, tensors)).passed
     assert runs[0][0] == runs[1][0]
-    _warm_matches_cold(runs)
+    return runs
+
+
+def test_cache_keys_on_declared_dense_indices():
+    _warm_matches_cold(_declared_s_runs())
+
+
+def test_inputs_bound_alike_share_a_kernel():
+    # the signature holds the bound layout, never the declared indices
+    runs = _declared_s_runs()
+    cold = [_cold(ir, binding) for ir, binding in runs]
+    _kernel.cache_clear()
+    assert [execute(ir, binding) for ir, binding in runs] == cold
+    assert _kernel.cache_info().hits == 1 and _kernel.cache_info().misses == 1
+    assert runs[0][1].layouts == runs[1][1].layouts == {"T": ("i", "k"), "S": ("k", "j")}
 
 
 def _nested(n: int):
