@@ -12,7 +12,10 @@ loop that some statement reaches only through dense operands runs over the
 full index range; both find each operand's position by bisection.
 
 ``bind`` stores every input in the mode order the solution gives it, CSF or
-dense, and records that layout. Dense inputs and workspaces are flat lists,
+dense, and records that layout. Each layout is built once per tensor, kind
+and mode order and held by the tensor as long as it lives, so later binds of
+the tensor in that layout reuse it; a one-shot ``fusetree run`` builds each
+once and gains nothing. Dense inputs and workspaces are flat lists,
 each addressed row-major in its reference's own index order; a reference
 that disagrees with the bound or workspace layout raises
 ``ModeOrderMismatchError`` when the kernel is planned.
@@ -129,9 +132,11 @@ class Binding:
     """Input tensors prepared for execution under one schedule.
 
     Every input is stored in the mode order the solution gives it: as a CSF
-    tree built in that order, or, flagged dense or of order 0, as an array
-    transposed to it. ``layouts`` names each input's indices in that order,
-    as ``ScheduleSolution.layout_indices`` does for its first reference.
+    tree built in that order, or, flagged dense or of order 0, as a read-only
+    array transposed to it. The trees and arrays belong to the input tensors,
+    which keep them for every binding of the same kind and mode order.
+    ``layouts`` names each input's indices in that order, as
+    ``ScheduleSolution.layout_indices`` does for its first reference.
     """
 
     tree: ContractionTree
@@ -151,6 +156,11 @@ def bind(
 
     Every name in ``dense_names`` must be an input of ``tree``. ``sol`` must
     order exactly the modes of every input, else :class:`MissingVariableError`.
+    These checks run on every call. Each layout, a CSF tree or a read-only
+    dense array, is built on the first bind of its tensor, kind and mode
+    order, and kept on the tensor for later binds, as long as the tensor
+    lives; a one-shot ``fusetree run`` builds every layout once and gains
+    nothing.
     """
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
@@ -173,10 +183,16 @@ def bind(
             raise MissingVariableError(f"solution gives input '{name}' no order of its {t.order} modes")
         perm = sol.mode_perm(name)
         layouts[name] = tuple(ref.indices[j] for j in perm)  # sol.layout_indices(ref)
-        if name in dense_names or t.order == 0:
-            dense[name] = np.ascontiguousarray(t.to_dense().transpose(perm))
-        else:
-            csf[name] = csf_build(t, perm)
+        kind = "dense" if name in dense_names or t.order == 0 else "csf"
+        stored = t._layouts.get((kind, perm))
+        if stored is None:
+            if kind == "dense":
+                stored = np.ascontiguousarray(t.to_dense().transpose(perm))
+                stored.flags.writeable = False  # shared by every binding of t
+            else:
+                stored = csf_build(t, perm)
+            t._layouts[kind, perm] = stored  # a racing bind may store an equal layout
+        (dense if kind == "dense" else csf)[name] = stored
     return Binding(tree, csf, dense, layouts)
 
 

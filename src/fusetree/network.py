@@ -142,7 +142,8 @@ def build_tree(
 
     Checks: distinct indices per reference, result indices drawn from the
     operands, single-rooted tree shape (each intermediate produced once and
-    consumed once), no contraction index escaping its subtree, and layout
+    consumed once), no contraction index escaping its subtree, one declared
+    extent per mode of an input referenced more than once, and layout
     directives naming real, layout-constrained tensors.
     """
     if not contractions:
@@ -227,6 +228,18 @@ def build_tree(
     for name, ext in extents.items():
         if int(ext) < 1:
             raise ExtentMismatchError(name, f"extent of '{name}' must be >= 1, got {ext}")
+    # an input read more than once has one extent per mode in every reference
+    for c in contractions:
+        for ref in (c.lhs, c.rhs):
+            first = first_ref[ref.tensor]
+            if ref.tensor in produced or len(ref.indices) != len(first.indices):
+                continue
+            for a, b in zip(first.indices, ref.indices):
+                if a in extents and b in extents and extents[a] != extents[b]:
+                    shapes = [tuple(extents.get(i, "?") for i in r.indices) for r in (first, ref)]
+                    raise ExtentMismatchError(
+                        b, f"input '{ref.tensor}' has extents {shapes[0]} in {first} but {shapes[1]} in {ref}"
+                    )
 
     input_names = tuple(
         dict.fromkeys(r.tensor for c in contractions for r in (c.lhs, c.rhs) if r.tensor not in produced)

@@ -8,7 +8,7 @@ used for interchange, oracles, and I/O, and a compressed-sparse-fiber tree
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -41,10 +41,16 @@ class SparseTensor:
     Stored values are the non-zero structure; construction through
     :func:`coo_from_entries` merges duplicates by summation and drops exact
     zeros. Instances are immutable and safe to share.
+
+    ``_layouts`` is where ``executor.bind`` keeps each layout it builds of
+    the tensor, a CSF tree or a transposed dense array, keyed by kind and
+    mode order, so that later binds reuse it. The layouts live as long as the
+    tensor does; equality, hashing and ``repr`` ignore them.
     """
 
     shape: tuple[int, ...]
     entries: tuple[tuple[Coords, float], ...]
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def order(self) -> int:

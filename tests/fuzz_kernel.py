@@ -22,9 +22,11 @@ Every bound from 1 to the largest intermediate order is solved; ``ones``
 reuses the schedules of the unchanged tree. Each satisfiable bound's schedule
 must pass ``verify_solution``, and its kernel's result must match
 ``oracle_nary`` and ``oracle_unfused`` and its multiply-adds per result must
-equal ``conftest.nonzero_products``. Each run goes first through the kernel
-cache as the previous kind left it, which holds the kernel of the same IR
-bound otherwise (``ones`` differs from ``mixed`` only in its extents), and
+equal ``conftest.nonzero_products``. Each run binds the tensors a second
+time, which must reuse every layout the first bind stored on them and give
+the same result, counts and workspace cells. Each run goes first through the
+kernel cache as the previous kind left it, which holds the kernel of the same
+IR bound otherwise (``ones`` differs from ``mixed`` only in its extents), and
 must give what it gives again after ``cache_clear()``. Each kind with two
 or more satisfiable bounds also runs one crossed pair: the IR of the first
 bound's schedule on the binding of the last one. Where the two schedules
@@ -113,6 +115,13 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
         problems += [f"verify: {v}" for v in verify_solution(tree, bound, sol)]
         ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
         result, stats = execute(ir, binding)
+        again = bind(tree, sol, tensors, dense)
+        if any(again.csf[name] is not csf for name, csf in binding.csf.items()) or any(
+            again.dense[name] is not array for name, array in binding.dense.items()
+        ):
+            problems.append("a second bind rebuilt a layout")
+        if execute(ir, again) != (result, stats):
+            problems.append("the run on the second binding differs from the first")
         _kernel.cache_clear()
         if execute(ir, binding) != (result, stats):
             problems.append("the cached kernel's run differs from a fresh kernel's")

@@ -86,6 +86,19 @@ class TestPlan:
         assert main(["plan", "--network", str(bad)]) == 1
         assert "'k'" in capsys.readouterr().err
 
+    def test_input_read_with_other_extents_exits_with_an_error_line(self, tmp_path, capsys):
+        # A is 3x4 as A[i,j] but 4x3 as A[k,l]; the kernel used to index past A
+        bad = tmp_path / "twice.net"
+        bad.write_text(
+            "extent i 3\nextent j 4\nextent k 4\nextent l 3\n"
+            "X[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * A[k,l]\n"
+        )
+        argv = ["run", "--network", str(bad), "--synthetic", "A=3x4:0.9:1", "--synthetic", "B=4x4:0.9:2", "--check"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input 'A' has extents (3, 4) in A[i,j] but (4, 3) in A[k,l]\n"
+
     def test_byte_identical_reports(self, running_net, capsys):
         main(["plan", "--network", str(running_net)])
         first = capsys.readouterr().out

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import fusetree.executor as executor
 from fusetree import (
     Assign,
     Forall,
@@ -157,17 +158,89 @@ class TestBoundLayouts:
     @pytest.mark.parametrize("dense", ((), ("A",), ("A", "B")))
     def test_an_input_referenced_twice_under_other_indices(self, second, layout, dense):
         # the second reference to A is checked through the first, A[i,j]
-        tree = parse_network(
-            "extent i 3\nextent j 3\nextent k 3\nextent l 3\n"
-            f"X[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * A[{second}]\n"
-        )
-        rng = np.random.default_rng(7)
-        tensors = {name: synthetic_tensor((3, 3), 0.7, rng) for name in ("A", "B")}
-        _, sol = search_min_order(tree)
+        tree, sol = _referenced_twice(second)
+        tensors = _two_inputs()
         binding = bind(tree, sol, tensors, dense)
         assert binding.layouts["A"] == layout
         result, _ = execute(lower(tree, sol), binding)
         assert compare(result, oracle_nary(tree, tensors), rel_tol=1e-10).passed
+
+
+def _referenced_twice(second: str):
+    """A network reading A twice, as A[i,j] and A[<second>], and its
+    schedule, which stores A as i,j for second "k,l" and as j,i for "l,k"."""
+    tree = parse_network(
+        "extent i 3\nextent j 3\nextent k 3\nextent l 3\n"
+        f"X[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * A[{second}]\n"
+    )
+    return tree, search_min_order(tree)[1]
+
+
+def _two_inputs() -> dict[str, SparseTensor]:
+    rng = np.random.default_rng(7)
+    return {name: synthetic_tensor((3, 3), 0.7, rng) for name in ("A", "B")}
+
+
+class TestLayoutMemo:
+    """``bind`` builds each layout once per tensor, kind and mode order."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls: list[tuple[SparseTensor, tuple[int, ...]]] = []
+        real = executor.csf_build
+
+        def counting(t, order):
+            calls.append((t, tuple(order)))
+            return real(t, order)
+
+        monkeypatch.setattr(executor, "csf_build", counting)
+        return calls
+
+    def test_a_second_bind_reuses_the_csf_trees(self, builds):
+        tree, sol = _referenced_twice("k,l")
+        tensors = _two_inputs()
+        first = bind(tree, sol, tensors)
+        assert builds == [(tensors[n], sol.mode_perm(n)) for n in ("A", "B")]
+        second = bind(tree, sol, tensors)
+        assert len(builds) == 2
+        assert all(second.csf[n] is first.csf[n] for n in ("A", "B"))
+
+    def test_another_mode_order_or_kind_builds_anew(self, builds):
+        tensors = _two_inputs()
+        a = tensors["A"]
+        (tree_ij, sol_ij), (tree_ji, sol_ji) = _referenced_twice("k,l"), _referenced_twice("l,k")
+        ij, ji = bind(tree_ij, sol_ij, tensors), bind(tree_ji, sol_ji, tensors)
+        assert [order for t, order in builds if t is a] == [(0, 1), (1, 0)]
+        assert ij.csf["A"] is not ji.csf["A"]
+        assert (ij.csf["A"].mode_order, ji.csf["A"].mode_order) == ((0, 1), (1, 0))
+        dense_ij, dense_ji = bind(tree_ij, sol_ij, tensors, ("A",)), bind(tree_ji, sol_ji, tensors, ("A",))
+        assert [order for t, order in builds if t is a] == [(0, 1), (1, 0)]
+        assert np.array_equal(dense_ij.dense["A"], a.to_dense())
+        assert np.array_equal(dense_ji.dense["A"], a.to_dense().T)
+        assert not dense_ij.dense["A"].flags.writeable
+        assert bind(tree_ij, sol_ij, tensors, ("A",)).dense["A"] is dense_ij.dense["A"]
+        assert bind(tree_ji, sol_ji, tensors).csf["A"] is ji.csf["A"]
+
+    def test_reused_layouts_give_the_results_of_fresh_tensors(self):
+        tensors = _two_inputs()
+        for _ in range(2):
+            for second in ("k,l", "l,k"):
+                tree, sol = _referenced_twice(second)
+                ir = lower(tree, sol)
+                for dense in ((), ("A",), ("A", "B"), ("B",)):
+                    fresh = {name: SparseTensor(t.shape, t.entries) for name, t in tensors.items()}
+                    expected = execute(ir, bind(tree, sol, fresh, dense))
+                    assert execute(ir, bind(tree, sol, tensors, dense)) == expected
+
+    def test_binding_leaves_equality_hash_and_repr(self):
+        tensors = _two_inputs()
+        before = {name: (SparseTensor(t.shape, t.entries), repr(t), hash(t)) for name, t in tensors.items()}
+        for second in ("k,l", "l,k"):
+            for dense in ((), ("A", "B")):
+                bind(*_referenced_twice(second), tensors, dense)
+        for name, t in tensors.items():
+            copy, text, code = before[name]
+            assert t == copy and (repr(t), hash(t)) == (text, code) == (repr(copy), hash(copy))
 
 
 class TestCounters:

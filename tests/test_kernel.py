@@ -752,17 +752,19 @@ def test_cached_kernels_pin_no_binding():
     ir = lower(inst.tree, sol)
     binding = bind(inst.tree, sol, inst.tensors, ("B",))
     assert binding.csf and binding.dense
-    refs = [weakref.ref(binding)]
-    refs += [weakref.ref(t) for t in (*binding.csf.values(), *binding.dense.values())]
+    # the input tensors keep their layouts for later binds, so the layouts
+    # live as long as the tensors; a call must add no reference to them
+    layouts = [*binding.csf.values(), *binding.dense.values()]
+    refs = [weakref.ref(x) for x in (binding, *inst.tensors.values(), *layouts)]
     # the CSF tuples and the flat lists a call hands its kernel
     tuples = [x for t in binding.csf.values() for x in (*t.coords, *t.segs, t.values) if x]
-    held = [sys.getrefcount(x) for x in tuples]
+    held = [sys.getrefcount(x) for x in (*layouts, *tuples)]
     flat = [array.ravel().tolist() for array in binding.dense.values()]
     _kernel.cache_clear()
     execute(ir, binding)
     assert _kernel.cache_info().currsize == 1
-    assert [sys.getrefcount(x) for x in tuples] == held
-    del binding
+    assert [sys.getrefcount(x) for x in (*layouts, *tuples)] == held
+    del binding, inst, layouts
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
     assert not [x for x in gc.get_objects() if type(x) is list and any(x is not f and x == f for f in flat)]

@@ -24,6 +24,9 @@ from conftest import CHAIN_NETWORK, MATMUL_NETWORK, chain_network
 
 import json
 
+# an input read twice, as A[i,j] and A[k,l]
+TWICE_A = "extent i 3\nextent j 4\nextent k {k}\nextent l {l}\nX[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * A[k,l]\n"
+
 
 class TestParse:
     def test_running_example_chain(self, running_tree):
@@ -57,6 +60,15 @@ class TestParse:
     def test_extent_mismatch(self):
         with pytest.raises(ExtentMismatchError):
             parse_network("extent k 4\nextent k 5\nR[i,j] = T[i,k] * S[k,j]\n")
+
+    def test_input_referenced_twice_with_other_extents(self):
+        # A is 3x4 as A[i,j] but 4x3 as A[k,l]
+        with pytest.raises(ExtentMismatchError, match=r"'A' has extents \(3, 4\) in A\[i,j\] but \(4, 3\) in A\[k,l\]"):
+            parse_network(TWICE_A.format(k=4, l=3))
+
+    def test_input_referenced_twice_with_matching_extents(self):
+        tree = parse_network(TWICE_A.format(k=3, l=4))
+        assert tree.ref_shape(tree.contractions[1].rhs) == tree.ref_shape(tree.abstract_ref("A")) == (3, 4)
 
     def test_comments_and_blanks(self):
         tree = parse_network("# header\n\nextent i 2\nextent k 2\nextent j 2\nR[i,j] = T[i,k] * S[k,j]  # trailing\n")
