@@ -123,8 +123,7 @@ def _gather_tensors(tree: ContractionTree, args):
         declared = tree.ref_shape(tree.abstract_ref(name))
         if shape != declared:
             raise ExtentMismatchError(
-                tree.abstract_ref(name).indices[0],
-                f"synthetic shape {shape} for '{name}' differs from declared {declared}",
+                f"synthetic shape {shape} for '{name}' differs from declared {declared}"
             )
         tensors[name] = bench_mod.synthetic_tensor(shape, density, np.random.default_rng(seed))
     missing = [n for n in tree.input_names if n not in tensors]

@@ -304,9 +304,12 @@ def solve(
     The search reads the tree directly; :func:`build_model` materializes the
     same system only for :func:`verify_solution`. The search checks the
     consumer and in-between conditions as one rule, the open prefix of the
-    module docstring. Raises :class:`SolveTimeout` when the budget is exceeded
-    and :class:`TooLargeError` when the tree is deeper than the search can
-    recurse.
+    module docstring. A layout pin constrains every reference of its tensor
+    by mode: a loop is placed only after the loops that some pinned reference
+    of its contraction puts before it, so every pinned tensor ends in its
+    pinned mode order. Raises :class:`SolveTimeout` when the budget is
+    exceeded and :class:`TooLargeError` when the tree is deeper than the
+    search can recurse.
     """
     if bound < 1:
         raise InvalidBoundError(f"bound must be >= 1, got {bound}")
@@ -317,7 +320,17 @@ def solve(
     edges = tree.edges
     produces = {e.producer: e for e in edges}
     children = {c.cid: tree.children_of(c.cid) for c in contractions}
-    pins: dict[str, tuple[str, ...]] = dict(tree.layouts)
+    constrained = set(tree.layout_constrained)
+    # each pin translated by mode to every reference of its tensor: the loops
+    # that some pinned reference of a contraction puts before each loop
+    before: dict[tuple[int, str], set[str]] = {}
+    for c in contractions:
+        for ref in (c.result, c.lhs, c.rhs):
+            if ref.tensor in tree.layouts:
+                declared = tree.abstract_ref(ref.tensor).indices
+                order = [ref.indices[declared.index(x)] for x in tree.layouts[ref.tensor]]
+                for p in range(1, len(order)):
+                    before.setdefault((c.cid, order[p]), set()).update(order[:p])
     # forward check: the index a producer puts at fused position s is mirrored
     # by its consumer, which must fill s from its own result while s lies in
     # its own fused prefix, and so on up the chain
@@ -337,15 +350,8 @@ def solve(
         indices = allowed.get((cid, s))
         if indices is not None and x not in indices:
             return False
-        c = contractions[cid]
-        for ref in (c.result, c.lhs, c.rhs):
-            pin = pins.get(ref.tensor)
-            if pin is None or x not in pin:
-                continue
-            before = pin[: pin.index(x)]
-            if any(name not in loops[cid] for name in before):
-                return False
-        return True
+        pinned = before.get((cid, x))
+        return pinned is None or pinned.issubset(loops[cid])
 
     def try_loops(cid: int, prefix: list[str]) -> ScheduleSolution | None:
         if time.monotonic() > deadline:
@@ -388,27 +394,16 @@ def solve(
         return None
 
     def finalize() -> ScheduleSolution | None:
-        dp: dict[str, dict[int, int]] = {}
-        for name in tree.layout_constrained:
-            projections = []
-            for c in contractions:
-                for ref in (c.result, c.lhs, c.rhs):
-                    if ref.tensor != name:
-                        continue
-                    lp_c = {k: p for p, k in enumerate(loops[c.cid])}
-                    layout = tuple(sorted(range(len(ref.indices)), key=lambda j: lp_c[ref.indices[j]]))
-                    projections.append(layout)
-            first = projections[0]
-            if any(p != first for p in projections[1:]):
-                return None  # references disagree; no consistent mode order
-            pin = pins.get(name)
-            if pin is not None:
-                ref = tree.abstract_ref(name)
-                if tuple(ref.indices[j] for j in first) != pin:
-                    return None
-            dp[name] = {mode: pos for pos, mode in enumerate(first)}
-        ap = {cid: pos for pos, cid in enumerate(loops)}
         lp = {cid: {k: p for p, k in enumerate(loops[cid])} for cid in loops}
+        modes: dict[str, tuple[int, ...]] = {}
+        for c in contractions:
+            for ref in (c.result, c.lhs, c.rhs):
+                if ref.tensor in constrained:
+                    order = tuple(sorted(range(len(ref.indices)), key=lambda j: lp[c.cid][ref.indices[j]]))
+                    if modes.setdefault(ref.tensor, order) != order:
+                        return None  # references disagree; no consistent mode order
+        dp = {name: {mode: pos for pos, mode in enumerate(modes[name])} for name in tree.layout_constrained}
+        ap = {cid: pos for pos, cid in enumerate(loops)}
         return ScheduleSolution(bound, ap, lp, dp)
 
     try:

@@ -39,11 +39,7 @@ class DuplicateIndexError(FusetreeError):
 
 
 class ExtentMismatchError(FusetreeError):
-    """An index is used with two different extents."""
-
-    def __init__(self, index, message=None):
-        super().__init__(message or f"inconsistent extents for index '{index}'")
-        self.index = index
+    """An index is used with two different extents, or a tensor's shape disagrees with them."""
 
 
 class UnknownTensorError(FusetreeError):

@@ -176,8 +176,7 @@ def bind(
         expected = tree.ref_shape(ref)
         if t.shape != expected:
             raise ExtentMismatchError(
-                ref.indices[0],
-                f"tensor '{name}' has shape {t.shape}, declared extents give {expected}",
+                f"tensor '{name}' has shape {t.shape}, declared extents give {expected}"
             )
         if sorted(sol.dp.get(name, ())) != list(range(t.order)):
             raise MissingVariableError(f"solution gives input '{name}' no order of its {t.order} modes")
@@ -200,7 +199,7 @@ def _extent(extents: Mapping[str, int], index: str) -> int:
     try:
         return extents[index]
     except KeyError:
-        raise ExtentMismatchError(index, f"no extent declared for index '{index}'") from None
+        raise ExtentMismatchError(f"no extent declared for index '{index}'") from None
 
 
 @dataclass
@@ -725,8 +724,7 @@ def oracle_nary(
         arr = _as_dense(tensors[ref.tensor])
         if arr.shape != tree.ref_shape(ref):
             raise ExtentMismatchError(
-                ref.indices[0],
-                f"tensor '{ref.tensor}' has shape {arr.shape}, expected {tree.ref_shape(ref)}",
+                f"tensor '{ref.tensor}' has shape {arr.shape}, expected {tree.ref_shape(ref)}"
             )
         operands.append(arr)
     out_ref = tree.root.result
@@ -759,6 +757,10 @@ def oracle_unfused(
         if name not in tensors:
             raise UnboundTensorError(f"no tensor bound for input '{name}'")
         arr = _as_dense(tensors[name])
+        if arr.shape != tree.ref_shape(ref):
+            raise ExtentMismatchError(
+                f"tensor '{name}' has shape {arr.shape}, expected {tree.ref_shape(ref)}"
+            )
         env[name] = arr
         return arr
 

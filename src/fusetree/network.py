@@ -125,7 +125,7 @@ class ContractionTree:
         try:
             return tuple(self.extents[i] for i in ref.indices)
         except KeyError as exc:
-            raise ExtentMismatchError(exc.args[0], f"no extent declared for index '{exc.args[0]}'")
+            raise ExtentMismatchError(f"no extent declared for index '{exc.args[0]}'")
 
 
 def _check_ref(ref: TensorRef) -> None:
@@ -227,18 +227,23 @@ def build_tree(
 
     for name, ext in extents.items():
         if int(ext) < 1:
-            raise ExtentMismatchError(name, f"extent of '{name}' must be >= 1, got {ext}")
-    # an input read more than once has one extent per mode in every reference
+            raise ExtentMismatchError(f"extent of '{name}' must be >= 1, got {ext}")
+    # an input read more than once has its order and one extent per mode in every reference
     for c in contractions:
         for ref in (c.lhs, c.rhs):
             first = first_ref[ref.tensor]
-            if ref.tensor in produced or len(ref.indices) != len(first.indices):
+            if ref.tensor in produced:
                 continue
+            if len(ref.indices) != len(first.indices):
+                raise InvalidContractionError(
+                    f"input '{ref.tensor}' has {len(first.indices)} indices in {first} "
+                    f"but {len(ref.indices)} in {ref}"
+                )
             for a, b in zip(first.indices, ref.indices):
                 if a in extents and b in extents and extents[a] != extents[b]:
                     shapes = [tuple(extents.get(i, "?") for i in r.indices) for r in (first, ref)]
                     raise ExtentMismatchError(
-                        b, f"input '{ref.tensor}' has extents {shapes[0]} in {first} but {shapes[1]} in {ref}"
+                        f"input '{ref.tensor}' has extents {shapes[0]} in {first} but {shapes[1]} in {ref}"
                     )
 
     input_names = tuple(
@@ -302,7 +307,7 @@ def parse_network(text: str) -> ContractionTree:
             except ValueError:
                 raise ParseError(f"extent {value!r} is not an integer", line=lineno) from None
             if name in extents and extents[name] != ext:
-                raise ExtentMismatchError(name)
+                raise ExtentMismatchError(f"inconsistent extents for index '{name}'")
             extents[name] = ext
             continue
         if line.startswith("layout"):
@@ -326,18 +331,17 @@ def _parse_json(text: str) -> ContractionTree:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON network spec: {exc}") from None
-    extents = {str(k): int(v) for k, v in doc.get("extents", {}).items()}
-    contractions = []
-    for k, item in enumerate(doc.get("contractions", [])):
-        contractions.append(
-            Contraction(
-                k,
-                _parse_ref(item["out"]),
-                _parse_ref(item["lhs"]),
-                _parse_ref(item["rhs"]),
-            )
-        )
-    layouts = {str(k): tuple(v) for k, v in doc.get("layouts", {}).items()}
+    try:
+        extents = {str(k): int(v) for k, v in doc.get("extents", {}).items()}
+        contractions = [
+            Contraction(k, _parse_ref(item["out"]), _parse_ref(item["lhs"]), _parse_ref(item["rhs"]))
+            for k, item in enumerate(doc.get("contractions", []))
+        ]
+        layouts = {str(k): tuple(v) for k, v in doc.get("layouts", {}).items()}
+    except KeyError as exc:
+        raise ParseError(f"a contraction of the JSON network spec has no key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed JSON network spec: {exc}") from None
     return build_tree(contractions, extents, layouts)
 
 

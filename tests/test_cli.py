@@ -99,6 +99,40 @@ class TestPlan:
         assert captured.out == ""
         assert captured.err == "error: input 'A' has extents (3, 4) in A[i,j] but (4, 3) in A[k,l]\n"
 
+    def test_input_read_with_another_number_of_indices_exits_with_an_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "arity.net"
+        bad.write_text("extent i 3\nextent j 4\nX[i] = A[i,j] * B[j]\nR[i] = X[i] * A[i]\n")
+        assert main(["plan", "--network", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: input 'A' has 2 indices in A[i,j] but 1 in A[i]\n"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"extents": {"i": 2}, "contractions": [{"out": "R[i]", "lhs": "A[i]"}]},
+                "a contraction of the JSON network spec has no key 'rhs'",
+            ),
+            (
+                {"extents": {"i": "x"}, "contractions": [{"out": "R[i]", "lhs": "A[i]", "rhs": "B[i]"}]},
+                "malformed JSON network spec: invalid literal for int() with base 10: 'x'",
+            ),
+            (
+                {"extents": {"i": 2}, "contractions": [{"out": "R[i]", "lhs": "A[i]", "rhs": 5}]},
+                "malformed JSON network spec: 'int' object has no attribute 'strip'",
+            ),
+        ],
+        ids=["missing-key", "extent-not-an-integer", "reference-not-a-string"],
+    )
+    def test_malformed_json_network_exits_with_an_error_line(self, spec, message, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(spec))
+        assert main(["plan", "--network", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_byte_identical_reports(self, running_net, capsys):
         main(["plan", "--network", str(running_net)])
         first = capsys.readouterr().out
@@ -218,6 +252,15 @@ class TestRun:
         for name in ("A", "B", "C", "D"):
             argv += ["--synthetic", f"{name}=6x6x6:0.2:{ord(name)}"]
         assert main(argv) == 3
+
+    def test_synthetic_shape_for_an_order_0_input(self, tmp_path, capsys):
+        net = tmp_path / "scalar.net"
+        net.write_text("extent i 3\nR[i] = A[i] * S[]\n")
+        argv = ["run", "--network", str(net), "--synthetic", "A=3:0.9:1", "--synthetic", "S=3:0.9:2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "minimal workspace order: 1\n"  # tensors are read after planning
+        assert captured.err == "error: synthetic shape (3,) for 'S' differs from declared ()\n"
 
     def test_bad_synthetic_spec(self, running_net):
         assert main(["run", "--network", str(running_net), "--synthetic", "A=oops"]) == 1

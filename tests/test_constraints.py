@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -236,6 +237,17 @@ def _bench_trees():
     return trees
 
 
+# networks that read the pinned input A twice, the second time as A[{a}];
+# each is tried with every order of A's indices there and in the pin
+PINNED_TWICE = {
+    "one-contraction": ("i,j", "R[i,j] = A[i,j] * A[{a}]"),
+    "producer-and-consumer": ("i,j", "X[i,j] = A[i,j] * B[j]\nR[i] = X[i,j] * A[{a}]"),
+    "order-3": ("i,j,k", "X[i,j,k] = A[i,j,k] * B[k]\nR[i] = X[i,j,k] * A[{a}]"),
+    "chain": ("i,j", "X[i,j] = A[i,j] * B[j]\nY[i,j] = X[i,j] * C[i]\nR[i] = Y[i,j] * A[{a}]"),
+    "siblings": ("i,j", "X[i,j] = A[i,j] * B[j]\nY[i,j] = A[{a}] * C[i]\nR[i] = X[i,j] * Y[i,j]"),
+}
+
+
 class TestBruteForceAgreement:
     @pytest.mark.parametrize("kind", sorted(_bench_trees()))
     @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -265,6 +277,32 @@ class TestBruteForceAgreement:
                 assert (solve(tree, bound) is not None) == brute_force_sat(
                     tree, bound
                 )
+
+    @pytest.mark.parametrize("indices, body", PINNED_TWICE.values(), ids=list(PINNED_TWICE))
+    def test_input_pinned_and_read_twice(self, indices, body):
+        names = indices.split(",")
+        head = "".join(f"extent {x} 2\n" for x in names)
+        for second in itertools.permutations(names):
+            for pin in itertools.permutations(names):
+                text = f"{head}layout A {','.join(pin)}\n" + body.format(a=",".join(second)) + "\n"
+                tree = parse_network(text)
+                l_max = max((e.order for e in tree.edges), default=1)
+                sat = [b for b in range(1, l_max + 1) if brute_force_sat(tree, b)]
+                if not sat:
+                    with pytest.raises(UnsatisfiableError):
+                        search_min_order(tree)
+                    continue
+                bound, sol = search_min_order(tree)
+                assert bound == sat[0], text
+                assert verify_solution(tree, bound, sol) == [], text
+
+
+def test_solver_fuzz_runs_clean(capsys):
+    import fuzz_solver
+
+    # outcome counts depend on the wall-clock budget, so only the verdict is pinned
+    assert fuzz_solver.main(["--seed", "1", "--trees", "25", "--budget", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].endswith("; invalid witnesses 0")
 
 
 class TestMonotonicity:

@@ -96,6 +96,14 @@ class TestExecuteBasics:
         with pytest.raises(ExtentMismatchError):
             bind(matmul_tree, sol, {"T": T, "S": S3})
 
+    def test_extent_mismatch_at_bind_for_an_order_0_input(self):
+        tree = parse_network("extent i 3\nR[i] = A[i] * S[]\n")
+        sol = solve(tree, 1)
+        A = coo_from_entries([((0,), 1.0)], (3,))
+        S = coo_from_entries([((0,), 1.0)], (2,))
+        with pytest.raises(ExtentMismatchError, match=r"'S' has shape \(2,\), declared extents give \(\)"):
+            bind(tree, sol, {"A": A, "S": S})
+
     def test_mode_order_mismatch(self, matmul_tree):
         sol = solve(matmul_tree, 1)
         T = coo_from_entries([((0, 0), 1.0)], (2, 2))
@@ -342,6 +350,20 @@ class TestOracles:
         b, info = oracle_unfused(inst.tree, inst.tensors)
         assert compare(a, b, rel_tol=1e-12).passed
         assert info["max_intermediate_cells"] == 3**4
+
+    def test_nary_rejects_a_misshapen_order_0_input(self):
+        tree = parse_network("extent i 3\nR[i] = A[i] * S[]\n")
+        A = coo_from_entries([((0,), 1.0)], (3,))
+        S = coo_from_entries([((0,), 1.0)], (2,))
+        with pytest.raises(ExtentMismatchError, match=r"'S' has shape \(2,\), expected \(\)"):
+            oracle_nary(tree, {"A": A, "S": S})
+
+    def test_unfused_rejects_a_leaf_that_einsum_would_broadcast(self):
+        tree = parse_network("extent i 3\nextent j 3\nR[i] = T[i,j] * S[j]\n")
+        T = coo_from_entries([((0, 0), 1.0), ((0, 1), 2.0), ((1, 2), 4.0)], (3, 3))
+        S = coo_from_entries([((0,), 2.0)], (1,))
+        with pytest.raises(ExtentMismatchError, match=r"'S' has shape \(1,\), expected \(3,\)"):
+            oracle_unfused(tree, {"T": T, "S": S})
 
     def test_nary_too_large(self):
         text = "extent i 100000\nextent j 100000\nextent k 100000\nR[i,j] = T[i,k] * S[k,j]\n"

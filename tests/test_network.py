@@ -70,6 +70,11 @@ class TestParse:
         tree = parse_network(TWICE_A.format(k=3, l=4))
         assert tree.ref_shape(tree.contractions[1].rhs) == tree.ref_shape(tree.abstract_ref("A")) == (3, 4)
 
+    def test_input_referenced_with_another_number_of_indices(self):
+        text = "extent i 3\nextent j 4\nX[i] = A[i,j] * B[j]\nR[i] = X[i] * A[i]\n"
+        with pytest.raises(InvalidContractionError, match=r"'A' has 2 indices in A\[i,j\] but 1 in A\[i\]"):
+            parse_network(text)
+
     def test_comments_and_blanks(self):
         tree = parse_network("# header\n\nextent i 2\nextent k 2\nextent j 2\nR[i,j] = T[i,k] * S[k,j]  # trailing\n")
         assert tree.m == 1
