@@ -412,6 +412,8 @@ def solve(
         raise TooLargeError(
             f"a tree of {m} contractions is too deep for the search at bound {bound}"
         ) from None
+    finally:
+        del try_loops, try_place  # they refer to each other; free them without the collector
 
 
 def search_min_order(

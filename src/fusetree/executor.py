@@ -11,13 +11,14 @@ coordinate streams, so every statement sees the coordinates it needs, and a
 loop that some statement reaches only through dense operands runs over the
 full index range; both find each operand's position by bisection.
 
-``bind`` stores every input in the mode order the solution gives it, CSF or
-dense, and records that layout. Each layout is built once per tensor, kind
-and mode order and held by the tensor as long as it lives, so later binds of
-the tensor in that layout reuse it; a one-shot ``fusetree run`` builds each
-once and gains nothing. Dense inputs and workspaces are flat lists,
-each addressed row-major in its reference's own index order; a reference
-that disagrees with the bound or workspace layout raises
+``bind`` stores every input in the form its kernel reads, in the mode order
+the solution gives it: a CSF tree, or a flat tuple of dense values. It keeps
+them in one operand map and records each layout. Each layout is built once
+per tensor, kind and mode order and held by the tensor as long as it lives,
+so later binds of the tensor in that layout reuse it; a one-shot ``fusetree
+run`` builds each once and gains nothing. Dense inputs are flat tuples and
+workspaces flat lists, each addressed row-major in its reference's own index
+order; a reference that disagrees with the bound or workspace layout raises
 ``ModeOrderMismatchError`` when the kernel is planned.
 
 A statement contributes only when every sparse operand carries the current
@@ -44,16 +45,17 @@ The source numbers every identifier, so no network name reaches it, and
 writes every stride, loop extent and workspace size as a literal. A kernel's
 parameters are the root accumulator and its operands: each CSF operand whole,
 unpacked into its levels' coordinates and segments and its values at the top
-of the kernel, and each dense operand as its flat list. A kernel is planned
+of the kernel, and each dense operand as its flat tuple. A kernel is planned
 and compiled once per signature: the IR; each input's bound layout and kind,
 CSF or dense; and the tree's extents, root reference and intermediate names.
 The cache entry keeps the compiled function and its operands' names in
 parameter order, and no tensor data. Each call picks the root accumulator and
-runs the kernel on it and the binding's operands, so only the first run of a
-signature, such as a one-shot ``fusetree run``, pays for planning and
-compilation. A schedule that fails its checks raises on every call, and a
-kernel nesting more than ``MAX_NESTED_LOOPS`` loops, which Python cannot
-compile, raises ``TooLargeError``.
+runs the kernel on it and the binding's operands as they are stored, so only
+the first run of a signature, such as a one-shot ``fusetree run``, pays for
+planning and compilation, and no call converts an operand. A schedule that
+fails its checks raises on every call, and a kernel nesting more than
+``MAX_NESTED_LOOPS`` loops, which Python cannot compile, raises
+``TooLargeError``.
 
 Two dense oracles provide independent ground truth for the kernels. The n-ary
 oracle contracts the flat product of every leaf; above a small index space it
@@ -131,17 +133,17 @@ class ExecStats:
 class Binding:
     """Input tensors prepared for execution under one schedule.
 
-    Every input is stored in the mode order the solution gives it: as a CSF
-    tree built in that order, or, flagged dense or of order 0, as a read-only
-    array transposed to it. The trees and arrays belong to the input tensors,
-    which keep them for every binding of the same kind and mode order.
-    ``layouts`` names each input's indices in that order, as
-    ``ScheduleSolution.layout_indices`` does for its first reference.
+    ``operands`` holds every input in the form its kernel reads, in the mode
+    order the solution gives it: a CSF tree built in that order, or, flagged
+    dense or of order 0, the flat row-major tuple of its values transposed to
+    it. The trees and tuples belong to the input tensors, which keep them for
+    every binding of the same kind and mode order. ``layouts`` names each
+    input's indices in that order, as ``ScheduleSolution.layout_indices``
+    does for its first reference.
     """
 
     tree: ContractionTree
-    csf: Mapping[str, CsfTensor]
-    dense: Mapping[str, np.ndarray]
+    operands: Mapping[str, CsfTensor | tuple[float, ...]]
     layouts: Mapping[str, tuple[str, ...]]
 
 
@@ -156,17 +158,17 @@ def bind(
 
     Every name in ``dense_names`` must be an input of ``tree``. ``sol`` must
     order exactly the modes of every input, else :class:`MissingVariableError`.
-    These checks run on every call. Each layout, a CSF tree or a read-only
-    dense array, is built on the first bind of its tensor, kind and mode
-    order, and kept on the tensor for later binds, as long as the tensor
-    lives; a one-shot ``fusetree run`` builds every layout once and gains
-    nothing.
+    These checks run on every call. Each layout, a CSF tree or a flat tuple,
+    is built on the first bind of its tensor, kind and mode order, and kept on
+    the tensor for later binds, as long as the tensor lives; a one-shot
+    ``fusetree run`` builds every layout once and gains nothing. A tensor
+    whose coordinates are not unique and sorted raises
+    :class:`NonCanonicalTensorError` when one of its layouts is built.
     """
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
         raise UnknownTensorError(f"no input {', '.join(map(repr, unknown))} to bind dense")
-    csf: dict[str, CsfTensor] = {}
-    dense: dict[str, np.ndarray] = {}
+    operands: dict[str, CsfTensor | tuple[float, ...]] = {}
     layouts: dict[str, tuple[str, ...]] = {}
     for name in tree.input_names:
         if name not in tensors:
@@ -185,14 +187,16 @@ def bind(
         kind = "dense" if name in dense_names or t.order == 0 else "csf"
         stored = t._layouts.get((kind, perm))
         if stored is None:
+            for (prev, _), (coords, _) in zip(t.entries, t.entries[1:]):
+                if not prev < coords:
+                    raise NonCanonicalTensorError(f"tensor '{name}': coordinates {coords} follow {prev}")
             if kind == "dense":
-                stored = np.ascontiguousarray(t.to_dense().transpose(perm))
-                stored.flags.writeable = False  # shared by every binding of t
+                stored = tuple(t.to_dense().transpose(perm).ravel().tolist())
             else:
                 stored = csf_build(t, perm)
             t._layouts[kind, perm] = stored  # a racing bind may store an equal layout
-        (dense if kind == "dense" else csf)[name] = stored
-    return Binding(tree, csf, dense, layouts)
+        operands[name] = stored
+    return Binding(tree, operands, layouts)
 
 
 def _extent(extents: Mapping[str, int], index: str) -> int:
@@ -264,7 +268,7 @@ def _signature(ir: IrNode, binding: Binding) -> tuple:
     tree = binding.tree
     return (
         ir,
-        tuple((name, layout, name in binding.csf) for name, layout in binding.layouts.items()),
+        tuple((name, binding.layouts[name], type(x) is CsfTensor) for name, x in binding.operands.items()),
         tuple(sorted(tree.extents.items())),
         tree.root.result,
         tree.intermediate_names,
@@ -605,12 +609,11 @@ class _Kernel:
 
 @dataclass(frozen=True)
 class _Compiled:
-    """A compiled kernel and the names of its CSF and dense operands, in
+    """A compiled kernel and the names of its operands, CSF then dense, in
     parameter order after the root accumulator. It holds no binding data."""
 
     run: Callable
-    csf: tuple[str, ...]
-    dense: tuple[str, ...]
+    operands: tuple[str, ...]
     shape: tuple[int, ...]  # of the root
     results: tuple[str, ...]  # of each statement, in counter order
     max_cells: int  # of the largest workspace
@@ -627,8 +630,7 @@ def _kernel(*signature) -> _Compiled:
     exec(compile(kernel.source(), "<fusetree kernel>", "exec"), namespace)
     return _Compiled(
         namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
-        tuple(kernel.operands),
-        tuple(kernel.dense),
+        (*kernel.operands, *kernel.dense),
         kernel.shape,
         tuple(name for name, _ in kernel.stmts),
         max(kernel.cells, default=0),
@@ -643,10 +645,11 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     tree's extents, root and intermediates. An IR that walks an input in
     another order than ``binding`` stores it raises
     :class:`ModeOrderMismatchError`. Later calls of the signature only run it
-    on the operands of ``binding``, so a one-shot run gains nothing. The root
-    accumulator, a flat list or a dict, is chosen per call.
-    Workspaces, the root accumulator and counters are locals of the call, so
-    independent calls may run concurrently over the same (immutable) binding.
+    on the operands of ``binding``, passed as they are stored, so a one-shot
+    run gains nothing. The root accumulator, a flat list or a dict, is chosen
+    per call. Workspaces, the root accumulator and counters are locals of the
+    call, so independent calls may run concurrently over the same (immutable)
+    binding.
     """
     kernel = _kernel(*_signature(ir, binding))
     shape = kernel.shape
@@ -657,8 +660,7 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
         raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
     acc, counts = kernel.run(
         [0.0] * cells if dense_root else defaultdict(float),
-        *(binding.csf[name] for name in kernel.csf),
-        *(binding.dense[name].ravel().tolist() for name in kernel.dense),
+        *(binding.operands[name] for name in kernel.operands),
     )
     per_assignment = {name: count for name, count in zip(kernel.results, counts) if count}
     stats = ExecStats(sum(counts), kernel.max_cells, per_assignment)

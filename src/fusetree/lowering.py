@@ -140,13 +140,8 @@ def generate(pairs: Sequence[SchedulePair]) -> IrNode:
     if len(groups) == 1:
         return emit(groups[0])
     last = groups[-1]
-    consumer = (
-        Assign(last.cid, last.result, last.lhs, last.rhs)
-        if isinstance(last, SchedulePair)
-        else generate(last[1])
-    )
     prefix_len = len(pairs) - (1 if isinstance(last, SchedulePair) else len(last[1]))
-    return Where(consumer, generate(pairs[:prefix_len]))
+    return Where(emit(last), generate(pairs[:prefix_len]))
 
 
 def lower(tree: ContractionTree, sol: ScheduleSolution) -> IrNode:

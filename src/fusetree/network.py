@@ -332,7 +332,10 @@ def _parse_json(text: str) -> ContractionTree:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON network spec: {exc}") from None
     try:
-        extents = {str(k): int(v) for k, v in doc.get("extents", {}).items()}
+        extents = doc.get("extents", {})
+        for index, value in extents.items():
+            if type(value) is not int:  # JSON true is a bool and 3.0 a float
+                raise ParseError(f"extent {json.dumps(value)} of index '{index}' is not an integer")
         contractions = [
             Contraction(k, _parse_ref(item["out"]), _parse_ref(item["lhs"]), _parse_ref(item["rhs"]))
             for k, item in enumerate(doc.get("contractions", []))

@@ -13,7 +13,13 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .errors import NonFiniteValueError, OutOfBoundsError, ParseError, RankMismatchError
+from .errors import (
+    NonCanonicalTensorError,
+    NonFiniteValueError,
+    OutOfBoundsError,
+    ParseError,
+    RankMismatchError,
+)
 
 Coords = tuple[int, ...]
 
@@ -43,9 +49,10 @@ class SparseTensor:
     zeros. Instances are immutable and safe to share.
 
     ``_layouts`` is where ``executor.bind`` keeps each layout it builds of
-    the tensor, a CSF tree or a transposed dense array, keyed by kind and
-    mode order, so that later binds reuse it. The layouts live as long as the
-    tensor does; equality, hashing and ``repr`` ignore them.
+    the tensor, a CSF tree or a flat tuple of its transposed dense values,
+    keyed by kind and mode order, so that later binds reuse it. The layouts
+    live as long as the tensor does; equality, hashing and ``repr`` ignore
+    them.
     """
 
     shape: tuple[int, ...]
@@ -130,7 +137,10 @@ class CsfTensor:
 
 
 def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
-    """Group a tensor's non-zeros into a CSF tree under ``order``."""
+    """Group a tensor's non-zeros into a CSF tree under ``order``.
+
+    A repeated coordinate raises :class:`NonCanonicalTensorError`.
+    """
     perm = _check_perm(order, t.order)
     n = t.order
     permuted = sorted((tuple(c[k] for k in perm), v) for c, v in t.entries)
@@ -151,7 +161,7 @@ def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
                 continue
             counts[d - 1][-1] += 1
         if prev is not None and split == n:
-            raise AssertionError("duplicate coordinates in canonical tensor")
+            raise NonCanonicalTensorError(f"coordinates {key} in mode order {perm} repeat")
         prev = key
     segs: list[tuple[int, ...]] = [(0, len(coords[0]) if n else len(permuted))]
     for d in range(n - 1):

@@ -116,9 +116,7 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
         ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
         result, stats = execute(ir, binding)
         again = bind(tree, sol, tensors, dense)
-        if any(again.csf[name] is not csf for name, csf in binding.csf.items()) or any(
-            again.dense[name] is not array for name, array in binding.dense.items()
-        ):
+        if any(again.operands[name] is not operand for name, operand in binding.operands.items()):
             problems.append("a second bind rebuilt a layout")
         if execute(ir, again) != (result, stats):
             problems.append("the run on the second binding differs from the first")

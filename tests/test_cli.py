@@ -116,14 +116,29 @@ class TestPlan:
             ),
             (
                 {"extents": {"i": "x"}, "contractions": [{"out": "R[i]", "lhs": "A[i]", "rhs": "B[i]"}]},
-                "malformed JSON network spec: invalid literal for int() with base 10: 'x'",
+                """extent "x" of index 'i' is not an integer""",
+            ),
+            *(
+                (
+                    {"extents": {"i": extent}, "contractions": [{"out": "R[i]", "lhs": "A[i]", "rhs": "B[i]"}]},
+                    f"extent {text} of index 'i' is not an integer",
+                )
+                for extent, text in ((2.7, "2.7"), (3.0, "3.0"), (True, "true"), ("3", '"3"'))
             ),
             (
                 {"extents": {"i": 2}, "contractions": [{"out": "R[i]", "lhs": "A[i]", "rhs": 5}]},
                 "malformed JSON network spec: 'int' object has no attribute 'strip'",
             ),
         ],
-        ids=["missing-key", "extent-not-an-integer", "reference-not-a-string"],
+        ids=[
+            "missing-key",
+            "extent-not-an-integer",
+            "extent-a-fraction",
+            "extent-a-float",
+            "extent-a-boolean",
+            "extent-a-string-of-digits",
+            "reference-not-a-string",
+        ],
     )
     def test_malformed_json_network_exits_with_an_error_line(self, spec, message, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 
@@ -303,6 +304,17 @@ def test_solver_fuzz_runs_clean(capsys):
     # outcome counts depend on the wall-clock budget, so only the verdict is pinned
     assert fuzz_solver.main(["--seed", "1", "--trees", "25", "--budget", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("; invalid witnesses 0")
+
+
+def test_search_leaves_no_cyclic_garbage():
+    tree = bench_generate("running_example", extents=4, seed=1).tree
+    gc.collect()
+    gc.disable()
+    try:
+        search_min_order(tree)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestMonotonicity:

@@ -30,6 +30,7 @@ from fusetree.errors import (
     ExtentMismatchError,
     MissingVariableError,
     ModeOrderMismatchError,
+    NonCanonicalTensorError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
@@ -80,8 +81,8 @@ class TestExecuteBasics:
         inst = bench_generate("running_example", extents=4, density=0.5, seed=21)
         bound, sol = search_min_order(inst.tree)
         binding = bind(inst.tree, sol, inst.tensors, ())
-        for name, csf in binding.csf.items():
-            assert csf.mode_order == sol.mode_perm(name)
+        for name, operand in binding.operands.items():
+            assert operand.mode_order == sol.mode_perm(name)
 
     def test_unbound_tensor(self, matmul_tree):
         sol = solve(matmul_tree, 1)
@@ -103,6 +104,22 @@ class TestExecuteBasics:
         S = coo_from_entries([((0,), 1.0)], (2,))
         with pytest.raises(ExtentMismatchError, match=r"'S' has shape \(2,\), declared extents give \(\)"):
             bind(tree, sol, {"A": A, "S": S})
+
+    @pytest.mark.parametrize("dense", ((), ("A",)))
+    @pytest.mark.parametrize(
+        "entries, message",
+        (
+            ((((0,), 1.0), ((0,), 2.0)), r"\(0,\) follow \(0,\)"),
+            ((((1,), 1.0), ((0,), 2.0)), r"\(0,\) follow \(1,\)"),
+        ),
+        ids=("repeated", "out-of-order"),
+    )
+    def test_a_non_canonical_input_at_bind(self, entries, message, dense):
+        # bound dense, a repeated coordinate would run on its last value
+        tree = parse_network("extent i 2\nR[i] = A[i] * B[i]\n")
+        tensors = {"A": SparseTensor((2,), entries), "B": coo_from_entries([((0,), 1.0)], (2,))}
+        with pytest.raises(NonCanonicalTensorError, match=f"tensor 'A': coordinates {message}"):
+            bind(tree, solve(tree, 1), tensors, dense)
 
     def test_mode_order_mismatch(self, matmul_tree):
         sol = solve(matmul_tree, 1)
@@ -138,8 +155,7 @@ class TestBoundLayouts:
             assert binding.layouts[name] == sol.layout_indices(inst.tree.abstract_ref(name))
         for name in inst.dense_names:
             stored = inst.tensors[name].to_dense().transpose(sol.mode_perm(name))
-            assert np.array_equal(binding.dense[name], stored)
-            assert binding.dense[name].flags.c_contiguous
+            assert binding.operands[name] == tuple(stored.ravel().tolist())
 
     @pytest.mark.parametrize("modes", (None, {0: 0}, {0: 0, 1: 1, 2: 2}, {0: 1, 2: 0}))
     @pytest.mark.parametrize("dense", ((), ("S",)))
@@ -211,7 +227,16 @@ class TestLayoutMemo:
         assert builds == [(tensors[n], sol.mode_perm(n)) for n in ("A", "B")]
         second = bind(tree, sol, tensors)
         assert len(builds) == 2
-        assert all(second.csf[n] is first.csf[n] for n in ("A", "B"))
+        assert all(second.operands[n] is first.operands[n] for n in ("A", "B"))
+
+    @pytest.mark.parametrize("second", ("k,l", "l,k"))
+    def test_a_second_bind_reuses_the_dense_tuples(self, second, builds):
+        tree, sol = _referenced_twice(second)
+        tensors = _two_inputs()
+        first = bind(tree, sol, tensors, ("A", "B"))
+        assert builds == [] and all(type(first.operands[n]) is tuple for n in ("A", "B"))
+        second = bind(tree, sol, tensors, ("A", "B"))
+        assert all(second.operands[n] is first.operands[n] for n in ("A", "B"))
 
     def test_another_mode_order_or_kind_builds_anew(self, builds):
         tensors = _two_inputs()
@@ -219,15 +244,14 @@ class TestLayoutMemo:
         (tree_ij, sol_ij), (tree_ji, sol_ji) = _referenced_twice("k,l"), _referenced_twice("l,k")
         ij, ji = bind(tree_ij, sol_ij, tensors), bind(tree_ji, sol_ji, tensors)
         assert [order for t, order in builds if t is a] == [(0, 1), (1, 0)]
-        assert ij.csf["A"] is not ji.csf["A"]
-        assert (ij.csf["A"].mode_order, ji.csf["A"].mode_order) == ((0, 1), (1, 0))
+        assert ij.operands["A"] is not ji.operands["A"]
+        assert (ij.operands["A"].mode_order, ji.operands["A"].mode_order) == ((0, 1), (1, 0))
         dense_ij, dense_ji = bind(tree_ij, sol_ij, tensors, ("A",)), bind(tree_ji, sol_ji, tensors, ("A",))
         assert [order for t, order in builds if t is a] == [(0, 1), (1, 0)]
-        assert np.array_equal(dense_ij.dense["A"], a.to_dense())
-        assert np.array_equal(dense_ji.dense["A"], a.to_dense().T)
-        assert not dense_ij.dense["A"].flags.writeable
-        assert bind(tree_ij, sol_ij, tensors, ("A",)).dense["A"] is dense_ij.dense["A"]
-        assert bind(tree_ji, sol_ji, tensors).csf["A"] is ji.csf["A"]
+        assert dense_ij.operands["A"] == tuple(a.to_dense().ravel().tolist())
+        assert dense_ji.operands["A"] == tuple(a.to_dense().T.ravel().tolist())
+        assert bind(tree_ij, sol_ij, tensors, ("A",)).operands["A"] is dense_ij.operands["A"]
+        assert bind(tree_ji, sol_ji, tensors).operands["A"] is ji.operands["A"]
 
     def test_reused_layouts_give_the_results_of_fresh_tensors(self):
         tensors = _two_inputs()

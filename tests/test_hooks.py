@@ -15,6 +15,7 @@ import fusetree.constraints as constraints
 import fusetree.executor as executor
 from fusetree import bench_generate, bind, execute, lower, parse_network, search_min_order
 from fusetree.errors import UnsatisfiableError
+from fusetree.tensor import CsfTensor
 
 
 @pytest.fixture
@@ -55,7 +56,8 @@ def test_bind_calls_csf_build_once_per_csf_input(monkeypatch):
     _, sol = search_min_order(inst.tree)
     binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
     sparse = [n for n in inst.tree.input_names if n not in inst.dense_names]
-    assert sparse and sorted(binding.csf) == sorted(sparse)
+    csf = [name for name, operand in binding.operands.items() if isinstance(operand, CsfTensor)]
+    assert sparse and sorted(csf) == sorted(sparse)
     assert calls == [sol.mode_perm(n) for n in sparse]
 
 

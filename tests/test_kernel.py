@@ -11,6 +11,7 @@ kernel cache: what its signature must tell apart, and that it pins no input.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import gc
 import inspect
 import random
@@ -24,6 +25,7 @@ from typing import Sequence
 import numpy as np
 import pytest
 
+import fusetree.executor as executor
 from fusetree import (
     ScheduleSolution,
     bind,
@@ -44,7 +46,7 @@ from fusetree.errors import MalformedScheduleError, TooLargeError
 from fusetree.executor import _Kernel, _kernel, _signature
 from fusetree.lowering import Forall
 from fusetree.network import Contraction
-from fusetree.tensor import SparseTensor
+from fusetree.tensor import CsfTensor, SparseTensor
 from conftest import nonzero_products, random_tree
 
 MODES = ("sparse", "mixed", "dense", "zero", "single")
@@ -716,7 +718,7 @@ def _nested(n: int):
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_parameters_are_its_operands(kind):
     # sizes are compiled in: a kernel takes the root accumulator, each CSF
-    # operand whole, each dense operand's flat list and the bisection
+    # operand whole, each dense operand's flat tuple and the bisection
     inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
@@ -726,12 +728,36 @@ def test_kernel_parameters_are_its_operands(kind):
     compiled = _kernel(*_signature(ir, binding))
     assert _kernel.cache_info().hits == 1
     params = inspect.signature(compiled.run).parameters
-    csf = [f"t{k}" for k in range(len(binding.csf))]
-    dense = [f"d{k}" for k in range(len(binding.dense))]
+    kinds = [type(binding.operands[name]) for name in compiled.operands]
+    csf = [f"t{k}" for k in range(kinds.count(CsfTensor))]
+    dense = [f"d{k}" for k in range(kinds.count(tuple))]
     assert list(params) == ["acc", *csf, *dense, "bl"]
     assert params["bl"].default is bisect.bisect_left
-    assert sorted(compiled.csf) == sorted(binding.csf)
-    assert sorted(compiled.dense) == sorted(binding.dense)
+    assert kinds == sorted(kinds, key=lambda kind: kind is tuple)
+    assert sorted(compiled.operands) == sorted(binding.operands)
+
+
+@pytest.mark.parametrize("dense", ("bench", "all"))
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_reads_each_bound_operand_itself(kind, dense, monkeypatch):
+    # every argument after the root accumulator is the layout bind stored,
+    # not a copy made per call
+    inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
+    _, sol = search_min_order(inst.tree)
+    ir = lower(inst.tree, sol)
+    binding = bind(inst.tree, sol, inst.tensors, inst.dense_names if dense == "bench" else inst.tree.input_names)
+    compiled = _kernel(*_signature(ir, binding))
+    calls = []
+
+    def run(acc, *operands):
+        calls.append(operands)
+        return compiled.run(acc, *operands)
+
+    monkeypatch.setattr(executor, "_kernel", lambda *signature: dataclasses.replace(compiled, run=run))
+    execute(ir, binding)
+    (operands,) = calls
+    assert len(operands) == len(compiled.operands) == len(binding.operands)
+    assert all(operand is binding.operands[name] for operand, name in zip(operands, compiled.operands))
 
 
 def test_typed_errors_raise_on_every_call():
@@ -751,23 +777,24 @@ def test_cached_kernels_pin_no_binding():
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
     binding = bind(inst.tree, sol, inst.tensors, ("B",))
-    assert binding.csf and binding.dense
     # the input tensors keep their layouts for later binds, so the layouts
     # live as long as the tensors; a call must add no reference to them
-    layouts = [*binding.csf.values(), *binding.dense.values()]
-    refs = [weakref.ref(x) for x in (binding, *inst.tensors.values(), *layouts)]
-    # the CSF tuples and the flat lists a call hands its kernel
-    tuples = [x for t in binding.csf.values() for x in (*t.coords, *t.segs, t.values) if x]
-    held = [sys.getrefcount(x) for x in (*layouts, *tuples)]
-    flat = [array.ravel().tolist() for array in binding.dense.values()]
+    csf = [x for x in binding.operands.values() if type(x) is CsfTensor]
+    dense = [x for x in binding.operands.values() if type(x) is tuple]
+    assert csf and dense
+    refs = [weakref.ref(x) for x in (binding, *inst.tensors.values(), *csf)]
+    # the CSF tuples a call unpacks in its kernel
+    tuples = [x for t in csf for x in (*t.coords, *t.segs, t.values) if x]
+    held = [sys.getrefcount(x) for x in (*csf, *dense, *tuples)]
     _kernel.cache_clear()
     execute(ir, binding)
     assert _kernel.cache_info().currsize == 1
-    assert [sys.getrefcount(x) for x in (*layouts, *tuples)] == held
-    del binding, inst, layouts
+    assert [sys.getrefcount(x) for x in (*csf, *dense, *tuples)] == held
+    del binding, inst, csf
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
-    assert not [x for x in gc.get_objects() if type(x) is list and any(x is not f and x == f for f in flat)]
+    # a tuple takes no weak reference: held by this list alone, it dies with it
+    assert [sys.getrefcount(dense[k]) for k in range(len(dense))] == [2] * len(dense)
 
 
 # ---------------------------------------------------------------------------

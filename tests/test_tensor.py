@@ -18,7 +18,13 @@ from fusetree import (
     read_tns,
     write_tns,
 )
-from fusetree.errors import NonFiniteValueError, OutOfBoundsError, ParseError, RankMismatchError
+from fusetree.errors import (
+    NonCanonicalTensorError,
+    NonFiniteValueError,
+    OutOfBoundsError,
+    ParseError,
+    RankMismatchError,
+)
 from conftest import csf_check, csf_flatten, permute
 
 
@@ -115,6 +121,11 @@ class TestCsf:
         t = coo_from_entries([], (2, 2))
         with pytest.raises(RankMismatchError):
             csf_build(t, (0, 1, 2))
+
+    def test_repeated_coordinates(self):
+        t = SparseTensor((2, 2), (((0, 1), 1.0), ((1, 0), 2.0), ((0, 1), 3.0)))
+        with pytest.raises(NonCanonicalTensorError, match=r"coordinates \(1, 0\) in mode order \(1, 0\) repeat"):
+            csf_build(t, (1, 0))
 
 
 @st.composite
