@@ -60,15 +60,19 @@ fails its checks raises on every call, and a kernel nesting more than
 Two dense oracles provide independent ground truth for the kernels. The n-ary
 oracle contracts the flat product of every leaf; above a small index space it
 lets numpy choose a pairwise order from that flat expression alone, never from
-the tree or the schedule. The unfused oracle evaluates the contractions one by
-one, children first. ``compare`` walks the two canonical entry lists in one
-merge.
+the tree or the schedule. Where numpy's path, whose intermediates it caps at
+the size of the largest operand or the result, is one flat step, the oracle
+contracts one slice of the result's leading index at a time instead, each
+along a path numpy plans once under the same cap. The unfused oracle
+evaluates the contractions one by one, children first. ``compare`` walks the
+two canonical entry lists in one merge.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import string
 import sys
@@ -86,6 +90,7 @@ from .errors import (
     MissingVariableError,
     ModeOrderMismatchError,
     NonCanonicalTensorError,
+    OutOfBoundsError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
@@ -163,7 +168,8 @@ def bind(
     the tensor for later binds, as long as the tensor lives; a one-shot
     ``fusetree run`` builds every layout once and gains nothing. A tensor
     whose coordinates are not unique and sorted raises
-    :class:`NonCanonicalTensorError` when one of its layouts is built.
+    :class:`NonCanonicalTensorError`, and one with a coordinate outside its
+    shape :class:`OutOfBoundsError`, when one of its layouts is built.
     """
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
@@ -190,6 +196,12 @@ def bind(
             for (prev, _), (coords, _) in zip(t.entries, t.entries[1:]):
                 if not prev < coords:
                     raise NonCanonicalTensorError(f"tensor '{name}': coordinates {coords} follow {prev}")
+            # the least and greatest coordinate per mode: a walk of every
+            # coordinate in Python costs about 1 us an entry, five times this
+            for k, (column, n) in enumerate(zip(zip(*(coords for coords, _ in t.entries)), t.shape)):
+                if min(column) < 0 or max(column) >= n:
+                    coords = next(coords for coords, _ in t.entries if not 0 <= coords[k] < n)
+                    raise OutOfBoundsError(coords, t.shape, name)
             if kind == "dense":
                 stored = tuple(t.to_dense().transpose(perm).ravel().tolist())
             else:
@@ -690,6 +702,28 @@ def _letters(names: Sequence[str]) -> dict[str, str]:
     return {name: alphabet[i] for i, name in enumerate(sorted(set(names)))}
 
 
+def _flat_path(terms: Sequence[str], out: str, dims: Mapping[str, int]) -> bool:
+    """Whether numpy's greedy path (``optimize=True``) for three or more einsum
+    terms is one flat step.
+
+    numpy caps every intermediate at the size of the largest term or of the
+    result and starts with the best pair that fits. Its path is one flat step
+    when no index is summed, or when no pair fits.
+    """
+    if set(out) >= set("".join(terms)):
+        return True
+
+    def size(letters) -> int:
+        return math.prod(dims[x] for x in letters)
+
+    cap = max(size(t) for t in (*terms, out))
+    for a, b in itertools.combinations(range(len(terms)), 2):
+        kept = set(out).union(*(t for k, t in enumerate(terms) if k != a and k != b))
+        if size(set(terms[a] + terms[b]) & kept) <= cap:
+            return False
+    return True
+
+
 def oracle_nary(
     tree: ContractionTree,
     tensors: Mapping[str, SparseTensor | np.ndarray],
@@ -703,8 +737,19 @@ def oracle_nary(
     flat expression alone, so the oracle never follows the schedule under
     test; numpy caps each intermediate at the size of the largest operand or
     of the result. Smaller spaces take one flat einsum, which is cheaper than
-    planning a path. A flat index space above ``DENSE_SPACE_BUDGET`` points,
-    or more leaves than one einsum call takes, raises :class:`TooLargeError`.
+    planning a path.
+
+    Where numpy's path for three or more leaves would be one flat step over
+    the whole space, as in the running example, whose pairwise intermediates
+    are one order larger than its operands, and the root has an index, the
+    oracle contracts the result one slice of its leading index at a time.
+    Each slice is the flat expression without that index, over views of the
+    operands that carry it, along one path numpy plans for the first slice
+    under its own cap; the slices are stacked in index order. Whether numpy's
+    path is flat is worked out by numpy's own rule (:func:`_flat_path`) from
+    the flat expression and the leaf shapes alone, so the flat expression is
+    never planned. A flat index space above ``DENSE_SPACE_BUDGET`` points, or
+    more leaves than one einsum call takes, raises :class:`TooLargeError`.
     """
     leaf_refs = [
         ref
@@ -730,10 +775,22 @@ def oracle_nary(
             )
         operands.append(arr)
     out_ref = tree.root.result
-    expr = ",".join("".join(sub[i] for i in ref.indices) for ref in leaf_refs)
-    expr += "->" + "".join(sub[i] for i in out_ref.indices)
+    terms = ["".join(sub[i] for i in ref.indices) for ref in leaf_refs]
+    out = "".join(sub[i] for i in out_ref.indices)
+    expr = ",".join(terms) + "->" + out
+    dims = {sub[i]: tree.extents[i] for i in all_indices}
     try:
-        dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
+        if space > EINSUM_PATH_CUTOFF and out and len(operands) > 2 and _flat_path(terms, out, dims):
+            x = out[0]  # numpy's capped path would be one flat step: slice the leading index
+
+            def at(v: int) -> list[np.ndarray]:
+                return [op[(slice(None),) * t.index(x) + (v,)] if x in t else op for op, t in zip(operands, terms)]
+
+            expr = ",".join(t.replace(x, "") for t in terms) + "->" + out[1:]
+            path = np.einsum_path(expr, *at(0), optimize=True)[0]
+            dense = np.stack([np.einsum(expr, *at(v), optimize=path) for v in range(dims[x])])
+        else:
+            dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
     except ValueError as exc:
         if "too many operands" not in str(exc):
             raise

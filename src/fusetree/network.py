@@ -340,7 +340,12 @@ def _parse_json(text: str) -> ContractionTree:
             Contraction(k, _parse_ref(item["out"]), _parse_ref(item["lhs"]), _parse_ref(item["rhs"]))
             for k, item in enumerate(doc.get("contractions", []))
         ]
-        layouts = {str(k): tuple(v) for k, v in doc.get("layouts", {}).items()}
+        layouts = {}
+        for name, order in doc.get("layouts", {}).items():
+            # a string such as "ji" would otherwise be read letter by letter
+            if type(order) is not list or any(type(i) is not str for i in order):
+                raise ParseError(f"layout {json.dumps(order)} of tensor '{name}' is not a list of index names")
+            layouts[name] = tuple(order)
     except KeyError as exc:
         raise ParseError(f"a contraction of the JSON network spec has no key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:

@@ -22,7 +22,10 @@ Every bound from 1 to the largest intermediate order is solved; ``ones``
 reuses the schedules of the unchanged tree. Each satisfiable bound's schedule
 must pass ``verify_solution``, and its kernel's result must match
 ``oracle_nary`` and ``oracle_unfused`` and its multiply-adds per result must
-equal ``conftest.nonzero_products``. Each run binds the tensors a second
+equal ``conftest.nonzero_products``. ``oracle_nary`` runs a second time with
+``executor.EINSUM_PATH_CUTOFF`` at 0, so that it plans a path for every index
+space and slices the result wherever numpy's capped path is one flat step;
+it must match its first run. Each run binds the tensors a second
 time, which must reuse every layout the first bind stored on them and give
 the same result, counts and workspace cells. Each run goes first through the
 kernel cache as the previous kind left it, which holds the kernel of the same
@@ -66,6 +69,7 @@ from fusetree import (
     synthetic_tensor,
     verify_solution,
 )
+from fusetree import executor
 from fusetree.errors import ModeOrderMismatchError
 from fusetree.executor import _kernel
 
@@ -133,12 +137,23 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
 
 
 def oracle_problems(tree, tensors, result) -> list[str]:
-    """Where ``result`` disagrees with either oracle."""
+    """Where ``result`` disagrees with either oracle, or the n-ary oracle
+    with every index space planned disagrees with its default route."""
     problems = []
-    for name, reference in (("n-ary", oracle_nary(tree, tensors)), ("unfused", oracle_unfused(tree, tensors)[0])):
+    nary = oracle_nary(tree, tensors)
+    for name, reference in (("n-ary", nary), ("unfused", oracle_unfused(tree, tensors)[0])):
         report = compare(result, reference, rel_tol=1e-10)
         if not report.passed:
             problems.append(f"{name} oracle: {report.message()}")
+    cutoff = executor.EINSUM_PATH_CUTOFF
+    executor.EINSUM_PATH_CUTOFF = 0  # a path for every space, sliced where numpy's path is flat
+    try:
+        planned = oracle_nary(tree, tensors)
+    finally:
+        executor.EINSUM_PATH_CUTOFF = cutoff
+    report = compare(planned, nary, rel_tol=1e-10)
+    if not report.passed:
+        problems.append(f"n-ary oracle with every path planned: {report.message()}")
     return problems
 
 

@@ -15,7 +15,7 @@ import pytest
 
 from fusetree import build_tree, compare, coo_from_entries, oracle_nary, parse_network
 from fusetree import executor
-from fusetree.bench import synthetic_tensor
+from fusetree.bench import running_example_network, synthetic_tensor
 from fusetree.errors import FusetreeError, InvalidToleranceError, NonCanonicalTensorError
 from fusetree.executor import CompareReport
 from fusetree.network import Contraction, TensorRef
@@ -116,20 +116,142 @@ def test_nary_is_independent_of_tree_shape():
     assert got == oracle_nary(pairs, tensors)  # multiples of 1/8 sum exactly
 
 
+class Recorder:
+    """Records every ``np.einsum`` and ``np.einsum_path`` call the oracle makes:
+    its subscripts, each letter's extent and the ``optimize`` argument."""
+
+    def __init__(self, monkeypatch):
+        self.einsums: list[tuple[str, dict, object]] = []
+        self.paths: list[tuple[str, dict]] = []
+        einsum, einsum_path = np.einsum, np.einsum_path
+
+        def recording_einsum(expr, *operands, **kwargs):
+            self.einsums.append((expr, self._dims(expr, operands), kwargs.get("optimize", False)))
+            return einsum(expr, *operands, **kwargs)
+
+        def recording_path(expr, *operands, **kwargs):
+            self.paths.append((expr, self._dims(expr, operands)))
+            return einsum_path(expr, *operands, **kwargs)
+
+        monkeypatch.setattr(executor.np, "einsum", recording_einsum)
+        monkeypatch.setattr(executor.np, "einsum_path", recording_path)
+
+    @staticmethod
+    def _dims(expr: str, operands) -> dict[str, int]:
+        terms = expr.split("->")[0].split(",")
+        return {x: n for term, op in zip(terms, operands) for x, n in zip(term, np.shape(op))}
+
+
+def _chain3(n: int):
+    """Three matrices in a chain: numpy's capped path is pairwise."""
+    extents = "".join(f"extent {i} {n}\n" for i in "ijkl")
+    tree = parse_network(extents + "X[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * C[k,l]\n")
+    rng = np.random.default_rng(n)
+    return tree, {name: _eighths((n, n), rng) for name in "ABC"}
+
+
+def _matmul(n: int):
+    tree = parse_network(f"extent i {n}\nextent j {n}\nextent k {n}\nR[i,j] = T[i,k] * S[k,j]\n")
+    t = coo_from_entries([((0, 0), 1.0)], (n, n))
+    return tree, {"T": t, "S": t}
+
+
 def test_nary_plans_a_path_only_above_the_cutoff(monkeypatch):
-    seen = []
-    einsum = np.einsum
+    calls = Recorder(monkeypatch)
+    # 2^3, 40^3, 4^4 and 16^4 points; numpy's capped path for the chain is pairwise
+    for case, n, planned in ((_matmul, 2, False), (_matmul, 40, True), (_chain3, 4, False), (_chain3, 16, True)):
+        tree, tensors = case(n)
+        calls.einsums.clear()
+        oracle_nary(tree, tensors)
+        assert calls.paths == []  # a pairwise path is planned inside the einsum call
+        (_, dims, optimize), = calls.einsums  # one einsum over the whole flat space
+        assert math.prod(dims.values()) == math.prod(tree.extents.values())
+        assert optimize is planned, (case.__name__, n)
 
-    def recording(*args, **kwargs):
-        seen.append(kwargs.get("optimize", False))
-        return einsum(*args, **kwargs)
 
-    monkeypatch.setattr(executor.np, "einsum", recording)
-    for n, planned in ((2, False), (40, True)):  # 2^3 and 40^3 points
-        tree = parse_network(f"extent i {n}\nextent j {n}\nextent k {n}\nR[i,j] = T[i,k] * S[k,j]\n")
-        t = coo_from_entries([((0, 0), 1.0)], (n, n))
-        oracle_nary(tree, {"T": t, "S": t})
-        assert seen.pop() is planned
+def _flat_terms(tree):
+    """The oracle's einsum terms, result and letter extents for ``tree``."""
+    leaves = [r for c in tree.contractions for r in (c.lhs, c.rhs) if r.tensor not in tree.producer_of]
+    sub = executor._letters(sorted({i for r in leaves for i in r.indices}))
+    terms = ["".join(sub[i] for i in r.indices) for r in leaves]
+    dims = {sub[i]: n for i, n in tree.extents.items() if i in sub}
+    return terms, "".join(sub[i] for i in tree.root.result.indices), dims
+
+
+def _numpy_path(terms, out, dims) -> list:
+    """numpy's capped greedy path for the oracle's flat expression."""
+    operands = [np.zeros([dims[x] for x in t]) for t in terms]
+    return np.einsum_path(",".join(terms) + "->" + out, *operands, optimize=True)[0]
+
+
+def _running(n: int, root: str = "i,j,k"):
+    tree = parse_network(running_example_network(n).replace("R[i,j,k]", f"R[{root}]"))
+    rng = np.random.default_rng(n)
+    return tree, {name: _eighths((n, n, n), rng) for name in "ABCD"}
+
+
+def _ring(n: int, root: str):
+    """A[i,j,k] B[k,l,m] C[m,n,i] D[j,l,n]: every pair of leaves contracts to
+    order 4 against order-3 leaves, so numpy's capped path is flat."""
+    extents = "".join(f"extent {i} {n}\n" for i in "ijklmn")
+    tree = parse_network(
+        extents
+        + "X[i,j,l,m] = A[i,j,k] * B[k,l,m]\nY[j,l,n] = X[i,j,l,m] * C[m,n,i]\n"
+        + f"R[{root}] = Y[j,l,n] * D[j,l,n]\n"
+    )
+    rng = np.random.default_rng(n)
+    return tree, {name: _eighths((n, n, n), rng) for name in "ABCD"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_the_sliced_route_is_taken_exactly_where_numpys_capped_path_is_flat(seed):
+    trees = [_case(seed, kind)[0] for kind in ("sparse", "unit")]
+    trees += [_running(3 + seed % 3, root)[0] for root in ("i,j,k", "k,j,i")]
+    trees += [_ring(2 + seed % 3, root)[0] for root in ("", "n,j")]
+    trees += [_chain3(2 + seed % 3)[0]]
+    for tree in trees:
+        terms, out, dims = _flat_terms(tree)
+        if len(terms) > 2:
+            flat = len(_numpy_path(terms, out, dims)) == 2
+            assert executor._flat_path(terms, out, dims) is flat, (seed, terms, out)
+
+
+@pytest.mark.parametrize("root", ("i,j,k", "k,j,i"))  # k is mode 1 of D[j,k,r]
+@pytest.mark.parametrize("n", (12, 16))
+def test_nary_slices_the_running_example_exactly(n, root):
+    # numpy's capped path for A[i,p,q] B[j,p,r] C[k,q,r] D[j,k,r] is one flat
+    # step over n^6 points; multiples of 1/8 sum exactly in any order
+    tree, tensors = _running(n, root)
+    got = oracle_nary(tree, tensors)
+    assert got.nnz > 0
+    assert got == flat_oracle(tree, tensors)
+
+
+def test_nary_slices_under_numpys_cap_and_plans_once_per_expression(monkeypatch):
+    n = 12
+    tree, tensors = _running(n)
+    calls = Recorder(monkeypatch)
+    oracle_nary(tree, tensors)
+    # no einsum spans the six indices at full extent
+    assert all(len(dims) < 6 for _, dims, _ in calls.einsums)
+    # the slice expression is planned once, and every slice runs that plan
+    (sliced, dims), = calls.paths
+    assert len(dims) == 5
+    assert len(calls.einsums) == n
+    assert {expr for expr, _, _ in calls.einsums} == {sliced}
+    assert all(optimize[0] == "einsum_path" for _, _, optimize in calls.einsums)
+
+
+def test_nary_keeps_the_flat_einsum_for_an_order_0_root(monkeypatch):
+    tree, tensors = _ring(8, "")
+    assert len(_numpy_path(*_flat_terms(tree))) == 2
+    want = flat_oracle(tree, tensors)
+    calls = Recorder(monkeypatch)
+    got = oracle_nary(tree, tensors)
+    assert got == want and got.nnz == 1
+    assert calls.paths == []
+    (_, dims, optimize), = calls.einsums
+    assert len(dims) == 6 and optimize is True
 
 
 class TestDenseRoundTrip:

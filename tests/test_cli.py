@@ -129,6 +129,17 @@ class TestPlan:
                 {"extents": {"i": 2}, "contractions": [{"out": "R[i]", "lhs": "A[i]", "rhs": 5}]},
                 "malformed JSON network spec: 'int' object has no attribute 'strip'",
             ),
+            *(
+                (
+                    {
+                        "extents": {"i": 2, "j": 3},
+                        "layouts": {"A": layout},
+                        "contractions": [{"out": "R[i]", "lhs": "A[i,j]", "rhs": "B[j]"}],
+                    },
+                    f"layout {text} of tensor 'A' is not a list of index names",
+                )
+                for layout, text in (("ji", '"ji"'), ("j,i", '"j,i"'), ([1, 2], "[1, 2]"), ({"i": 0}, '{"i": 0}'))
+            ),
         ],
         ids=[
             "missing-key",
@@ -138,6 +149,10 @@ class TestPlan:
             "extent-a-boolean",
             "extent-a-string-of-digits",
             "reference-not-a-string",
+            "layout-a-string",
+            "layout-a-string-with-a-comma",
+            "layout-of-integers",
+            "layout-an-object",
         ],
     )
     def test_malformed_json_network_exits_with_an_error_line(self, spec, message, tmp_path, capsys):

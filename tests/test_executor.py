@@ -31,6 +31,7 @@ from fusetree.errors import (
     MissingVariableError,
     ModeOrderMismatchError,
     NonCanonicalTensorError,
+    OutOfBoundsError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
@@ -119,6 +120,26 @@ class TestExecuteBasics:
         tree = parse_network("extent i 2\nR[i] = A[i] * B[i]\n")
         tensors = {"A": SparseTensor((2,), entries), "B": coo_from_entries([((0,), 1.0)], (2,))}
         with pytest.raises(NonCanonicalTensorError, match=f"tensor 'A': coordinates {message}"):
+            bind(tree, solve(tree, 1), tensors, dense)
+
+    @pytest.mark.parametrize("dense", ((), ("A",)))
+    @pytest.mark.parametrize("coordinate", (-1, 5))
+    def test_an_out_of_bounds_input_at_bind(self, coordinate, dense):
+        # bound dense, -1 would land in the last cell; bound CSF, the entry
+        # would be dropped
+        tree = parse_network("extent i 2\nR[i] = A[i] * B[i]\n")
+        A = SparseTensor((2,), (((coordinate,), 7.0),))
+        tensors = {"A": A, "B": coo_from_entries([((0,), 1.0), ((1,), 1.0)], (2,))}
+        message = rf"tensor 'A': coordinates \({coordinate},\) out of bounds for shape \(2,\)"
+        with pytest.raises(OutOfBoundsError, match=message):
+            bind(tree, solve(tree, 1), tensors, dense)
+
+    @pytest.mark.parametrize("dense", ((), ("A",)))
+    def test_an_out_of_bounds_input_at_bind_in_a_later_mode(self, dense):
+        tree = parse_network("extent i 2\nextent j 3\nR[i] = A[i,j] * B[j]\n")
+        A = SparseTensor((2, 3), (((0, 1), 1.0), ((1, 3), 2.0)))
+        tensors = {"A": A, "B": coo_from_entries([((0,), 1.0)], (3,))}
+        with pytest.raises(OutOfBoundsError, match=r"tensor 'A': coordinates \(1, 3\) out of bounds"):
             bind(tree, solve(tree, 1), tensors, dense)
 
     def test_mode_order_mismatch(self, matmul_tree):
