@@ -10,9 +10,8 @@ class FusetreeError(Exception):
 class OutOfBoundsError(FusetreeError):
     """A coordinate lies outside the tensor shape."""
 
-    def __init__(self, coords, shape, tensor: str | None = None):
-        named = f"tensor '{tensor}': " if tensor is not None else ""
-        super().__init__(f"{named}coordinates {coords} out of bounds for shape {tuple(shape)}")
+    def __init__(self, coords, shape):
+        super().__init__(f"coordinates {coords} out of bounds for shape {tuple(shape)}")
         self.coords = tuple(coords)
         self.shape = tuple(shape)
 

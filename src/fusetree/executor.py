@@ -64,8 +64,11 @@ the tree or the schedule. Where numpy's path, whose intermediates it caps at
 the size of the largest operand or the result, is one flat step, the oracle
 contracts one slice of the result's leading index at a time instead, each
 along a path numpy plans once under the same cap. The unfused oracle
-evaluates the contractions one by one, children first. ``compare`` walks the
-two canonical entry lists in one merge.
+evaluates the contractions one by one, children first. ``compare`` works on
+the two tensors' coordinate and value arrays: where both store the same
+coordinates it compares the value arrays as they are, else it first merges
+the coordinates into their sorted union. It compares up to
+``COMPARE_SCAN_VALUES`` values in a Python scan, and more with numpy.
 """
 
 from __future__ import annotations
@@ -89,8 +92,6 @@ from .errors import (
     MalformedScheduleError,
     MissingVariableError,
     ModeOrderMismatchError,
-    NonCanonicalTensorError,
-    OutOfBoundsError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
@@ -110,6 +111,11 @@ EINSUM_PATH_CUTOFF = 2**14
 # 40 ns per cell (2.5 ms at the limit on a 2-core Xeon VM), about what sorting
 # and decoding a few thousand dict entries costs
 ROOT_DENSE_CELLS = 2**16
+# compare scans up to this many values in Python and more with numpy: the scan
+# costs about 0.5 us a value, the numpy route 15-30 us warm, but right after a
+# kernel has run about 80 us, against 55 us for the scan of solver_chains'
+# 16-value results (2-core Xeon VM)
+COMPARE_SCAN_VALUES = 64
 # CPython compiles at most 20 statically nested blocks, and each forall of a
 # kernel nests one for loop
 MAX_NESTED_LOOPS = 20
@@ -166,10 +172,8 @@ def bind(
     These checks run on every call. Each layout, a CSF tree or a flat tuple,
     is built on the first bind of its tensor, kind and mode order, and kept on
     the tensor for later binds, as long as the tensor lives; a one-shot
-    ``fusetree run`` builds every layout once and gains nothing. A tensor
-    whose coordinates are not unique and sorted raises
-    :class:`NonCanonicalTensorError`, and one with a coordinate outside its
-    shape :class:`OutOfBoundsError`, when one of its layouts is built.
+    ``fusetree run`` builds every layout once and gains nothing. Each tensor
+    was checked canonical and in bounds when it was built.
     """
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
@@ -193,15 +197,6 @@ def bind(
         kind = "dense" if name in dense_names or t.order == 0 else "csf"
         stored = t._layouts.get((kind, perm))
         if stored is None:
-            for (prev, _), (coords, _) in zip(t.entries, t.entries[1:]):
-                if not prev < coords:
-                    raise NonCanonicalTensorError(f"tensor '{name}': coordinates {coords} follow {prev}")
-            # the least and greatest coordinate per mode: a walk of every
-            # coordinate in Python costs about 1 us an entry, five times this
-            for k, (column, n) in enumerate(zip(zip(*(coords for coords, _ in t.entries)), t.shape)):
-                if min(column) < 0 or max(column) >= n:
-                    coords = next(coords for coords, _ in t.entries if not 0 <= coords[k] < n)
-                    raise OutOfBoundsError(coords, t.shape, name)
             if kind == "dense":
                 stored = tuple(t.to_dense().transpose(perm).ravel().tolist())
             else:
@@ -680,9 +675,8 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
         return SparseTensor.from_dense(np.array(acc).reshape(shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
     offsets = sorted(key for key, value in acc.items() if value != 0.0)
-    modes = np.unravel_index(np.array(offsets, dtype=np.intp), shape)
-    coords = zip(*(mode.tolist() for mode in modes))
-    return SparseTensor(shape, tuple(zip(coords, [acc[key] for key in offsets]))), stats
+    coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), shape)).T
+    return SparseTensor._trusted(shape, coords, np.array([acc[key] for key in offsets])), stats
 
 
 # ---------------------------------------------------------------------------
@@ -890,61 +884,62 @@ def compare(
 
     Passes iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|) everywhere and no
     value on either side is NaN or infinite; the report carries the worst
-    offender, a non-finite one first. Both entry lists are walked in one
-    merge, so each side's coordinates must be unique and in lexicographic
-    order; :class:`NonCanonicalTensorError` is raised otherwise. A tolerance
-    that is negative, infinite or NaN raises :class:`InvalidToleranceError`.
+    offender, a non-finite one first, and of equals the first in
+    lexicographic order. A tolerance that is negative, infinite or NaN raises
+    :class:`InvalidToleranceError`.
     """
     check_tolerances(rel_tol, abs_tol)
     if a.shape != b.shape:
         raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    ea, eb = a.entries, b.entries
-    na, nb = len(ea), len(eb)
-    i = j = 0
-    passed = True
-    max_err = 0.0
-    worst_coords = None
-    worst_values = None
-    checked = 0
-    prev = None
-    while i < na or j < nb:
-        if j == nb:
-            coords, x = ea[i]
-            y = 0.0
-            i += 1
-        elif i == na:
-            coords, y = eb[j]
-            x = 0.0
-            j += 1
-        else:
-            coords, x = ea[i]
-            other, y = eb[j]
-            if coords == other:
-                i += 1
-                j += 1
-            elif coords < other:
-                y = 0.0
-                i += 1
-            else:
-                coords, x = other, 0.0
-                j += 1
-        # the merge emits each side's coordinates in their stored order, so
-        # it stays strictly increasing exactly when both sides are canonical
-        if prev is not None and not prev < coords:
-            raise NonCanonicalTensorError(
-                f"coordinates {coords} follow {prev}: entries are not unique and sorted"
-            )
-        prev = coords
-        checked += 1
+    if a.nnz == b.nnz and (a.coords == b.coords).all():
+        coords, x, y = a.coords, a.values, b.values
+    else:
+        coords, x, y = _union(a, b)
+    if len(x) <= COMPARE_SCAN_VALUES:
+        worst, max_err, passed = _scan(x.tolist(), y.tolist(), rel_tol, abs_tol)
+    else:
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf, overflow
+            err = np.abs(x - y)
+            err[np.isnan(err)] = math.inf  # a NaN difference has a non-finite side
+            within = err <= abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
+        worst = int(err.argmax())  # the first of equals
+        max_err, passed = float(err[worst]), bool(within.all())
+    # an infinite error, from a non-finite side or an overflow, always fails
+    passed = passed and max_err < math.inf
+    if max_err == 0.0:
+        return CompareReport(passed, len(x), 0.0, None, None)
+    worst_values = (float(x[worst]), float(y[worst]))
+    return CompareReport(passed, len(x), max_err, tuple(coords[worst].tolist()), worst_values)
+
+
+def _scan(xs: list[float], ys: list[float], rel_tol: float, abs_tol: float) -> tuple[int, float, bool]:
+    """``compare``'s arithmetic one value at a time: the first worst index, its
+    error, and whether every error is within the tolerance."""
+    worst, max_err, passed = 0, 0.0, True
+    for k, (x, y) in enumerate(zip(xs, ys)):
         err = abs(x - y)
-        # a finite difference means finite values; only inf or NaN needs a look
-        finite = err < math.inf or (math.isfinite(x) and math.isfinite(y))
-        if not finite:
+        if err != err:  # a NaN difference has a non-finite side
             err = math.inf
         if err > max_err:
-            max_err = err
-            worst_coords = coords
-            worst_values = (x, y)
-        if not finite or err > abs_tol + rel_tol * max(abs(x), abs(y)):
+            worst, max_err = k, err
+        if not err <= abs_tol + rel_tol * max(abs(x), abs(y)):
             passed = False
-    return CompareReport(passed, checked, max_err, worst_coords, worst_values)
+    return worst, max_err, passed
+
+
+def _union(a: SparseTensor, b: SparseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The union of two tensors' coordinates in lexicographic order, and each
+    side's values on it, 0.0 where that side stores none. The rows are sorted
+    by coordinates, since row-major offsets overflow beyond 2^63 cells."""
+    rows = np.concatenate((a.coords, b.coords))
+    # lexsort's last key is its primary one, and it takes no empty key list
+    order = np.lexsort(rows.T[::-1]) if a.order else np.arange(len(rows))
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    slot = np.cumsum(new) - 1
+    x, y = np.zeros(np.count_nonzero(new)), np.zeros(np.count_nonzero(new))
+    mine = order < a.nnz
+    x[slot[mine]] = a.values[order[mine]]
+    y[slot[~mine]] = b.values[order[~mine] - a.nnz]
+    return rows[new], x, y

@@ -2,13 +2,16 @@
 
 Tensors live in two forms: a canonical coordinate list (:class:`SparseTensor`)
 used for interchange, oracles, and I/O, and a compressed-sparse-fiber tree
-(:class:`CsfTensor`) built under a chosen mode permutation for execution.
+(:class:`CsfTensor`) built under a chosen mode permutation for execution. A
+coordinate list holds coordinate and value arrays, checked once when built.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -25,7 +28,7 @@ Coords = tuple[int, ...]
 
 
 def _check_shape(extents: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(n) for n in extents)
+    shape = tuple(map(operator.index, extents))
     if any(n < 1 for n in shape):
         raise ValueError(f"every extent must be >= 1, got {shape}")
     return shape
@@ -40,24 +43,62 @@ def _check_perm(perm: Sequence[int], order: int) -> tuple[int, ...]:
     return p
 
 
-@dataclass(frozen=True)
 class SparseTensor:
     """Canonical sparse tensor: unique coordinates in lexicographic order.
 
-    Stored values are the non-zero structure; construction through
-    :func:`coo_from_entries` merges duplicates by summation and drops exact
-    zeros. Instances are immutable and safe to share.
+    ``coords`` is one ``(nnz, order)`` int64 array whose rows are the stored
+    coordinates, unique and in lexicographic order, and ``values`` the float64
+    array aligned with it. Both are read-only, and instances are immutable and
+    safe to share. ``SparseTensor(shape, entries)`` takes ``(coordinates,
+    value)`` pairs and checks them once: a pair of another rank raises
+    :class:`RankMismatchError`, a coordinate outside ``shape``
+    :class:`OutOfBoundsError`, a coordinate that does not strictly follow
+    the one before it :class:`NonCanonicalTensorError`, a coordinate or
+    extent that is not an integer ``TypeError`` and an extent below 1
+    ``ValueError``. Values may be NaN or infinite; :func:`coo_from_entries`
+    and :func:`read_tns` reject those, and merge duplicates by summation.
+    ``entries`` gives the pairs back as Python ints and floats, built on
+    first use and kept. Two tensors are equal when their shapes, coordinates
+    and values are; a NaN value equals nothing.
 
     ``_layouts`` is where ``executor.bind`` keeps each layout it builds of
     the tensor, a CSF tree or a flat tuple of its transposed dense values,
-    keyed by kind and mode order, so that later binds reuse it. The layouts
-    live as long as the tensor does; equality, hashing and ``repr`` ignore
-    them.
+    keyed by kind and mode order, so that later binds reuse it. The layouts,
+    like ``entries`` and the dense array, live as long as the tensor does;
+    equality, hashing and ``repr`` ignore them.
     """
 
-    shape: tuple[int, ...]
-    entries: tuple[tuple[Coords, float], ...]
-    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, shape: Sequence[int], entries: Iterable[tuple[Sequence[int], float]]):
+        shape = _check_shape(shape)
+        entries = tuple((tuple(map(operator.index, key)), value) for key, value in entries)
+        for k, (key, _) in enumerate(entries):
+            if len(key) != len(shape):
+                raise RankMismatchError(f"coordinates {key} have rank {len(key)}, expected {len(shape)}")
+            if not all(0 <= c < n for c, n in zip(key, shape)):
+                raise OutOfBoundsError(key, shape)
+            if k and not entries[k - 1][0] < key:
+                raise NonCanonicalTensorError(f"coordinates {key} follow {entries[k - 1][0]}")
+        coords = np.array([key for key, _ in entries], dtype=np.int64).reshape(len(entries), len(shape))
+        self._init(shape, coords, np.array([value for _, value in entries], dtype=np.float64))
+
+    @classmethod
+    def _trusted(cls, shape: tuple[int, ...], coords: np.ndarray, values: np.ndarray) -> "SparseTensor":
+        """A tensor over arrays that are canonical and in bounds by
+        construction, taken as they are and not checked."""
+        t = cls.__new__(cls)
+        t._init(shape, coords, values)
+        return t
+
+    def _init(self, shape: tuple[int, ...], coords: np.ndarray, values: np.ndarray) -> None:
+        coords.flags.writeable = values.flags.writeable = False
+        self.shape = shape
+        self.coords = coords
+        self.values = values
+        self._layouts: dict = {}
+
+    @functools.cached_property
+    def entries(self) -> tuple[tuple[Coords, float], ...]:
+        return tuple(zip(map(tuple, self.coords.tolist()), self.values.tolist()))
 
     @property
     def order(self) -> int:
@@ -65,27 +106,47 @@ class SparseTensor:
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.values)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SparseTensor):
+            return NotImplemented
+        return (
+            self.shape == other.shape
+            and np.array_equal(self.coords, other.coords)
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.shape, self.entries))
+
+    def __repr__(self) -> str:
+        return f"SparseTensor(shape={self.shape!r}, entries={self.entries!r})"
 
     def to_dense(self) -> np.ndarray:
-        # per-entry stores beat one fancy-index store here: building the
-        # index arrays from coordinate tuples costs more than the stores
+        """The tensor as a read-only dense float64 array, built on first use
+        and kept, since the oracles densify the same inputs on every check."""
+        return self._dense
+
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
         out = np.zeros(self.shape, dtype=np.float64)
-        for coords, value in self.entries:
-            out[coords] = value
+        if self.order:
+            out[tuple(self.coords.T)] = self.values
+        elif self.nnz:  # a 0-d array takes no index arrays
+            out[()] = self.values[0]
+        out.flags.writeable = False
         return out
 
     @staticmethod
     def from_dense(arr: np.ndarray) -> "SparseTensor":
         """Every value that is not exactly zero, NaN included, in canonical order."""
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 0:  # np.nonzero rejects 0-d arrays
-            entries = (((), float(arr)),) if arr else ()
-        else:
-            found = np.nonzero(arr)  # row-major, so already lexicographic
-            coords = zip(*(modes.tolist() for modes in found))
-            entries = tuple(zip(coords, arr[found].tolist()))
-        return SparseTensor(_check_shape(arr.shape), entries)
+        shape = _check_shape(arr.shape)
+        flat = np.flatnonzero(arr)  # row-major, so already lexicographic
+        # np.stack costs about as much as the rest for a small array
+        coords = np.array(np.unravel_index(flat, shape)).T if shape else np.zeros((len(flat), 0), int)
+        return SparseTensor._trusted(shape, coords, arr.reshape(-1)[flat])
 
 
 def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence[int]) -> SparseTensor:
@@ -98,7 +159,7 @@ def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence
     order = len(shape)
     acc: dict[Coords, float] = {}
     for coords, value in raw:
-        key = tuple(int(c) for c in coords)
+        key = tuple(map(operator.index, coords))
         if len(key) != order:
             raise RankMismatchError(f"coordinates {key} have rank {len(key)}, expected {order}")
         if any(c < 0 or c >= shape[k] for k, c in enumerate(key)):
@@ -107,8 +168,9 @@ def coo_from_entries(raw: Iterable[tuple[Sequence[int], float]], shape: Sequence
         if not math.isfinite(total):
             raise NonFiniteValueError(f"value {total!r} at coordinates {key} is not finite")
         acc[key] = total
-    entries = tuple(sorted((k, v) for k, v in acc.items() if v != 0.0))
-    return SparseTensor(shape, entries)
+    keys = sorted(k for k, v in acc.items() if v != 0.0)
+    coords = np.array(keys, dtype=np.int64).reshape(len(keys), order)
+    return SparseTensor._trusted(shape, coords, np.array([acc[k] for k in keys], dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -139,42 +201,29 @@ class CsfTensor:
 def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
     """Group a tensor's non-zeros into a CSF tree under ``order``.
 
-    A repeated coordinate raises :class:`NonCanonicalTensorError`.
+    The coordinates are sorted with their modes permuted; a level-``d`` node
+    starts at every row whose first ``d + 1`` permuted coordinates differ
+    from the row before, and each node's children start at its own first row.
     """
     perm = _check_perm(order, t.order)
     n = t.order
-    permuted = sorted((tuple(c[k] for k in perm), v) for c, v in t.entries)
-    coords: list[list[int]] = [[] for _ in range(n)]
-    counts: list[list[int]] = [[] for _ in range(n)]  # children per parent node
-    prev: Coords | None = None
-    for key, _ in permuted:
-        # longest shared prefix with the previous path decides which levels split
-        split = 0
-        if prev is not None:
-            while split < n and prev[split] == key[split]:
-                split += 1
-        for d in range(split, n):
-            coords[d].append(key[d])
-            if d + 1 < n:
-                counts[d].append(0)
-            if d == 0:
-                continue
-            counts[d - 1][-1] += 1
-        if prev is not None and split == n:
-            raise NonCanonicalTensorError(f"coordinates {key} in mode order {perm} repeat")
-        prev = key
-    segs: list[tuple[int, ...]] = [(0, len(coords[0]) if n else len(permuted))]
+    keys, values = t.coords[:, perm], t.values
+    if perm != tuple(range(n)):
+        rows = np.lexsort(keys.T[::-1])  # the last key is the primary one
+        keys, values = keys[rows], values[rows]
+    new = np.ones(keys.shape, dtype=bool)
+    new[1:] = np.logical_or.accumulate(keys[1:] != keys[:-1], axis=1)
+    coords = tuple(tuple(keys[new[:, d], d].tolist()) for d in range(n))
+    segs = [(0, len(coords[0]) if n else len(values))]
     for d in range(n - 1):
-        ptr = [0]
-        for c in counts[d]:
-            ptr.append(ptr[-1] + c)
-        segs.append(tuple(ptr))
+        children = np.cumsum(new[:, d + 1])[new[:, d]] - 1
+        segs.append((*children.tolist(), len(coords[d + 1])))
     return CsfTensor(
         shape=tuple(t.shape[k] for k in perm),
         mode_order=perm,
-        coords=tuple(tuple(c) for c in coords),
+        coords=coords,
         segs=tuple(segs),
-        values=tuple(v for _, v in permuted),
+        values=tuple(values.tolist()),
     )
 
 

@@ -22,7 +22,11 @@ Every bound from 1 to the largest intermediate order is solved; ``ones``
 reuses the schedules of the unchanged tree. Each satisfiable bound's schedule
 must pass ``verify_solution``, and its kernel's result must match
 ``oracle_nary`` and ``oracle_unfused`` and its multiply-adds per result must
-equal ``conftest.nonzero_products``. ``oracle_nary`` runs a second time with
+equal ``conftest.nonzero_products``. Every ``compare`` report, and the
+report ``compare`` gives with ``executor.COMPARE_SCAN_VALUES`` at 0 (numpy
+for any values), must equal, field for field, the one of ``dict_compare``
+from ``test_check.py``, the comparison through dicts. ``oracle_nary`` runs a
+second time with
 ``executor.EINSUM_PATH_CUTOFF`` at 0, so that it plans a path for every index
 space and slices the result wherever numpy's capped path is one flat step;
 it must match its first run. Each run binds the tensors a second
@@ -53,6 +57,7 @@ import sys
 import numpy as np
 
 from conftest import nonzero_products, random_tree
+from test_check import dict_compare
 from fusetree import (
     Contraction,
     TensorRef,
@@ -136,13 +141,31 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
     return stats.multiply_adds, problems
 
 
+def checked_compare(a, b, problems: list[str]):
+    """``compare``'s report, after checking it, and the report with every
+    comparison made by numpy, against ``dict_compare``'s."""
+    report = compare(a, b, rel_tol=1e-10)
+    scan = executor.COMPARE_SCAN_VALUES
+    executor.COMPARE_SCAN_VALUES = 0  # numpy for any values
+    try:
+        arrays = compare(a, b, rel_tol=1e-10)
+    finally:
+        executor.COMPARE_SCAN_VALUES = scan
+    reference = dict_compare(a, b, rel_tol=1e-10)
+    for got in (report, arrays):
+        if repr(got) != repr(reference):  # NaN worst values compare unequal to themselves
+            problems.append(f"compare gave {got}, dict_compare {reference}")
+    return report
+
+
 def oracle_problems(tree, tensors, result) -> list[str]:
-    """Where ``result`` disagrees with either oracle, or the n-ary oracle
-    with every index space planned disagrees with its default route."""
+    """Where ``result`` disagrees with either oracle, the n-ary oracle with
+    every index space planned disagrees with its default route, or a report
+    with ``dict_compare``'s."""
     problems = []
     nary = oracle_nary(tree, tensors)
     for name, reference in (("n-ary", nary), ("unfused", oracle_unfused(tree, tensors)[0])):
-        report = compare(result, reference, rel_tol=1e-10)
+        report = checked_compare(result, reference, problems)
         if not report.passed:
             problems.append(f"{name} oracle: {report.message()}")
     cutoff = executor.EINSUM_PATH_CUTOFF
@@ -151,7 +174,7 @@ def oracle_problems(tree, tensors, result) -> list[str]:
         planned = oracle_nary(tree, tensors)
     finally:
         executor.EINSUM_PATH_CUTOFF = cutoff
-    report = compare(planned, nary, rel_tol=1e-10)
+    report = checked_compare(planned, nary, problems)
     if not report.passed:
         problems.append(f"n-ary oracle with every path planned: {report.message()}")
     return problems

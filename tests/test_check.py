@@ -1,4 +1,4 @@
-"""The check path: the n-ary oracle, dense conversion and the merge compare.
+"""The check path: the n-ary oracle, dense conversion and the array compare.
 
 Each fast route is held against the plain version it replaced, which lives
 only here: the flat einsum over the whole index space, and the comparison
@@ -12,10 +12,12 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusetree import build_tree, compare, coo_from_entries, oracle_nary, parse_network
-from fusetree import executor
-from fusetree.bench import running_example_network, synthetic_tensor
+from fusetree import bind, build_tree, compare, coo_from_entries, execute, lower, oracle_nary, parse_network
+from fusetree import executor, search_min_order
+from fusetree.bench import bench_generate, running_example_network, synthetic_tensor
 from fusetree.errors import FusetreeError, InvalidToleranceError, NonCanonicalTensorError
 from fusetree.executor import CompareReport
 from fusetree.network import Contraction, TensorRef
@@ -374,9 +376,80 @@ class TestMergeCompare:
         ],
     )
     def test_non_canonical_side_raises(self, entries):
-        bad = SparseTensor((3,), entries)
-        good = SparseTensor((3,), (((0,), 1.0),))
-        for a, b in ((bad, good), (good, bad), (bad, bad)):
-            with pytest.raises(NonCanonicalTensorError):
-                compare(a, b)
+        # construction raises, so no such side reaches compare
+        with pytest.raises(NonCanonicalTensorError, match="^coordinates .* follow "):
+            SparseTensor((3,), entries)
         assert issubclass(NonCanonicalTensorError, FusetreeError)
+
+
+SPECIALS = (math.nan, math.inf, -math.inf, 1e308, -1e308, 0.5, 1.0, 1.5, -2.0)
+
+
+@st.composite
+def compare_cases(draw):
+    """Two tensors of one shape over a few shared coordinates, and tolerances.
+
+    Values come mostly from a short list, so worst offenders tie; one side's
+    support is often the other's. Some order-3 shapes have 2^64 cells."""
+    order = draw(st.integers(0, 3))
+    if order == 3 and draw(st.booleans()):
+        shape = (2**22, 2**21, 2**21)
+    else:
+        shape = tuple(draw(st.integers(1, 4)) for _ in range(order))
+    pool = draw(st.lists(st.tuples(*(st.integers(0, n - 1) for n in shape)), max_size=6, unique=True))
+    value = st.sampled_from(SPECIALS) | st.floats(-4, 4)
+    sides = []
+    for _ in range(2):
+        support = draw(st.sampled_from(("pool", "subset", "same"))) if sides else "subset"
+        keys = {"pool": pool, "subset": draw(st.lists(st.sampled_from(pool), unique=True)) if pool else [],
+                "same": [c for c, _ in sides[0].entries] if sides else []}[support]
+        sides.append(SparseTensor(shape, sorted((c, draw(value)) for c in keys)))
+    tols = draw(st.sampled_from(({}, {"rel_tol": 0.0, "abs_tol": 0.6}, {"rel_tol": 0.3})))
+    return sides, tols
+
+
+@pytest.mark.parametrize("scan", (0, executor.COMPARE_SCAN_VALUES))  # 0: numpy for any values
+@given(case=compare_cases())
+@settings(max_examples=300, deadline=None)
+def test_array_compare_matches_dict_compare(scan, case):
+    (a, b), tols = case
+    default, executor.COMPARE_SCAN_VALUES = executor.COMPARE_SCAN_VALUES, scan
+    try:
+        reports = [(compare(x, y, **tols), dict_compare(x, y, **tols)) for x, y in ((a, b), (b, a))]
+    finally:
+        executor.COMPARE_SCAN_VALUES = default
+    for got, want in reports:
+        assert _same(got, want), (a, b, tols)
+        assert [type(c) for c in got.worst_coords or ()] == [int] * len(got.worst_coords or ())
+        assert {type(v) for v in got.worst_values or ()} <= {float} and type(got.max_abs_err) is float
+    if math.prod(a.shape) <= 64:  # the round trip through a dense array
+        dense = a.to_dense()
+        back = SparseTensor.from_dense(dense)
+        assert repr(back.entries) == repr(tuple((c, v) for c, v in a.entries if v != 0.0))
+        assert np.array_equal(back.to_dense(), dense, equal_nan=True)
+
+
+def _outer_root(n: int):
+    """A root of n^3 > 2^16 cells, which the kernel accumulates in a dict."""
+    tree = parse_network(f"extent i {n}\nextent j {n}\nextent k {n}\nR[i,j,k] = T[i,j,k] * S[k]\n")
+    rng = np.random.default_rng(n)
+    tensors = {"T": synthetic_tensor((n, n, n), 0.01, rng), "S": synthetic_tensor((n,), 1.0, rng)}
+    return tree, tensors, ("S",)
+
+
+@pytest.mark.parametrize("kind", ("mttkrp1", "ttmc1", "outer"))
+def test_the_check_path_builds_no_entry_tuples(kind):
+    # factor_sweep's shape: a sparse order-3 tensor and dense rank-8 factors
+    if kind == "outer":
+        tree, tensors, dense = _outer_root(41)
+        assert math.prod(tree.ref_shape(tree.root.result)) > executor.ROOT_DENSE_CELLS
+    else:
+        inst = bench_generate(kind, extents=(15, 20, 25), rank=8, density=0.02, seed=3)
+        tree, tensors, dense = inst.tree, inst.tensors, inst.dense_names
+    _, sol = search_min_order(tree)
+    result, _ = execute(lower(tree, sol), bind(tree, sol, tensors, dense))
+    reference = oracle_nary(tree, tensors)
+    report = compare(result, reference)
+    assert report.passed and report.checked == result.nnz > 0
+    for t in (result, reference, *tensors.values()):
+        assert "entries" not in vars(t)  # the cached tuple view was never asked for

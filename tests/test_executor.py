@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from fusetree.errors import (
     ModeOrderMismatchError,
     NonCanonicalTensorError,
     OutOfBoundsError,
+    RankMismatchError,
     ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
@@ -116,31 +118,41 @@ class TestExecuteBasics:
         ids=("repeated", "out-of-order"),
     )
     def test_a_non_canonical_input_at_bind(self, entries, message, dense):
+        # construction raises, so no binding, CSF or dense, sees the tensor;
         # bound dense, a repeated coordinate would run on its last value
         tree = parse_network("extent i 2\nR[i] = A[i] * B[i]\n")
-        tensors = {"A": SparseTensor((2,), entries), "B": coo_from_entries([((0,), 1.0)], (2,))}
-        with pytest.raises(NonCanonicalTensorError, match=f"tensor 'A': coordinates {message}"):
-            bind(tree, solve(tree, 1), tensors, dense)
+        B = coo_from_entries([((0,), 1.0)], (2,))
+        with pytest.raises(NonCanonicalTensorError, match=f"^coordinates {message}$"):
+            bind(tree, solve(tree, 1), {"A": SparseTensor((2,), entries), "B": B}, dense)
 
     @pytest.mark.parametrize("dense", ((), ("A",)))
     @pytest.mark.parametrize("coordinate", (-1, 5))
     def test_an_out_of_bounds_input_at_bind(self, coordinate, dense):
-        # bound dense, -1 would land in the last cell; bound CSF, the entry
-        # would be dropped
+        # construction raises; bound dense, -1 would land in the last cell,
+        # and bound CSF, the entry would be dropped
         tree = parse_network("extent i 2\nR[i] = A[i] * B[i]\n")
-        A = SparseTensor((2,), (((coordinate,), 7.0),))
-        tensors = {"A": A, "B": coo_from_entries([((0,), 1.0), ((1,), 1.0)], (2,))}
-        message = rf"tensor 'A': coordinates \({coordinate},\) out of bounds for shape \(2,\)"
+        B = coo_from_entries([((0,), 1.0), ((1,), 1.0)], (2,))
+        message = rf"^coordinates \({coordinate},\) out of bounds for shape \(2,\)$"
         with pytest.raises(OutOfBoundsError, match=message):
-            bind(tree, solve(tree, 1), tensors, dense)
+            bind(tree, solve(tree, 1), {"A": SparseTensor((2,), (((coordinate,), 7.0),)), "B": B}, dense)
 
     @pytest.mark.parametrize("dense", ((), ("A",)))
     def test_an_out_of_bounds_input_at_bind_in_a_later_mode(self, dense):
         tree = parse_network("extent i 2\nextent j 3\nR[i] = A[i,j] * B[j]\n")
-        A = SparseTensor((2, 3), (((0, 1), 1.0), ((1, 3), 2.0)))
-        tensors = {"A": A, "B": coo_from_entries([((0,), 1.0)], (3,))}
-        with pytest.raises(OutOfBoundsError, match=r"tensor 'A': coordinates \(1, 3\) out of bounds"):
-            bind(tree, solve(tree, 1), tensors, dense)
+        B = coo_from_entries([((0,), 1.0)], (3,))
+        with pytest.raises(OutOfBoundsError, match=r"^coordinates \(1, 3\) out of bounds"):
+            A = SparseTensor((2, 3), (((0, 1), 1.0), ((1, 3), 2.0)))
+            bind(tree, solve(tree, 1), {"A": A, "B": B}, dense)
+
+    @pytest.mark.parametrize("dense", ((), ("A",)))
+    @pytest.mark.parametrize("key", ((), (1, 5)), ids=("order-0", "order-2"))
+    def test_an_input_of_another_rank_at_bind(self, key, dense):
+        # construction raises; at the parent, () bound dense filled every
+        # cell and passed --check, and bound CSF it raised a bare IndexError
+        tree = parse_network("extent i 2\nR[i] = A[i] * B[i]\n")
+        B = coo_from_entries([((0,), 1.0), ((1,), 1.0)], (2,))
+        with pytest.raises(RankMismatchError, match=rf"^coordinates {re.escape(str(key))} have rank {len(key)}, expected 1$"):
+            bind(tree, solve(tree, 1), {"A": SparseTensor((2,), ((key, 7.0),)), "B": B}, dense)
 
     def test_mode_order_mismatch(self, matmul_tree):
         sol = solve(matmul_tree, 1)

@@ -53,6 +53,10 @@ class TestCoo:
         with pytest.raises(RankMismatchError):
             coo_from_entries([((0,), 1.0)], (2, 2))
 
+    def test_a_coordinate_that_is_not_an_integer(self):
+        with pytest.raises(TypeError):  # int() would truncate it to 1
+            coo_from_entries([((0, 1.5), 1.0)], (2, 2))
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), "nan", "-inf"])
     def test_non_finite_rejected(self, value):
         with pytest.raises(NonFiniteValueError):
@@ -67,6 +71,40 @@ class TestCoo:
         t = SparseTensor.from_dense(arr)
         assert t.entries == (((0, 1), 1.5), ((1, 0), 2.0))
         assert np.array_equal(t.to_dense(), arr)
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("key", ((), (1, 5)), ids=("order-0", "order-2"))
+    def test_coordinates_of_another_rank(self, key):
+        # before this check, () bound dense filled every cell of an order-1
+        # input, and bound CSF either key ended in a bare IndexError
+        with pytest.raises(RankMismatchError, match=r"have rank \d, expected 1$"):
+            SparseTensor((2,), ((key, 7.0),))
+
+    @pytest.mark.parametrize("coordinate", (1.5, 1.0))
+    def test_a_coordinate_that_is_not_an_integer(self, coordinate):
+        # int64 storage would truncate 1.5 to 1 without a word
+        with pytest.raises(TypeError):
+            SparseTensor((3,), (((coordinate,), 2.0),))
+
+    def test_an_extent_that_is_not_an_integer(self):
+        # int() would truncate either to an extent of 2
+        with pytest.raises(TypeError):
+            SparseTensor((2.5,), ())
+        with pytest.raises(TypeError):
+            coo_from_entries([], (2.9, 3))
+
+    def test_non_finite_values_are_stored(self):
+        t = SparseTensor((3,), (((0,), float("nan")), ((2,), float("-inf"))))
+        assert repr(t.entries) == "(((0,), nan), ((2,), -inf))"
+
+    def test_arrays_are_read_only(self):
+        t = coo_from_entries([((1, 0), 2.0)], (2, 2))
+        assert (t.coords.dtype, t.coords.shape, t.values.dtype) == (np.int64, (1, 2), np.float64)
+        assert t.to_dense() is t.to_dense()  # built once, for every oracle call
+        for array in (t.coords, t.values, t.to_dense()):
+            with pytest.raises(ValueError):
+                array[0] = 0
 
 
 class TestCsf:
@@ -123,9 +161,9 @@ class TestCsf:
             csf_build(t, (0, 1, 2))
 
     def test_repeated_coordinates(self):
-        t = SparseTensor((2, 2), (((0, 1), 1.0), ((1, 0), 2.0), ((0, 1), 3.0)))
-        with pytest.raises(NonCanonicalTensorError, match=r"coordinates \(1, 0\) in mode order \(1, 0\) repeat"):
-            csf_build(t, (1, 0))
+        # construction raises, so csf_build never sees a repeat
+        with pytest.raises(NonCanonicalTensorError, match=r"^coordinates \(0, 1\) follow \(1, 0\)$"):
+            SparseTensor((2, 2), (((0, 1), 1.0), ((1, 0), 2.0), ((0, 1), 3.0)))
 
 
 @st.composite
