@@ -1,6 +1,7 @@
 """fusetree: constraint-based scheduling and execution of sparse contraction trees."""
 
 from .bench import BenchInstance, bench_generate, synthetic_tensor
+from .check import CompareReport, compare, oracle_nary, oracle_unfused
 from .constraints import (
     ConstraintModel,
     ScheduleSolution,
@@ -12,16 +13,7 @@ from .constraints import (
     verify_solution,
 )
 from .errors import FusetreeError
-from .executor import (
-    Binding,
-    CompareReport,
-    ExecStats,
-    bind,
-    compare,
-    execute,
-    oracle_nary,
-    oracle_unfused,
-)
+from .executor import Binding, ExecStats, bind, execute
 from .lowering import (
     Assign,
     Forall,

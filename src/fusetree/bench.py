@@ -18,6 +18,7 @@ first factor, then the next.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import InvalidDensityError, InvalidExtentsError, UnknownKindError
 from .network import ContractionTree, parse_network
-from .tensor import SparseTensor, coo_from_entries
+from .tensor import SparseTensor, _check_shape
 
 KINDS = (
     "mttkrp1",
@@ -62,21 +63,22 @@ def synthetic_tensor(
     """
     if not 0.0 <= density <= 1.0:
         raise InvalidDensityError(f"density must be a number in [0, 1], got {density}")
-    shape = tuple(int(n) for n in shape)
-    total = int(np.prod(shape)) if shape else 1
+    shape = _check_shape([int(n) for n in shape])
+    total = math.prod(shape)
     nnz = int(round(density * total))
     if density > 0.0:
         nnz = max(nnz, 1)
     nnz = min(nnz, total)
     flat = rng.choice(total, size=nnz, replace=False)
-    coords = np.stack(np.unravel_index(flat, shape), axis=-1) if shape else np.zeros((nnz, 0), int)
     if values01:
         values = np.ones(nnz)
     else:
         values = rng.uniform(-1.0, 1.0, size=nnz)
         values[values == 0.0] = 0.5  # keep the requested fill
-    entries = [(tuple(int(c) for c in coords[k]), float(values[k])) for k in range(nnz)]
-    return coo_from_entries(entries, shape)
+    # the offsets are distinct, and row-major ones sort as their coordinates
+    order = np.argsort(flat)
+    coords = np.stack(np.unravel_index(flat[order], shape), axis=-1) if shape else np.zeros((nnz, 0), int)
+    return SparseTensor._trusted(shape, coords, values[order])
 
 
 def _factor_lines(extmap: dict[str, int]) -> list[str]:

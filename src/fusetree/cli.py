@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
+from .check import check_tolerances, compare, oracle_nary, oracle_unfused
 from .constraints import (
     ScheduleSolution,
     report_text,
@@ -30,7 +31,7 @@ from .errors import (
     TooLargeError,
     UnsatisfiableError,
 )
-from .executor import bind, check_tolerances, compare, execute, oracle_nary, oracle_unfused
+from .executor import bind, execute
 from .lowering import ir_to_json, lower, print_ir
 from .network import ContractionTree, build_tree, parse_network
 from .tensor import read_tns, write_tns

@@ -3,13 +3,15 @@
 Planning walks the IR once, checking the schedule and writing the source of
 one function in which loop variables, CSF positions and counters are locals.
 A ``forall`` drilled by a single CSF operand steps through that fiber's
-positions. A ``forall`` over one statement that several CSF operands drill
-co-iterates their intersection: it steps through one fiber and bisects the
-others, skipping a coordinate any of them lacks. A ``forall`` that a ``where``
-shares across statements keeps the sorted union of the present operands'
-coordinate streams, so every statement sees the coordinates it needs, and a
-loop that some statement reaches only through dense operands runs over the
-full index range; both find each operand's position by bisection.
+positions. A ``forall`` over one statement that two CSF operands drill
+co-iterates their intersection by leapfrogging: the lead fiber bisects the
+other for its coordinate and, on a miss, bisects itself forward to the
+other's coordinate, so the loop runs about as often as the shorter fiber has
+coordinates. A ``forall`` that a ``where`` shares across statements keeps the
+sorted union of the present operands' coordinate streams, so every statement
+sees the coordinates it needs, and a loop that some statement reaches only
+through dense operands runs over the full index range; both find each
+operand's position by bisection.
 
 ``bind`` stores every input in the form its kernel reads, in the mode order
 the solution gives it: a CSF tree, or a flat tuple of dense values. It keeps
@@ -34,7 +36,11 @@ adds nothing and counts no multiply-add, while the dense oracles compute NaN
 and ``compare`` fails the run.
 
 Each ``where`` zeroes the producer's workspaces, runs the producer, then the
-consumer, once per enclosing iteration. When the consumer reads an order-1
+consumer, once per enclosing iteration. Where every consumer statement reads
+a workspace the ``where`` zeroes, the consumer runs only when some statement
+has every such workspace it reads written, as the producer statements'
+counters tell: an unwritten one holds only 0.0, so every product the
+consumer could form has a zero factor. When the consumer reads an order-1
 workspace in an innermost full-range loop, the producer also records the
 cells it writes and the consumer visits only those, in ascending order. The
 root accumulates into a flat list of its row-major cells, which
@@ -55,29 +61,15 @@ the first run of a signature, such as a one-shot ``fusetree run``, pays for
 planning and compilation, and no call converts an operand. A schedule that
 fails its checks raises on every call, and a kernel nesting more than
 ``MAX_NESTED_LOOPS`` loops, which Python cannot compile, raises
-``TooLargeError``.
-
-Two dense oracles provide independent ground truth for the kernels. The n-ary
-oracle contracts the flat product of every leaf; above a small index space it
-lets numpy choose a pairwise order from that flat expression alone, never from
-the tree or the schedule. Where numpy's path, whose intermediates it caps at
-the size of the largest operand or the result, is one flat step, the oracle
-contracts one slice of the result's leading index at a time instead, each
-along a path numpy plans once under the same cap. The unfused oracle
-evaluates the contractions one by one, children first. ``compare`` works on
-the two tensors' coordinate and value arrays: where both store the same
-coordinates it compares the value arrays as they are, else it first merges
-the coordinates into their sorted union. It compares up to
-``COMPARE_SCAN_VALUES`` values in a Python scan, and more with numpy.
+``TooLargeError``. The dense oracles and ``compare`` that check the kernels
+live in :mod:`fusetree.check`, which imports none of this code.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
-import string
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -88,11 +80,9 @@ import numpy as np
 from .constraints import ScheduleSolution
 from .errors import (
     ExtentMismatchError,
-    InvalidToleranceError,
     MalformedScheduleError,
     MissingVariableError,
     ModeOrderMismatchError,
-    ShapeMismatchError,
     TooLargeError,
     UnboundTensorError,
     UnknownTensorError,
@@ -101,21 +91,11 @@ from .lowering import Assign, Forall, IrNode, Where
 from .network import ContractionTree, TensorRef
 from .tensor import CsfTensor, SparseTensor, csf_build
 
-DENSE_SPACE_BUDGET = 100_000_000
-# flat index spaces above this many points are contracted along numpy's
-# pairwise path; below it, planning the path (about 0.2 ms) costs more than
-# one flat einsum
-EINSUM_PATH_CUTOFF = 2**14
 # a root of up to this many cells accumulates into a flat list, a larger one
 # into a dict keyed by flat offset: filling and scanning the list costs about
 # 40 ns per cell (2.5 ms at the limit on a 2-core Xeon VM), about what sorting
 # and decoding a few thousand dict entries costs
 ROOT_DENSE_CELLS = 2**16
-# compare scans up to this many values in Python and more with numpy: the scan
-# costs about 0.5 us a value, the numpy route 15-30 us warm, but right after a
-# kernel has run about 80 us, against 55 us for the scan of solver_chains'
-# 16-value results (2-core Xeon VM)
-COMPARE_SCAN_VALUES = 64
 # CPython compiles at most 20 statically nested blocks, and each forall of a
 # kernel nests one for loop
 MAX_NESTED_LOOPS = 20
@@ -229,7 +209,7 @@ class _Loop:
     drivers: list[tuple[_Fiber, int]] = field(default_factory=list)
     full: bool = False  # some statement reaches the index only through dense operands
     single: bool = False  # one statement sits under the loop
-    step: bool = False  # steps through one fiber's positions, bisecting any others
+    step: bool = False  # steps through one fiber's positions, leapfrogging with any other
     extent: int | None = None  # of a full-range loop
     touched: str | None = None  # workspace whose written cells replace the full range
     body: object = None
@@ -240,6 +220,9 @@ class _Where:
     zero: list[str]  # workspaces
     producer: object
     consumer: object
+    # per consumer statement, the counters of the producer statements that
+    # write the zeroed workspaces it reads; empty when some statement reads none
+    guard: list[tuple[int, ...]]
 
 
 # the terms of a flat offset, each with the loop variable it reads
@@ -297,9 +280,13 @@ class _Kernel:
     literals, which the signature keys; the operands, ``t<k>`` for a CSF
     tensor and ``d<k>`` for a dense one, are the only parameters besides the
     root accumulator ``acc``. Rendering then decides per loop whether it steps
-    through one fiber's positions, an intersection, a sorted coordinate union,
-    a workspace's written cells or the full range, which needs the whole loop
-    body planned first.
+    through one fiber's positions, leapfrogs through the intersection of two,
+    or runs over a sorted coordinate union, a workspace's written cells or the
+    full range, which needs the whole loop body planned first. A ``where``
+    whose every consumer statement reads a workspace it zeroes snapshots the
+    counters ``n<k>`` of the statements writing those workspaces into
+    ``m<k>`` before its producer, and runs its consumer only if some consumer
+    statement finds the counter of each such workspace it reads moved.
     """
 
     def __init__(
@@ -396,10 +383,12 @@ class _Kernel:
             producer = self._plan(node.producer, scope)
             mid = len(self.stmts)
             consumer = self._plan(node.consumer, scope)
-            links = {name for name, _ in self.stmts[start:mid]}
-            links &= set().union(*(names for _, names in self.stmts[mid:]))
-            zero = [self.workspaces[name][0] for name in sorted(links) if name in self.workspaces]
-            return _Where(zero, producer, consumer)
+            producers = enumerate(self.stmts[start:mid], start)
+            written = {name: k for k, (name, _) in producers if name in self.workspaces}
+            reads = [names for _, names in self.stmts[mid:]]
+            zero = [self.workspaces[name][0] for name in sorted(written.keys() & set().union(*reads))]
+            guard = {tuple(sorted(written[x] for x in names if x in written)) for names in reads}
+            return _Where(zero, producer, consumer, sorted(guard) if all(guard) else [])
         return self._statement(node, scope)
 
     def _statement(self, node: Assign, scope: dict[str, _Loop]) -> _Stmt:
@@ -483,12 +472,23 @@ class _Kernel:
             for var in touched:
                 out.append(f"{pad}for c in t{var}: f{var}[c] = False")
                 out.append(f"{pad}t{var}.clear()")
+            writers = sorted(set().union(*node.guard))
+            out.extend(f"{pad}m{k} = n{k}" for k in writers)
             self._render(node.producer, depth, out)
+            if node.guard:
+                # an unmoved counter leaves its workspace all 0.0, and every
+                # product reading it skipped
+                tests = (" and ".join(f"n{k} != m{k}" for k in reads) for reads in node.guard)
+                out.append(f"{pad}if {' or '.join(tests)}:")
+                depth += 1
+                pad += "    "
             # ascending cells keep the consumer's sums in full-range order
             out.extend(f"{pad}t{var}.sort()" for var in touched)
             self._render(node.consumer, depth, out)
         elif isinstance(node, _Loop) and not node.single:
-            self._render(node.body, self._render_head(node, depth, out), out)
+            closes: list[str] = []
+            self._render(node.body, self._render_head(node, depth, out, closes), out)
+            out += closes
         else:
             self._render_own(node, depth, out)
 
@@ -546,20 +546,27 @@ class _Kernel:
         if var in self.touched:
             at[-1].append(f"if not f{var}[{cell}]: f{var}[{cell}] = True; t{var}.append({cell})")
         at[-1] += (f"{var}[{cell}] += f * g", f"n{n} += 1")
+        closes: list[str] = []  # the last line of each loop that has one, outermost first
         for k, lines in enumerate(at):
             if k:
-                depth = self._render_head(own[k - 1], depth, out)
+                depth = self._render_head(own[k - 1], depth, out, closes)
             pad = "    " * depth
             for line in lines:
                 out.append(pad + line)
                 if line[-1] == ":":
                     pad += "    "
                     depth += 1
+        out.extend(reversed(closes))
 
-    def _render_head(self, loop: _Loop, depth: int, out: list[str]) -> int:
+    def _render_head(self, loop: _Loop, depth: int, out: list[str], closes: list[str]) -> int:
         """Bind the loop variable and the position of every fiber level it
-        drives; returns the depth of the loop body.
+        drives; returns the depth of the loop body, and appends to ``closes``
+        the line that must end that body, if any.
 
+        An intersection is a ``while`` over the lead fiber's positions: the
+        lead bisects the other fiber for its coordinate, leaves the loop when
+        the other is exhausted and, on a miss, bisects itself forward to the
+        other's coordinate; after a match the closing line steps it by one.
         In a union or full-range loop a missing coordinate sets a position to
         -1, and a level under a -1 parent gets the empty range, so presence is
         decided by the deepest level. Positions stepped through or found by
@@ -582,15 +589,22 @@ class _Kernel:
                 out.append(f"{pad}if {' and '.join(guards)}:")
                 pad += "    "
                 depth += 1
-            (p, coords, parent, seg, _), *others = drivers
-            for q, _, parent_q, seg_q, _ in others:
-                out.append(f"{pad}l{q}, h{q} = {seg_q}[{parent_q}], {seg_q}[{parent_q} + 1]")
-            out.append(f"{pad}for {p} in range({seg}[{parent}], {seg}[{parent} + 1]):")
+            (p, coords, parent, seg, _), *other = drivers
+            if not other:
+                out.append(f"{pad}for {p} in range({seg}[{parent}], {seg}[{parent} + 1]):")
+                out.append(f"{pad}    {x} = {coords}[{p}]")
+                return depth + 1
+            ((q, coords_q, parent_q, seg_q, _),) = other
+            out.append(f"{pad}l{q}, h{q} = {seg_q}[{parent_q}], {seg_q}[{parent_q} + 1]")
+            out.append(f"{pad}{p}, h{p} = {seg}[{parent}], {seg}[{parent} + 1]")
+            out.append(f"{pad}while {p} < h{p}:")
             out.append(f"{pad}    {x} = {coords}[{p}]")
-            for q, coords_q, _, _, _ in others:
-                out.append(f"{pad}    {q} = l{q} = bl({coords_q}, {x}, l{q}, h{q})")
-                out.append(f"{pad}    if {q} == h{q}: break")
-                out.append(f"{pad}    if {coords_q}[{q}] != {x}: continue")
+            out.append(f"{pad}    {q} = l{q} = bl({coords_q}, {x}, l{q}, h{q})")
+            out.append(f"{pad}    if {q} == h{q}: break")
+            out.append(f"{pad}    if {coords_q}[{q}] != {x}:")
+            out.append(f"{pad}        {p} = bl({coords}, {coords_q}[{q}], {p} + 1, h{p})")
+            out.append(f"{pad}        continue")
+            closes.append(f"{pad}    {p} += 1")
         else:
             streams = []
             for fiber, level in loop.drivers:
@@ -677,269 +691,3 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     offsets = sorted(key for key, value in acc.items() if value != 0.0)
     coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), shape)).T
     return SparseTensor._trusted(shape, coords, np.array([acc[key] for key in offsets])), stats
-
-
-# ---------------------------------------------------------------------------
-# dense oracles
-
-
-def _as_dense(t: SparseTensor | np.ndarray) -> np.ndarray:
-    if isinstance(t, SparseTensor):
-        return t.to_dense()
-    return np.asarray(t, dtype=np.float64)
-
-
-def _letters(names: Sequence[str]) -> dict[str, str]:
-    alphabet = string.ascii_letters
-    if len(names) > len(alphabet):
-        raise TooLargeError("more distinct indices than einsum subscripts")
-    return {name: alphabet[i] for i, name in enumerate(sorted(set(names)))}
-
-
-def _flat_path(terms: Sequence[str], out: str, dims: Mapping[str, int]) -> bool:
-    """Whether numpy's greedy path (``optimize=True``) for three or more einsum
-    terms is one flat step.
-
-    numpy caps every intermediate at the size of the largest term or of the
-    result and starts with the best pair that fits. Its path is one flat step
-    when no index is summed, or when no pair fits.
-    """
-    if set(out) >= set("".join(terms)):
-        return True
-
-    def size(letters) -> int:
-        return math.prod(dims[x] for x in letters)
-
-    cap = max(size(t) for t in (*terms, out))
-    for a, b in itertools.combinations(range(len(terms)), 2):
-        kept = set(out).union(*(t for k, t in enumerate(terms) if k != a and k != b))
-        if size(set(terms[a] + terms[b]) & kept) <= cap:
-            return False
-    return True
-
-
-def oracle_nary(
-    tree: ContractionTree,
-    tensors: Mapping[str, SparseTensor | np.ndarray],
-) -> SparseTensor:
-    """Ground truth by direct n-ary contraction over the densified leaves.
-
-    Evaluates the flat product of every input reference, summing all indices
-    absent from the root result. The tree supplies only its leaf references
-    and its root. Over a flat index space above ``EINSUM_PATH_CUTOFF`` points
-    numpy contracts the operands pairwise, in an order it derives from that
-    flat expression alone, so the oracle never follows the schedule under
-    test; numpy caps each intermediate at the size of the largest operand or
-    of the result. Smaller spaces take one flat einsum, which is cheaper than
-    planning a path.
-
-    Where numpy's path for three or more leaves would be one flat step over
-    the whole space, as in the running example, whose pairwise intermediates
-    are one order larger than its operands, and the root has an index, the
-    oracle contracts the result one slice of its leading index at a time.
-    Each slice is the flat expression without that index, over views of the
-    operands that carry it, along one path numpy plans for the first slice
-    under its own cap; the slices are stacked in index order. Whether numpy's
-    path is flat is worked out by numpy's own rule (:func:`_flat_path`) from
-    the flat expression and the leaf shapes alone, so the flat expression is
-    never planned. A flat index space above ``DENSE_SPACE_BUDGET`` points, or
-    more leaves than one einsum call takes, raises :class:`TooLargeError`.
-    """
-    leaf_refs = [
-        ref
-        for c in tree.contractions
-        for ref in (c.lhs, c.rhs)
-        if ref.tensor not in tree.producer_of
-    ]
-    all_indices = sorted({i for ref in leaf_refs for i in ref.indices})
-    space = 1
-    for i in all_indices:
-        space *= tree.extents[i]
-    if space > DENSE_SPACE_BUDGET:
-        raise TooLargeError(f"n-ary iteration space {space} exceeds budget {DENSE_SPACE_BUDGET}")
-    sub = _letters(all_indices)
-    operands = []
-    for ref in leaf_refs:
-        if ref.tensor not in tensors:
-            raise UnboundTensorError(f"no tensor bound for input '{ref.tensor}'")
-        arr = _as_dense(tensors[ref.tensor])
-        if arr.shape != tree.ref_shape(ref):
-            raise ExtentMismatchError(
-                f"tensor '{ref.tensor}' has shape {arr.shape}, expected {tree.ref_shape(ref)}"
-            )
-        operands.append(arr)
-    out_ref = tree.root.result
-    terms = ["".join(sub[i] for i in ref.indices) for ref in leaf_refs]
-    out = "".join(sub[i] for i in out_ref.indices)
-    expr = ",".join(terms) + "->" + out
-    dims = {sub[i]: tree.extents[i] for i in all_indices}
-    try:
-        if space > EINSUM_PATH_CUTOFF and out and len(operands) > 2 and _flat_path(terms, out, dims):
-            x = out[0]  # numpy's capped path would be one flat step: slice the leading index
-
-            def at(v: int) -> list[np.ndarray]:
-                return [op[(slice(None),) * t.index(x) + (v,)] if x in t else op for op, t in zip(operands, terms)]
-
-            expr = ",".join(t.replace(x, "") for t in terms) + "->" + out[1:]
-            path = np.einsum_path(expr, *at(0), optimize=True)[0]
-            dense = np.stack([np.einsum(expr, *at(v), optimize=path) for v in range(dims[x])])
-        else:
-            dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
-    except ValueError as exc:
-        if "too many operands" not in str(exc):
-            raise
-        raise TooLargeError(f"{len(operands)} leaves are more than one einsum call takes") from None
-    return SparseTensor.from_dense(dense.reshape(tree.ref_shape(out_ref)))
-
-
-def oracle_unfused(
-    tree: ContractionTree,
-    tensors: Mapping[str, SparseTensor | np.ndarray],
-) -> tuple[SparseTensor, dict]:
-    """Evaluate contractions children first with full-order dense intermediates.
-
-    Returns the result plus ``{"max_intermediate_cells": ...}`` for memory
-    comparisons against fused execution.
-    """
-    env: dict[str, np.ndarray] = {}
-
-    def fetch(ref: TensorRef) -> np.ndarray:
-        name = ref.tensor
-        if name in env:
-            return env[name]
-        if name not in tensors:
-            raise UnboundTensorError(f"no tensor bound for input '{name}'")
-        arr = _as_dense(tensors[name])
-        if arr.shape != tree.ref_shape(ref):
-            raise ExtentMismatchError(
-                f"tensor '{name}' has shape {arr.shape}, expected {tree.ref_shape(ref)}"
-            )
-        env[name] = arr
-        return arr
-
-    preorder = [tree.root.cid]  # parents before children, without recursion
-    for cid in preorder:
-        preorder.extend(tree.children_of(cid))
-    max_cells = 0
-    root_name = tree.root.result.tensor
-    for cid in reversed(preorder):
-        c = tree.contractions[cid]
-        sub = _letters(sorted(c.index_set))
-        expr = (
-            "".join(sub[i] for i in c.lhs.indices)
-            + ","
-            + "".join(sub[i] for i in c.rhs.indices)
-            + "->"
-            + "".join(sub[i] for i in c.result.indices)
-        )
-        cells = 1
-        for i in c.result.indices:
-            cells *= tree.extents[i]
-        if cells > DENSE_SPACE_BUDGET:
-            raise TooLargeError(f"intermediate '{c.result.tensor}' needs {cells} dense cells")
-        out = np.einsum(expr, fetch(c.lhs), fetch(c.rhs))
-        env[c.result.tensor] = out.reshape(tree.ref_shape(c.result))
-        if c.result.tensor != root_name:
-            max_cells = max(max_cells, env[c.result.tensor].size)
-    result = SparseTensor.from_dense(env[root_name])
-    return result, {"max_intermediate_cells": max_cells}
-
-
-# ---------------------------------------------------------------------------
-# comparison
-
-
-@dataclass(frozen=True)
-class CompareReport:
-    passed: bool
-    checked: int
-    max_abs_err: float
-    worst_coords: tuple[int, ...] | None
-    worst_values: tuple[float, float] | None
-
-    def message(self) -> str:
-        if self.passed:
-            return f"pass: {self.checked} coordinates, max abs error {self.max_abs_err:.3e}"
-        a, b = self.worst_values
-        return (
-            f"FAIL at {self.worst_coords}: {a!r} vs {b!r} "
-            f"(abs error {self.max_abs_err:.3e}, {self.checked} coordinates checked)"
-        )
-
-
-def check_tolerances(rel_tol: float, abs_tol: float) -> None:
-    """Raise :class:`InvalidToleranceError` unless both tolerances are
-    finite and >= 0."""
-    if not (0.0 <= rel_tol < math.inf and 0.0 <= abs_tol < math.inf):
-        raise InvalidToleranceError(f"tolerances must be finite and >= 0: rel {rel_tol}, abs {abs_tol}")
-
-
-def compare(
-    a: SparseTensor,
-    b: SparseTensor,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 0.0,
-) -> CompareReport:
-    """Pointwise comparison over the union of coordinates.
-
-    Passes iff |a - b| <= abs_tol + rel_tol * max(|a|, |b|) everywhere and no
-    value on either side is NaN or infinite; the report carries the worst
-    offender, a non-finite one first, and of equals the first in
-    lexicographic order. A tolerance that is negative, infinite or NaN raises
-    :class:`InvalidToleranceError`.
-    """
-    check_tolerances(rel_tol, abs_tol)
-    if a.shape != b.shape:
-        raise ShapeMismatchError(f"shapes differ: {a.shape} vs {b.shape}")
-    if a.nnz == b.nnz and (a.coords == b.coords).all():
-        coords, x, y = a.coords, a.values, b.values
-    else:
-        coords, x, y = _union(a, b)
-    if len(x) <= COMPARE_SCAN_VALUES:
-        worst, max_err, passed = _scan(x.tolist(), y.tolist(), rel_tol, abs_tol)
-    else:
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, 0 * inf, overflow
-            err = np.abs(x - y)
-            err[np.isnan(err)] = math.inf  # a NaN difference has a non-finite side
-            within = err <= abs_tol + rel_tol * np.maximum(np.abs(x), np.abs(y))
-        worst = int(err.argmax())  # the first of equals
-        max_err, passed = float(err[worst]), bool(within.all())
-    # an infinite error, from a non-finite side or an overflow, always fails
-    passed = passed and max_err < math.inf
-    if max_err == 0.0:
-        return CompareReport(passed, len(x), 0.0, None, None)
-    worst_values = (float(x[worst]), float(y[worst]))
-    return CompareReport(passed, len(x), max_err, tuple(coords[worst].tolist()), worst_values)
-
-
-def _scan(xs: list[float], ys: list[float], rel_tol: float, abs_tol: float) -> tuple[int, float, bool]:
-    """``compare``'s arithmetic one value at a time: the first worst index, its
-    error, and whether every error is within the tolerance."""
-    worst, max_err, passed = 0, 0.0, True
-    for k, (x, y) in enumerate(zip(xs, ys)):
-        err = abs(x - y)
-        if err != err:  # a NaN difference has a non-finite side
-            err = math.inf
-        if err > max_err:
-            worst, max_err = k, err
-        if not err <= abs_tol + rel_tol * max(abs(x), abs(y)):
-            passed = False
-    return worst, max_err, passed
-
-
-def _union(a: SparseTensor, b: SparseTensor) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The union of two tensors' coordinates in lexicographic order, and each
-    side's values on it, 0.0 where that side stores none. The rows are sorted
-    by coordinates, since row-major offsets overflow beyond 2^63 cells."""
-    rows = np.concatenate((a.coords, b.coords))
-    # lexsort's last key is its primary one, and it takes no empty key list
-    order = np.lexsort(rows.T[::-1]) if a.order else np.arange(len(rows))
-    rows = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    slot = np.cumsum(new) - 1
-    x, y = np.zeros(np.count_nonzero(new)), np.zeros(np.count_nonzero(new))
-    mine = order < a.nnz
-    x[slot[mine]] = a.values[order[mine]]
-    y[slot[~mine]] = b.values[order[~mine] - a.nnz]
-    return rows[new], x, y

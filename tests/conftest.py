@@ -11,7 +11,7 @@ import pytest
 
 from fusetree import ContractionTree, CsfTensor, ScheduleSolution, SparseTensor, build_tree, parse_network
 from fusetree.bench import running_example_network
-from fusetree.executor import _letters
+from fusetree.check import _letters
 from fusetree.network import Contraction, TensorRef
 
 GOLDEN_IR = """

@@ -23,13 +23,12 @@ reuses the schedules of the unchanged tree. Each satisfiable bound's schedule
 must pass ``verify_solution``, and its kernel's result must match
 ``oracle_nary`` and ``oracle_unfused`` and its multiply-adds per result must
 equal ``conftest.nonzero_products``. Every ``compare`` report, and the
-report ``compare`` gives with ``executor.COMPARE_SCAN_VALUES`` at 0 (numpy
-for any values), must equal, field for field, the one of ``dict_compare``
-from ``test_check.py``, the comparison through dicts. ``oracle_nary`` runs a
-second time with
-``executor.EINSUM_PATH_CUTOFF`` at 0, so that it plans a path for every index
-space and slices the result wherever numpy's capped path is one flat step;
-it must match its first run. Each run binds the tensors a second
+report ``compare`` gives with ``check.COMPARE_SCAN_VALUES`` at 0 (numpy for
+any values), must equal, field for field, the one of ``dict_compare`` from
+``test_check.py``, the comparison through dicts. ``oracle_nary`` runs a
+second time with ``check.EINSUM_PATH_CUTOFF`` at 0, so that it plans a path
+for every index space and slices the result wherever numpy's capped path is
+one flat step; it must match its first run. Each run binds the tensors a second
 time, which must reuse every layout the first bind stored on them and give
 the same result, counts and workspace cells. Each run goes first through the
 kernel cache as the previous kind left it, which holds the kernel of the same
@@ -74,7 +73,7 @@ from fusetree import (
     synthetic_tensor,
     verify_solution,
 )
-from fusetree import executor
+from fusetree import check as check_mod
 from fusetree.errors import ModeOrderMismatchError
 from fusetree.executor import _kernel
 
@@ -145,12 +144,12 @@ def checked_compare(a, b, problems: list[str]):
     """``compare``'s report, after checking it, and the report with every
     comparison made by numpy, against ``dict_compare``'s."""
     report = compare(a, b, rel_tol=1e-10)
-    scan = executor.COMPARE_SCAN_VALUES
-    executor.COMPARE_SCAN_VALUES = 0  # numpy for any values
+    scan = check_mod.COMPARE_SCAN_VALUES
+    check_mod.COMPARE_SCAN_VALUES = 0  # numpy for any values
     try:
         arrays = compare(a, b, rel_tol=1e-10)
     finally:
-        executor.COMPARE_SCAN_VALUES = scan
+        check_mod.COMPARE_SCAN_VALUES = scan
     reference = dict_compare(a, b, rel_tol=1e-10)
     for got in (report, arrays):
         if repr(got) != repr(reference):  # NaN worst values compare unequal to themselves
@@ -168,12 +167,12 @@ def oracle_problems(tree, tensors, result) -> list[str]:
         report = checked_compare(result, reference, problems)
         if not report.passed:
             problems.append(f"{name} oracle: {report.message()}")
-    cutoff = executor.EINSUM_PATH_CUTOFF
-    executor.EINSUM_PATH_CUTOFF = 0  # a path for every space, sliced where numpy's path is flat
+    cutoff = check_mod.EINSUM_PATH_CUTOFF
+    check_mod.EINSUM_PATH_CUTOFF = 0  # a path for every space, sliced where numpy's path is flat
     try:
         planned = oracle_nary(tree, tensors)
     finally:
-        executor.EINSUM_PATH_CUTOFF = cutoff
+        check_mod.EINSUM_PATH_CUTOFF = cutoff
     report = checked_compare(planned, nary, problems)
     if not report.passed:
         problems.append(f"n-ary oracle with every path planned: {report.message()}")

@@ -1,0 +1,69 @@
+"""Line counts of one generated kernel: how often each source line ran.
+
+Run from the root of a checkout (pytest does not collect this file):
+
+    PYTHONPATH=src python3 tests/kernel_lines.py --kind running_example --seed 1
+
+The bench instance of ``--kind`` (``--extents``, ``--rank``, ``--density``
+and ``--seed`` as in ``fusetree bench``) is planned at its minimal bound and
+its kernel run once under ``sys.settrace``. Every line of the kernel source
+is printed after the number of line events it raised, then the total.
+``--total`` prints the total alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+from fusetree import bench_generate, bind, execute, lower, search_min_order
+from fusetree.executor import _Kernel, _signature
+
+KERNEL_FILE = "<fusetree kernel>"
+
+
+def line_counts(ir, binding):
+    """The kernel source of ``ir`` under ``binding``, the line events each of
+    its lines raised in one ``execute`` call, and that call's outcome."""
+    source = _Kernel(*_signature(ir, binding)).source().splitlines()
+    counts = [0] * len(source)
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts[frame.f_lineno - 1] += 1
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename == KERNEL_FILE else None
+
+    sys.settrace(tracer)
+    try:
+        outcome = execute(ir, binding)
+    finally:
+        sys.settrace(None)
+    return source, counts, outcome
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--kind", required=True)
+    ap.add_argument("--extents", default="30x40x50")
+    ap.add_argument("--rank", type=int, default=8)
+    ap.add_argument("--density", type=float, default=0.01)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--total", action="store_true", help="print only the total of line events")
+    args = ap.parse_args(argv)
+    extents = [int(n) for n in args.extents.split("x")]
+    inst = bench_generate(args.kind, extents, args.rank, args.density, args.seed)
+    _, sol = search_min_order(inst.tree)
+    ir = lower(inst.tree, sol)
+    source, counts, _ = line_counts(ir, bind(inst.tree, sol, inst.tensors, inst.dense_names))
+    if not args.total:
+        for count, line in zip(counts, source):
+            print(f"{count:>9}  {line}")
+    print(f"total {sum(counts)} line events")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

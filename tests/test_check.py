@@ -7,8 +7,10 @@ through two dicts, a set union and a sort.
 
 from __future__ import annotations
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusetree import bind, build_tree, compare, coo_from_entries, execute, lower, oracle_nary, parse_network
-from fusetree import executor, search_min_order
+from fusetree import check, executor, search_min_order
 from fusetree.bench import bench_generate, running_example_network, synthetic_tensor
 from fusetree.errors import FusetreeError, InvalidToleranceError, NonCanonicalTensorError
-from fusetree.executor import CompareReport
+from fusetree.check import CompareReport
 from fusetree.network import Contraction, TensorRef
 from fusetree.tensor import SparseTensor
 from conftest import random_tree
@@ -31,7 +33,7 @@ SEEDS = range(16)
 def flat_oracle(tree, tensors) -> SparseTensor:
     """One einsum over the flat product of every leaf reference."""
     leaves = [r for c in tree.contractions for r in (c.lhs, c.rhs) if r.tensor not in tree.producer_of]
-    sub = executor._letters(sorted({i for r in leaves for i in r.indices}))
+    sub = check._letters(sorted({i for r in leaves for i in r.indices}))
     expr = ",".join("".join(sub[i] for i in r.indices) for r in leaves)
     expr += "->" + "".join(sub[i] for i in tree.root.result.indices)
     dense = np.einsum(expr, *(tensors[r.tensor].to_dense() for r in leaves))
@@ -80,11 +82,11 @@ def _case(seed: int, kind: str):
     return tree, tensors
 
 
-@pytest.mark.parametrize("cutoff", (0, executor.EINSUM_PATH_CUTOFF))
+@pytest.mark.parametrize("cutoff", (0, check.EINSUM_PATH_CUTOFF))
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_nary_matches_flat_einsum(seed, kind, cutoff, monkeypatch):
-    monkeypatch.setattr(executor, "EINSUM_PATH_CUTOFF", cutoff)  # 0: every space takes a path
+    monkeypatch.setattr(check, "EINSUM_PATH_CUTOFF", cutoff)  # 0: every space takes a path
     tree, tensors = _case(seed, kind)
     got = oracle_nary(tree, tensors)
     want = flat_oracle(tree, tensors)
@@ -110,7 +112,7 @@ def test_nary_is_independent_of_tree_shape():
         extents
         + "Y[k,m] = C[k,l] * D[l,m]\nX[i,k] = A[i,j] * B[j,k]\nR[i,m] = X[i,k] * Y[k,m]\n"
     )
-    assert 12**5 > executor.EINSUM_PATH_CUTOFF
+    assert 12**5 > check.EINSUM_PATH_CUTOFF
     rng = np.random.default_rng(5)
     tensors = {name: _eighths((12, 12), rng) for name in "ABCD"}
     got = oracle_nary(chain, tensors)
@@ -135,8 +137,8 @@ class Recorder:
             self.paths.append((expr, self._dims(expr, operands)))
             return einsum_path(expr, *operands, **kwargs)
 
-        monkeypatch.setattr(executor.np, "einsum", recording_einsum)
-        monkeypatch.setattr(executor.np, "einsum_path", recording_path)
+        monkeypatch.setattr(check.np, "einsum", recording_einsum)
+        monkeypatch.setattr(check.np, "einsum_path", recording_path)
 
     @staticmethod
     def _dims(expr: str, operands) -> dict[str, int]:
@@ -174,7 +176,7 @@ def test_nary_plans_a_path_only_above_the_cutoff(monkeypatch):
 def _flat_terms(tree):
     """The oracle's einsum terms, result and letter extents for ``tree``."""
     leaves = [r for c in tree.contractions for r in (c.lhs, c.rhs) if r.tensor not in tree.producer_of]
-    sub = executor._letters(sorted({i for r in leaves for i in r.indices}))
+    sub = check._letters(sorted({i for r in leaves for i in r.indices}))
     terms = ["".join(sub[i] for i in r.indices) for r in leaves]
     dims = {sub[i]: n for i, n in tree.extents.items() if i in sub}
     return terms, "".join(sub[i] for i in tree.root.result.indices), dims
@@ -215,7 +217,7 @@ def test_the_sliced_route_is_taken_exactly_where_numpys_capped_path_is_flat(seed
         terms, out, dims = _flat_terms(tree)
         if len(terms) > 2:
             flat = len(_numpy_path(terms, out, dims)) == 2
-            assert executor._flat_path(terms, out, dims) is flat, (seed, terms, out)
+            assert check._flat_path(terms, out, dims) is flat, (seed, terms, out)
 
 
 @pytest.mark.parametrize("root", ("i,j,k", "k,j,i"))  # k is mode 1 of D[j,k,r]
@@ -408,16 +410,16 @@ def compare_cases(draw):
     return sides, tols
 
 
-@pytest.mark.parametrize("scan", (0, executor.COMPARE_SCAN_VALUES))  # 0: numpy for any values
+@pytest.mark.parametrize("scan", (0, check.COMPARE_SCAN_VALUES))  # 0: numpy for any values
 @given(case=compare_cases())
 @settings(max_examples=300, deadline=None)
 def test_array_compare_matches_dict_compare(scan, case):
     (a, b), tols = case
-    default, executor.COMPARE_SCAN_VALUES = executor.COMPARE_SCAN_VALUES, scan
+    default, check.COMPARE_SCAN_VALUES = check.COMPARE_SCAN_VALUES, scan
     try:
         reports = [(compare(x, y, **tols), dict_compare(x, y, **tols)) for x, y in ((a, b), (b, a))]
     finally:
-        executor.COMPARE_SCAN_VALUES = default
+        check.COMPARE_SCAN_VALUES = default
     for got, want in reports:
         assert _same(got, want), (a, b, tols)
         assert [type(c) for c in got.worst_coords or ()] == [int] * len(got.worst_coords or ())
@@ -453,3 +455,16 @@ def test_the_check_path_builds_no_entry_tuples(kind):
     assert report.passed and report.checked == result.nnz > 0
     for t in (result, reference, *tensors.values()):
         assert "entries" not in vars(t)  # the cached tuple view was never asked for
+
+
+def test_the_check_path_imports_none_of_the_code_it_checks():
+    # the oracles and compare are ground truth only while they share no code
+    # with the solver, the lowering or the kernels
+    imported = []
+    for node in ast.walk(ast.parse(Path(check.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported += [*(node.module or "").split("."), *(alias.name for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            imported += [part for alias in node.names for part in alias.name.split(".")]
+    assert "network" in imported and "tensor" in imported
+    assert not {"fusetree", "constraints", "lowering", "executor"} & set(imported)

@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fusetree.executor as executor
 from fusetree import (
@@ -497,6 +499,108 @@ def test_order_zero_root():
     b[2, 0] = 3.0  # the two products cancel exactly
     result, _ = _run(network, {"A": a, "B": _tensor((3, 2), b)})
     assert result == SparseTensor((), ())
+
+
+# ---------------------------------------------------------------------------
+# leapfrog intersections and guarded where consumers
+
+# a k fiber of 1,000 coordinates against one of a single coordinate, its last
+LOPSIDED = "extent i 1\nextent k 1000\nextent j 1\nR[i,j] = T[i,k] * S[k,j]\n"
+
+
+@pytest.mark.parametrize("swap", (False, True), ids=("T-first", "S-first"))
+def test_intersection_bisects_follow_the_shorter_fiber(swap):
+    network = LOPSIDED.replace("T[i,k] * S[k,j]", "S[k,j] * T[i,k]") if swap else LOPSIDED
+    tensors = {"T": _tensor((1, 1000), {(0, k): 1.0 for k in range(1000)}), "S": _tensor((1000, 1), {(999, 0): 2.0})}
+    tree, ir, binding = _plan(network, tensors)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return bisect.bisect_left(*args)
+
+    compiled = _kernel(*_signature(ir, binding))
+    acc, counts = compiled.run([0.0], *(binding.operands[name] for name in compiled.operands), bl=counting)
+    assert (acc, counts) == ([2.0], (1,))
+    assert len(calls) <= 4
+
+
+def test_consumer_of_an_empty_workspace_is_skipped():
+    # B empty: X is never written, so no where iteration may walk C, whose
+    # fibers feed only the consumer that reads X
+    import kernel_lines
+
+    inst = bench_generate("running_example", extents=4, density=0.5, seed=2)
+    tensors = {**inst.tensors, "B": coo_from_entries([], inst.tensors["B"].shape)}
+    _, sol = search_min_order(inst.tree)
+    ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, tensors)
+    source, counts, _ = kernel_lines.line_counts(ir, binding)
+    param = f"t{_kernel(*_signature(ir, binding)).operands.index('C')}"
+    (unpack,) = [line for line in source if line.endswith(f" = {param}.coords")]
+    level1 = re.findall(r"c\d+_1\b", unpack)[0]
+    reads = [k for k, line in enumerate(source) if re.search(rf"\b{level1}\b", line) and line != unpack]
+    assert reads and [counts[k] for k in reads] == [0] * len(reads)
+    _check(inst.tree, sol, tensors)
+
+
+def test_consumer_holding_an_unread_producer_still_runs():
+    # the outer where zeroes X; its consumer also produces Y, which reads no
+    # X, so with X never written Y's products must still be made and counted
+    network = (
+        "extent i 3\nextent j 3\nextent k 3\n"
+        "X[i] = A[j,i] * B[j]\nY[i] = C[i,k] * D[k]\nR[i] = X[i] * Y[i]\n"
+    )
+    tree, sol = _pinned(network, ("ji", "ik", "i"))
+    nprng = np.random.default_rng(4)
+    tensors = {
+        "A": coo_from_entries([], (3, 3)),
+        "B": synthetic_tensor((3,), 1.0, nprng),
+        "C": synthetic_tensor((3, 3), 0.6, nprng),
+        "D": synthetic_tensor((3,), 1.0, nprng),
+    }
+    _, stats = _check(tree, sol, tensors)
+    assert stats.per_assignment.get("Y", 0) > 0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_kernel_lines_count_each_statement_as_its_stats(kind, capsys):
+    import kernel_lines
+
+    args = ["--kind", kind, "--extents", "4x5x6", "--rank", "2", "--density", "0.3", "--seed", "1"]
+    assert kernel_lines.main(args) == 0
+    *rows, total = capsys.readouterr().out.splitlines()
+    assert total == f"total {sum(int(row[:9]) for row in rows)} line events"
+    inst = bench_generate(kind, (4, 5, 6), 2, 0.3, 1)
+    _, sol = search_min_order(inst.tree)
+    ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names)
+    _, stats = execute(ir, binding)
+    assert stats.multiply_adds > 0
+    for k, name in enumerate(_kernel(*_signature(ir, binding)).results):
+        (row,) = [row for row in rows if row[9:].strip() == f"n{k} += 1"]
+        assert int(row[:9]) == stats.per_assignment.get(name, 0)
+
+
+@st.composite
+def _lopsided_cases(draw):
+    """``R[i,j] = T[i,k] * S[k,j]`` with either operand first, extents i, j
+    up to 5 and k up to 64, and each input at its own density in [0, 1], with
+    non-zero values that are multiples of 1/8."""
+    ni, nj, nk = draw(st.integers(1, 5)), draw(st.integers(1, 5)), draw(st.integers(1, 64))
+    product = draw(st.sampled_from(("T[i,k] * S[k,j]", "S[k,j] * T[i,k]")))
+    nprng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tensors = {}
+    for name, shape in (("T", (ni, nk)), ("S", (nk, nj))):
+        present = nprng.random(shape) < draw(st.floats(0.0, 1.0))
+        eighths = nprng.integers(1, 17, shape) * nprng.choice((-1, 1), shape)
+        tensors[name] = SparseTensor.from_dense(present * eighths / 8.0)
+    return f"extent i {ni}\nextent k {nk}\nextent j {nj}\nR[i,j] = {product}\n", tensors
+
+
+@given(case=_lopsided_cases())
+@settings(max_examples=200, deadline=None)
+def test_intersections_match_the_oracles(case):
+    network, tensors = case
+    _run(network, tensors)
 
 
 # ---------------------------------------------------------------------------
