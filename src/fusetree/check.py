@@ -2,22 +2,19 @@
 
 Nothing here reads a schedule, the loop IR or a generated kernel, and the
 module imports none of the code that makes them. The n-ary oracle contracts
-the flat product of every leaf; above a small index space it lets numpy
-choose a pairwise order from that flat expression alone, never from the tree
-or the schedule. Where numpy's path, whose intermediates it caps at the size
-of the largest operand or the result, is one flat step, the oracle contracts
-one slice of the result's leading index at a time instead, each along a path
-numpy plans once under the same cap. The unfused oracle evaluates the
-contractions one by one, children first. ``compare`` works on the two
-tensors' coordinate and value arrays: where both store the same coordinates
-it compares the value arrays as they are, else it first merges the
-coordinates into their sorted union. It compares up to
+the flat product of every leaf; above a small index space it lets numpy's
+greedy search choose a pairwise order from that flat expression and the leaf
+shapes alone, never from the tree or the schedule. The unfused oracle
+evaluates the contractions one by one, children first. No intermediate of
+either holds more than ``DENSE_SPACE_BUDGET`` cells. ``compare`` works on
+the two tensors' coordinate and value arrays: where both store the same
+coordinates it compares the value arrays as they are, else it first merges
+the coordinates into their sorted union. It compares up to
 ``COMPARE_SCAN_VALUES`` values in a Python scan, and more with numpy.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import string
 from dataclasses import dataclass
@@ -64,26 +61,23 @@ def _letters(names: Sequence[str]) -> dict[str, str]:
     return {name: alphabet[i] for i, name in enumerate(sorted(set(names)))}
 
 
-def _flat_path(terms: Sequence[str], out: str, dims: Mapping[str, int]) -> bool:
-    """Whether numpy's greedy path (``optimize=True``) for three or more einsum
-    terms is one flat step.
+def _leaf(
+    tensors: Mapping[str, SparseTensor | np.ndarray],
+    ref: TensorRef,
+    shape: tuple[int, ...],
+) -> np.ndarray:
+    """The dense array bound to input ``ref``, which must have ``shape``, the
+    one ``ContractionTree.ref_shape`` gives ``ref``.
 
-    numpy caps every intermediate at the size of the largest term or of the
-    result and starts with the best pair that fits. Its path is one flat step
-    when no index is summed, or when no pair fits.
+    Raises :class:`UnboundTensorError` if no tensor is bound, and
+    :class:`ExtentMismatchError` if the shape differs.
     """
-    if set(out) >= set("".join(terms)):
-        return True
-
-    def size(letters) -> int:
-        return math.prod(dims[x] for x in letters)
-
-    cap = max(size(t) for t in (*terms, out))
-    for a, b in itertools.combinations(range(len(terms)), 2):
-        kept = set(out).union(*(t for k, t in enumerate(terms) if k != a and k != b))
-        if size(set(terms[a] + terms[b]) & kept) <= cap:
-            return False
-    return True
+    if ref.tensor not in tensors:
+        raise UnboundTensorError(f"no tensor bound for input '{ref.tensor}'")
+    arr = _as_dense(tensors[ref.tensor])
+    if arr.shape != shape:
+        raise ExtentMismatchError(f"tensor '{ref.tensor}' has shape {arr.shape}, expected {shape}")
+    return arr
 
 
 def oracle_nary(
@@ -95,23 +89,14 @@ def oracle_nary(
     Evaluates the flat product of every input reference, summing all indices
     absent from the root result. The tree supplies only its leaf references
     and its root. Over a flat index space above ``EINSUM_PATH_CUTOFF`` points
-    numpy contracts the operands pairwise, in an order it derives from that
-    flat expression alone, so the oracle never follows the schedule under
-    test; numpy caps each intermediate at the size of the largest operand or
-    of the result. Smaller spaces take one flat einsum, which is cheaper than
-    planning a path.
-
-    Where numpy's path for three or more leaves would be one flat step over
-    the whole space, as in the running example, whose pairwise intermediates
-    are one order larger than its operands, and the root has an index, the
-    oracle contracts the result one slice of its leading index at a time.
-    Each slice is the flat expression without that index, over views of the
-    operands that carry it, along one path numpy plans for the first slice
-    under its own cap; the slices are stacked in index order. Whether numpy's
-    path is flat is worked out by numpy's own rule (:func:`_flat_path`) from
-    the flat expression and the leaf shapes alone, so the flat expression is
-    never planned. A flat index space above ``DENSE_SPACE_BUDGET`` points, or
-    more leaves than one einsum call takes, raises :class:`TooLargeError`.
+    numpy's greedy search contracts the operands pairwise, in an order it
+    derives from that flat expression and the leaf shapes alone, so the oracle
+    never follows the schedule under test. It may keep any intermediate of at
+    most ``DENSE_SPACE_BUDGET`` cells, the bound :func:`oracle_unfused` puts
+    on its own intermediates. Smaller spaces take one flat einsum, which is
+    cheaper than planning a path. A flat index space above
+    ``DENSE_SPACE_BUDGET`` points, or more leaves than one einsum call takes,
+    raises :class:`TooLargeError`.
     """
     leaf_refs = [
         ref
@@ -119,40 +104,19 @@ def oracle_nary(
         for ref in (c.lhs, c.rhs)
         if ref.tensor not in tree.producer_of
     ]
-    all_indices = sorted({i for ref in leaf_refs for i in ref.indices})
-    space = 1
-    for i in all_indices:
-        space *= tree.extents[i]
+    shapes = [tree.ref_shape(ref) for ref in leaf_refs]
+    dims = {i: n for ref, shape in zip(leaf_refs, shapes) for i, n in zip(ref.indices, shape)}
+    space = math.prod(dims.values())
     if space > DENSE_SPACE_BUDGET:
         raise TooLargeError(f"n-ary iteration space {space} exceeds budget {DENSE_SPACE_BUDGET}")
-    sub = _letters(all_indices)
-    operands = []
-    for ref in leaf_refs:
-        if ref.tensor not in tensors:
-            raise UnboundTensorError(f"no tensor bound for input '{ref.tensor}'")
-        arr = _as_dense(tensors[ref.tensor])
-        if arr.shape != tree.ref_shape(ref):
-            raise ExtentMismatchError(
-                f"tensor '{ref.tensor}' has shape {arr.shape}, expected {tree.ref_shape(ref)}"
-            )
-        operands.append(arr)
+    operands = [_leaf(tensors, ref, shape) for ref, shape in zip(leaf_refs, shapes)]
     out_ref = tree.root.result
-    terms = ["".join(sub[i] for i in ref.indices) for ref in leaf_refs]
-    out = "".join(sub[i] for i in out_ref.indices)
-    expr = ",".join(terms) + "->" + out
-    dims = {sub[i]: tree.extents[i] for i in all_indices}
+    sub = _letters(list(dims))
+    expr = ",".join("".join(sub[i] for i in ref.indices) for ref in leaf_refs)
+    expr += "->" + "".join(sub[i] for i in out_ref.indices)
+    path = ("greedy", DENSE_SPACE_BUDGET) if space > EINSUM_PATH_CUTOFF else False
     try:
-        if space > EINSUM_PATH_CUTOFF and out and len(operands) > 2 and _flat_path(terms, out, dims):
-            x = out[0]  # numpy's capped path would be one flat step: slice the leading index
-
-            def at(v: int) -> list[np.ndarray]:
-                return [op[(slice(None),) * t.index(x) + (v,)] if x in t else op for op, t in zip(operands, terms)]
-
-            expr = ",".join(t.replace(x, "") for t in terms) + "->" + out[1:]
-            path = np.einsum_path(expr, *at(0), optimize=True)[0]
-            dense = np.stack([np.einsum(expr, *at(v), optimize=path) for v in range(dims[x])])
-        else:
-            dense = np.einsum(expr, *operands, optimize=space > EINSUM_PATH_CUTOFF)
+        dense = np.einsum(expr, *operands, optimize=path)
     except ValueError as exc:
         if "too many operands" not in str(exc):
             raise
@@ -172,18 +136,9 @@ def oracle_unfused(
     env: dict[str, np.ndarray] = {}
 
     def fetch(ref: TensorRef) -> np.ndarray:
-        name = ref.tensor
-        if name in env:
-            return env[name]
-        if name not in tensors:
-            raise UnboundTensorError(f"no tensor bound for input '{name}'")
-        arr = _as_dense(tensors[name])
-        if arr.shape != tree.ref_shape(ref):
-            raise ExtentMismatchError(
-                f"tensor '{name}' has shape {arr.shape}, expected {tree.ref_shape(ref)}"
-            )
-        env[name] = arr
-        return arr
+        if ref.tensor not in env:
+            env[ref.tensor] = _leaf(tensors, ref, tree.ref_shape(ref))
+        return env[ref.tensor]
 
     preorder = [tree.root.cid]  # parents before children, without recursion
     for cid in preorder:
@@ -200,9 +155,7 @@ def oracle_unfused(
             + "->"
             + "".join(sub[i] for i in c.result.indices)
         )
-        cells = 1
-        for i in c.result.indices:
-            cells *= tree.extents[i]
+        cells = math.prod(tree.ref_shape(c.result))
         if cells > DENSE_SPACE_BUDGET:
             raise TooLargeError(f"intermediate '{c.result.tensor}' needs {cells} dense cells")
         out = np.einsum(expr, fetch(c.lhs), fetch(c.rhs))

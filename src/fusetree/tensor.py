@@ -230,8 +230,10 @@ def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
 def read_tns(stream: TextIO | Iterable[str], shape: Sequence[int] | None = None) -> SparseTensor:
     """Parse FROSTT-style text: 1-based coordinates, '#' comments, value last.
 
-    The shape is inferred as the per-mode maximum coordinate unless an
-    explicit ``shape`` override is supplied (useful for trailing empty slices).
+    A line that holds only a value is the entry of an order-0 tensor; every
+    line of a file has the same number of coordinates. The shape is inferred
+    as the per-mode maximum coordinate unless an explicit ``shape`` override
+    is supplied (useful for trailing empty slices).
     """
     raw: list[tuple[Coords, float]] = []
     order: int | None = None
@@ -240,10 +242,7 @@ def read_tns(stream: TextIO | Iterable[str], shape: Sequence[int] | None = None)
         text = line.strip()
         if not text or text.startswith("#"):
             continue
-        fields = text.split()
-        if len(fields) < 2:
-            raise ParseError(f"expected coordinates and a value, got {text!r}", line=lineno)
-        *coord_fields, value_field = fields
+        *coord_fields, value_field = text.split()
         if order is None:
             order = len(coord_fields)
             maxima = [0] * order

@@ -26,19 +26,20 @@ equal ``conftest.nonzero_products``. Every ``compare`` report, and the
 report ``compare`` gives with ``check.COMPARE_SCAN_VALUES`` at 0 (numpy for
 any values), must equal, field for field, the one of ``dict_compare`` from
 ``test_check.py``, the comparison through dicts. ``oracle_nary`` runs a
-second time with ``check.EINSUM_PATH_CUTOFF`` at 0, so that it plans a path
-for every index space and slices the result wherever numpy's capped path is
-one flat step; it must match its first run. Each run binds the tensors a second
-time, which must reuse every layout the first bind stored on them and give
-the same result, counts and workspace cells. Each run goes first through the
-kernel cache as the previous kind left it, which holds the kernel of the same
-IR bound otherwise (``ones`` differs from ``mixed`` only in its extents), and
-must give what it gives again after ``cache_clear()``. Each kind with two
-or more satisfiable bounds also runs one crossed pair: the IR of the first
-bound's schedule on the binding of the last one. Where the two schedules
-store every input in the same mode order, its result must match both
-oracles; otherwise it must raise ``ModeOrderMismatchError``. A run that
-raises anything else counts as failed, and the fuzz goes on with the next.
+second time with ``check.EINSUM_PATH_CUTOFF`` at 0, so that every index
+space takes numpy's greedy path under the dense budget, where the first run
+takes one flat einsum for these small spaces; the two must match. Each run
+binds the tensors a second time, which must reuse every layout the first
+bind stored on them and give the same result, counts and workspace cells.
+Each run goes first through the kernel cache as the previous kind left it,
+which holds the kernel of the same IR bound otherwise (``ones`` differs from
+``mixed`` only in its extents), and must give what it gives again after
+``cache_clear()``. Each kind with two or more satisfiable bounds also runs
+one crossed pair: the IR of the first bound's schedule on the binding of the
+last one. Where the two schedules store every input in the same mode order,
+its result must match both oracles; otherwise it must raise
+``ModeOrderMismatchError``. A run that raises anything else counts as
+failed, and the fuzz goes on with the next.
 One line is printed per tree: its number, its size, the bounds it ran and
 the multiply-adds per kind. The last line counts the runs, the crossed runs
 among them and those of these that raised the mismatch. The exit status is
@@ -158,9 +159,9 @@ def checked_compare(a, b, problems: list[str]):
 
 
 def oracle_problems(tree, tensors, result) -> list[str]:
-    """Where ``result`` disagrees with either oracle, the n-ary oracle with
-    every index space planned disagrees with its default route, or a report
-    with ``dict_compare``'s."""
+    """Where ``result`` disagrees with either oracle, the n-ary oracle's
+    budgeted greedy path disagrees with its flat einsum, or a report with
+    ``dict_compare``'s."""
     problems = []
     nary = oracle_nary(tree, tensors)
     for name, reference in (("n-ary", nary), ("unfused", oracle_unfused(tree, tensors)[0])):
@@ -168,7 +169,7 @@ def oracle_problems(tree, tensors, result) -> list[str]:
         if not report.passed:
             problems.append(f"{name} oracle: {report.message()}")
     cutoff = check_mod.EINSUM_PATH_CUTOFF
-    check_mod.EINSUM_PATH_CUTOFF = 0  # a path for every space, sliced where numpy's path is flat
+    check_mod.EINSUM_PATH_CUTOFF = 0  # the budgeted greedy path for every space
     try:
         planned = oracle_nary(tree, tensors)
     finally:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from fusetree import bind, build_tree, compare, coo_from_entries, execute, lower, oracle_nary, parse_network
 from fusetree import check, executor, search_min_order
 from fusetree.bench import bench_generate, running_example_network, synthetic_tensor
-from fusetree.errors import FusetreeError, InvalidToleranceError, NonCanonicalTensorError
+from fusetree.errors import ExtentMismatchError, FusetreeError, InvalidToleranceError, NonCanonicalTensorError
 from fusetree.check import CompareReport
 from fusetree.network import Contraction, TensorRef
 from fusetree.tensor import SparseTensor
@@ -120,6 +120,14 @@ def test_nary_is_independent_of_tree_shape():
     assert got == oracle_nary(pairs, tensors)  # multiples of 1/8 sum exactly
 
 
+@pytest.mark.parametrize("oracle", (oracle_nary, check.oracle_unfused))
+def test_an_index_without_an_extent_is_a_typed_error(oracle):
+    tree = parse_network("R[i,j] = A[i,k] * B[k,j]\n")
+    tensors = {name: coo_from_entries([((0, 0), 1.0)], (2, 2)) for name in "AB"}
+    with pytest.raises(ExtentMismatchError, match="no extent declared for index"):
+        oracle(tree, tensors)
+
+
 class Recorder:
     """Records every ``np.einsum`` and ``np.einsum_path`` call the oracle makes:
     its subscripts, each letter's extent and the ``optimize`` argument."""
@@ -147,7 +155,7 @@ class Recorder:
 
 
 def _chain3(n: int):
-    """Three matrices in a chain: numpy's capped path is pairwise."""
+    """Three n x n matrices in a chain."""
     extents = "".join(f"extent {i} {n}\n" for i in "ijkl")
     tree = parse_network(extents + "X[i,k] = A[i,j] * B[j,k]\nR[i,l] = X[i,k] * C[k,l]\n")
     rng = np.random.default_rng(n)
@@ -162,30 +170,31 @@ def _matmul(n: int):
 
 def test_nary_plans_a_path_only_above_the_cutoff(monkeypatch):
     calls = Recorder(monkeypatch)
-    # 2^3, 40^3, 4^4 and 16^4 points; numpy's capped path for the chain is pairwise
-    for case, n, planned in ((_matmul, 2, False), (_matmul, 40, True), (_chain3, 4, False), (_chain3, 16, True)):
+    greedy = ("greedy", check.DENSE_SPACE_BUDGET)
+    # 2^3, 40^3, 4^4 and 16^4 points
+    for case, n, planned in ((_matmul, 2, False), (_matmul, 40, greedy), (_chain3, 4, False), (_chain3, 16, greedy)):
         tree, tensors = case(n)
         calls.einsums.clear()
         oracle_nary(tree, tensors)
         assert calls.paths == []  # a pairwise path is planned inside the einsum call
         (_, dims, optimize), = calls.einsums  # one einsum over the whole flat space
         assert math.prod(dims.values()) == math.prod(tree.extents.values())
-        assert optimize is planned, (case.__name__, n)
+        assert optimize == planned, (case.__name__, n)
 
 
-def _flat_terms(tree):
-    """The oracle's einsum terms, result and letter extents for ``tree``."""
-    leaves = [r for c in tree.contractions for r in (c.lhs, c.rhs) if r.tensor not in tree.producer_of]
-    sub = check._letters(sorted({i for r in leaves for i in r.indices}))
-    terms = ["".join(sub[i] for i in r.indices) for r in leaves]
-    dims = {sub[i]: n for i, n in tree.extents.items() if i in sub}
-    return terms, "".join(sub[i] for i in tree.root.result.indices), dims
-
-
-def _numpy_path(terms, out, dims) -> list:
-    """numpy's capped greedy path for the oracle's flat expression."""
+def _intermediates(expr: str, dims: dict[str, int], optimize) -> list[int]:
+    """The cells of each intermediate along the path numpy plans for ``expr``
+    under ``optimize``, the result last."""
+    terms, out = expr.split("->")[0].split(","), expr.split("->")[1]
     operands = [np.zeros([dims[x] for x in t]) for t in terms]
-    return np.einsum_path(",".join(terms) + "->" + out, *operands, optimize=True)[0]
+    path = np.einsum_path(expr, *operands, optimize=optimize)[0]
+    live, cells = [set(t) for t in terms], []
+    for step in path[1:]:
+        picked = set().union(*(live[k] for k in step))
+        live = [t for k, t in enumerate(live) if k not in step]
+        live.append(picked & set(out).union(*live))
+        cells.append(math.prod(dims[x] for x in live[-1]))
+    return cells
 
 
 def _running(n: int, root: str = "i,j,k"):
@@ -196,7 +205,7 @@ def _running(n: int, root: str = "i,j,k"):
 
 def _ring(n: int, root: str):
     """A[i,j,k] B[k,l,m] C[m,n,i] D[j,l,n]: every pair of leaves contracts to
-    order 4 against order-3 leaves, so numpy's capped path is flat."""
+    order 4 against order-3 leaves."""
     extents = "".join(f"extent {i} {n}\n" for i in "ijklmn")
     tree = parse_network(
         extents
@@ -207,55 +216,36 @@ def _ring(n: int, root: str):
     return tree, {name: _eighths((n, n, n), rng) for name in "ABCD"}
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_the_sliced_route_is_taken_exactly_where_numpys_capped_path_is_flat(seed):
-    trees = [_case(seed, kind)[0] for kind in ("sparse", "unit")]
-    trees += [_running(3 + seed % 3, root)[0] for root in ("i,j,k", "k,j,i")]
-    trees += [_ring(2 + seed % 3, root)[0] for root in ("", "n,j")]
-    trees += [_chain3(2 + seed % 3)[0]]
-    for tree in trees:
-        terms, out, dims = _flat_terms(tree)
-        if len(terms) > 2:
-            flat = len(_numpy_path(terms, out, dims)) == 2
-            assert check._flat_path(terms, out, dims) is flat, (seed, terms, out)
+@pytest.mark.parametrize(
+    "case, n, root",
+    [(_running, 12, "i,j,k"), (_running, 16, "i,j,k"), (_ring, 8, "")],
+    ids=("running12", "running16", "ring8"),
+)
+def test_the_oracles_path_is_pairwise(case, n, root, monkeypatch):
+    # numpy's default cap, the largest leaf or result, would make each of
+    # these one flat step over n^6 points
+    tree, tensors = case(n, root)
+    calls = Recorder(monkeypatch)
+    oracle_nary(tree, tensors)
+    (expr, dims, optimize), = calls.einsums
+    assert len(dims) == 6
+    cells = _intermediates(expr, dims, optimize)
+    assert len(cells) > 1
+    assert max(cells) == n**4
 
 
-@pytest.mark.parametrize("root", ("i,j,k", "k,j,i"))  # k is mode 1 of D[j,k,r]
-@pytest.mark.parametrize("n", (12, 16))
-def test_nary_slices_the_running_example_exactly(n, root):
-    # numpy's capped path for A[i,p,q] B[j,p,r] C[k,q,r] D[j,k,r] is one flat
-    # step over n^6 points; multiples of 1/8 sum exactly in any order
-    tree, tensors = _running(n, root)
+@pytest.mark.parametrize(
+    "case, n, root",
+    [(_running, n, root) for n in (12, 16) for root in ("i,j,k", "k,j,i")]  # k is mode 1 of D[j,k,r]
+    + [(_ring, 8, root) for root in ("", "n,j")],
+    ids=lambda v: v.__name__[1:] if callable(v) else None,
+)
+def test_nary_contracts_the_running_example_and_ring_exactly(case, n, root):
+    # multiples of 1/8 sum exactly in any order
+    tree, tensors = case(n, root)
     got = oracle_nary(tree, tensors)
     assert got.nnz > 0
     assert got == flat_oracle(tree, tensors)
-
-
-def test_nary_slices_under_numpys_cap_and_plans_once_per_expression(monkeypatch):
-    n = 12
-    tree, tensors = _running(n)
-    calls = Recorder(monkeypatch)
-    oracle_nary(tree, tensors)
-    # no einsum spans the six indices at full extent
-    assert all(len(dims) < 6 for _, dims, _ in calls.einsums)
-    # the slice expression is planned once, and every slice runs that plan
-    (sliced, dims), = calls.paths
-    assert len(dims) == 5
-    assert len(calls.einsums) == n
-    assert {expr for expr, _, _ in calls.einsums} == {sliced}
-    assert all(optimize[0] == "einsum_path" for _, _, optimize in calls.einsums)
-
-
-def test_nary_keeps_the_flat_einsum_for_an_order_0_root(monkeypatch):
-    tree, tensors = _ring(8, "")
-    assert len(_numpy_path(*_flat_terms(tree))) == 2
-    want = flat_oracle(tree, tensors)
-    calls = Recorder(monkeypatch)
-    got = oracle_nary(tree, tensors)
-    assert got == want and got.nnz == 1
-    assert calls.paths == []
-    (_, dims, optimize), = calls.einsums
-    assert len(dims) == 6 and optimize is True
 
 
 class TestDenseRoundTrip:

@@ -603,6 +603,34 @@ def test_intersections_match_the_oracles(case):
     _run(network, tensors)
 
 
+@st.composite
+def _tree_cases(draw):
+    """A ``conftest.random_tree``, the schedule of one of its satisfiable
+    bounds and its inputs: each at its own density of 1/8 to 1, some bound
+    dense, with non-zero values that are positive multiples of 1/8, so no sum
+    cancels and the multiply-adds match ``nonzero_products``. Empty inputs
+    are left to the fixed cases, since hypothesis would draw them most."""
+    tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))))
+    l_max = max((len(tree.abstract_ref(name).indices) for name in tree.intermediate_names), default=1)
+    schedules = [sol for sol in (solve(tree, bound) for bound in range(1, l_max + 1)) if sol is not None]
+    sol = draw(st.sampled_from(schedules))
+    nprng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tensors, dense = {}, []
+    for name in tree.input_names:
+        shape = tree.ref_shape(tree.abstract_ref(name))
+        present = nprng.random(shape) < draw(st.integers(1, 8)) / 8
+        tensors[name] = SparseTensor.from_dense(present * nprng.integers(1, 17, shape) / 8.0)
+        if draw(st.booleans()):
+            dense.append(name)
+    return tree, sol, tensors, tuple(dense)
+
+
+@given(case=_tree_cases())
+@settings(max_examples=300, deadline=None)
+def test_random_trees_match_the_oracles(case):
+    _check(*case)
+
+
 # ---------------------------------------------------------------------------
 # hoisted factors and offsets, the dense root and its dict fallback
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 
 import numpy as np
@@ -208,8 +209,9 @@ class TestTns:
             read_tns(["1 x 1 2.0"])
 
     def test_inconsistent_arity(self):
-        with pytest.raises(RankMismatchError):
-            read_tns(["1 1 2.0", "1 1 1 2.0"])
+        for lines in (["1 1 2.0", "1 1 1 2.0"], ["2.5", "1 1 2.0"]):  # a value-only line is order 0
+            with pytest.raises(RankMismatchError):
+                read_tns(lines)
 
     def test_shape_override(self):
         t = read_tns(["1 1 5.0"], shape=(3, 4))
@@ -225,6 +227,15 @@ class TestTns:
     def test_non_finite_rejected(self, field):
         with pytest.raises(NonFiniteValueError):
             read_tns(["1 1 2.0", f"2 1 {field}"])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3, 4)])
+    def test_write_read_round_trip_at_each_order(self, shape):
+        t = SparseTensor.from_dense(np.arange(1, math.prod(shape) + 1).reshape(shape) / 8)
+        buf = io.StringIO()
+        write_tns(t, buf)
+        if not shape:
+            assert buf.getvalue() == "0.125\n"
+        assert read_tns(io.StringIO(buf.getvalue())) == t
 
     def test_write_read_identity(self):
         rng = random.Random(3)
