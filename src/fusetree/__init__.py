@@ -23,7 +23,6 @@ from .lowering import (
     ir_to_json,
     lower,
     print_ir,
-    remove,
     schedule_from_solution,
 )
 from .network import (
@@ -85,7 +84,6 @@ __all__ = [
     "parse_network",
     "print_ir",
     "read_tns",
-    "remove",
     "report_text",
     "schedule_from_solution",
     "search_min_order",

@@ -23,6 +23,7 @@ evaluation of the materialized constraint records), and
 from __future__ import annotations
 
 import itertools
+import json
 import time
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -244,20 +245,38 @@ class ScheduleSolution:
         if not isinstance(doc, dict):
             raise MalformedSolutionError("a solution must be a JSON object")
         try:
-            ap = {int(cid): int(pos) for cid, pos in doc["assignment_positions"].items()}
+            ap = {
+                int(cid): _json_int(pos, f"assignment position of contraction {cid}")
+                for cid, pos in doc["assignment_positions"].items()
+            }
             lp = {
-                int(cid): {name: pos for pos, name in enumerate(order)}
+                int(cid): _json_order(order, str, f"loop order of contraction {cid}")
                 for cid, order in doc["loop_orders"].items()
             }
             dp = {
-                name: {int(mode): pos for pos, mode in enumerate(entry["perm"])}
+                name: _json_order(entry["perm"], int, f"perm of tensor '{name}'")
                 for name, entry in doc["mode_orders"].items()
             }
-            return ScheduleSolution(int(doc["bound"]), ap, lp, dp)
+            return ScheduleSolution(_json_int(doc["bound"], "bound"), ap, lp, dp)
         except KeyError as exc:
             raise MalformedSolutionError(f"solution has no key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedSolutionError(f"malformed solution: {exc}") from None
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:  # JSON true is a bool, 2.0 a float and "2" a string
+        raise MalformedSolutionError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
+def _json_order(value, item_type: type, what: str) -> dict:
+    """Position of each item of a JSON list of ``item_type`` values."""
+    # a string such as "rjpqi" or "120" would otherwise be read character by character
+    if type(value) is not list or any(type(item) is not item_type for item in value):
+        noun = "index names" if item_type is str else "integers"
+        raise MalformedSolutionError(f"{what} must be a list of {noun}, got {json.dumps(value)}")
+    return {item: pos for pos, item in enumerate(value)}
 
 
 def report_text(tree: ContractionTree, sol: ScheduleSolution) -> str:

@@ -96,10 +96,6 @@ class MissingVariableError(FusetreeError):
     """A solution does not assign one of the model variables."""
 
 
-class PrefixMismatchError(FusetreeError):
-    """An index removal was requested but some loop order does not start with it."""
-
-
 class MalformedScheduleError(FusetreeError):
     """A schedule-pair sequence cannot be turned into loop IR."""
 

@@ -1,19 +1,20 @@
 """Lowering of schedules to forall/where loop IR.
 
-A solved schedule becomes a sequence of (assignment, loop order) pairs; the
-recursive generator fuses shared outer loops into ``forall`` nodes, strips
-fused indices from the intermediate references they cover, and nests
-producer/consumer regions under ``where`` nodes (consumer written first,
-producer executed first).
+A solved schedule becomes a sequence of (assignment, loop order) pairs. The
+generator walks them once per loop depth: it fuses shared outer loops into
+``forall`` nodes, drops fused indices from the intermediate references they
+cover, and nests producer/consumer regions under ``where`` nodes (consumer
+written first, producer executed first).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .constraints import ScheduleSolution
-from .errors import MalformedScheduleError, PrefixMismatchError
+from .errors import MalformedScheduleError
 from .network import ContractionTree, TensorRef
 
 
@@ -84,64 +85,41 @@ def schedule_from_solution(tree: ContractionTree, sol: ScheduleSolution) -> list
     return pairs
 
 
-def remove(index: str, pairs: Sequence[SchedulePair]) -> list[SchedulePair]:
-    """Strip a fused loop index from the front of every loop order.
-
-    The index is also deleted from every intermediate reference whose
-    producer and consumer both lie within ``pairs``; input and result
-    references are untouched.
-    """
-    for p in pairs:
-        if not p.loops or p.loops[0] != index:
-            raise PrefixMismatchError(
-                f"loop order {p.loops} of contraction {p.cid} does not start with '{index}'"
-            )
-    produced = {p.result.tensor for p in pairs}
-    consumed = {r.tensor for p in pairs for r in (p.lhs, p.rhs)}
-    covered = produced & consumed
-
-    def strip(ref: TensorRef) -> TensorRef:
-        if ref.tensor in covered and index in ref.indices:
-            return TensorRef(ref.tensor, tuple(i for i in ref.indices if i != index))
-        return ref
-
-    return [
-        SchedulePair(p.cid, strip(p.result), strip(p.lhs), strip(p.rhs), p.loops[1:])
-        for p in pairs
-    ]
-
-
 def generate(pairs: Sequence[SchedulePair]) -> IrNode:
-    """Recursive IR construction over a schedule-pair sequence.
+    """Build the loop IR of a schedule-pair sequence, one walk per loop depth.
 
-    Consecutive pairs sharing the same outermost loop index are grouped under
-    one ``forall``; multiple groups at a level fold (last to first) into
-    nested ``where`` regions.
+    At each depth, consecutive pairs whose loop there is the same index share
+    one ``forall``, which fuses that index for every intermediate produced and
+    consumed inside it. Each assignment drops its references' fused indices
+    when it is built; inputs and the root keep all theirs. The groups of one
+    level fold, first to last, into nested ``where`` regions, each group the
+    consumer of those before it.
     """
     if not pairs:
         raise MalformedScheduleError("cannot generate IR from an empty schedule")
-    groups: list[tuple[str, list[SchedulePair]] | SchedulePair] = []
-    for p in pairs:
-        if not p.loops:
-            groups.append(p)
-            continue
-        head = p.loops[0]
-        if groups and isinstance(groups[-1], tuple) and groups[-1][0] == head:
-            groups[-1][1].append(p)
+    return _level(pairs, 0, frozenset())
+
+
+def _level(pairs: Sequence[SchedulePair], depth: int, fused: frozenset[tuple[str, str]]) -> IrNode:
+    """The IR of ``pairs`` from loop ``depth`` in; ``fused`` holds the
+    (intermediate, index) pairs that the enclosing loops fuse."""
+
+    def drop(ref: TensorRef) -> TensorRef:
+        return TensorRef(ref.tensor, tuple(i for i in ref.indices if (ref.tensor, i) not in fused))
+
+    node = None
+    # a pair with no loop left at this depth is its own group, keyed by itself
+    for key, group in groupby(pairs, lambda p: p.loops[depth] if depth < len(p.loops) else p):
+        if isinstance(key, SchedulePair):
+            built = Assign(key.cid, drop(key.result), drop(key.lhs), drop(key.rhs))
         else:
-            groups.append((head, [p]))
-
-    def emit(group) -> IrNode:
-        if isinstance(group, SchedulePair):
-            return Assign(group.cid, group.result, group.lhs, group.rhs)
-        index, members = group
-        return Forall(index, generate(remove(index, members)))
-
-    if len(groups) == 1:
-        return emit(groups[0])
-    last = groups[-1]
-    prefix_len = len(pairs) - (1 if isinstance(last, SchedulePair) else len(last[1]))
-    return Where(emit(last), generate(pairs[:prefix_len]))
+            members = list(group)
+            produced = {p.result.tensor for p in members}
+            consumed = {r.tensor for p in members for r in (p.lhs, p.rhs)}
+            inner = fused | {(name, key) for name in produced & consumed}
+            built = Forall(key, _level(members, depth + 1, inner))
+        node = built if node is None else Where(built, node)
+    return node
 
 
 def lower(tree: ContractionTree, sol: ScheduleSolution) -> IrNode:

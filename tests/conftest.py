@@ -154,6 +154,20 @@ def random_tree(rng: random.Random, max_contractions: int = 3) -> ContractionTre
             return tree
 
 
+def shuffle_root(tree: ContractionTree, rng: random.Random) -> ContractionTree:
+    """The tree with its root's result indices in an order drawn from ``rng``.
+
+    ``random_tree`` writes every result's indices sorted; this leaves its
+    draws alone and gives the tests roots in other declared orders too.
+    """
+    root = tree.root
+    indices = list(root.result.indices)
+    rng.shuffle(indices)
+    top = Contraction(root.cid, TensorRef(root.result.tensor, tuple(indices)), root.lhs, root.rhs)
+    contractions = [top if c.cid == root.cid else c for c in tree.contractions]
+    return build_tree(contractions, tree.extents, tree.layouts)
+
+
 def _random_tree_once(rng: random.Random, max_contractions: int) -> ContractionTree:
     letters = list("abcdefgh")
     extents = {name: rng.randint(2, 4) for name in letters}

@@ -6,10 +6,11 @@ Run from the root of a checkout (pytest does not collect this file):
 
 Each tree is searched bound by bound from 1 until a bound is satisfiable or
 times out, and one line is printed per tree: its number, its size and each
-bound tried with ``sat`` (followed by a digest of the report and the
-solution document), ``unsat`` or ``timeout``. The lines depend only on the
-seed and on the solver's answers, so two checkouts can be compared with
-``diff``; a tree that times out on one side differs by its last bound. The
+bound tried with ``sat`` (followed by a digest of the report, the solution
+document and the lowered IR), ``unsat`` or ``timeout``. The lines depend
+only on the seed, on the solver's answers and on lowering, so two checkouts
+can be compared with ``diff``, which then covers lowering of 4-7-contraction
+trees too; a tree that times out on one side differs by its last bound. The
 last line counts the outcomes. The exit status is 1 if any witness fails
 ``verify_solution``. ``--show N`` prints the network of tree N instead.
 """
@@ -22,7 +23,7 @@ import json
 import random
 import sys
 
-from fusetree import parse_network, report_text, solve, verify_solution
+from fusetree import lower, parse_network, print_ir, report_text, solve, verify_solution
 from fusetree.errors import SolveTimeout
 
 LETTERS = "abcdefghijklmnop"
@@ -76,6 +77,7 @@ def search(text: str, budget: float) -> tuple[list[str], list[str]]:
             outcomes.append(f"{bound}:unsat")
             continue
         doc = report_text(tree, sol) + json.dumps(sol.to_json_dict(tree), sort_keys=True)
+        doc += print_ir(lower(tree, sol), pretty=True)
         outcomes.append(f"{bound}:sat:{hashlib.sha256(doc.encode()).hexdigest()[:12]}")
         return outcomes, verify_solution(tree, bound, sol)
     raise AssertionError("the largest intermediate order always admits a schedule")

@@ -24,7 +24,7 @@ from fusetree.errors import ExtentMismatchError, FusetreeError, InvalidTolerance
 from fusetree.check import CompareReport
 from fusetree.network import Contraction, TensorRef
 from fusetree.tensor import SparseTensor
-from conftest import random_tree
+from conftest import random_tree, shuffle_root
 
 KINDS = ("sparse", "mixed", "dense", "zero", "single", "unit")
 SEEDS = range(16)
@@ -67,7 +67,7 @@ def _unit_tree(tree, rng: random.Random):
 
 def _case(seed: int, kind: str):
     rng = random.Random(seed)
-    tree = random_tree(rng)
+    tree = shuffle_root(random_tree(rng), rng)
     if kind == "unit":
         tree = _unit_tree(tree, rng)
     nprng = np.random.default_rng(2000 + seed)

@@ -386,8 +386,32 @@ class TestVerifyCmd:
                 "malformed solution: invalid literal for int() with base 10: 'x'",
             ),
             (lambda doc: {**doc, "bound": 0}, "bound must be >= 1, got 0"),
+            (lambda doc: {**doc, "bound": 2.9}, "bound must be an integer, got 2.9"),
+            (
+                lambda doc: {**doc, "assignment_positions": {"0": 0.7, "1": 1.7, "2": 2.7}},
+                "assignment position of contraction 0 must be an integer, got 0.7",
+            ),
+            (
+                lambda doc: {**doc, "assignment_positions": {"0": 0, "1": True, "2": 2}},
+                "assignment position of contraction 1 must be an integer, got true",
+            ),
+            (
+                lambda doc: {**doc, "assignment_positions": {"0": 0, "1": "1", "2": 2}},
+                'assignment position of contraction 1 must be an integer, got "1"',
+            ),
+            (
+                lambda doc: {**doc, "loop_orders": {**doc["loop_orders"], "0": "rjpqi"}},
+                'loop order of contraction 0 must be a list of index names, got "rjpqi"',
+            ),
+            (
+                lambda doc: {**doc, "mode_orders": {**doc["mode_orders"], "A": {"perm": "120"}}},
+                "perm of tensor 'A' must be a list of integers, got \"120\"",
+            ),
         ],
-        ids=["bound-only", "list", "non-integer-id", "bound-0"],
+        ids=[
+            "bound-only", "list", "non-integer-id", "bound-0", "float-bound", "float-positions",
+            "bool-position", "string-position", "string-loop-order", "string-perm",
+        ],
     )
     def test_malformed_solution_exits_with_an_error_line(self, tamper, message, running_net, tmp_path, capsys):
         sol_path = tmp_path / "sol.json"

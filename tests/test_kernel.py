@@ -49,7 +49,7 @@ from fusetree.executor import _Kernel, _kernel, _signature
 from fusetree.lowering import Forall
 from fusetree.network import Contraction
 from fusetree.tensor import CsfTensor, SparseTensor
-from conftest import nonzero_products, random_tree
+from conftest import nonzero_products, random_tree, shuffle_root
 
 MODES = ("sparse", "mixed", "dense", "zero", "single")
 SEEDS = range(16)
@@ -562,6 +562,43 @@ def test_consumer_holding_an_unread_producer_still_runs():
     assert stats.per_assignment.get("Y", 0) > 0
 
 
+# two children under the root share the i loop; the where around them
+# resets both workspaces, X's and Y's, on every i
+SIBLINGS = (
+    "extent i 3\nextent j 3\nextent k 3\nextent l 3\n"
+    "X[i,j] = A[i,k] * B[k,j]\nY[i,j] = C[i,l] * D[l,j]\nR[i,j] = X[i,j] * Y[i,j]\n"
+)
+
+
+def test_where_resets_every_workspace_it_zeroes():
+    # Y(0,1) is written at i = 0 but not at i = 1, where X(1,1) is, so a
+    # stale Y cell would give R(1,1) a product it does not have
+    tree, sol = _pinned(SIBLINGS, ("ikj", "ilj", "ij"))
+    tensors = {
+        "A": _tensor((3, 3), {(0, 0): 1.0, (1, 0): 1.0}),
+        "B": _tensor((3, 3), {(0, 1): 1.0}),
+        "C": _tensor((3, 3), {(0, 0): 1.0, (1, 1): 1.0}),
+        "D": _tensor((3, 3), {(0, 1): 1.0, (1, 0): 1.0}),
+    }
+    result, _ = _check(tree, sol, tensors)
+    assert dict(result.entries) == {(0, 1): 1.0}
+
+
+def test_shared_loop_visits_the_rows_of_its_last_fiber():
+    # only C has row 2, and C's fiber drives the shared i loop last, so the
+    # union without it would skip Y's products there
+    tree, sol = _pinned(SIBLINGS, ("ikj", "ilj", "ij"))
+    tensors = {
+        "A": _tensor((3, 3), {(0, 0): 1.0}),
+        "B": _tensor((3, 3), {(0, 1): 1.0}),
+        "C": _tensor((3, 3), {(0, 0): 1.0, (2, 2): 1.0}),
+        "D": _tensor((3, 3), {(0, 1): 1.0, (2, 1): 1.0}),
+    }
+    assert "sorted({" in _kernel_source(lower(tree, sol), bind(tree, sol, tensors))
+    _, stats = _check(tree, sol, tensors)
+    assert stats.per_assignment == {"X": 1, "Y": 2, "R": 1}
+
+
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_lines_count_each_statement_as_its_stats(kind, capsys):
     import kernel_lines
@@ -605,12 +642,14 @@ def test_intersections_match_the_oracles(case):
 
 @st.composite
 def _tree_cases(draw):
-    """A ``conftest.random_tree``, the schedule of one of its satisfiable
-    bounds and its inputs: each at its own density of 1/8 to 1, some bound
-    dense, with non-zero values that are positive multiples of 1/8, so no sum
-    cancels and the multiply-adds match ``nonzero_products``. Empty inputs
-    are left to the fixed cases, since hypothesis would draw them most."""
-    tree = random_tree(random.Random(draw(st.integers(0, 2**32 - 1))))
+    """A ``conftest.random_tree`` with its root's indices shuffled, the
+    schedule of one of its satisfiable bounds and its inputs: each at its own
+    density of 1/8 to 1, some bound dense, with non-zero values that are
+    positive multiples of 1/8, so no sum cancels and the multiply-adds match
+    ``nonzero_products``. Empty inputs are left to the fixed cases, since
+    hypothesis would draw them most."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    tree = shuffle_root(random_tree(rng), rng)
     l_max = max((len(tree.abstract_ref(name).indices) for name in tree.intermediate_names), default=1)
     schedules = [sol for sol in (solve(tree, bound) for bound in range(1, l_max + 1)) if sol is not None]
     sol = draw(st.sampled_from(schedules))

@@ -1,4 +1,4 @@
-"""Schedule pairs, index removal, IR generation, and printing."""
+"""Schedule pairs, IR generation with fused-index stripping, and printing."""
 
 from __future__ import annotations
 
@@ -10,17 +10,19 @@ from fusetree import (
     Assign,
     Forall,
     SchedulePair,
+    ScheduleSolution,
     TensorRef,
     Where,
     generate,
     ir_to_json,
     lower,
+    parse_network,
     print_ir,
-    remove,
     schedule_from_solution,
+    verify_solution,
 )
-from fusetree.errors import MalformedScheduleError, PrefixMismatchError
-from conftest import GOLDEN_IR, ir_text_equal, reference_witness
+from fusetree.errors import MalformedScheduleError
+from conftest import GOLDEN_IR, chain_network, ir_text_equal, reference_witness
 
 
 def _pair_strs(pairs):
@@ -41,8 +43,6 @@ class TestScheduleFromSolution:
         assert sorted(p.cid for p in pairs) == [0, 1, 2]
 
     def test_single_contraction_identity_layouts(self, matmul_tree):
-        from fusetree import ScheduleSolution
-
         sol = ScheduleSolution(
             bound=1,
             ap={0: 0},
@@ -58,43 +58,6 @@ class TestScheduleFromSolution:
             for ref in (p.result, p.lhs, p.rhs):
                 positions = [p.loops.index(i) for i in ref.indices if i in p.loops]
                 assert positions == sorted(positions)
-
-
-class TestRemove:
-    def test_strip_outermost_fused_loop(self, running_tree):
-        pairs = schedule_from_solution(running_tree, reference_witness())
-        step1 = remove("r", pairs)
-        assert _pair_strs(step1) == [
-            ("X[j,q,i]", "A[p,q,i]", "B[r,j,p]", ["j", "p", "q", "i"]),
-            ("Y[j,k,i]", "X[j,q,i]", "C[r,q,k]", ["j", "q", "k", "i"]),
-            ("R[j,k,i]", "Y[j,k,i]", "D[r,j,k]", ["j", "k", "i"]),
-        ]
-        step2 = remove("j", step1)
-        assert _pair_strs(step2) == [
-            ("X[q,i]", "A[p,q,i]", "B[r,j,p]", ["p", "q", "i"]),
-            ("Y[k,i]", "X[q,i]", "C[r,q,k]", ["q", "k", "i"]),
-            ("R[j,k,i]", "Y[k,i]", "D[r,j,k]", ["k", "i"]),
-        ]
-
-    def test_inputs_and_root_result_untouched(self, running_tree):
-        pairs = schedule_from_solution(running_tree, reference_witness())
-        step = remove("r", pairs)
-        assert str(step[0].rhs) == "B[r,j,p]"  # input keeps the fused index
-        assert str(step[2].result) == "R[j,k,i]"  # root result untouched
-
-    def test_prefix_mismatch(self, running_tree):
-        pairs = schedule_from_solution(running_tree, reference_witness())
-        with pytest.raises(PrefixMismatchError):
-            remove("j", pairs)
-
-    def test_single_pair_no_intermediates(self):
-        pair = SchedulePair(
-            0, TensorRef("R", ("i", "j")), TensorRef("T", ("i", "k")), TensorRef("S", ("k", "j")),
-            ("i", "k", "j"),
-        )
-        out = remove("i", [pair])
-        assert out[0].loops == ("k", "j")
-        assert str(out[0].result) == "R[i,j]"
 
 
 def _assign(name="A0", loops=()):
@@ -126,6 +89,31 @@ class TestGenerate:
     def test_empty_schedule(self):
         with pytest.raises(MalformedScheduleError):
             generate([])
+
+    def test_long_chain_lowers_without_recursing_per_contraction(self):
+        # every link shares loop a, so 1,100 assignments fold into one where chain
+        n = 1100
+        tree = parse_network(chain_network(n))
+        sol = ScheduleSolution(
+            bound=1,
+            ap={c.cid: c.cid for c in tree.contractions},
+            lp={c.cid: {"a": 0} for c in tree.contractions},
+            dp={name: {0: 0} for name in tree.layout_constrained},
+        )
+        assert verify_solution(tree, 1, sol) == []
+        ir = lower(tree, sol)
+        assert isinstance(ir, Forall) and ir.index == "a"
+        consumers, node = [], ir.body
+        while isinstance(node, Where):
+            consumers.append(node.consumer)
+            node = node.producer
+        consumers.append(node)
+        assigns = consumers[::-1]
+        assert [a.cid for a in assigns] == [c.cid for c in tree.contractions]
+        texts = [print_ir(a) for a in assigns]
+        assert texts[0] == "X1() = X0(a) * B1(a)"
+        assert texts[1] == "X2() = X1() * B2(a)"
+        assert texts[-1] == f"X{n}(a) = X{n - 1}() * B{n}(a)"
 
     def test_assign_count_and_execution_order(self, running_tree):
         ir = lower(running_tree, reference_witness())
