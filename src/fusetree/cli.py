@@ -27,6 +27,7 @@ from .errors import (
     ExtentMismatchError,
     FusetreeError,
     InvalidExtentsError,
+    MalformedSolutionError,
     SolveTimeout,
     TooLargeError,
     UnsatisfiableError,
@@ -169,10 +170,31 @@ def cmd_run(args) -> int:
     return _run_and_check(tree, sol, ir, tensors, tuple(args.dense or ()), args)
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json.loads keeps the last of two equal keys, so a plan file could name
+    # one contraction twice and be read as if it did not
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise MalformedSolutionError(f"key {json.dumps(key)} appears twice in one object")
+        seen.add(key)
+    return dict(pairs)
+
+
 def cmd_verify(args) -> int:
     tree = _load_tree(args)
-    doc = json.loads(Path(args.solution).read_text())
+    doc = json.loads(Path(args.solution).read_text(), object_pairs_hook=_unique_keys)
     sol = ScheduleSolution.from_json_dict(doc)
+    for name in sorted(sol.dp.keys() & set(tree.layout_constrained)):
+        ref, given = tree.abstract_ref(name), doc["mode_orders"][name].get("indices")
+        # a perm that is no permutation of the modes is a violation instead
+        if sorted(sol.dp[name]) == list(range(len(ref.indices))):
+            expected = list(sol.layout_indices(ref))
+            if given != expected:
+                raise MalformedSolutionError(
+                    f"indices of tensor '{name}' must be {json.dumps(expected)}, "
+                    f"the layout its perm gives, got {json.dumps(given)}"
+                )
     violations = verify_solution(tree, sol.bound, sol)
     if violations:
         print(f"{len(violations)} violated constraints:")

@@ -246,11 +246,13 @@ class ScheduleSolution:
             raise MalformedSolutionError("a solution must be a JSON object")
         try:
             ap = {
-                int(cid): _json_int(pos, f"assignment position of contraction {cid}")
+                _json_id(cid, "assignment_positions"): _json_int(
+                    pos, f"assignment position of contraction {cid}"
+                )
                 for cid, pos in doc["assignment_positions"].items()
             }
             lp = {
-                int(cid): _json_order(order, str, f"loop order of contraction {cid}")
+                _json_id(cid, "loop_orders"): _json_order(order, str, f"loop order of contraction {cid}")
                 for cid, order in doc["loop_orders"].items()
             }
             dp = {
@@ -262,6 +264,16 @@ class ScheduleSolution:
             raise MalformedSolutionError(f"solution has no key {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedSolutionError(f"malformed solution: {exc}") from None
+
+
+def _json_id(key: str, what: str) -> int:
+    # int() also reads " 1", "0_2", "00" and "+2", so two keys could name one id
+    cid = int(key)
+    if key != str(cid):
+        raise MalformedSolutionError(
+            f"{what} key {json.dumps(key)} must be written {json.dumps(str(cid))}"
+        )
+    return cid
 
 
 def _json_int(value, what: str) -> int:

@@ -1,7 +1,13 @@
 """Execution of forall/where IR over CSF tensors as generated Python kernels.
 
-Planning walks the IR once, checking the schedule and writing the source of
-one function in which loop variables, CSF positions and counters are locals.
+Planning walks the IR once, checking the schedule and deciding the kernel as
+a tree of frozen records: each loop's kind and drivers, each ``where``'s
+resets and guard, each statement's factors and cell, and the parameters,
+prologue and workspaces. Rendering walks that tree once more, writing the
+source of one function in which loop variables, CSF positions and counters
+are locals. Both walks keep explicit stacks, so only ``MAX_NESTED_LOOPS``
+limits a kernel's depth, never the number of ``where``s it nests.
+
 A ``forall`` drilled by a single CSF operand steps through that fiber's
 positions. A ``forall`` over one statement that two CSF operands drill
 co-iterates their intersection by leapfrogging: the lead fiber bisects the
@@ -193,56 +199,65 @@ def _extent(extents: Mapping[str, int], index: str) -> int:
         raise ExtentMismatchError(f"no extent declared for index '{index}'") from None
 
 
-@dataclass
-class _Fiber:
-    """One CSF operand of one statement, with position locals ``p<n>_<level>``."""
-
-    n: int
-    searched: list[bool]  # per level: found by bisection, so the position may be -1
-
-
-@dataclass
-class _Loop:
-    """A ``forall``: its local, the fiber levels it drives, how it iterates."""
-
-    var: str
-    drivers: list[tuple[_Fiber, int]] = field(default_factory=list)
-    full: bool = False  # some statement reaches the index only through dense operands
-    single: bool = False  # one statement sits under the loop
-    step: bool = False  # steps through one fiber's positions, leapfrogging with any other
-    extent: int | None = None  # of a full-range loop
-    touched: str | None = None  # workspace whose written cells replace the full range
-    body: object = None
-
-
-@dataclass
-class _Where:
-    zero: list[str]  # workspaces
-    producer: object
-    consumer: object
-    # per consumer statement, the counters of the producer statements that
-    # write the zeroed workspaces it reads; empty when some statement reads none
-    guard: list[tuple[int, ...]]
-
-
 # the terms of a flat offset, each with the loop variable it reads
-Terms = list[tuple[str, str]]
+Terms = tuple[tuple[str, str], ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Stmt:
     """An ``Assign``: its counter, its two factors and the cell it updates.
 
     A factor is an array local, the terms of its offset and, for a CSF
-    operand, its fiber, whose offset is the position of its deepest level.
+    operand, its fiber and deepest level, whose position is the offset.
     The cell is one of the ``target`` workspace or root accumulator.
     """
 
     n: int
-    factors: list[tuple[str, Terms, _Fiber | None]]
+    factors: tuple[tuple[str, Terms, tuple[int, int] | None], ...]
     target: str
     cell: Terms
-    reads: list[tuple[str, str]]  # (workspace, index) of each order-1 workspace read
+
+
+@dataclass(frozen=True)
+class _Where:
+    zero: tuple[str, ...]  # workspaces
+    # per consumer statement, the counters of the producer statements that
+    # write the zeroed workspaces it reads; empty when some statement reads none
+    guard: tuple[tuple[int, ...], ...]
+    producer: "_Node"
+    consumer: "_Node"
+
+
+@dataclass(frozen=True)
+class _Loop:
+    """A ``forall``: its local, how it iterates, the (fiber, level) pairs it
+    drives and whether it runs a ``single`` statement alone. Its ``kind`` is
+    ``step``, ``leapfrog``, ``union``, ``range`` over the extent ``over`` or
+    ``cells`` over the cells written to the workspace ``over``."""
+
+    var: str
+    kind: str
+    drivers: tuple[tuple[int, int], ...]
+    over: int | str | None
+    single: bool
+    body: "_Node"
+
+
+_Node = _Loop | _Where | _Stmt
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Every decision one kernel's source holds."""
+
+    operands: tuple[tuple[str, str], ...]  # input and parameter, CSF then dense
+    fibers: tuple[tuple[str, int], ...]  # per fiber: its operand's parameter and levels
+    absent: frozenset[tuple[int, int]]  # (fiber, level) found by bisection, so maybe -1
+    workspaces: tuple[tuple[str, int], ...]  # local and cells
+    touched: frozenset[str]  # workspaces that record their written cells
+    results: tuple[str, ...]  # of each statement, in counter order
+    shape: tuple[int, ...]  # of the root
+    body: _Node
 
 
 def _signature(ir: IrNode, binding: Binding) -> tuple:
@@ -265,89 +280,117 @@ def _signature(ir: IrNode, binding: Binding) -> tuple:
     )
 
 
-class _Kernel:
-    """One IR under one binding signature: the schedule's typed checks and its
-    kernel source.
+def _plan(
+    ir: IrNode,
+    inputs: tuple[tuple[str, tuple[str, ...], bool], ...],
+    extents: tuple[tuple[str, int], ...],
+    root: TensorRef,
+    intermediates: tuple[str, ...],
+) -> _Plan:
+    """Check one IR under one binding signature and decide its kernel.
 
-    Planning walks the IR once, raising on a malformed schedule and numbering
-    every identifier the kernel uses, so that no network name reaches the
-    source. Every flat array, a dense input or a workspace, is addressed
-    row-major in its reference's own index order, with strides from the
-    extents; an input's first reference (by contraction, then side) must be
-    in its bound layout, as a workspace reference must be in the workspace's,
-    else ``ModeOrderMismatchError``. The input's later references carry the
-    same solved mode order. Strides, extents and workspace sizes become
-    literals, which the signature keys; the operands, ``t<k>`` for a CSF
-    tensor and ``d<k>`` for a dense one, are the only parameters besides the
-    root accumulator ``acc``. Rendering then decides per loop whether it steps
-    through one fiber's positions, leapfrogs through the intersection of two,
-    or runs over a sorted coordinate union, a workspace's written cells or the
-    full range, which needs the whole loop body planned first. A ``where``
-    whose every consumer statement reads a workspace it zeroes snapshots the
-    counters ``n<k>`` of the statements writing those workspaces into
-    ``m<k>`` before its producer, and runs its consumer only if some consumer
-    statement finds the counter of each such workspace it reads moved.
+    The walk plans each producer before its consumer, and each loop's kind
+    once its body is planned. An input's first reference (by contraction,
+    then side) must be in its bound layout, as a workspace reference must be
+    in the workspace's, else ``ModeOrderMismatchError``; the input's later
+    references carry the same solved mode order.
     """
+    layouts = {name: layout for name, layout, _ in inputs}
+    csf = {name for name, _, is_csf in inputs if is_csf}
+    extents = dict(extents)
+    shape = tuple(_extent(extents, index) for index in root.indices)
+    operands: dict[str, str] = {}  # CSF operand -> parameter
+    dense: dict[str, str] = {}  # dense operand -> parameter
+    fibers: list[tuple[str, int]] = []
+    workspaces: dict[str, tuple[str, tuple[str, ...], int]] = {}  # -> local, layout, cells
+    touched: set[str] = set()
+    absent: set[tuple[int, int]] = set()
+    # per statement: its result, its operands' names and the (workspace,
+    # index) of each order-1 workspace it reads
+    stmts: list[tuple[str, set[str], list[tuple[str, str]]]] = []
+    # input -> (contraction, side) and reference of its first reference
+    first: dict[str, tuple[tuple[int, int], TensorRef]] = {}
+    # per enclosing forall index: its local and the fiber levels it drives;
+    # ``full`` holds those some statement reaches only through dense operands
+    scope: dict[str, tuple[str, list[tuple[int, int]]]] = {}
+    full: set[str] = set()
+    done: list[tuple[_Node, int]] = []  # planned subtrees, each with its first statement
 
-    def __init__(
-        self,
-        ir: IrNode,
-        inputs: tuple[tuple[str, tuple[str, ...], bool], ...],
-        extents: tuple[tuple[str, int], ...],
-        root: TensorRef,
-        intermediates: tuple[str, ...],
-    ):
-        self.layouts = {name: layout for name, layout, _ in inputs}
-        self.csf = {name for name, _, csf in inputs if csf}
-        self.extents = dict(extents)
-        self.root = root
-        self.shape = tuple(_extent(self.extents, index) for index in root.indices)
-        self.intermediates = set(intermediates)
-        self.operands: dict[str, str] = {}  # CSF operand -> parameter
-        self.unpack: list[str] = []  # prologue lines binding each fiber's arrays
-        self.dense: dict[str, str] = {}  # dense operand -> parameter
-        self.workspaces: dict[str, tuple[str, tuple[str, ...]]] = {}  # -> local, layout
-        self.cells: list[int] = []
-        self.touched: set[str] = set()  # workspaces that record their written cells
-        self.stmts: list[tuple[str, set[str]]] = []  # result and operand names
-        # input -> (contraction, side) and reference of its first reference
-        self.first: dict[str, tuple[tuple[int, int], TensorRef]] = {}
-        self.loops = 0
-        self.fibers = 0
-        self.plan = self._plan(ir, {})
-        for name, (_, ref) in self.first.items():
-            if ref.indices != self.layouts[name]:
-                raise ModeOrderMismatchError(
-                    f"reference {ref} disagrees with the bound layout {self.layouts[name]}"
-                )
-
-    def _var(self, ref: TensorRef, index: str, scope: Mapping[str, _Loop]) -> str:
+    def var(ref: TensorRef, index: str) -> str:
         if index not in scope:
             raise ModeOrderMismatchError(
                 f"reference {ref}: index '{index}' not bound by an enclosing loop"
             )
-        return scope[index].var
+        return scope[index][0]
 
-    def _offset(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> Terms:
+    def offset(ref: TensorRef) -> Terms:
         """The row-major offset of the cell ``ref`` addresses in an array of
         its indices' extents."""
         terms = []
         for j, index in enumerate(ref.indices):
-            var = self._var(ref, index, scope)
-            stride = math.prod(_extent(self.extents, i) for i in ref.indices[j + 1 :])
-            terms.append((var, var if stride == 1 else f"{var} * {stride}"))
-        return terms
+            x = var(ref, index)
+            stride = math.prod(_extent(extents, i) for i in ref.indices[j + 1 :])
+            terms.append((x, x if stride == 1 else f"{x} * {stride}"))
+        return tuple(terms)
 
-    def _cell(self, ref: TensorRef, scope: Mapping[str, _Loop]) -> tuple[str, Terms]:
+    def cell(ref: TensorRef) -> tuple[str, Terms]:
         """A workspace's local and the offset of the cell ``ref`` addresses."""
-        if ref.tensor not in self.workspaces:
+        if ref.tensor not in workspaces:
             raise UnboundTensorError(f"no binding or workspace for tensor '{ref.tensor}'")
-        var, layout = self.workspaces[ref.tensor]
+        local, layout, _ = workspaces[ref.tensor]
         if ref.indices != layout:
             raise ModeOrderMismatchError(f"reference {ref} disagrees with workspace layout {layout}")
-        return var, self._offset(ref, scope)
+        return local, offset(ref)
 
-    def _plan(self, node: IrNode, scope: dict[str, _Loop]):
+    def statement(node: Assign) -> None:
+        factors: list[tuple[str, Terms, tuple[int, int] | None]] = []
+        reads: list[tuple[str, str]] = []
+        sparse_at: dict[str, bool] = {}
+        for side, ref in enumerate((node.lhs, node.rhs)):
+            for index in ref.indices:
+                var(ref, index)
+                sparse_at.setdefault(index, False)
+            name = ref.tensor
+            if name in layouts and (name not in first or (node.cid, side) < first[name][0]):
+                first[name] = ((node.cid, side), ref)
+            if name in csf:
+                order = list(scope)
+                positions = [order.index(index) for index in ref.indices]
+                if positions != sorted(positions):
+                    raise ModeOrderMismatchError(
+                        f"reference {ref}: CSF layout incompatible with loop order {order}"
+                    )
+                n, deepest = len(fibers), len(ref.indices) - 1
+                fibers.append((operands.setdefault(name, f"t{len(operands)}"), len(ref.indices)))
+                for level, index in enumerate(ref.indices):
+                    scope[index][1].append((n, level))
+                    sparse_at[index] = True
+                factors.append((f"v{n}", ((scope[ref.indices[-1]][0], f"p{n}_{deepest}"),), (n, deepest)))
+            elif name in layouts:
+                factors.append((dense.setdefault(name, f"d{len(dense)}"), offset(ref), None))
+            else:
+                factors.append((*cell(ref), None))
+                if len(ref.indices) == 1:
+                    reads.append((factors[-1][0], ref.indices[0]))
+        # a loop this statement reaches only through dense operands or
+        # workspaces runs over the full range
+        full.update(index for index, sparse in sparse_at.items() if not sparse)
+        name = node.result.tensor
+        if name == root.tensor:
+            # the accumulator is indexed by the row-major offset of the result
+            target, at = "acc", offset(root)
+        else:
+            if name in intermediates and name not in workspaces:
+                cells = math.prod(_extent(extents, i) for i in node.result.indices)
+                workspaces[name] = (f"w{len(workspaces)}", node.result.indices, cells)
+            target, at = cell(node.result)
+        stmts.append((name, {node.lhs.tensor, node.rhs.tensor}, reads))
+        done.append((_Stmt(len(stmts) - 1, tuple(factors), target, at), len(stmts) - 1))
+
+    todo: list = [ir]  # IR nodes to plan, and (node,) once its children are planned
+    loops = 0
+    while todo:
+        node = todo.pop()
         if isinstance(node, Forall):
             if node.index in scope:
                 raise MalformedScheduleError(f"loop index '{node.index}' bound twice")
@@ -355,155 +398,179 @@ class _Kernel:
                 raise TooLargeError(
                     f"a kernel nests more than {MAX_NESTED_LOOPS} loops, which Python cannot compile"
                 )
-            loop = _Loop(f"x{self.loops}")
-            self.loops += 1
-            start = len(self.stmts)
-            loop.body = self._plan(node.body, {**scope, node.index: loop})
-            loop.single = len(self.stmts) == start + 1
-            # a single fiber, or a single statement that needs every fiber
-            # present: step through the first, bisect the others
-            loop.step = (len(loop.drivers) == 1 and not loop.full) or (
-                len(loop.drivers) > 1 and loop.single
-            )
-            for fiber, level in loop.drivers:
-                fiber.searched[level] = not loop.step
-            if isinstance(loop.body, _Stmt) and not loop.drivers:
+            scope[node.index] = (f"x{loops}", [])
+            loops += 1
+            todo += ((node,), node.body)
+        elif isinstance(node, Where):
+            todo += ((node,), node.consumer, node.producer)
+        elif isinstance(node, Assign):
+            statement(node)
+        elif isinstance(node[0], Where):
+            (consumer, mid), (producer, start) = done.pop(), done.pop()
+            written = {stmts[k][0]: k for k in range(start, mid) if stmts[k][0] in workspaces}
+            reads = [names for _, names, _ in stmts[mid:]]
+            zero = tuple(workspaces[name][0] for name in sorted(written.keys() & set().union(*reads)))
+            guard = {tuple(sorted(written[x] for x in names if x in written)) for names in reads}
+            guard = tuple(sorted(guard)) if all(guard) else ()
+            done.append((_Where(zero, guard, producer, consumer), start))
+        else:
+            index = node[0].index
+            body, start = done.pop()
+            (x, driven), is_full = scope.pop(index), index in full
+            full.discard(index)
+            single = len(stmts) == start + 1
+            kind, over = "union", None
+            if isinstance(body, _Stmt) and not driven:
                 # an innermost full-range loop over an order-1 workspace needs
                 # only the cells its producer wrote; the others hold 0.0
-                loop.touched = next(
-                    (var for var, index in loop.body.reads if index == node.index), None
-                )
-            if loop.touched:
-                self.touched.add(loop.touched)
-            elif loop.full or not loop.drivers:
-                loop.extent = _extent(self.extents, node.index)
-            return loop
-        if isinstance(node, Where):
-            start = len(self.stmts)
-            producer = self._plan(node.producer, scope)
-            mid = len(self.stmts)
-            consumer = self._plan(node.consumer, scope)
-            producers = enumerate(self.stmts[start:mid], start)
-            written = {name: k for k, (name, _) in producers if name in self.workspaces}
-            reads = [names for _, names in self.stmts[mid:]]
-            zero = [self.workspaces[name][0] for name in sorted(written.keys() & set().union(*reads))]
-            guard = {tuple(sorted(written[x] for x in names if x in written)) for names in reads}
-            return _Where(zero, producer, consumer, sorted(guard) if all(guard) else [])
-        return self._statement(node, scope)
-
-    def _statement(self, node: Assign, scope: dict[str, _Loop]) -> _Stmt:
-        order = list(scope)
-        factors: list[tuple[str, Terms, _Fiber | None]] = []
-        reads: list[tuple[str, str]] = []
-        sparse_at: dict[str, bool] = {}
-        for side, ref in enumerate((node.lhs, node.rhs)):
-            for index in ref.indices:
-                self._var(ref, index, scope)
-                sparse_at.setdefault(index, False)
-            name = ref.tensor
-            if name in self.layouts and (name not in self.first or (node.cid, side) < self.first[name][0]):
-                self.first[name] = ((node.cid, side), ref)
-            if name in self.csf:
-                positions = [order.index(index) for index in ref.indices]
-                if positions != sorted(positions):
-                    raise ModeOrderMismatchError(
-                        f"reference {ref}: CSF layout incompatible with loop order {order}"
-                    )
-                fiber = _Fiber(self.fibers, [False] * len(ref.indices))
-                self.fibers += 1
-                operand = self.operands.setdefault(name, f"t{len(self.operands)}")
-                for array, field in (("c", "coords"), ("s", "segs")):
-                    levels = [f"{array}{fiber.n}_{level}" for level in range(len(ref.indices))]
-                    self.unpack.append(f"[{', '.join(levels)}] = {operand}.{field}")
-                values = f"v{fiber.n}"
-                self.unpack.append(f"{values} = {operand}.values")
-                for level, index in enumerate(ref.indices):
-                    scope[index].drivers.append((fiber, level))
-                    sparse_at[index] = True
-                deepest = (scope[ref.indices[-1]].var, f"p{fiber.n}_{len(ref.indices) - 1}")
-                factors.append((values, [deepest], fiber))
-            elif name in self.layouts:
-                var = self.dense.setdefault(name, f"d{len(self.dense)}")
-                factors.append((var, self._offset(ref, scope), None))
+                over = next((w for w, read in stmts[body.n][2] if read == index), None)
+            if over:
+                kind = "cells"
+                touched.add(over)
+            elif is_full or not driven:
+                kind, over = "range", _extent(extents, index)
+            # a single fiber, or a single statement that needs every fiber
+            # present: step through the first, bisect the others
+            if (len(driven) == 1 and not is_full) or (len(driven) > 1 and single):
+                kind = "step" if len(driven) == 1 else "leapfrog"
             else:
-                var, offset = self._cell(ref, scope)
-                factors.append((var, offset, None))
-                if len(ref.indices) == 1:
-                    reads.append((var, ref.indices[0]))
-        # a loop this statement reaches only through dense operands or
-        # workspaces runs over the full range
-        for index, sparse in sparse_at.items():
-            if not sparse:
-                scope[index].full = True
+                absent.update(driven)
+            done.append((_Loop(x, kind, tuple(driven), over, single, body), start))
+    for name, (_, ref) in first.items():
+        if ref.indices != layouts[name]:
+            raise ModeOrderMismatchError(
+                f"reference {ref} disagrees with the bound layout {layouts[name]}"
+            )
+    ((body, _),) = done
+    return _Plan(
+        (*operands.items(), *dense.items()),
+        tuple(fibers),
+        frozenset(absent),
+        tuple((local, cells) for local, _, cells in workspaces.values()),
+        frozenset(touched),
+        tuple(name for name, _, _ in stmts),
+        shape,
+        body,
+    )
 
-        name = node.result.tensor
-        if name == self.root.tensor:
-            # the accumulator is indexed by the row-major offset of the result
-            target = "acc"
-            cell = self._offset(self.root, scope)
+
+def _render(plan: _Plan) -> str:
+    """The source of ``plan``'s kernel, written in one walk of its records.
+
+    A statement is written under the loops that run it alone, outermost
+    first, in slots: slot 0 lies just before the outermost of these loops
+    and slot k just inside the k-th. Each factor's guard, load and zero test
+    go into the slot of the loop that binds its last variable, and each
+    offset's terms into the slots that bind them, after their zero tests.
+    """
+    params = ["acc", *(param for _, param in plan.operands)]
+    out = [f"def kernel({', '.join(params)}, bl=bl):"]
+    for n, (param, levels) in enumerate(plan.fibers):
+        for array, field in (("c", "coords"), ("s", "segs")):
+            arrays = ", ".join(f"{array}{n}_{level}" for level in range(levels))
+            out.append(f"    [{arrays}] = {param}.{field}")
+        out.append(f"    v{n} = {param}.values")
+    for var, cells in plan.workspaces:
+        out += (f"    {var} = [0.0] * {cells}", f"    z{var} = [0.0] * {cells}")
+        if var in plan.touched:
+            out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
+    counters = [f"n{s}" for s in range(len(plan.results))]
+    out.append(f"    {' = '.join(counters)} = 0")
+
+    def head(loop: _Loop, depth: int, closes: list[str]) -> int:
+        """Bind the loop variable and the position of every fiber level it
+        drives; returns the depth of the loop body, and appends to ``closes``
+        the line that must end that body, if any.
+
+        An intersection is a ``while`` over the lead fiber's positions: the
+        lead bisects the other fiber for its coordinate, leaves the loop when
+        the other is exhausted and, on a miss, bisects itself forward to the
+        other's coordinate; after a match the closing line steps it by one.
+        In a union or full-range loop a missing coordinate sets a position to
+        -1, and a level under a -1 parent gets the empty range, so presence is
+        decided by the deepest level. Positions stepped through or found by
+        an intersection are never -1.
+        """
+        pad = "    " * depth
+        x = loop.var
+
+        def names(n: int, level: int):
+            parent = f"p{n}_{level - 1}" if level else "0"
+            bounds = f"s{n}_{level}[{parent}], s{n}_{level}[{parent} + 1]"
+            absent = level > 0 and (n, level - 1) in plan.absent  # the parent may be -1
+            return f"p{n}_{level}", f"c{n}_{level}", parent, bounds, absent
+
+        drivers = [names(*driver) for driver in loop.drivers]
+        if loop.kind in ("step", "leapfrog"):
+            guards = [f"{parent} >= 0" for _, _, parent, _, absent in drivers if absent]
+            if guards:
+                out.append(f"{pad}if {' and '.join(guards)}:")
+                pad += "    "
+                depth += 1
+            (p, coords, _, bounds, _), *other = drivers
+            if not other:
+                out.append(f"{pad}for {p} in range({bounds}):")
+                out.append(f"{pad}    {x} = {coords}[{p}]")
+                return depth + 1
+            ((q, coords_q, _, bounds_q, _),) = other
+            out.append(f"{pad}l{q}, h{q} = {bounds_q}")
+            out.append(f"{pad}{p}, h{p} = {bounds}")
+            out.append(f"{pad}while {p} < h{p}:")
+            out.append(f"{pad}    {x} = {coords}[{p}]")
+            out.append(f"{pad}    {q} = l{q} = bl({coords_q}, {x}, l{q}, h{q})")
+            out.append(f"{pad}    if {q} == h{q}: break")
+            out.append(f"{pad}    if {coords_q}[{q}] != {x}:")
+            out.append(f"{pad}        {p} = bl({coords}, {coords_q}[{q}], {p} + 1, h{p})")
+            out.append(f"{pad}        continue")
+            closes.append(f"{pad}    {p} += 1")
+            return depth + 1
+        for p, coords, parent, bounds, absent in drivers:
+            if absent:
+                bounds = f"({bounds}) if {parent} >= 0 else (0, 0)"
+            out.append(f"{pad}l{p}, h{p} = {bounds}")
+        if loop.kind == "cells":
+            values = f"t{loop.over}"
+        elif loop.kind == "range":
+            values = f"range({loop.over})"
         else:
-            if name in self.intermediates and name not in self.workspaces:
-                var = f"w{len(self.workspaces)}"
-                self.cells.append(math.prod(_extent(self.extents, i) for i in node.result.indices))
-                self.workspaces[name] = (var, node.result.indices)
-            target, cell = self._cell(node.result, scope)
-        self.stmts.append((name, {node.lhs.tensor, node.rhs.tensor}))
-        return _Stmt(len(self.stmts) - 1, factors, target, cell, reads)
+            values = f"sorted({{{', '.join(f'*{coords}[l{p}:h{p}]' for p, coords, *_ in drivers)}}})"
+        out.append(f"{pad}for {x} in {values}:")
+        for p, coords, *_ in drivers:
+            out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
+            out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
+        return depth + 1
 
-    def source(self) -> str:
-        params = ["acc", *self.operands.values(), *self.dense.values()]
-        out = [f"def kernel({', '.join(params)}, bl=bl):"]
-        out += [f"    {line}" for line in self.unpack]
-        for (var, _), cells in zip(self.workspaces.values(), self.cells):
-            out += (f"    {var} = [0.0] * {cells}", f"    z{var} = [0.0] * {cells}")
-            if var in self.touched:
-                out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
-        counters = [f"n{s}" for s in range(len(self.stmts))]
-        out.append(f"    {' = '.join(counters)} = 0")
-        self._render(self.plan, 1, out)
-        out.append(f"    return acc, ({''.join(c + ', ' for c in counters)})")
-        return "\n".join(out) + "\n"
-
-    def _render(self, node, depth: int, out: list[str]) -> None:
+    todo: list = [(plan.body, 1)]  # (record, depth) still to write, and literal lines
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, depth = item
         pad = "    " * depth
         if isinstance(node, _Where):
-            touched = [var for var in node.zero if var in self.touched]
+            touched = [var for var in node.zero if var in plan.touched]
             out.extend(f"{pad}{var}[:] = z{var}" for var in node.zero)
             for var in touched:
-                out.append(f"{pad}for c in t{var}: f{var}[c] = False")
-                out.append(f"{pad}t{var}.clear()")
-            writers = sorted(set().union(*node.guard))
-            out.extend(f"{pad}m{k} = n{k}" for k in writers)
-            self._render(node.producer, depth, out)
+                out += (f"{pad}for c in t{var}: f{var}[c] = False", f"{pad}t{var}.clear()")
+            # the counters of the statements writing the zeroed workspaces
+            out.extend(f"{pad}m{k} = n{k}" for k in sorted(set().union(*node.guard)))
+            inner, between = depth, []
             if node.guard:
                 # an unmoved counter leaves its workspace all 0.0, and every
                 # product reading it skipped
                 tests = (" and ".join(f"n{k} != m{k}" for k in reads) for reads in node.guard)
-                out.append(f"{pad}if {' or '.join(tests)}:")
-                depth += 1
-                pad += "    "
+                between.append(f"{pad}if {' or '.join(tests)}:")
+                inner += 1
             # ascending cells keep the consumer's sums in full-range order
-            out.extend(f"{pad}t{var}.sort()" for var in touched)
-            self._render(node.consumer, depth, out)
-        elif isinstance(node, _Loop) and not node.single:
-            closes: list[str] = []
-            self._render(node.body, self._render_head(node, depth, out, closes), out)
-            out += closes
-        else:
-            self._render_own(node, depth, out)
-
-    def _render_own(self, node, depth: int, out: list[str]) -> None:
-        """A statement under the loops that run it alone, outermost first.
-
-        Slot 0 lies just before the outermost of these loops and slot k just
-        inside the k-th. Each factor is guarded, loaded and tested for an
-        exact zero in the slot of the loop that binds its last variable, and
-        each offset adds up its terms slot by slot, so no loop recomputes
-        what it leaves unchanged. A zero factor thus skips the loops inside
-        its slot, which run nothing else: a ``where`` sibling is never skipped.
-        A slot sums its partial offsets after its zero tests, so a zero
-        factor skips those multiplications too.
-        """
+            between += (f"{'    ' * inner}t{var}.sort()" for var in touched)
+            todo += ((node.consumer, inner), *reversed(between), (node.producer, depth))
+            continue
+        closes: list[str] = []  # the last line of each loop that has one, outermost first
+        if isinstance(node, _Loop) and not node.single:
+            inner = head(node, depth, closes)
+            todo += (*reversed(closes), (node.body, inner))
+            continue
         own: list[_Loop] = []
         while isinstance(node, _Loop):
             own.append(node)
@@ -534,22 +601,21 @@ class _Kernel:
             return use, partial[0] if partial else "0"
 
         n = node.n
-        for role, (array, terms, fiber) in zip("fg", node.factors):
+        for role, (array, terms, deepest) in zip("fg", node.factors):
             use, index = offset(f"o{n}{role}", terms)
-            if fiber is not None and fiber.searched[-1]:
+            if deepest in plan.absent:
                 at[use].append(f"if {index} >= 0:")
             at[use] += (f"{role} = {array}[{index}]", f"if {role}:")
         _, cell = offset(f"o{n}k", node.cell, len(own))
         for lines, partial in zip(at, sums):
             lines += partial
         var = node.target
-        if var in self.touched:
+        if var in plan.touched:
             at[-1].append(f"if not f{var}[{cell}]: f{var}[{cell}] = True; t{var}.append({cell})")
         at[-1] += (f"{var}[{cell}] += f * g", f"n{n} += 1")
-        closes: list[str] = []  # the last line of each loop that has one, outermost first
         for k, lines in enumerate(at):
             if k:
-                depth = self._render_head(own[k - 1], depth, out, closes)
+                depth = head(own[k - 1], depth, closes)
             pad = "    " * depth
             for line in lines:
                 out.append(pad + line)
@@ -557,75 +623,8 @@ class _Kernel:
                     pad += "    "
                     depth += 1
         out.extend(reversed(closes))
-
-    def _render_head(self, loop: _Loop, depth: int, out: list[str], closes: list[str]) -> int:
-        """Bind the loop variable and the position of every fiber level it
-        drives; returns the depth of the loop body, and appends to ``closes``
-        the line that must end that body, if any.
-
-        An intersection is a ``while`` over the lead fiber's positions: the
-        lead bisects the other fiber for its coordinate, leaves the loop when
-        the other is exhausted and, on a miss, bisects itself forward to the
-        other's coordinate; after a match the closing line steps it by one.
-        In a union or full-range loop a missing coordinate sets a position to
-        -1, and a level under a -1 parent gets the empty range, so presence is
-        decided by the deepest level. Positions stepped through or found by
-        an intersection are never -1.
-        """
-        pad = "    " * depth
-        x = loop.var
-
-        def names(fiber: _Fiber, level: int):
-            n = fiber.n
-            parent = f"p{n}_{level - 1}" if level else "0"
-            seg = f"s{n}_{level}"
-            absent = level > 0 and fiber.searched[level - 1]
-            return f"p{n}_{level}", f"c{n}_{level}", parent, seg, absent
-
-        if loop.step:
-            drivers = [names(*d) for d in loop.drivers]
-            guards = [f"{parent} >= 0" for _, _, parent, _, absent in drivers if absent]
-            if guards:
-                out.append(f"{pad}if {' and '.join(guards)}:")
-                pad += "    "
-                depth += 1
-            (p, coords, parent, seg, _), *other = drivers
-            if not other:
-                out.append(f"{pad}for {p} in range({seg}[{parent}], {seg}[{parent} + 1]):")
-                out.append(f"{pad}    {x} = {coords}[{p}]")
-                return depth + 1
-            ((q, coords_q, parent_q, seg_q, _),) = other
-            out.append(f"{pad}l{q}, h{q} = {seg_q}[{parent_q}], {seg_q}[{parent_q} + 1]")
-            out.append(f"{pad}{p}, h{p} = {seg}[{parent}], {seg}[{parent} + 1]")
-            out.append(f"{pad}while {p} < h{p}:")
-            out.append(f"{pad}    {x} = {coords}[{p}]")
-            out.append(f"{pad}    {q} = l{q} = bl({coords_q}, {x}, l{q}, h{q})")
-            out.append(f"{pad}    if {q} == h{q}: break")
-            out.append(f"{pad}    if {coords_q}[{q}] != {x}:")
-            out.append(f"{pad}        {p} = bl({coords}, {coords_q}[{q}], {p} + 1, h{p})")
-            out.append(f"{pad}        continue")
-            closes.append(f"{pad}    {p} += 1")
-        else:
-            streams = []
-            for fiber, level in loop.drivers:
-                p, coords, parent, seg, absent = names(fiber, level)
-                bounds = f"{seg}[{parent}], {seg}[{parent} + 1]"
-                if absent:
-                    bounds = f"({bounds}) if {parent} >= 0 else (0, 0)"
-                out.append(f"{pad}l{p}, h{p} = {bounds}")
-                streams.append(f"*{coords}[l{p}:h{p}]")
-            if loop.touched:
-                values = f"t{loop.touched}"
-            elif loop.extent is not None:
-                values = f"range({loop.extent})"
-            else:
-                values = f"sorted({{{', '.join(streams)}}})"
-            out.append(f"{pad}for {x} in {values}:")
-            for fiber, level in loop.drivers:
-                p, coords, _, _, _ = names(fiber, level)
-                out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
-                out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
-        return depth + 1
+    out.append(f"    return acc, ({''.join(c + ', ' for c in counters)})")
+    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)
@@ -646,15 +645,15 @@ def _kernel(*signature) -> _Compiled:
 
     Exceptions are not cached, so a malformed schedule raises on every call.
     """
-    kernel = _Kernel(*signature)
+    plan = _plan(*signature)
     namespace: dict = {"bl": bisect.bisect_left}
-    exec(compile(kernel.source(), "<fusetree kernel>", "exec"), namespace)
+    exec(compile(_render(plan), "<fusetree kernel>", "exec"), namespace)
     return _Compiled(
         namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
-        (*kernel.operands, *kernel.dense),
-        kernel.shape,
-        tuple(name for name, _ in kernel.stmts),
-        max(kernel.cells, default=0),
+        tuple(name for name, _ in plan.operands),
+        plan.shape,
+        plan.results,
+        max((cells for _, cells in plan.workspaces), default=0),
     )
 
 

@@ -9,6 +9,7 @@ written first, producer executed first).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Sequence
@@ -37,14 +38,30 @@ class Assign:
     rhs: TensorRef
 
 
-@dataclass(frozen=True)
-class Forall:
+class _Nested:
+    """A loop or ``where``, compared and hashed by its pre-order walk: the
+    methods ``dataclass`` generates recurse once per level of the tree, and a
+    kernel's cache hashes its whole IR. The walk is kept once taken."""
+
+    @functools.cached_property
+    def _walk(self) -> tuple:
+        return _preorder(self)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._walk == other._walk
+
+    def __hash__(self):
+        return hash(self._walk)
+
+
+@dataclass(frozen=True, eq=False)
+class Forall(_Nested):
     index: str
     body: "IrNode"
 
 
-@dataclass(frozen=True)
-class Where:
+@dataclass(frozen=True, eq=False)
+class Where(_Nested):
     """Producer/consumer region: producer runs first, consumer reads its output."""
 
     consumer: "IrNode"
@@ -52,6 +69,25 @@ class Where:
 
 
 IrNode = Assign | Forall | Where
+
+
+def _preorder(node: IrNode) -> tuple:
+    """The nodes of ``node`` in pre-order, consumer before producer, each
+    loop as its index and each ``where`` as None: two trees are equal exactly
+    when these are."""
+    out: list = []
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, Forall):
+            out.append(node.index)
+            todo.append(node.body)
+        elif isinstance(node, Where):
+            out.append(None)
+            todo += (node.producer, node.consumer)
+        else:
+            out.append(node)
+    return tuple(out)
 
 
 def schedule_from_solution(tree: ContractionTree, sol: ScheduleSolution) -> list[SchedulePair]:
@@ -131,39 +167,56 @@ def _ref_text(ref: TensorRef) -> str:
     return f"{ref.tensor}({','.join(ref.indices)})"
 
 
-def print_ir(node: IrNode, pretty: bool = False, _depth: int = 0) -> str:
+def print_ir(node: IrNode, pretty: bool = False) -> str:
     """Deterministic parenthesized rendering of the loop IR.
 
     The compact form is whitespace-normalized; ``pretty`` adds indentation
-    only (the two renderings are identical after stripping whitespace).
+    only (the two renderings are identical after stripping whitespace). The
+    walk keeps an explicit stack of pending nodes and literal text, so no
+    call depth grows with the nesting of ``where``s.
     """
-    if isinstance(node, Assign):
-        return f"{_ref_text(node.result)} = {_ref_text(node.lhs)} * {_ref_text(node.rhs)}"
-    if not pretty:
+    parts: list[str] = []
+    todo: list = [(node, 0)]
+    while todo:
+        node, depth = todo.pop()
+        if isinstance(node, str):
+            parts.append(node)
+            continue
+        if isinstance(node, Assign):
+            parts.append(f"{_ref_text(node.result)} = {_ref_text(node.lhs)} * {_ref_text(node.rhs)}")
+            continue
+        # ``pretty`` puts each child on a line of its own
+        pad = "\n" + "  " * (depth + 1) if pretty else ""
+        sep = "," + (pad or " ")
         if isinstance(node, Forall):
-            return f"forall({node.index}, {print_ir(node.body)})"
-        return f"where({print_ir(node.consumer)}, {print_ir(node.producer)})"
-    pad = "  " * (_depth + 1)
-    if isinstance(node, Forall):
-        return f"forall({node.index},\n{pad}{print_ir(node.body, True, _depth + 1)})"
-    return (
-        f"where(\n{pad}{print_ir(node.consumer, True, _depth + 1)},\n"
-        f"{pad}{print_ir(node.producer, True, _depth + 1)})"
-    )
+            parts.append(f"forall({node.index}{sep}")
+            todo += ((")", 0), (node.body, depth + 1))
+        else:
+            parts.append(f"where({pad}")
+            todo += ((")", 0), (node.producer, depth + 1), (sep, 0), (node.consumer, depth + 1))
+    return "".join(parts)
 
 
 def ir_to_json(node: IrNode) -> dict:
-    """Stable JSON rendering of the IR tree for tooling."""
-    if isinstance(node, Assign):
-        ref = lambda r: {"tensor": r.tensor, "indices": list(r.indices)}
-        return {
-            "assign": {
-                "contraction": node.cid,
-                "result": ref(node.result),
-                "lhs": ref(node.lhs),
-                "rhs": ref(node.rhs),
-            }
-        }
-    if isinstance(node, Forall):
-        return {"forall": {"index": node.index, "body": ir_to_json(node.body)}}
-    return {"where": {"consumer": ir_to_json(node.consumer), "producer": ir_to_json(node.producer)}}
+    """Stable JSON rendering of the IR tree for tooling, built from the
+    leaves up along the reversed pre-order walk."""
+    ref = lambda r: {"tensor": r.tensor, "indices": list(r.indices)}
+    built: list[dict] = []
+    for item in reversed(_preorder(node)):
+        if item is None:
+            consumer, producer = built.pop(), built.pop()
+            built.append({"where": {"consumer": consumer, "producer": producer}})
+        elif isinstance(item, str):
+            built.append({"forall": {"index": item, "body": built.pop()}})
+        else:
+            built.append(
+                {
+                    "assign": {
+                        "contraction": item.cid,
+                        "result": ref(item.result),
+                        "lhs": ref(item.lhs),
+                        "rhs": ref(item.rhs),
+                    }
+                }
+            )
+    return built[0]

@@ -99,6 +99,17 @@ def chain_network(n: int, root_first: bool = False) -> str:
     return "extent a 3\n" + "\n".join(lines) + "\n"
 
 
+def chain_solution(tree: ContractionTree) -> ScheduleSolution:
+    """The bound-1 schedule of a ``chain_network``: each link in turn, all
+    under one loop over ``a``, so the links nest one ``where`` each."""
+    return ScheduleSolution(
+        bound=1,
+        ap={c.cid: c.cid for c in tree.contractions},
+        lp={c.cid: {"a": 0} for c in tree.contractions},
+        dp={name: {0: 0} for name in tree.layout_constrained},
+    )
+
+
 @pytest.fixture
 def running_tree() -> ContractionTree:
     """The four-tensor example with the root layout pinned to R(j,k,i)."""

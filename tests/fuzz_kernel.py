@@ -40,17 +40,21 @@ last one. Where the two schedules store every input in the same mode order,
 its result must match both oracles; otherwise it must raise
 ``ModeOrderMismatchError``. A run that raises anything else counts as
 failed, and the fuzz goes on with the next.
-One line is printed per tree: its number, its size, the bounds it ran and
-the multiply-adds per kind. The last line counts the runs, the crossed runs
-among them and those of these that raised the mismatch. The exit status is
-1 on any mismatch, violation or exception, each of which is described on
-standard error.
+One line is printed per tree: its number, its size, the bounds it ran, the
+multiply-adds per kind and a digest of the sources of the kernels its runs
+compiled, in order, so a ``diff`` of the output of two checkouts shows
+whether they generate the same kernels. The last line counts the runs, the
+crossed runs among them and those of these that raised the mismatch. The
+exit status is 1 on any mismatch, violation or exception, each of which is
+described on standard error.
 ``--show N`` prints the network of tree N instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import random
 import sys
 
@@ -75,6 +79,7 @@ from fusetree import (
     verify_solution,
 )
 from fusetree import check as check_mod
+from fusetree import executor
 from fusetree.errors import ModeOrderMismatchError
 from fusetree.executor import _kernel
 
@@ -196,6 +201,22 @@ def check_crossed(tree, tensors, dense, first, last) -> tuple[bool, list[str]]:
     return differ, [f"crossed: {problem}" for problem in oracle_problems(tree, tensors, result)]
 
 
+@contextlib.contextmanager
+def kernel_sources():
+    """Collect the source of every kernel ``execute`` compiles meanwhile."""
+    sources: list[str] = []
+
+    def compiling(source, filename, mode):
+        sources.append(source)
+        return compile(source, filename, mode)
+
+    executor.compile = compiling  # the executor's module global shadows the builtin
+    try:
+        yield sources
+    finally:
+        del executor.compile
+
+
 def satisfiable(tree) -> list:
     """(bound, schedule) for each satisfiable bound up to the largest
     intermediate order."""
@@ -210,6 +231,12 @@ def main(argv=None) -> int:
     parser.add_argument("--trees", type=int, default=100)
     parser.add_argument("--show", type=int, default=None, help="print the network of this tree")
     args = parser.parse_args(argv)
+    with kernel_sources() as sources:
+        return fuzz(args, sources)
+
+
+def fuzz(args, sources: list[str]) -> int:
+    """Run the fuzz; ``sources`` collects the kernels it compiles."""
     rng = random.Random(args.seed)
     runs = bad = crossed = mismatched = 0
     for n in range(args.trees):
@@ -220,6 +247,7 @@ def main(argv=None) -> int:
                 return 0
             continue
         schedules = satisfiable(tree)
+        sources.clear()
         madds = []
         for k, kind in enumerate(KINDS):
             nprng = np.random.default_rng([args.seed, n, k])
@@ -246,7 +274,8 @@ def main(argv=None) -> int:
                     print(f"tree {n} {kind} bound {bound}: {problem}", file=sys.stderr)
             madds.append(f"{kind} {'/'.join(str(c) for c in sorted(counts))}")
         bounds = ",".join(str(bound) for bound, _ in schedules)
-        print(f"tree {n} m={tree.m} bounds {bounds}: {' '.join(madds)}", flush=True)
+        kernels = hashlib.sha256("".join(sources).encode()).hexdigest()[:12]
+        print(f"tree {n} m={tree.m} bounds {bounds}: {' '.join(madds)} kernels {kernels}", flush=True)
     print(f"trees {args.trees}: runs {runs} ({crossed} crossed, {mismatched} mismatched), failed {bad}")
     return 1 if bad else 0
 

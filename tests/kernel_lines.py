@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from fusetree import bench_generate, bind, execute, lower, search_min_order
-from fusetree.executor import _Kernel, _signature
+from fusetree.executor import _plan, _render, _signature
 
 KERNEL_FILE = "<fusetree kernel>"
 
@@ -25,7 +25,7 @@ KERNEL_FILE = "<fusetree kernel>"
 def line_counts(ir, binding):
     """The kernel source of ``ir`` under ``binding``, the line events each of
     its lines raised in one ``execute`` call, and that call's outcome."""
-    source = _Kernel(*_signature(ir, binding)).source().splitlines()
+    source = _render(_plan(*_signature(ir, binding))).splitlines()
     counts = [0] * len(source)
 
     def local(frame, event, arg):

@@ -376,6 +376,17 @@ class TestVerifyCmd:
             + [f"  extra: {name} is not a variable of the model\n" for name in extra]
         )
 
+    def test_key_written_twice_exits_with_an_error_line(self, running_net, tmp_path, capsys):
+        # the file names contraction 0 twice; json.loads alone would keep the last
+        sol_path = tmp_path / "sol.json"
+        assert main(["plan", "--network", str(running_net), "--solution", str(sol_path)]) == 0
+        text = json.dumps(json.loads(sol_path.read_text()))
+        key = '"assignment_positions": {'
+        sol_path.write_text(text.replace(key, key + '"0": 5, ', 1))
+        capsys.readouterr()
+        assert main(["verify", "--network", str(running_net), "--solution", str(sol_path)]) == 1
+        assert capsys.readouterr().err == 'error: key "0" appears twice in one object\n'
+
     @pytest.mark.parametrize(
         "tamper, message",
         [
@@ -407,10 +418,33 @@ class TestVerifyCmd:
                 lambda doc: {**doc, "mode_orders": {**doc["mode_orders"], "A": {"perm": "120"}}},
                 "perm of tensor 'A' must be a list of integers, got \"120\"",
             ),
+            (
+                lambda doc: {**doc, "assignment_positions": {"0": 0, " 1": 1, "0_2": 2}},
+                'assignment_positions key " 1" must be written "1"',
+            ),
+            (
+                lambda doc: {
+                    **doc, "loop_orders": {"00" if k == "0" else k: v for k, v in doc["loop_orders"].items()}
+                },
+                'loop_orders key "00" must be written "0"',
+            ),
+            (
+                lambda doc: {**doc, "assignment_positions": {"0": 0, "1": 1, "01": 1, "2": 2}},
+                'assignment_positions key "01" must be written "1"',
+            ),
+            (
+                lambda doc: {
+                    **doc,
+                    "mode_orders": {**doc["mode_orders"], "A": {"perm": [1, 2, 0], "indices": ["i", "q", "p"]}},
+                },
+                "indices of tensor 'A' must be [\"p\", \"q\", \"i\"], the layout its perm gives, "
+                "got [\"i\", \"q\", \"p\"]",
+            ),
         ],
         ids=[
             "bound-only", "list", "non-integer-id", "bound-0", "float-bound", "float-positions",
             "bool-position", "string-position", "string-loop-order", "string-perm",
+            "padded-ids", "zero-padded-id", "second-key-for-an-id", "indices-against-perm",
         ],
     )
     def test_malformed_solution_exits_with_an_error_line(self, tamper, message, running_net, tmp_path, capsys):

@@ -19,12 +19,15 @@ from fusetree import (
     compare,
     coo_from_entries,
     execute,
+    ir_to_json,
     lower,
     oracle_nary,
     oracle_unfused,
     parse_network,
+    print_ir,
     search_min_order,
     solve,
+    verify_solution,
 )
 from fusetree.bench import bench_generate, synthetic_tensor
 from fusetree.errors import (
@@ -38,7 +41,7 @@ from fusetree.errors import (
     TooLargeError,
     UnboundTensorError,
 )
-from conftest import MATMUL_NETWORK, random_tree
+from conftest import MATMUL_NETWORK, chain_network, chain_solution, ir_text_equal, random_tree
 
 
 def _plan_and_run(tree, tensors, dense=(), l_max=None):
@@ -433,6 +436,36 @@ class TestOracles:
         inst = bench_generate("mttkrp1", extents=(6, 5, 4), rank=3, density=0.3, seed=6)
         result, _, _ = _plan_and_run(inst.tree, inst.tensors, inst.dense_names)
         assert compare(result, oracle_nary(inst.tree, inst.tensors), rel_tol=1e-10).passed
+
+
+def test_long_chain_runs_without_recursing_per_where():
+    # 2,000 links under one loop over a: the IR nests 1,999 wheres, and the
+    # kernel resets a workspace and guards a consumer for each
+    n = 2000
+    tree = parse_network(chain_network(n))
+    sol = chain_solution(tree)
+    assert verify_solution(tree, 1, sol) == []
+    ir = lower(tree, sol)
+    assert print_ir(ir).count("where(") == n - 1
+    assert ir_text_equal(print_ir(ir, pretty=True), print_ir(ir))
+    node, wheres = ir_to_json(ir)["forall"]["body"], 0
+    while "where" in node:
+        wheres += 1
+        node = node["where"]["producer"]
+    assert wheres == n - 1 and node["assign"]["result"]["tensor"] == "X1"
+    rng = np.random.default_rng(7)
+    # every input full, with values near 1 so 2,000 products stay normal floats
+    tensors = {
+        name: coo_from_entries([((a,), v) for a, v in enumerate(rng.uniform(0.9, 1.1, 3))], (3,))
+        for name in tree.input_names
+    }
+    binding = bind(tree, sol, tensors)
+    result, stats = execute(ir, binding)
+    assert stats.multiply_adds == 3 * n
+    report = compare(result, oracle_unfused(tree, tensors)[0], rel_tol=1e-10)
+    assert report.passed and report.checked == 3
+    # an equal IR lowered afresh finds the cached kernel
+    assert execute(lower(tree, sol), binding) == (result, stats)
 
 
 class TestRandomizedEquivalence:

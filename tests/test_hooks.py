@@ -63,7 +63,7 @@ def test_bind_calls_csf_build_once_per_csf_input(monkeypatch):
 
 def test_execute_plans_and_compiles_once_per_signature(monkeypatch):
     planned, compiled = [], []
-    real = executor._Kernel
+    real = executor._plan
 
     def planning(*signature):
         planned.append(signature[0])
@@ -73,7 +73,7 @@ def test_execute_plans_and_compiles_once_per_signature(monkeypatch):
         compiled.append(source)
         return compile(source, filename, mode)
 
-    monkeypatch.setattr(executor, "_Kernel", planning)
+    monkeypatch.setattr(executor, "_plan", planning)
     monkeypatch.setattr(executor, "compile", compiling, raising=False)
     executor._kernel.cache_clear()
     inst = bench_generate("running_example", extents=4, density=0.4, seed=1)

@@ -45,7 +45,7 @@ from fusetree import (
 )
 from fusetree.bench import KINDS, bench_generate, synthetic_tensor
 from fusetree.errors import MalformedScheduleError, TooLargeError
-from fusetree.executor import _Kernel, _kernel, _signature
+from fusetree.executor import _kernel, _signature
 from fusetree.lowering import Forall
 from fusetree.network import Contraction
 from fusetree.tensor import CsfTensor, SparseTensor
@@ -388,7 +388,7 @@ def _plan(text, tensors, dense=()):
 
 
 def _kernel_source(ir, binding) -> str:
-    return _Kernel(*_signature(ir, binding)).source()
+    return executor._render(executor._plan(*_signature(ir, binding)))
 
 
 def _source(text, tensors, dense=()):

@@ -22,7 +22,7 @@ from fusetree import (
     verify_solution,
 )
 from fusetree.errors import MalformedScheduleError
-from conftest import GOLDEN_IR, chain_network, ir_text_equal, reference_witness
+from conftest import GOLDEN_IR, chain_network, chain_solution, ir_text_equal, reference_witness
 
 
 def _pair_strs(pairs):
@@ -94,12 +94,7 @@ class TestGenerate:
         # every link shares loop a, so 1,100 assignments fold into one where chain
         n = 1100
         tree = parse_network(chain_network(n))
-        sol = ScheduleSolution(
-            bound=1,
-            ap={c.cid: c.cid for c in tree.contractions},
-            lp={c.cid: {"a": 0} for c in tree.contractions},
-            dp={name: {0: 0} for name in tree.layout_constrained},
-        )
+        sol = chain_solution(tree)
         assert verify_solution(tree, 1, sol) == []
         ir = lower(tree, sol)
         assert isinstance(ir, Forall) and ir.index == "a"
@@ -235,3 +230,15 @@ class TestPrint:
         doc = ir_to_json(ir)
         assert json.dumps(doc, sort_keys=True) == json.dumps(ir_to_json(ir), sort_keys=True)
         assert "where" in doc["forall"]["body"]["forall"]["body"]
+
+
+def test_ir_equality_and_hash_follow_the_tree(running_tree):
+    ir, again = lower(running_tree, reference_witness()), lower(running_tree, reference_witness())
+    assert ir is not again and ir == again and hash(ir) == hash(again)
+    a, b = generate([_assign("A0", ())]), generate([_assign("B0", ())])
+    shapes = [
+        Forall("i", a), Forall("j", a), Forall("i", b), Where(a, b), Where(b, a),
+        Forall("i", Where(a, b)), Where(Forall("i", a), b), Where(a, Forall("i", b)),
+    ]
+    for k, x in enumerate(shapes):
+        assert [x == y for y in shapes] == [k == j for j in range(len(shapes))]
