@@ -5,8 +5,8 @@ module imports none of the code that makes them. The n-ary oracle contracts
 the flat product of every leaf; above a small index space it lets numpy's
 greedy search choose a pairwise order from that flat expression and the leaf
 shapes alone, never from the tree or the schedule. The unfused oracle
-evaluates the contractions one by one, children first. No intermediate of
-either holds more than ``DENSE_SPACE_BUDGET`` cells. ``compare`` works on
+evaluates the contractions one by one, children first. No densified input
+or intermediate of either holds more than ``DENSE_SPACE_BUDGET`` cells. ``compare`` works on
 the two tensors' coordinate and value arrays: where both store the same
 coordinates it compares the value arrays as they are, else it first merges
 the coordinates into their sorted union. It compares up to
@@ -15,6 +15,7 @@ the coordinates into their sorted union. It compares up to
 
 from __future__ import annotations
 
+import functools
 import math
 import string
 from dataclasses import dataclass
@@ -69,15 +70,29 @@ def _leaf(
     """The dense array bound to input ``ref``, which must have ``shape``, the
     one ``ContractionTree.ref_shape`` gives ``ref``.
 
-    Raises :class:`UnboundTensorError` if no tensor is bound, and
-    :class:`ExtentMismatchError` if the shape differs.
+    Raises :class:`UnboundTensorError` if no tensor is bound,
+    :class:`TooLargeError`, before densifying it, if ``shape`` has more than
+    ``DENSE_SPACE_BUDGET`` cells, and :class:`ExtentMismatchError` if the
+    tensor's shape differs.
     """
     if ref.tensor not in tensors:
         raise UnboundTensorError(f"no tensor bound for input '{ref.tensor}'")
+    cells = math.prod(shape)
+    if cells > DENSE_SPACE_BUDGET:
+        raise TooLargeError(f"input '{ref.tensor}' needs {cells} dense cells")
     arr = _as_dense(tensors[ref.tensor])
     if arr.shape != shape:
         raise ExtentMismatchError(f"tensor '{ref.tensor}' has shape {arr.shape}, expected {shape}")
     return arr
+
+
+@functools.lru_cache(maxsize=256)
+def _greedy_path(expr: str, shapes: tuple[tuple[int, ...], ...], budget: int) -> tuple:
+    """numpy's greedy pairwise path for ``expr`` over operands of ``shapes``,
+    with intermediates of up to ``budget`` cells. Planning reads only the
+    shapes, so it runs on zero-strided views that hold no data."""
+    views = [np.broadcast_to(0.0, shape) for shape in shapes]
+    return tuple(np.einsum_path(expr, *views, optimize=("greedy", budget))[0])
 
 
 def oracle_nary(
@@ -94,7 +109,8 @@ def oracle_nary(
     never follows the schedule under test. It may keep any intermediate of at
     most ``DENSE_SPACE_BUDGET`` cells, the bound :func:`oracle_unfused` puts
     on its own intermediates. Smaller spaces take one flat einsum, which is
-    cheaper than planning a path. A flat index space above
+    cheaper than planning a path. Each path is planned once per expression
+    and leaf shapes, and kept in a bounded cache. A flat index space above
     ``DENSE_SPACE_BUDGET`` points, or more leaves than one einsum call takes,
     raises :class:`TooLargeError`.
     """
@@ -114,7 +130,9 @@ def oracle_nary(
     sub = _letters(list(dims))
     expr = ",".join("".join(sub[i] for i in ref.indices) for ref in leaf_refs)
     expr += "->" + "".join(sub[i] for i in out_ref.indices)
-    path = ("greedy", DENSE_SPACE_BUDGET) if space > EINSUM_PATH_CUTOFF else False
+    path = False
+    if space > EINSUM_PATH_CUTOFF:
+        path = list(_greedy_path(expr, tuple(shapes), DENSE_SPACE_BUDGET))
     try:
         dense = np.einsum(expr, *operands, optimize=path)
     except ValueError as exc:

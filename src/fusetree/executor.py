@@ -46,12 +46,22 @@ consumer, once per enclosing iteration. Where every consumer statement reads
 a workspace the ``where`` zeroes, the consumer runs only when some statement
 has every such workspace it reads written, as the producer statements'
 counters tell: an unwritten one holds only 0.0, so every product the
-consumer could form has a zero factor. When the consumer reads an order-1
-workspace in an innermost full-range loop, the producer also records the
-cells it writes and the consumer visits only those, in ascending order. The
-root accumulates into a flat list of its row-major cells, which
-``SparseTensor.from_dense`` turns into the result; a root of more than
-``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
+consumer could form has a zero factor. A workspace that the consumer reads
+in an innermost full-range loop over its last layout index tracks the cells
+written to it, if its rows (every index but the last; an order-1 workspace
+is one row) hold at least ``TRACKED_ROW_CELLS`` cells. A per-cell flag
+marks a cell's first write, which lists the cell's offset and, in its row's
+list, its column; a test for 0.0 would list a cell again after its sum
+cancels to 0.0 and it is written once more. The ``where`` resets exactly the listed cells, flags
+and rows, so a workspace nothing wrote costs nothing to reset, and the
+consumer loop visits only the listed columns of its row. It visits them in
+ascending order where the consumer sums over them, so each sum keeps the
+order of a full scan; elsewhere each visit adds into a cell of its own, and
+the order of the writes gives the same bits. Other workspaces are reset by
+copying a list of zeros over them. The root accumulates into a flat list of
+its row-major cells, which ``SparseTensor.from_dense`` turns into the result;
+a root of more than ``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed
+by flat offset.
 
 The source numbers every identifier, so no network name reaches it, and
 writes every stride, loop extent and workspace size as a literal. A kernel's
@@ -102,6 +112,12 @@ from .tensor import CsfTensor, SparseTensor, csf_build
 # 40 ns per cell (2.5 ms at the limit on a 2-core Xeon VM), about what sorting
 # and decoding a few thousand dict entries costs
 ROOT_DENSE_CELLS = 2**16
+# a workspace with shorter rows keeps full scans and resets by slice copy: on
+# solver_chains' TTMc networks, tracking rows of 2 cells cost 1% more kernel
+# time at input density 0.1 and 6% at 0.5, where rows of 3 gained 5% at 0.1
+# (best of 40 in-process races on a 2-core Xeon VM); a row of 2 spares at
+# most one visit
+TRACKED_ROW_CELLS = 3
 # CPython compiles at most 20 statically nested blocks, and each forall of a
 # kernel nests one for loop
 MAX_NESTED_LOOPS = 20
@@ -209,13 +225,15 @@ class _Stmt:
 
     A factor is an array local, the terms of its offset and, for a CSF
     operand, its fiber and deepest level, whose position is the offset.
-    The cell is one of the ``target`` workspace or root accumulator.
+    The cell is one of the ``target`` workspace or root accumulator; ``row``
+    numbers a workspace cell's row, every index of its layout but the last.
     """
 
     n: int
     factors: tuple[tuple[str, Terms, tuple[int, int] | None], ...]
     target: str
     cell: Terms
+    row: Terms
 
 
 @dataclass(frozen=True)
@@ -233,12 +251,13 @@ class _Loop:
     """A ``forall``: its local, how it iterates, the (fiber, level) pairs it
     drives and whether it runs a ``single`` statement alone. Its ``kind`` is
     ``step``, ``leapfrog``, ``union``, ``range`` over the extent ``over`` or
-    ``cells`` over the cells written to the workspace ``over``."""
+    ``cells`` over the cells written to one row of a workspace, ``over``
+    holding the workspace and the terms of the row's number."""
 
     var: str
     kind: str
     drivers: tuple[tuple[int, int], ...]
-    over: int | str | None
+    over: int | tuple[str, Terms] | None
     single: bool
     body: "_Node"
 
@@ -254,7 +273,9 @@ class _Plan:
     fibers: tuple[tuple[str, int], ...]  # per fiber: its operand's parameter and levels
     absent: frozenset[tuple[int, int]]  # (fiber, level) found by bisection, so maybe -1
     workspaces: tuple[tuple[str, int], ...]  # local and cells
-    touched: frozenset[str]  # workspaces that record their written cells
+    # workspaces that record their written cells: the cells of a row, and
+    # whether the consumer visits them in ascending order
+    touched: Mapping[str, tuple[int, bool]]
     results: tuple[str, ...]  # of each statement, in counter order
     shape: tuple[int, ...]  # of the root
     body: _Node
@@ -303,11 +324,11 @@ def _plan(
     dense: dict[str, str] = {}  # dense operand -> parameter
     fibers: list[tuple[str, int]] = []
     workspaces: dict[str, tuple[str, tuple[str, ...], int]] = {}  # -> local, layout, cells
-    touched: set[str] = set()
+    touched: dict[str, tuple[int, bool]] = {}
     absent: set[tuple[int, int]] = set()
-    # per statement: its result, its operands' names and the (workspace,
-    # index) of each order-1 workspace it reads
-    stmts: list[tuple[str, set[str], list[tuple[str, str]]]] = []
+    # per statement: its result, its operands' names and the local, last
+    # layout index and row terms of each workspace it reads
+    stmts: list[tuple[str, set[str], list[tuple[str, str, Terms]]]] = []
     # input -> (contraction, side) and reference of its first reference
     first: dict[str, tuple[tuple[int, int], TensorRef]] = {}
     # per enclosing forall index: its local and the fiber levels it drives;
@@ -323,13 +344,14 @@ def _plan(
             )
         return scope[index][0]
 
-    def offset(ref: TensorRef) -> Terms:
+    def offset(ref: TensorRef, indices: tuple[str, ...] | None = None) -> Terms:
         """The row-major offset of the cell ``ref`` addresses in an array of
-        its indices' extents."""
+        the extents of ``indices``, by default all of its own."""
+        indices = ref.indices if indices is None else indices
         terms = []
-        for j, index in enumerate(ref.indices):
+        for j, index in enumerate(indices):
             x = var(ref, index)
-            stride = math.prod(_extent(extents, i) for i in ref.indices[j + 1 :])
+            stride = math.prod(_extent(extents, i) for i in indices[j + 1 :])
             terms.append((x, x if stride == 1 else f"{x} * {stride}"))
         return tuple(terms)
 
@@ -344,7 +366,7 @@ def _plan(
 
     def statement(node: Assign) -> None:
         factors: list[tuple[str, Terms, tuple[int, int] | None]] = []
-        reads: list[tuple[str, str]] = []
+        reads: list[tuple[str, str, Terms]] = []
         sparse_at: dict[str, bool] = {}
         for side, ref in enumerate((node.lhs, node.rhs)):
             for index in ref.indices:
@@ -370,22 +392,22 @@ def _plan(
                 factors.append((dense.setdefault(name, f"d{len(dense)}"), offset(ref), None))
             else:
                 factors.append((*cell(ref), None))
-                if len(ref.indices) == 1:
-                    reads.append((factors[-1][0], ref.indices[0]))
+                if ref.indices:
+                    reads.append((factors[-1][0], ref.indices[-1], offset(ref, ref.indices[:-1])))
         # a loop this statement reaches only through dense operands or
         # workspaces runs over the full range
         full.update(index for index, sparse in sparse_at.items() if not sparse)
         name = node.result.tensor
         if name == root.tensor:
             # the accumulator is indexed by the row-major offset of the result
-            target, at = "acc", offset(root)
+            target, at, row = "acc", offset(root), ()
         else:
             if name in intermediates and name not in workspaces:
                 cells = math.prod(_extent(extents, i) for i in node.result.indices)
                 workspaces[name] = (f"w{len(workspaces)}", node.result.indices, cells)
-            target, at = cell(node.result)
+            (target, at), row = cell(node.result), offset(node.result, node.result.indices[:-1])
         stmts.append((name, {node.lhs.tensor, node.rhs.tensor}, reads))
-        done.append((_Stmt(len(stmts) - 1, tuple(factors), target, at), len(stmts) - 1))
+        done.append((_Stmt(len(stmts) - 1, tuple(factors), target, at, row), len(stmts) - 1))
 
     todo: list = [ir]  # IR nodes to plan, and (node,) once its children are planned
     loops = 0
@@ -420,13 +442,16 @@ def _plan(
             full.discard(index)
             single = len(stmts) == start + 1
             kind, over = "union", None
-            if isinstance(body, _Stmt) and not driven:
-                # an innermost full-range loop over an order-1 workspace needs
-                # only the cells its producer wrote; the others hold 0.0
-                over = next((w for w, read in stmts[body.n][2] if read == index), None)
+            if isinstance(body, _Stmt) and not driven and _extent(extents, index) >= TRACKED_ROW_CELLS:
+                # an innermost full-range loop over a workspace's last index
+                # needs only the cells its producer wrote in the row; the
+                # others hold 0.0
+                over = next(((w, row) for w, last, row in stmts[body.n][2] if last == index), None)
             if over:
                 kind = "cells"
-                touched.add(over)
+                # a sum over the cells keeps the order of a full scan; a visit
+                # that adds into its own cell may follow the writes
+                touched[over[0]] = (_extent(extents, index), all(v != x for v, _ in body.cell))
             elif is_full or not driven:
                 kind, over = "range", _extent(extents, index)
             # a single fiber, or a single statement that needs every fiber
@@ -447,7 +472,7 @@ def _plan(
         tuple(fibers),
         frozenset(absent),
         tuple((local, cells) for local, _, cells in workspaces.values()),
-        frozenset(touched),
+        touched,
         tuple(name for name, _, _ in stmts),
         shape,
         body,
@@ -470,10 +495,18 @@ def _render(plan: _Plan) -> str:
             arrays = ", ".join(f"{array}{n}_{level}" for level in range(levels))
             out.append(f"    [{arrays}] = {param}.{field}")
         out.append(f"    v{n} = {param}.values")
+    # a tracked workspace flags each written cell and lists it twice: by its
+    # offset, and by its column in its row's list; a workspace of one row
+    # lists its offsets only, since they are its columns
+    rows = {var: cells // plan.touched[var][0] for var, cells in plan.workspaces if var in plan.touched}
     for var, cells in plan.workspaces:
-        out += (f"    {var} = [0.0] * {cells}", f"    z{var} = [0.0] * {cells}")
-        if var in plan.touched:
-            out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
+        out.append(f"    {var} = [0.0] * {cells}")
+        if var not in rows:
+            out.append(f"    z{var} = [0.0] * {cells}")
+            continue
+        out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
+        if rows[var] > 1:
+            out.append(f"    r{var} = [[] for _ in range({rows[var]})]")
     counters = [f"n{s}" for s in range(len(plan.results))]
     out.append(f"    {' = '.join(counters)} = 0")
 
@@ -529,7 +562,13 @@ def _render(plan: _Plan) -> str:
                 bounds = f"({bounds}) if {parent} >= 0 else (0, 0)"
             out.append(f"{pad}l{p}, h{p} = {bounds}")
         if loop.kind == "cells":
-            values = f"t{loop.over}"
+            var, row = loop.over
+            if rows[var] == 1:
+                values = f"t{var}"
+            else:
+                values = f"r{var}[{' + '.join(term for _, term in row)}]"
+                if plan.touched[var][1]:
+                    values = f"sorted({values})"
         elif loop.kind == "range":
             values = f"range({loop.over})"
         else:
@@ -549,10 +588,14 @@ def _render(plan: _Plan) -> str:
         node, depth = item
         pad = "    " * depth
         if isinstance(node, _Where):
-            touched = [var for var in node.zero if var in plan.touched]
-            out.extend(f"{pad}{var}[:] = z{var}" for var in node.zero)
-            for var in touched:
-                out += (f"{pad}for c in t{var}: f{var}[c] = False", f"{pad}t{var}.clear()")
+            for var in node.zero:
+                if var not in rows:
+                    out.append(f"{pad}{var}[:] = z{var}")
+                    continue
+                reset = f"{var}[c] = 0.0; f{var}[c] = False"
+                if rows[var] > 1:
+                    reset += f"; r{var}[c // {plan.touched[var][0]}].clear()"
+                out += (f"{pad}for c in t{var}: {reset}", f"{pad}t{var}.clear()")
             # the counters of the statements writing the zeroed workspaces
             out.extend(f"{pad}m{k} = n{k}" for k in sorted(set().union(*node.guard)))
             inner, between = depth, []
@@ -562,8 +605,13 @@ def _render(plan: _Plan) -> str:
                 tests = (" and ".join(f"n{k} != m{k}" for k in reads) for reads in node.guard)
                 between.append(f"{pad}if {' or '.join(tests)}:")
                 inner += 1
-            # ascending cells keep the consumer's sums in full-range order
-            between += (f"{'    ' * inner}t{var}.sort()" for var in touched)
+            # ascending cells keep the consumer's sums in full-range order; a
+            # workspace of several rows sorts a row as the consumer visits it
+            between += (
+                f"{'    ' * inner}t{var}.sort()"
+                for var in node.zero
+                if rows.get(var) == 1 and plan.touched[var][1]
+            )
             todo += ((node.consumer, inner), *reversed(between), (node.producer, depth))
             continue
         closes: list[str] = []  # the last line of each loop that has one, outermost first
@@ -610,8 +658,11 @@ def _render(plan: _Plan) -> str:
         for lines, partial in zip(at, sums):
             lines += partial
         var = node.target
-        if var in plan.touched:
-            at[-1].append(f"if not f{var}[{cell}]: f{var}[{cell}] = True; t{var}.append({cell})")
+        if var in rows:
+            first = f"f{var}[{cell}] = True; t{var}.append({cell})"
+            if rows[var] > 1:
+                first += f"; r{var}[{' + '.join(term for _, term in node.row)}].append({node.cell[-1][0]})"
+            at[-1].append(f"if not f{var}[{cell}]: {first}")
         at[-1] += (f"{var}[{cell}] += f * g", f"n{n} += 1")
         for k, lines in enumerate(at):
             if k:

@@ -8,13 +8,18 @@ The bench instance of ``--kind`` (``--extents``, ``--rank``, ``--density``
 and ``--seed`` as in ``fusetree bench``) is planned at its minimal bound and
 its kernel run once under ``sys.settrace``. Every line of the kernel source
 is printed after the number of line events it raised, then the total.
-``--total`` prints the total alone.
+``--total`` prints the total alone. ``--repeat K`` then runs ``execute`` K
+more times untraced and prints the best of those times, for example
+
+    PYTHONPATH=src python3 tests/kernel_lines.py --kind running_example \
+        --extents 200 --density 1e-4 --seed 1 --total --repeat 20
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from fusetree import bench_generate, bind, execute, lower, search_min_order
 from fusetree.executor import _plan, _render, _signature
@@ -52,16 +57,25 @@ def main(argv=None) -> int:
     ap.add_argument("--density", type=float, default=0.01)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--total", action="store_true", help="print only the total of line events")
+    ap.add_argument("--repeat", type=int, default=0, metavar="K", help="print the best of K untraced executes")
     args = ap.parse_args(argv)
     extents = [int(n) for n in args.extents.split("x")]
     inst = bench_generate(args.kind, extents, args.rank, args.density, args.seed)
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
-    source, counts, _ = line_counts(ir, bind(inst.tree, sol, inst.tensors, inst.dense_names))
+    binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
+    source, counts, _ = line_counts(ir, binding)
     if not args.total:
         for count, line in zip(counts, source):
             print(f"{count:>9}  {line}")
     print(f"total {sum(counts)} line events")
+    if args.repeat > 0:
+        best = float("inf")
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            execute(ir, binding)
+            best = min(best, time.perf_counter() - start)
+        print(f"execute best of {args.repeat}: {best * 1e3:.3f} ms")
     return 0
 
 

@@ -169,17 +169,27 @@ def _matmul(n: int):
 
 
 def test_nary_plans_a_path_only_above_the_cutoff(monkeypatch):
+    einsum_path = np.einsum_path
+    check._greedy_path.cache_clear()
     calls = Recorder(monkeypatch)
     greedy = ("greedy", check.DENSE_SPACE_BUDGET)
     # 2^3, 40^3, 4^4 and 16^4 points
-    for case, n, planned in ((_matmul, 2, False), (_matmul, 40, greedy), (_chain3, 4, False), (_chain3, 16, greedy)):
+    for case, n, planned in ((_matmul, 2, False), (_matmul, 40, True), (_chain3, 4, False), (_chain3, 16, True)):
         tree, tensors = case(n)
-        calls.einsums.clear()
-        oracle_nary(tree, tensors)
-        assert calls.paths == []  # a pairwise path is planned inside the einsum call
-        (_, dims, optimize), = calls.einsums  # one einsum over the whole flat space
-        assert math.prod(dims.values()) == math.prod(tree.extents.values())
-        assert optimize == planned, (case.__name__, n)
+        for call in range(2):
+            calls.einsums.clear()
+            calls.paths.clear()
+            oracle_nary(tree, tensors)
+            (expr, dims, optimize), = calls.einsums  # one einsum over the whole flat space
+            assert math.prod(dims.values()) == math.prod(tree.extents.values())
+            if not planned:
+                assert optimize is False and calls.paths == [], (case.__name__, n)
+                continue
+            # numpy's greedy path from the flat expression and the leaf shapes,
+            # planned on the first call only
+            operands = [np.zeros(tuple(dims[x] for x in term)) for term in expr.split("->")[0].split(",")]
+            assert optimize == einsum_path(expr, *operands, optimize=greedy)[0], (case.__name__, n)
+            assert calls.paths == ([(expr, dims)] if call == 0 else [])
 
 
 def _intermediates(expr: str, dims: dict[str, int], optimize) -> list[int]:
@@ -232,6 +242,33 @@ def test_the_oracles_path_is_pairwise(case, n, root, monkeypatch):
     cells = _intermediates(expr, dims, optimize)
     assert len(cells) > 1
     assert max(cells) == n**4
+
+
+def _floats(shape, rng: np.random.Generator) -> SparseTensor:
+    """Values whose sums round differently in different orders."""
+    return SparseTensor.from_dense(rng.standard_normal(shape) * (rng.random(shape) < 0.5))
+
+
+@pytest.mark.parametrize(
+    "case, n, root", [(_running, 12, "k,j,i"), (_ring, 8, "n,j")], ids=("running12", "ring8")
+)
+def test_cached_path_contracts_bit_for_bit_as_greedy(case, n, root, monkeypatch):
+    tree, _ = case(n, root)
+    rng = np.random.default_rng(n)
+    tensors = {name: _floats((n, n, n), rng) for name in "ABCD"}
+    check._greedy_path.cache_clear()
+    calls = Recorder(monkeypatch)
+    cached = oracle_nary(tree, tensors)
+    assert len(calls.paths) == 1 and isinstance(calls.einsums[0][2], list)
+    calls.paths.clear()
+    assert oracle_nary(tree, tensors) == cached
+    assert calls.paths == []  # a second call plans no path
+    einsum = np.einsum
+    greedy = ("greedy", check.DENSE_SPACE_BUDGET)
+    monkeypatch.setattr(check.np, "einsum", lambda expr, *ops, optimize: einsum(expr, *ops, optimize=greedy))
+    searched = oracle_nary(tree, tensors)
+    assert cached.nnz > 0 and np.array_equal(cached.coords, searched.coords)
+    assert cached.values.tobytes() == searched.values.tobytes()
 
 
 @pytest.mark.parametrize(

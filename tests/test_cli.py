@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from fusetree import read_tns
+from fusetree import check, read_tns
 from fusetree.bench import running_example_network
 from fusetree.cli import main
 from fusetree.errors import SolveTimeout
@@ -482,6 +482,18 @@ class TestBenchCmd:
         for name, fname in manifest["tensors"].items():
             argv += ["--tensor", f"{name}={out_dir / fname}"]
         assert main(argv) == 0
+
+    def test_check_beyond_the_dense_budget_exits_with_an_error_line(self, monkeypatch, capsys):
+        # the n-ary space (480,000 cells) and leaf T (60,000) exceed the
+        # budget, intermediate W (12,000) does not: the unfused oracle must
+        # refuse T before densifying it
+        monkeypatch.setattr(check, "DENSE_SPACE_BUDGET", 50_000)
+        code = main(["bench", "--kind", "mttkrp1", "--extents", "30x40x50", "--seed", "1", "--check"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "check against" not in captured.out
+        assert captured.err.count("error:") == 1
+        assert captured.err.endswith("\nerror: input 'T' needs 60000 dense cells\n")
 
     def test_bad_density(self, capsys):
         assert main(["bench", "--kind", "ttmc1", "--seed", "1", "--density", "-1"]) == 1

@@ -428,10 +428,14 @@ def test_loop_shared_by_a_where_keeps_its_union():
 
 
 def test_ttmc_consumer_iterates_touched_cells():
-    inst = bench_generate("ttmc1", extents=(4, 5, 6), rank=2, density=0.3, seed=1)
-    source = _source(inst.network_text, inst.tensors, inst.dense_names)
-    assert re.search(r"for x\d+ in tw\d+:", source)
-    assert re.search(r"tw\d+\.sort\(\)", source)
+    # ttmc1's consumer adds each cell it visits into a cell of its own, so it
+    # follows the writes; ttmc3's sums over the cells, so it sorts them
+    for kind, ascending in (("ttmc1", False), ("ttmc3", True)):
+        inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+        source = _source(inst.network_text, inst.tensors, inst.dense_names)
+        assert re.search(r"for x\d+ in tw\d+:", source)
+        assert bool(re.search(r"tw\d+\.sort\(\)", source)) == ascending, kind
+        assert "[:] = z" not in source  # reset by the list of written cells
 
 
 def test_operand_absent_under_an_intersection():
@@ -482,7 +486,8 @@ def test_touched_cells_keep_full_range_order():
         "B": _tensor((3,), {(0,): -1e16, (1,): 1e16, (2,): 1.0}),
         "V": _tensor((3,), {(0,): 1.0, (1,): 1.0, (2,): 1.0}),
     }
-    assert re.search(r"for x\d+ in tw0:", _source(network, tensors, ("V",)))
+    source = _source(network, tensors, ("V",))
+    assert re.search(r"for x\d+ in tw0:", source) and "tw0.sort()" in source
     tree, ir, binding = _plan(network, tensors, ("V",))
     result, stats = execute(ir, binding)
     assert result == SparseTensor((), ())
@@ -715,9 +720,10 @@ def test_consumer_factor_stays_below_its_where():
     inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=2, density=0.3, seed=1)
     lines = _source(inst.network_text, inst.tensors, inst.dense_names).splitlines()
     load = _line(lines, r"^\s*g = d1\[")
-    assert lines[load - 1].strip() == "tw0.sort()"
+    assert lines[load - 1].strip() == "if n0 != m0:"
     assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 2])
-    assert _line(lines, r"w0\[:\] = zw0") < _line(lines, r"w0\[x\d+\] \+= f \* g") < load
+    reset = _line(lines, r"^\s*for c in tw0: w0\[c\] = 0\.0; fw0\[c\] = False$")
+    assert reset < _line(lines, r"w0\[x\d+\] \+= f \* g") < load
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -746,15 +752,15 @@ def test_zero_rows_in_dense_factors(kind):
     _check(inst.tree, sol, tensors, inst.dense_names)
 
 
-def _pinned(text: str, loops: Sequence[str]):
-    """``text`` scheduled by hand at bound 1: contraction k comes k-th and
+def _pinned(text: str, loops: Sequence[str], bound: int = 1):
+    """``text`` scheduled by hand at ``bound``: contraction k comes k-th and
     runs its loops in the order ``loops[k]``, and every layout keeps its
     declared mode order."""
     tree = parse_network(text)
     dp = {name: {j: j for j in range(len(tree.abstract_ref(name).indices))} for name in tree.layout_constrained}
     lp = {k: {x: pos for pos, x in enumerate(order)} for k, order in enumerate(loops)}
-    sol = ScheduleSolution(1, {k: k for k in range(len(loops))}, lp, dp)
-    assert verify_solution(tree, 1, sol) == []
+    sol = ScheduleSolution(bound, {k: k for k in range(len(loops))}, lp, dp)
+    assert verify_solution(tree, bound, sol) == []
     return tree, sol
 
 
@@ -774,6 +780,64 @@ def test_hoisted_csf_load_keeps_its_guard():
     assert lines[load - 1].strip() == "if p2_0 >= 0:"
     assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 3])
     _check(tree, sol, tensors)
+
+
+# W(a,i) is an order-2 workspace under the fused r loop, which the consumer
+# reads in an innermost full-range loop over i, its last index
+ROWS = (
+    "extent r 2\nextent a 3\nextent j 3\nextent i 3\n"
+    "W[r,a,i] = A[j,a,i] * B[r,j]\n"
+    "R[r,a,i] = W[r,a,i] * V[a]\n"
+)
+
+
+def test_row_cells_cancel_and_rewrite():
+    # r = 0: W(0,0) goes 1 -> 0 -> 3 and is visited once; W(0,2) cancels to
+    # exactly 0 and counts nothing. r = 1 rewrites cells r = 0 wrote.
+    tree, sol = _pinned(ROWS, ("rjai", "rai"), bound=2)
+    a = {(j, 0, 0): 1.0 for j in range(3)} | {(0, 0, 2): 1.0, (1, 0, 2): 1.0, (0, 1, 1): 2.0}
+    b = {(0, 0): 1.0, (0, 1): -1.0, (0, 2): 3.0, (1, 0): 2.0, (1, 2): 1.0}
+    v = _tensor((3,), {(0,): 5.0, (1,): 7.0, (2,): 11.0})
+    tensors = {"A": _tensor((3, 3, 3), a), "B": _tensor((2, 3), b), "V": v}
+    source = _kernel_source(lower(tree, sol), bind(tree, sol, tensors))
+    assert re.search(r"for x\d+ in rw0\[x\d+\]:", source)
+    result, stats = _check(tree, sol, tensors)
+    assert result.entries == (
+        ((0, 0, 0), 15.0), ((0, 1, 1), 14.0), ((1, 0, 0), 15.0), ((1, 0, 2), 10.0), ((1, 1, 1), 28.0)
+    )
+    assert stats.per_assignment == {"W": 10, "R": 5}
+
+
+def test_row_cells_keep_full_range_order():
+    # the producer writes W(0,2), W(0,0), W(0,1); summed in ascending order
+    # (1e16 + 1) - 1e16 rounds to exactly 0, in write order it is 1
+    network = "extent a 2\nextent j 3\nextent i 3\nW[a,i] = A[j,a,i] * B[j]\nR[a] = W[a,i] * V[i]\n"
+    tree, sol = _pinned(network, ("jai", "ai"), bound=2)
+    tensors = {
+        "A": _tensor((3, 2, 3), {(0, 0, 2): 1.0, (1, 0, 0): 1.0, (2, 0, 1): 1.0}),
+        "B": _tensor((3,), {(0,): -1e16, (1,): 1e16, (2,): 1.0}),
+        "V": _tensor((3,), {(0,): 1.0, (1,): 1.0, (2,): 1.0}),
+    }
+    ir, binding = lower(tree, sol), bind(tree, sol, tensors, ("V",))
+    assert re.search(r"for x\d+ in sorted\(rw0\[x\d+\]\):", _kernel_source(ir, binding))
+    result, stats = execute(ir, binding)
+    assert result == SparseTensor((2,), ())
+    assert stats.per_assignment == {"W": 3, "R": 3}
+
+
+def test_running_example_resets_and_scans_only_written_cells():
+    # both order-2 workspaces track their written cells: no where copies a
+    # zero list over one, and no consumer scans a row of one in full
+    inst = bench_generate("running_example", extents=12, density=0.1, seed=1)
+    lines = _source(inst.network_text, inst.tensors).splitlines()
+    tracked = {m[1] for line in lines if (m := re.fullmatch(r"\s*f(w\d+) = \[False\] \* 144", line))}
+    assert tracked == {"w0", "w1"}
+    for k, line in enumerate(lines):
+        for w in tracked:
+            assert not line.lstrip().startswith(f"{w}[:] =")
+            if re.match(rf"\s*f = {w}\[", line):
+                loop = max(j for j in range(k) if lines[j].lstrip().startswith("for "))
+                assert re.fullmatch(rf"\s*for x\d+ in r{w}\[x\d+\]:", lines[loop]), lines[loop]
 
 
 def test_dict_root_matches_the_dense_root(monkeypatch):
