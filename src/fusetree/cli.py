@@ -257,18 +257,23 @@ def _add_check_flags(p) -> None:
 
 
 def main(argv=None) -> int:
+    # no option may be abbreviated: ``bench --out`` would read as ``--out-dir``
     parser = argparse.ArgumentParser(
         prog="fusetree",
         description="Schedule, fuse, and execute sparse tensor contraction trees.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("plan", help="solve the scheduling constraints and print the loop IR")
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=summary, allow_abbrev=False)
+
+    p = command("plan", "solve the scheduling constraints and print the loop IR")
     p.add_argument("--network", required=True)
     _add_common_plan_flags(p)
     p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("run", help="plan, execute, and optionally check a network")
+    p = command("run", "plan, execute, and optionally check a network")
     p.add_argument("--network", required=True)
     p.add_argument("--tensor", action="append", help="<id>=<path.tns>", default=None)
     p.add_argument(
@@ -280,13 +285,13 @@ def main(argv=None) -> int:
     _add_check_flags(p)
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("verify", help="re-check a schedule report against the constraints")
+    p = command("verify", "re-check a schedule report against the constraints")
     p.add_argument("--network", required=True)
     p.add_argument("--solution", required=True)
     p.add_argument("--root-layout", default=None)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="generate a synthetic benchmark and run it")
+    p = command("bench", "generate a synthetic benchmark and run it")
     p.add_argument("--kind", required=True, choices=bench_mod.KINDS)
     p.add_argument("--extents", default="30x40x50")
     p.add_argument("--rank", type=int, default=8)

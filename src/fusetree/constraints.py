@@ -316,6 +316,8 @@ def _candidate_key(c: Contraction) -> tuple[str, ...]:
     placing late-written operand indices outermost reproduces the canonical
     fused structures in the regression suite while remaining a pure
     tie-break; any order accepted here is checked by the same constraints.
+    :func:`solve` sorts this order stably by descending extent, so it decides
+    only among indices of one extent.
     """
     seen: list[str] = []
     for ref in (c.rhs, c.lhs, c.result):
@@ -347,7 +349,10 @@ def solve(
     deadline = time.monotonic() + time_budget
     m = tree.m
     contractions = tree.contractions
-    keys = {c.cid: _candidate_key(c) for c in contractions}
+    # larger extents first, so the sparse tensor's long loops go outside and
+    # short dense ones inside its traversal; an undeclared extent sorts as 0
+    extents = tree.extents
+    keys = {c.cid: tuple(sorted(_candidate_key(c), key=lambda x: -extents.get(x, 0))) for c in contractions}
     edges = tree.edges
     produces = {e.producer: e for e in edges}
     children = {c.cid: tree.children_of(c.cid) for c in contractions}

@@ -17,7 +17,12 @@ coordinates. A ``forall`` that a ``where`` shares across statements keeps the
 sorted union of the present operands' coordinate streams, so every statement
 sees the coordinates it needs, and a loop that some statement reaches only
 through dense operands runs over the full index range; both find each
-operand's position by bisection.
+operand's position by bisection. A statement that the guard of a ``where``
+inside the loop covers is gated: it runs only where that producer multiplied,
+so it neither drives the loop nor makes it full-range, and finds its own
+levels by bisection. The loop follows the other statements alone, a step
+through one fiber or the union of several; where none of their fibers
+carries a coordinate, no statement multiplies.
 
 ``bind`` stores every input in the form its kernel reads, in the mode order
 the solution gives it: a CSF tree, or a flat tuple of dense values. It keeps
@@ -58,10 +63,12 @@ consumer loop visits only the listed columns of its row. It visits them in
 ascending order where the consumer sums over them, so each sum keeps the
 order of a full scan; elsewhere each visit adds into a cell of its own, and
 the order of the writes gives the same bits. Other workspaces are reset by
-copying a list of zeros over them. The root accumulates into a flat list of
-its row-major cells, which ``SparseTensor.from_dense`` turns into the result;
-a root of more than ``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed
-by flat offset.
+copying a list of zeros over them, among them an order-1 workspace that a
+full-range loop writes, whole rows or nothing: its consumer visits a tuple
+of all its columns. An order-0 workspace is a float local. The root
+accumulates into a flat list of its row-major cells, which
+``SparseTensor.from_dense`` turns into the result; a root of more than
+``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
 
 The source numbers every identifier, so no network name reaches it, and
 writes every stride, loop extent and workspace size as a literal. A kernel's
@@ -248,15 +255,18 @@ class _Where:
 
 @dataclass(frozen=True)
 class _Loop:
-    """A ``forall``: its local, how it iterates, the (fiber, level) pairs it
-    drives and whether it runs a ``single`` statement alone. Its ``kind`` is
-    ``step``, ``leapfrog``, ``union``, ``range`` over the extent ``over`` or
-    ``cells`` over the cells written to one row of a workspace, ``over``
-    holding the workspace and the terms of the row's number."""
+    """A ``forall``: its local, how it iterates, the (fiber, level) pairs
+    whose coordinates it iterates (``drivers``) and those it finds by
+    bisection (``probes``), and whether it runs a ``single`` statement alone.
+    Its ``kind`` is ``step``, ``leapfrog``, ``union``, ``range`` over the
+    extent ``over`` or ``cells`` over the cells written to one row of a
+    workspace, ``over`` holding the workspace and the terms of the row's
+    number."""
 
     var: str
     kind: str
     drivers: tuple[tuple[int, int], ...]
+    probes: tuple[tuple[int, int], ...]
     over: int | tuple[str, Terms] | None
     single: bool
     body: "_Node"
@@ -273,9 +283,13 @@ class _Plan:
     fibers: tuple[tuple[str, int], ...]  # per fiber: its operand's parameter and levels
     absent: frozenset[tuple[int, int]]  # (fiber, level) found by bisection, so maybe -1
     workspaces: tuple[tuple[str, int], ...]  # local and cells
+    scalars: frozenset[str]  # workspaces of order 0, each one float local
     # workspaces that record their written cells: the cells of a row, and
     # whether the consumer visits them in ascending order
     touched: Mapping[str, tuple[int, bool]]
+    # one-row workspaces written by full-range loops, whole rows or nothing,
+    # whose consumer visits a tuple of all their columns
+    filled: frozenset[str]
     results: tuple[str, ...]  # of each statement, in counter order
     shape: tuple[int, ...]  # of the root
     body: _Node
@@ -326,15 +340,21 @@ def _plan(
     workspaces: dict[str, tuple[str, tuple[str, ...], int]] = {}  # -> local, layout, cells
     touched: dict[str, tuple[int, bool]] = {}
     absent: set[tuple[int, int]] = set()
-    # per statement: its result, its operands' names and the local, last
-    # layout index and row terms of each workspace it reads
-    stmts: list[tuple[str, set[str], list[tuple[str, str, Terms]]]] = []
+    # per statement: its result, its operands' names, the local, last layout
+    # index and row terms of each workspace it reads, and per index of its
+    # operands the fiber levels it drives, none if it reaches the index only
+    # through dense operands or workspaces
+    stmts: list[tuple[str, set[str], list[tuple[str, str, Terms]], dict[str, list[tuple[int, int]]]]] = []
     # input -> (contraction, side) and reference of its first reference
     first: dict[str, tuple[tuple[int, int], TensorRef]] = {}
-    # per enclosing forall index: its local and the fiber levels it drives;
-    # ``full`` holds those some statement reaches only through dense operands
-    scope: dict[str, tuple[str, list[tuple[int, int]]]] = {}
-    full: set[str] = set()
+    # per enclosing forall index: its local and the number of guarded wheres
+    # planned before it opened
+    scope: dict[str, tuple[str, int]] = {}
+    # the consumer statements of each where whose guard covers them: the
+    # first, and the last plus one
+    wheres: list[tuple[int, int]] = []
+    whole: set[str] = set()  # order-1 workspaces written by full-range loops
+    filled: set[str] = set()  # those of them a consumer scans in full
     done: list[tuple[_Node, int]] = []  # planned subtrees, each with its first statement
 
     def var(ref: TensorRef, index: str) -> str:
@@ -367,11 +387,11 @@ def _plan(
     def statement(node: Assign) -> None:
         factors: list[tuple[str, Terms, tuple[int, int] | None]] = []
         reads: list[tuple[str, str, Terms]] = []
-        sparse_at: dict[str, bool] = {}
+        levels: dict[str, list[tuple[int, int]]] = {}
         for side, ref in enumerate((node.lhs, node.rhs)):
             for index in ref.indices:
                 var(ref, index)
-                sparse_at.setdefault(index, False)
+                levels.setdefault(index, [])
             name = ref.tensor
             if name in layouts and (name not in first or (node.cid, side) < first[name][0]):
                 first[name] = ((node.cid, side), ref)
@@ -385,8 +405,7 @@ def _plan(
                 n, deepest = len(fibers), len(ref.indices) - 1
                 fibers.append((operands.setdefault(name, f"t{len(operands)}"), len(ref.indices)))
                 for level, index in enumerate(ref.indices):
-                    scope[index][1].append((n, level))
-                    sparse_at[index] = True
+                    levels[index].append((n, level))
                 factors.append((f"v{n}", ((scope[ref.indices[-1]][0], f"p{n}_{deepest}"),), (n, deepest)))
             elif name in layouts:
                 factors.append((dense.setdefault(name, f"d{len(dense)}"), offset(ref), None))
@@ -394,9 +413,6 @@ def _plan(
                 factors.append((*cell(ref), None))
                 if ref.indices:
                     reads.append((factors[-1][0], ref.indices[-1], offset(ref, ref.indices[:-1])))
-        # a loop this statement reaches only through dense operands or
-        # workspaces runs over the full range
-        full.update(index for index, sparse in sparse_at.items() if not sparse)
         name = node.result.tensor
         if name == root.tensor:
             # the accumulator is indexed by the row-major offset of the result
@@ -406,7 +422,7 @@ def _plan(
                 cells = math.prod(_extent(extents, i) for i in node.result.indices)
                 workspaces[name] = (f"w{len(workspaces)}", node.result.indices, cells)
             (target, at), row = cell(node.result), offset(node.result, node.result.indices[:-1])
-        stmts.append((name, {node.lhs.tensor, node.rhs.tensor}, reads))
+        stmts.append((name, {node.lhs.tensor, node.rhs.tensor}, reads, levels))
         done.append((_Stmt(len(stmts) - 1, tuple(factors), target, at, row), len(stmts) - 1))
 
     todo: list = [ir]  # IR nodes to plan, and (node,) once its children are planned
@@ -420,7 +436,7 @@ def _plan(
                 raise TooLargeError(
                     f"a kernel nests more than {MAX_NESTED_LOOPS} loops, which Python cannot compile"
                 )
-            scope[node.index] = (f"x{loops}", [])
+            scope[node.index] = (f"x{loops}", len(wheres))
             loops += 1
             todo += ((node,), node.body)
         elif isinstance(node, Where):
@@ -430,37 +446,72 @@ def _plan(
         elif isinstance(node[0], Where):
             (consumer, mid), (producer, start) = done.pop(), done.pop()
             written = {stmts[k][0]: k for k in range(start, mid) if stmts[k][0] in workspaces}
-            reads = [names for _, names, _ in stmts[mid:]]
+            reads = [names for _, names, _, _ in stmts[mid:]]
             zero = tuple(workspaces[name][0] for name in sorted(written.keys() & set().union(*reads)))
             guard = {tuple(sorted(written[x] for x in names if x in written)) for names in reads}
             guard = tuple(sorted(guard)) if all(guard) else ()
+            if guard:
+                wheres.append((mid, len(stmts)))
             done.append((_Where(zero, guard, producer, consumer), start))
         else:
             index = node[0].index
             body, start = done.pop()
-            (x, driven), is_full = scope.pop(index), index in full
-            full.discard(index)
+            (x, mark), extent = scope.pop(index), _extent(extents, index)
+            # a statement the guard of a where in this loop covers runs only
+            # where that producer multiplied, so it is gated: the loop follows
+            # the other statements' fiber levels, or the full range if one of
+            # them reaches the index only through dense operands or
+            # workspaces, and a gated statement bisects for its own levels.
+            # Where none of those levels is present nothing multiplies: an
+            # ungated statement that does not reach the index reads a
+            # workspace that an inner where writes only where its producer
+            # multiplied.
+            gated = bytearray(len(stmts) - start)
+            for m, e in wheres[mark:]:
+                gated[m - start : e - start] = b"\1" * (e - m)
+            drivers: list[tuple[int, int]] = []
+            probes: list[tuple[int, int]] = []
+            is_full = False
+            for k, info in enumerate(stmts[start:]):
+                at = info[3].get(index)
+                if at is not None:
+                    (probes if gated[k] else drivers).extend(at)
+                    is_full = is_full or not (at or gated[k])
             single = len(stmts) == start + 1
             kind, over = "union", None
-            if isinstance(body, _Stmt) and not driven and _extent(extents, index) >= TRACKED_ROW_CELLS:
+            if isinstance(body, _Stmt) and not drivers and extent >= TRACKED_ROW_CELLS:
                 # an innermost full-range loop over a workspace's last index
                 # needs only the cells its producer wrote in the row; the
                 # others hold 0.0
                 over = next(((w, row) for w, last, row in stmts[body.n][2] if last == index), None)
             if over:
                 kind = "cells"
-                # a sum over the cells keeps the order of a full scan; a visit
-                # that adds into its own cell may follow the writes
-                touched[over[0]] = (_extent(extents, index), all(v != x for v, _ in body.cell))
-            elif is_full or not driven:
-                kind, over = "range", _extent(extents, index)
+                if over[0] in whole:
+                    filled.add(over[0])
+                else:
+                    # a sum over the cells keeps the order of a full scan; a
+                    # visit that adds into its own cell may follow the writes
+                    touched[over[0]] = (extent, all(v != x for v, _ in body.cell))
+            elif is_full or not drivers:
+                kind, over = "range", extent
             # a single fiber, or a single statement that needs every fiber
             # present: step through the first, bisect the others
-            if (len(driven) == 1 and not is_full) or (len(driven) > 1 and single):
-                kind = "step" if len(driven) == 1 else "leapfrog"
+            if (len(drivers) == 1 and not is_full) or (len(drivers) > 1 and single):
+                kind = "step" if len(drivers) == 1 else "leapfrog"
+            elif kind == "union":
+                absent.update(drivers)
             else:
-                absent.update(driven)
-            done.append((_Loop(x, kind, tuple(driven), over, single, body), start))
+                probes, drivers = drivers + probes, []
+            absent.update(probes)
+            if kind == "range" or over and over[0] in filled:
+                # a full-range loop writes the whole row of an order-1
+                # workspace, or nothing, so tracking its cells gains nothing
+                whole.update(
+                    workspaces[info[0]][0]
+                    for info in stmts[start:]
+                    if info[0] in workspaces and workspaces[info[0]][1] == (index,)
+                )
+            done.append((_Loop(x, kind, tuple(drivers), tuple(probes), over, single, body), start))
     for name, (_, ref) in first.items():
         if ref.indices != layouts[name]:
             raise ModeOrderMismatchError(
@@ -472,8 +523,10 @@ def _plan(
         tuple(fibers),
         frozenset(absent),
         tuple((local, cells) for local, _, cells in workspaces.values()),
+        frozenset(local for local, layout, _ in workspaces.values() if not layout),
         touched,
-        tuple(name for name, _, _ in stmts),
+        frozenset(filled),
+        tuple(name for name, _, _, _ in stmts),
         shape,
         body,
     )
@@ -500,9 +553,14 @@ def _render(plan: _Plan) -> str:
     # lists its offsets only, since they are its columns
     rows = {var: cells // plan.touched[var][0] for var, cells in plan.workspaces if var in plan.touched}
     for var, cells in plan.workspaces:
+        if var in plan.scalars:
+            out.append(f"    {var} = 0.0")
+            continue
         out.append(f"    {var} = [0.0] * {cells}")
         if var not in rows:
             out.append(f"    z{var} = [0.0] * {cells}")
+            if var in plan.filled:
+                out.append(f"    a{var} = tuple(range({cells}))")
             continue
         out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
         if rows[var] > 1:
@@ -512,42 +570,57 @@ def _render(plan: _Plan) -> str:
 
     def head(loop: _Loop, depth: int, closes: list[str]) -> int:
         """Bind the loop variable and the position of every fiber level it
-        drives; returns the depth of the loop body, and appends to ``closes``
-        the line that must end that body, if any.
+        drives or probes; returns the depth of the loop body, and appends to
+        ``closes`` the line that must end that body, if any.
 
         An intersection is a ``while`` over the lead fiber's positions: the
         lead bisects the other fiber for its coordinate, leaves the loop when
         the other is exhausted and, on a miss, bisects itself forward to the
         other's coordinate; after a match the closing line steps it by one.
-        In a union or full-range loop a missing coordinate sets a position to
-        -1, and a level under a -1 parent gets the empty range, so presence is
-        decided by the deepest level. Positions stepped through or found by
-        an intersection are never -1.
+        A level found by bisection, in a union or full-range loop or as a
+        probe of a step, gets position -1 for a missing coordinate, and a
+        level under a -1 parent gets the empty range, so presence is decided
+        by the deepest level. Positions stepped through or found by an
+        intersection are never -1.
         """
         pad = "    " * depth
         x = loop.var
 
         def names(n: int, level: int):
             parent = f"p{n}_{level - 1}" if level else "0"
-            bounds = f"s{n}_{level}[{parent}], s{n}_{level}[{parent} + 1]"
+            span = f"s{n}_{level}[{parent}], s{n}_{level}[{parent} + 1]"
             absent = level > 0 and (n, level - 1) in plan.absent  # the parent may be -1
-            return f"p{n}_{level}", f"c{n}_{level}", parent, bounds, absent
+            return f"p{n}_{level}", f"c{n}_{level}", parent, span, absent
+
+        def bounds(levels, pad: str) -> None:
+            for p, _, parent, span, absent in levels:
+                if absent:
+                    span = f"({span}) if {parent} >= 0 else (0, 0)"
+                out.append(f"{pad}l{p}, h{p} = {span}")
+
+        def find(levels, pad: str) -> None:
+            for p, coords, *_ in levels:
+                out.append(f"{pad}{p} = bl({coords}, {x}, l{p}, h{p})")
+                out.append(f"{pad}if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
 
         drivers = [names(*driver) for driver in loop.drivers]
+        probes = [names(*probe) for probe in loop.probes]
         if loop.kind in ("step", "leapfrog"):
             guards = [f"{parent} >= 0" for _, _, parent, _, absent in drivers if absent]
             if guards:
                 out.append(f"{pad}if {' and '.join(guards)}:")
                 pad += "    "
                 depth += 1
-            (p, coords, _, bounds, _), *other = drivers
+            (p, coords, _, span, _), *other = drivers
             if not other:
-                out.append(f"{pad}for {p} in range({bounds}):")
+                bounds(probes, pad)
+                out.append(f"{pad}for {p} in range({span}):")
                 out.append(f"{pad}    {x} = {coords}[{p}]")
+                find(probes, pad + "    ")
                 return depth + 1
-            ((q, coords_q, _, bounds_q, _),) = other
-            out.append(f"{pad}l{q}, h{q} = {bounds_q}")
-            out.append(f"{pad}{p}, h{p} = {bounds}")
+            ((q, coords_q, _, span_q, _),) = other
+            out.append(f"{pad}l{q}, h{q} = {span_q}")
+            out.append(f"{pad}{p}, h{p} = {span}")
             out.append(f"{pad}while {p} < h{p}:")
             out.append(f"{pad}    {x} = {coords}[{p}]")
             out.append(f"{pad}    {q} = l{q} = bl({coords_q}, {x}, l{q}, h{q})")
@@ -557,13 +630,12 @@ def _render(plan: _Plan) -> str:
             out.append(f"{pad}        continue")
             closes.append(f"{pad}    {p} += 1")
             return depth + 1
-        for p, coords, parent, bounds, absent in drivers:
-            if absent:
-                bounds = f"({bounds}) if {parent} >= 0 else (0, 0)"
-            out.append(f"{pad}l{p}, h{p} = {bounds}")
+        bounds(drivers + probes, pad)
         if loop.kind == "cells":
             var, row = loop.over
-            if rows[var] == 1:
+            if var in plan.filled:
+                values = f"a{var}"
+            elif rows[var] == 1:
                 values = f"t{var}"
             else:
                 values = f"r{var}[{' + '.join(term for _, term in row)}]"
@@ -574,9 +646,7 @@ def _render(plan: _Plan) -> str:
         else:
             values = f"sorted({{{', '.join(f'*{coords}[l{p}:h{p}]' for p, coords, *_ in drivers)}}})"
         out.append(f"{pad}for {x} in {values}:")
-        for p, coords, *_ in drivers:
-            out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
-            out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
+        find(drivers + probes, pad + "    ")
         return depth + 1
 
     todo: list = [(plan.body, 1)]  # (record, depth) still to write, and literal lines
@@ -589,6 +659,9 @@ def _render(plan: _Plan) -> str:
         pad = "    " * depth
         if isinstance(node, _Where):
             for var in node.zero:
+                if var in plan.scalars:
+                    out.append(f"{pad}{var} = 0.0")
+                    continue
                 if var not in rows:
                     out.append(f"{pad}{var}[:] = z{var}")
                     continue
@@ -653,7 +726,8 @@ def _render(plan: _Plan) -> str:
             use, index = offset(f"o{n}{role}", terms)
             if deepest in plan.absent:
                 at[use].append(f"if {index} >= 0:")
-            at[use] += (f"{role} = {array}[{index}]", f"if {role}:")
+            load = array if array in plan.scalars else f"{array}[{index}]"
+            at[use] += (f"{role} = {load}", f"if {role}:")
         _, cell = offset(f"o{n}k", node.cell, len(own))
         for lines, partial in zip(at, sums):
             lines += partial
@@ -663,7 +737,8 @@ def _render(plan: _Plan) -> str:
             if rows[var] > 1:
                 first += f"; r{var}[{' + '.join(term for _, term in node.row)}].append({node.cell[-1][0]})"
             at[-1].append(f"if not f{var}[{cell}]: {first}")
-        at[-1] += (f"{var}[{cell}] += f * g", f"n{n} += 1")
+        update = var if var in plan.scalars else f"{var}[{cell}]"
+        at[-1] += (f"{update} += f * g", f"n{n} += 1")
         for k, lines in enumerate(at):
             if k:
                 depth = head(own[k - 1], depth, closes)

@@ -514,3 +514,20 @@ class TestBenchCmd:
     def test_seed_required(self, capsys):
         with pytest.raises(SystemExit):
             main(["bench", "--kind", "mttkrp1"])
+
+    def test_an_abbreviated_option_is_an_error(self, tmp_path, monkeypatch, capsys):
+        # bench has no --out; read as a prefix of --out-dir, it wrote the
+        # network and inputs into a directory named like the result file
+        monkeypatch.chdir(tmp_path)
+        argv = ["bench", "--kind", "running_example", "--extents", "4", "--seed", "1", "--out", "r.tns"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --out r.tns\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_subcommand_takes_an_abbreviated_option(self, running_net, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--net", str(running_net)])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --network" in capsys.readouterr().err

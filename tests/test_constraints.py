@@ -8,13 +8,18 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from fusetree import (
     Assign,
     Forall,
     brute_force_sat,
     build_model,
+    build_tree,
     lower,
     parse_network,
+    print_ir,
     report_text,
     search_min_order,
     solve,
@@ -340,3 +345,136 @@ class TestSerialization:
         assert text == report_text(running_tree, sol)
         assert "loops (outer to inner): r, j, p, q, i" in text
         assert "layout A: p, q, i" in text
+
+
+# ---------------------------------------------------------------------------
+# candidates tried by descending extent
+
+# a solver_chains network: an order-4 TTMc chain, its root pinned in the
+# order the modes were multiplied
+TTMC_CHAIN4 = """\
+extent i0 2
+extent i1 2
+extent i2 2
+extent i3 2
+extent r0 2
+extent r1 2
+extent r2 2
+extent r3 2
+layout R r2,r0,r3,r1
+X1[i0,i1,r2,i3] = T[i0,i1,i2,i3] * U2[i2,r2]
+X2[r0,i1,r2,i3] = X1[i0,i1,r2,i3] * U0[i0,r0]
+X3[r0,i1,r2,r3] = X2[r0,i1,r2,i3] * U3[i3,r3]
+R[r0,r1,r2,r3] = X3[r0,i1,r2,r3] * U1[i1,r1]
+"""
+
+# the report and IR of each network's minimal schedule, as the solver gave
+# them before it tried larger extents first: every contraction here has
+# indices of one extent, so its candidate order and witness are unchanged
+EQUAL_EXTENT_SCHEDULES = {
+    "running12_pinned": (
+        running_example_network(12),
+        """\
+bound: 2
+contraction 0: X[i,j,q,r] = A[i,p,q] * B[j,p,r]
+  position: 0
+  loops (outer to inner): r, j, p, q, i
+contraction 1: Y[i,j,k,r] = X[i,j,q,r] * C[k,q,r]
+  position: 1
+  loops (outer to inner): r, j, q, k, i
+contraction 2: R[i,j,k] = Y[i,j,k,r] * D[j,k,r]
+  position: 2
+  loops (outer to inner): r, j, k, i
+layout A: p, q, i  (modes 1, 2, 0)
+layout B: r, j, p  (modes 2, 0, 1)
+layout C: r, q, k  (modes 2, 1, 0)
+layout D: r, j, k  (modes 2, 0, 1)
+layout R: j, k, i  (modes 1, 2, 0)
+""",
+        (
+            'forall(r, forall(j, where(forall(k, forall(i, R(j,k,i) = Y(k,i) * D(r,j,k))), '
+            'where(forall(q, forall(k, forall(i, Y(k,i) = X(q,i) * C(r,q,k)))), forall(p, forall(q, '
+            'forall(i, X(q,i) = A(p,q,i) * B(r,j,p))))))))'
+        ),
+    ),
+    "running12_free": (
+        running_example_network(12).replace("layout R j,k,i\n", ""),
+        """\
+bound: 1
+contraction 0: X[i,j,q,r] = A[i,p,q] * B[j,p,r]
+  position: 0
+  loops (outer to inner): r, j, i, p, q
+contraction 1: Y[i,j,k,r] = X[i,j,q,r] * C[k,q,r]
+  position: 1
+  loops (outer to inner): r, j, i, q, k
+contraction 2: R[i,j,k] = Y[i,j,k,r] * D[j,k,r]
+  position: 2
+  loops (outer to inner): r, j, i, k
+layout A: i, p, q  (modes 0, 1, 2)
+layout B: r, j, p  (modes 2, 0, 1)
+layout C: r, q, k  (modes 2, 1, 0)
+layout D: r, j, k  (modes 2, 0, 1)
+layout R: j, i, k  (modes 1, 0, 2)
+""",
+        (
+            'forall(r, forall(j, forall(i, where(forall(k, R(j,i,k) = Y(k) * D(r,j,k)), '
+            'where(forall(q, forall(k, Y(k) = X(q) * C(r,q,k))), forall(p, forall(q, X(q) = A(i,p,q) '
+            '* B(r,j,p))))))))'
+        ),
+    ),
+    "ttmc_chain4": (
+        TTMC_CHAIN4,
+        """\
+bound: 2
+contraction 0: X1[i0,i1,r2,i3] = T[i0,i1,i2,i3] * U2[i2,r2]
+  position: 0
+  loops (outer to inner): r2, i1, i2, i3, i0
+contraction 1: X2[r0,i1,r2,i3] = X1[i0,i1,r2,i3] * U0[i0,r0]
+  position: 1
+  loops (outer to inner): r2, i1, r0, i0, i3
+contraction 2: X3[r0,i1,r2,r3] = X2[r0,i1,r2,i3] * U3[i3,r3]
+  position: 2
+  loops (outer to inner): r2, i1, r3, i3, r0
+contraction 3: R[r0,r1,r2,r3] = X3[r0,i1,r2,r3] * U1[i1,r1]
+  position: 3
+  loops (outer to inner): r2, i1, r0, r3, r1
+layout R: r2, r0, r3, r1  (modes 2, 0, 3, 1)
+layout T: i1, i2, i3, i0  (modes 1, 2, 3, 0)
+layout U0: r0, i0  (modes 1, 0)
+layout U1: i1, r1  (modes 0, 1)
+layout U2: r2, i2  (modes 1, 0)
+layout U3: r3, i3  (modes 1, 0)
+""",
+        (
+            'forall(r2, forall(i1, where(forall(r0, forall(r3, forall(r1, R(r2,r0,r3,r1) = X3(r3,r0) '
+            '* U1(i1,r1)))), where(forall(r3, forall(i3, forall(r0, X3(r3,r0) = X2(r0,i3) * '
+            'U3(r3,i3)))), where(forall(r0, forall(i0, forall(i3, X2(r0,i3) = X1(i3,i0) * '
+            'U0(r0,i0)))), forall(i2, forall(i3, forall(i0, X1(i3,i0) = T(i1,i2,i3,i0) * '
+            'U2(r2,i2)))))))))'
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EQUAL_EXTENT_SCHEDULES))
+def test_equal_extents_keep_the_schedule(name):
+    text, report, ir = EQUAL_EXTENT_SCHEDULES[name]
+    tree = parse_network(text)
+    bound, sol = search_min_order(tree)
+    assert report_text(tree, sol) == report
+    assert print_ir(lower(tree, sol)) == ir
+
+
+@given(seed=st.integers(0, 2**32 - 1), extents=st.lists(st.integers(1, 64), min_size=8, max_size=8))
+@settings(max_examples=60, deadline=None)
+def test_extents_never_change_the_minimal_bound(seed, extents):
+    # extents only order the candidates, so a tree keeps the minimal bound
+    # brute force finds, whatever its extents
+    tree = random_tree(random.Random(seed))
+    rescaled = build_tree(tree.contractions, dict(zip(sorted(tree.extents), extents)), tree.layouts)
+    l_max = max((e.order for e in tree.edges), default=1)
+    minimal = next(bound for bound in range(1, l_max + 1) if brute_force_sat(tree, bound))
+    for t in (tree, rescaled):
+        bound, sol = search_min_order(t)
+        assert bound == minimal
+        assert verify_solution(t, bound, sol) == []

@@ -183,7 +183,8 @@ class TestExecuteBasics:
 
 class TestBoundLayouts:
     def test_dense_inputs_follow_the_solved_layout(self):
-        inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=3, density=0.3, seed=1)
+        # the rank is the largest extent, so the solver puts its loop outermost
+        inst = bench_generate("mttkrp1", extents=(4, 5, 6), rank=7, density=0.3, seed=1)
         _, sol = search_min_order(inst.tree)
         binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
         assert sol.layout_indices(inst.tree.abstract_ref("B")) == ("r", "j")  # declared B[j,r]
