@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidDensityError, InvalidExtentsError, UnknownKindError
+from .errors import InvalidDensityError, InvalidExtentsError, InvalidSeedError, TooLargeError, UnknownKindError
 from .network import ContractionTree, parse_network
 from .tensor import SparseTensor, _check_shape
 
@@ -49,6 +49,14 @@ class BenchInstance:
     dense_names: tuple[str, ...]
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's generator for ``seed``; a negative seed raises
+    :class:`InvalidSeedError`."""
+    if seed < 0:
+        raise InvalidSeedError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def synthetic_tensor(
     shape: Sequence[int],
     density: float,
@@ -59,12 +67,15 @@ def synthetic_tensor(
 
     ``values01`` makes every stored value exactly 1.0 (0/1 mask tensors). A
     density that is not a finite number in [0, 1] raises
-    :class:`InvalidDensityError`.
+    :class:`InvalidDensityError`, and a shape of more cells than numpy can
+    draw from, 2**63 - 1, :class:`TooLargeError`.
     """
     if not 0.0 <= density <= 1.0:
         raise InvalidDensityError(f"density must be a number in [0, 1], got {density}")
     shape = _check_shape([int(n) for n in shape])
     total = math.prod(shape)
+    if total > np.iinfo(np.int64).max:
+        raise TooLargeError(f"synthetic shape {shape} has {total} cells, more than numpy can draw from")
     nnz = int(round(density * total))
     if density > 0.0:
         nnz = max(nnz, 1)
@@ -85,29 +96,16 @@ def _factor_lines(extmap: dict[str, int]) -> list[str]:
     return [f"extent {name} {extmap[name]}" for name in sorted(extmap)]
 
 
-def _mttkrp_network(mode: int, extents: Sequence[int], rank: int) -> str:
-    ni, nj, nk = extents
-    ext = {"i": ni, "j": nj, "k": nk, "r": rank}
-    # W absorbs the first factor; the surviving tensor indices stay external
-    forms = {
-        1: ("W[i,k,r] = T[i,j,k] * B[j,r]", "A1[i,r] = W[i,k,r] * C[k,r]"),
-        2: ("W[j,k,r] = T[i,j,k] * A[i,r]", "B1[j,r] = W[j,k,r] * C[k,r]"),
-        3: ("W[j,k,r] = T[i,j,k] * A[i,r]", "C1[k,r] = W[j,k,r] * B[j,r]"),
-    }
-    return "\n".join(_factor_lines(ext) + list(forms[mode])) + "\n"
-
-
-def _ttmc_network(mode: int, extents: Sequence[int], rank: int) -> str:
-    ni, nj, nk = extents
-    ext = {"i": ni, "j": nj, "k": nk, "x": rank, "y": rank, "z": rank}
-    forms = {
-        1: ("W[i,k,y] = T[i,j,k] * B[j,y]", "A1[i,y,z] = W[i,k,y] * C[k,z]"),
-        2: ("W[j,k,x] = T[i,j,k] * A[i,x]", "B1[j,x,z] = W[j,k,x] * C[k,z]"),
-        3: ("W[j,k,x] = T[i,j,k] * A[i,x]", "C1[k,x,y] = W[j,k,x] * B[j,y]"),
-    }
-    used = {3: ("x", "y"), 2: ("x", "z"), 1: ("y", "z")}[mode]
-    ext = {k: v for k, v in ext.items() if k in ("i", "j", "k") or k in used}
-    return "\n".join(_factor_lines(ext) + list(forms[mode])) + "\n"
+# per factor kind: the two contractions, W absorbing the first factor while
+# the surviving tensor indices stay external, and the rank indices they use
+_FACTOR_FORMS = {
+    "mttkrp1": (("W[i,k,r] = T[i,j,k] * B[j,r]", "A1[i,r] = W[i,k,r] * C[k,r]"), "r"),
+    "mttkrp2": (("W[j,k,r] = T[i,j,k] * A[i,r]", "B1[j,r] = W[j,k,r] * C[k,r]"), "r"),
+    "mttkrp3": (("W[j,k,r] = T[i,j,k] * A[i,r]", "C1[k,r] = W[j,k,r] * B[j,r]"), "r"),
+    "ttmc1": (("W[i,k,y] = T[i,j,k] * B[j,y]", "A1[i,y,z] = W[i,k,y] * C[k,z]"), "yz"),
+    "ttmc2": (("W[j,k,x] = T[i,j,k] * A[i,x]", "B1[j,x,z] = W[j,k,x] * C[k,z]"), "xz"),
+    "ttmc3": (("W[j,k,x] = T[i,j,k] * A[i,x]", "C1[k,x,y] = W[j,k,x] * B[j,y]"), "xy"),
+}
 
 
 def running_example_network(extent: int | Sequence[int] = 8) -> str:
@@ -154,20 +152,17 @@ def bench_generate(
     kind takes three, or one int for all three, else
     :class:`InvalidExtentsError`.
     """
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     if kind in KINDS and kind != "running_example":
         if isinstance(extents, int):
             extents = (extents,) * 3
         if len(extents) != 3:
             raise InvalidExtentsError(f"kind '{kind}' takes 3 extents, got {len(extents)}")
-    if kind in ("mttkrp1", "mttkrp2", "mttkrp3", "ttmc1", "ttmc2", "ttmc3"):
-        mode = int(kind[-1])
+    if kind in _FACTOR_FORMS:
         ni, nj, nk = (int(n) for n in extents)
-        text = (
-            _mttkrp_network(mode, (ni, nj, nk), rank)
-            if kind.startswith("mttkrp")
-            else _ttmc_network(mode, (ni, nj, nk), rank)
-        )
+        lines, ranks = _FACTOR_FORMS[kind]
+        extmap = {"i": ni, "j": nj, "k": nk} | dict.fromkeys(ranks, rank)
+        text = "\n".join(_factor_lines(extmap) + list(lines)) + "\n"
         tree = parse_network(text)
         tensors = {"T": synthetic_tensor((ni, nj, nk), density, rng)}
         dense = []

@@ -13,8 +13,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import bench as bench_mod
 from .check import check_tolerances, compare, oracle_nary, oracle_unfused
 from .constraints import (
@@ -127,7 +125,7 @@ def _gather_tensors(tree: ContractionTree, args):
             raise ExtentMismatchError(
                 f"synthetic shape {shape} for '{name}' differs from declared {declared}"
             )
-        tensors[name] = bench_mod.synthetic_tensor(shape, density, np.random.default_rng(seed))
+        tensors[name] = bench_mod.synthetic_tensor(shape, density, bench_mod.seeded_rng(seed))
     missing = [n for n in tree.input_names if n not in tensors]
     if missing:
         raise FusetreeError(f"no tensor supplied for inputs: {', '.join(missing)}")

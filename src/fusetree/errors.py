@@ -84,6 +84,10 @@ class InvalidDensityError(FusetreeError, ValueError):
     """A synthetic tensor's density is not a finite number in [0, 1]."""
 
 
+class InvalidSeedError(FusetreeError, ValueError):
+    """A synthetic generator's seed is negative."""
+
+
 class InvalidExtentsError(FusetreeError, ValueError):
     """Benchmark extents are not integers, or not as many as the kind takes."""
 

@@ -54,18 +54,21 @@ counters tell: an unwritten one holds only 0.0, so every product the
 consumer could form has a zero factor. A workspace that the consumer reads
 in an innermost full-range loop over its last layout index tracks the cells
 written to it, if its rows (every index but the last; an order-1 workspace
-is one row) hold at least ``TRACKED_ROW_CELLS`` cells. A per-cell flag
-marks a cell's first write, which lists the cell's offset and, in its row's
-list, its column; a test for 0.0 would list a cell again after its sum
-cancels to 0.0 and it is written once more. The ``where`` resets exactly the listed cells, flags
-and rows, so a workspace nothing wrote costs nothing to reset, and the
-consumer loop visits only the listed columns of its row. It visits them in
-ascending order where the consumer sums over them, so each sum keeps the
+is one row) hold at least ``TRACKED_ROW_CELLS`` cells. A cell not written
+since the reset holds None: a write that reads None is the cell's first, lists
+the cell's offset and, in its row's list, its column, and adds to 0.0; a test
+for 0.0 would list a cell again after its sum cancels to 0.0 and it is
+written once more. The ``where`` stores None into exactly the listed cells and
+clears their rows, so a workspace nothing wrote costs nothing to reset, and
+the consumer loop visits only the listed columns of its row. It visits them
+in ascending order where the consumer sums over them, so each sum keeps the
 order of a full scan; elsewhere each visit adds into a cell of its own, and
 the order of the writes gives the same bits. Other workspaces are reset by
 copying a list of zeros over them, among them an order-1 workspace that a
-full-range loop writes, whole rows or nothing: its consumer visits a tuple
-of all its columns. An order-0 workspace is a float local. The root
+full-range loop writes, whole rows or nothing, whose consumer is an ordinary
+full-range loop. Every full-range loop iterates a tuple of its extent's
+values, which the prologue builds once per extent. An order-0 workspace is
+a float local. The root
 accumulates into a flat list of its row-major cells, which
 ``SparseTensor.from_dense`` turns into the result; a root of more than
 ``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
@@ -287,9 +290,6 @@ class _Plan:
     # workspaces that record their written cells: the cells of a row, and
     # whether the consumer visits them in ascending order
     touched: Mapping[str, tuple[int, bool]]
-    # one-row workspaces written by full-range loops, whole rows or nothing,
-    # whose consumer visits a tuple of all their columns
-    filled: frozenset[str]
     results: tuple[str, ...]  # of each statement, in counter order
     shape: tuple[int, ...]  # of the root
     body: _Node
@@ -354,7 +354,6 @@ def _plan(
     # first, and the last plus one
     wheres: list[tuple[int, int]] = []
     whole: set[str] = set()  # order-1 workspaces written by full-range loops
-    filled: set[str] = set()  # those of them a consumer scans in full
     done: list[tuple[_Node, int]] = []  # planned subtrees, each with its first statement
 
     def var(ref: TensorRef, index: str) -> str:
@@ -481,18 +480,15 @@ def _plan(
             kind, over = "union", None
             if isinstance(body, _Stmt) and not drivers and extent >= TRACKED_ROW_CELLS:
                 # an innermost full-range loop over a workspace's last index
-                # needs only the cells its producer wrote in the row; the
-                # others hold 0.0
+                # needs only the cells its producer wrote in the row
                 over = next(((w, row) for w, last, row in stmts[body.n][2] if last == index), None)
-            if over:
+            if over and over[0] not in whole:
                 kind = "cells"
-                if over[0] in whole:
-                    filled.add(over[0])
-                else:
-                    # a sum over the cells keeps the order of a full scan; a
-                    # visit that adds into its own cell may follow the writes
-                    touched[over[0]] = (extent, all(v != x for v, _ in body.cell))
-            elif is_full or not drivers:
+                # a sum over the cells keeps the order of a full scan; a visit
+                # that adds into its own cell may follow the writes
+                touched[over[0]] = (extent, all(v != x for v, _ in body.cell))
+            elif over or is_full or not drivers:
+                # a row a full-range loop filled is read whole
                 kind, over = "range", extent
             # a single fiber, or a single statement that needs every fiber
             # present: step through the first, bisect the others
@@ -503,7 +499,7 @@ def _plan(
             else:
                 probes, drivers = drivers + probes, []
             absent.update(probes)
-            if kind == "range" or over and over[0] in filled:
+            if kind == "range":
                 # a full-range loop writes the whole row of an order-1
                 # workspace, or nothing, so tracking its cells gains nothing
                 whole.update(
@@ -525,7 +521,6 @@ def _plan(
         tuple((local, cells) for local, _, cells in workspaces.values()),
         frozenset(local for local, layout, _ in workspaces.values() if not layout),
         touched,
-        frozenset(filled),
         tuple(name for name, _, _, _ in stmts),
         shape,
         body,
@@ -548,23 +543,24 @@ def _render(plan: _Plan) -> str:
             arrays = ", ".join(f"{array}{n}_{level}" for level in range(levels))
             out.append(f"    [{arrays}] = {param}.{field}")
         out.append(f"    v{n} = {param}.values")
-    # a tracked workspace flags each written cell and lists it twice: by its
-    # offset, and by its column in its row's list; a workspace of one row
-    # lists its offsets only, since they are its columns
+    # a tracked workspace holds None in the cells not written since its
+    # reset, and lists each written cell twice: by its offset, and by its
+    # column in its row's list; a workspace of one row lists its offsets
+    # only, since they are its columns
     rows = {var: cells // plan.touched[var][0] for var, cells in plan.workspaces if var in plan.touched}
     for var, cells in plan.workspaces:
         if var in plan.scalars:
             out.append(f"    {var} = 0.0")
-            continue
-        out.append(f"    {var} = [0.0] * {cells}")
-        if var not in rows:
-            out.append(f"    z{var} = [0.0] * {cells}")
-            if var in plan.filled:
-                out.append(f"    a{var} = tuple(range({cells}))")
-            continue
-        out += (f"    f{var} = [False] * {cells}", f"    t{var} = []")
-        if rows[var] > 1:
-            out.append(f"    r{var} = [[] for _ in range({rows[var]})]")
+        elif var not in rows:
+            out += (f"    {var} = [0.0] * {cells}", f"    z{var} = [0.0] * {cells}")
+        else:
+            out += (f"    {var} = [None] * {cells}", f"    t{var} = []")
+            if rows[var] > 1:
+                out.append(f"    r{var} = [[] for _ in range({rows[var]})]")
+    # each full-range loop iterates a tuple of its extent's values, built here
+    # once the walk has found them
+    ranges: set[int] = set()
+    prologue = len(out)
     counters = [f"n{s}" for s in range(len(plan.results))]
     out.append(f"    {' = '.join(counters)} = 0")
 
@@ -633,16 +629,15 @@ def _render(plan: _Plan) -> str:
         bounds(drivers + probes, pad)
         if loop.kind == "cells":
             var, row = loop.over
-            if var in plan.filled:
-                values = f"a{var}"
-            elif rows[var] == 1:
+            if rows[var] == 1:
                 values = f"t{var}"
             else:
                 values = f"r{var}[{' + '.join(term for _, term in row)}]"
                 if plan.touched[var][1]:
                     values = f"sorted({values})"
         elif loop.kind == "range":
-            values = f"range({loop.over})"
+            ranges.add(loop.over)
+            values = f"e{loop.over}"
         else:
             values = f"sorted({{{', '.join(f'*{coords}[l{p}:h{p}]' for p, coords, *_ in drivers)}}})"
         out.append(f"{pad}for {x} in {values}:")
@@ -665,7 +660,7 @@ def _render(plan: _Plan) -> str:
                 if var not in rows:
                     out.append(f"{pad}{var}[:] = z{var}")
                     continue
-                reset = f"{var}[c] = 0.0; f{var}[c] = False"
+                reset = f"{var}[c] = None"
                 if rows[var] > 1:
                     reset += f"; r{var}[c // {plan.touched[var][0]}].clear()"
                 out += (f"{pad}for c in t{var}: {reset}", f"{pad}t{var}.clear()")
@@ -733,12 +728,15 @@ def _render(plan: _Plan) -> str:
             lines += partial
         var = node.target
         if var in rows:
-            first = f"f{var}[{cell}] = True; t{var}.append({cell})"
+            # a cell that holds None is written for the first time
+            first = f"t{var}.append({cell})"
             if rows[var] > 1:
                 first += f"; r{var}[{' + '.join(term for _, term in node.row)}].append({node.cell[-1][0]})"
-            at[-1].append(f"if not f{var}[{cell}]: {first}")
-        update = var if var in plan.scalars else f"{var}[{cell}]"
-        at[-1] += (f"{update} += f * g", f"n{n} += 1")
+            at[-1] += (f"h = {var}[{cell}]", f"if h is None: {first}; h = 0.0", f"{var}[{cell}] = h + f * g")
+        else:
+            update = var if var in plan.scalars else f"{var}[{cell}]"
+            at[-1].append(f"{update} += f * g")
+        at[-1].append(f"n{n} += 1")
         for k, lines in enumerate(at):
             if k:
                 depth = head(own[k - 1], depth, closes)
@@ -749,6 +747,7 @@ def _render(plan: _Plan) -> str:
                     pad += "    "
                     depth += 1
         out.extend(reversed(closes))
+    out[prologue:prologue] = (f"    e{extent} = tuple(range({extent}))" for extent in sorted(ranges))
     out.append(f"    return acc, ({''.join(c + ', ' for c in counters)})")
     return "\n".join(out) + "\n"
 

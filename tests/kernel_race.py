@@ -1,0 +1,111 @@
+"""Race the kernels of two executors on the same operands.
+
+Run from the root of a checkout (pytest does not collect this file):
+
+    PYTHONPATH=src python3 tests/kernel_race.py --parent <path to another executor.py> [--seed N] [--repeat K]
+
+The file named by ``--parent``, typically ``src/fusetree/executor.py`` of
+another commit, is loaded as a sibling module of the installed ``fusetree``
+package, so it shares that package's lowering, tensors and errors. Both
+executors compile the kernels of these cases, each bound once:
+
+- the 8 bench kinds at the bench defaults (30x40x50, rank 8, density 0.01),
+  planned at their minimal bound;
+- the ``RANK_OUTER`` witnesses of ``test_kernel.py`` (4x5x6, rank 2,
+  density 0.3), whose workspaces track their written cells;
+- the running example at 800 nonzeros per input for n = 25, 200 and 400,
+  at its minimal bound.
+
+Each case's two kernels run interleaved, K times each, on fresh root
+accumulators and the same operands. Their accumulators must be identical
+bit for bit, and their counters equal; a difference is described on
+standard error and makes the exit status 1. One line per case prints the
+best of K for each side, in milliseconds, and the change from ``--parent``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import math
+import struct
+import sys
+import time
+from collections import defaultdict
+
+import fusetree.executor as executor
+from fusetree import bench_generate, bind, lower, search_min_order
+from fusetree.bench import KINDS
+from test_kernel import RANK_OUTER, _witness
+
+
+def load_sibling(path: str):
+    """The executor at ``path``, loaded as ``fusetree._race_parent``."""
+    name = "fusetree._race_parent"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(seed: int):
+    """(label, bench instance, schedule) of every case the race runs."""
+    for kind in KINDS:
+        inst = bench_generate(kind, seed=seed)
+        yield kind, inst, search_min_order(inst.tree)[1]
+    for kind, loops in RANK_OUTER.items():
+        inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=seed)
+        yield f"{kind} rank outer", inst, _witness(inst.tree, loops)
+    for n in (25, 200, 400):
+        inst = bench_generate("running_example", extents=n, density=800 / n**3, seed=seed)
+        yield f"running_example n={n}", inst, search_min_order(inst.tree)[1]
+
+
+def bits(acc) -> tuple:
+    """The accumulator's cells as raw float64 bits, so -0.0 differs from 0.0."""
+    items = acc.items() if isinstance(acc, dict) else enumerate(acc)
+    return tuple((key, struct.pack("<d", value)) for key, value in sorted(items))
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="path of the executor.py to race against")
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--repeat", type=int, default=15, metavar="K", help="runs per kernel and side")
+    args = ap.parse_args(argv)
+    parent = load_sibling(args.parent)
+    failed = False
+    print(f"{'case':<28}{'parent ms':>11}{'change ms':>11}{'change':>9}")
+    for label, inst, sol in cases(args.seed):
+        ir = lower(inst.tree, sol)
+        binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
+        kernels = [side._kernel(*side._signature(ir, binding)) for side in (parent, executor)]
+        cells = math.prod(kernels[0].shape)
+        dense = cells <= executor.ROOT_DENSE_CELLS or not kernels[0].shape
+
+        def run(kernel):
+            acc = [0.0] * cells if dense else defaultdict(float)
+            operands = [binding.operands[name] for name in kernel.operands]
+            start = time.perf_counter()
+            acc, counts = kernel.run(acc, *operands)
+            return time.perf_counter() - start, bits(acc), counts
+
+        best = [float("inf"), float("inf")]
+        outcomes = [None, None]
+        for _ in range(args.repeat):
+            for side, kernel in enumerate(kernels):
+                seconds, *outcome = run(kernel)
+                best[side] = min(best[side], seconds)
+                outcomes[side] = outcome
+        if outcomes[0] != outcomes[1]:
+            failed = True
+            what = "accumulators" if outcomes[0][0] != outcomes[1][0] else "counters"
+            print(f"{label}: {what} differ", file=sys.stderr)
+        change = (best[1] / best[0] - 1) * 100
+        print(f"{label:<28}{best[0] * 1e3:>11.3f}{best[1] * 1e3:>11.3f}{change:>+8.1f}%")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

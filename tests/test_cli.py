@@ -292,6 +292,21 @@ class TestRun:
         assert captured.out == "minimal workspace order: 1\n"  # tensors are read after planning
         assert captured.err == "error: synthetic shape (3,) for 'S' differs from declared ()\n"
 
+    @pytest.mark.parametrize("spec, message", [
+        ("A=99999999999999999999x4:0:1", "synthetic shape (99999999999999999999, 4) has 399999999999999999996 cells, "
+         "more than numpy can draw from"),
+        ("A=3x4:0.5:-1", "seed must be a non-negative integer, got -1"),
+    ])
+    def test_synthetic_input_off_the_happy_path_exits_with_an_error_line(self, spec, message, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        extent = spec.split("=")[1].split("x")[0]
+        net.write_text(f"extent i {extent}\nextent j 4\nextent k 3\nR[i,k] = A[i,j] * B[j,k]\n")
+        argv = ["run", "--network", str(net), "--synthetic", spec, "--synthetic", "B=4x3:0.5:1"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "minimal workspace order: 1\n"
+        assert captured.err == f"error: {message}\n"
+
     def test_bad_synthetic_spec(self, running_net):
         assert main(["run", "--network", str(running_net), "--synthetic", "A=oops"]) == 1
 
@@ -507,6 +522,17 @@ class TestBenchCmd:
     ])
     def test_bad_extents(self, extents, message, capsys):
         assert main(["bench", "--kind", "mttkrp1", "--seed", "1", "--extents", extents]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--extents", "3000000x3000000x3000000", "--density", "0", "--seed", "1"],
+         "synthetic shape (3000000, 3000000, 3000000) has 27000000000000000000 cells, more than numpy can draw from"),
+        (["--extents", "3x4x5", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+    ])
+    def test_synthetic_input_off_the_happy_path_exits_with_an_error_line(self, argv, message, capsys):
+        assert main(["bench", "--kind", "mttkrp1", *argv]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -711,10 +711,10 @@ def _line(lines, pattern: str) -> int:
 @pytest.mark.parametrize(
     "kind, updates",
     [
-        ("mttkrp1", (r"w0\[.*\] \+= f \* g", r"acc\[.*\] \+= f \* g")),
-        ("mttkrp3", (r"w0\[.*\] \+= f \* g",)),
-        ("ttmc1", (r"w0\[.*\] \+= f \* g", r"acc\[.*\] \+= f \* g")),
-        ("ttmc3", (r"w0\[.*\] \+= f \* g",)),
+        ("mttkrp1", (r"w0\[.*\] = h \+ f \* g", r"acc\[.*\] \+= f \* g")),
+        ("mttkrp3", (r"w0\[.*\] = h \+ f \* g",)),
+        ("ttmc1", (r"w0\[.*\] = h \+ f \* g", r"acc\[.*\] \+= f \* g")),
+        ("ttmc3", (r"w0\[.*\] = h \+ f \* g",)),
     ],
 )
 def test_dense_factors_are_loaded_outside_their_innermost_loop(kind, updates):
@@ -736,8 +736,8 @@ def test_consumer_factor_stays_below_its_where():
     load = _line(lines, r"^\s*g = d1\[")
     assert lines[load - 1].strip() == "if n0 != m0:"
     assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 2])
-    reset = _line(lines, r"^\s*for c in tw0: w0\[c\] = 0\.0; fw0\[c\] = False$")
-    assert reset < _line(lines, r"w0\[x\d+\] \+= f \* g") < load
+    reset = _line(lines, r"^\s*for c in tw0: w0\[c\] = None$")
+    assert reset < _line(lines, r"w0\[x\d+\] = h \+ f \* g") < load
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -800,13 +800,13 @@ def test_factor_kernels_run_the_rank_loops_innermost(kind):
 def test_rows_filled_by_a_full_range_loop_are_not_tracked(kind):
     # the producer reaches the rank index only through a dense factor, so it
     # writes the whole row or nothing: the where copies zeros over it, and
-    # the consumer visits a tuple of all its columns
+    # the consumer runs a full-range loop over the extent's tuple
     inst, sol = _factor_case(kind)
     source = _solved_source(inst, sol)
     assert "fw0" not in source and "tw0" not in source
     lines = [line.strip() for line in source.splitlines()]
-    assert "aw0 = tuple(range(8))" in lines and "w0[:] = zw0" in lines
-    assert any(re.fullmatch(r"for x\d+ in aw0:", line) for line in lines)
+    assert "e8 = tuple(range(8))" in lines and "w0[:] = zw0" in lines
+    assert any(re.fullmatch(r"for x\d+ in e8:", line) for line in lines)
 
 
 def test_mttkrp3_steps_through_the_fibers_of_t():
@@ -898,6 +898,73 @@ def _rank_outer_source(kind: str) -> str:
     return _solved_source(inst, sol)
 
 
+def _range_loops(plan) -> set[tuple[str, int]]:
+    """The local and extent of every full-range loop ``plan`` holds."""
+    found, todo = set(), [plan.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, executor._Loop):
+            if node.kind == "range":
+                found.add((node.var, node.over))
+            todo.append(node.body)
+        elif isinstance(node, executor._Where):
+            todo += (node.producer, node.consumer)
+    return found
+
+
+@pytest.mark.parametrize("case", (*KINDS, *(f"{kind}-rank-outer" for kind in RANK_OUTER)))
+def test_full_range_loops_iterate_one_prologue_tuple_per_extent(case):
+    # every full-range loop, a dense-filled row's consumer among them,
+    # iterates the tuple of its extent's values, which the prologue builds
+    # once per extent; no kernel keeps a flag list
+    kind = case.removesuffix("-rank-outer")
+    if kind == case:
+        inst = bench_generate(kind, seed=1)
+        sol = search_min_order(inst.tree)[1]
+    else:
+        inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+        sol = _witness(inst.tree, RANK_OUTER[kind])
+    ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names)
+    plan = executor._plan(*_signature(ir, binding))
+    lines = executor._render(plan).splitlines()
+    assert not any(re.fullmatch(r"\s*for x\d+ in range\(\d+\):", line) for line in lines)
+    assert not any("[False] *" in line for line in lines)
+    loops = {(m[1], int(m[2])) for line in lines if (m := re.fullmatch(r"\s*for (x\d+) in e(\d+):", line))}
+    assert loops == _range_loops(plan)
+    extents = sorted({extent for _, extent in loops})
+    tuples = [k for k, line in enumerate(lines) if re.match(r"\s*e\d+ = ", line)]
+    assert [lines[k] for k in tuples] == [f"    e{n} = tuple(range({n}))" for n in extents]
+    assert all(k < _line(lines, r"^    n0 = ") for k in tuples)
+
+
+# W and V are rows of r under the shared i loop: W's producer reaches r only
+# through the dense B, so it fills W whole or not at all, and V's producer,
+# a full-range loop over W, fills V whole as well
+CHAINED_FILL = (
+    "extent i 4\nextent j 3\nextent r 5\nextent s 6\n"
+    "W[i,r] = A[i,j] * B[j,r]\nV[i,r] = W[i,r] * C[i,r]\nR[i] = V[i,r] * D[s,r]\n"
+)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_a_row_filled_from_a_filled_row_is_not_tracked(seed):
+    tree = parse_network(CHAINED_FILL)
+    sol = _witness(tree, ("ijr", "ir", "isr"))
+    nprng = np.random.default_rng(seed)
+    tensors = {
+        name: synthetic_tensor(tree.ref_shape(tree.abstract_ref(name)), 0.5 if name == "A" else 0.8, nprng)
+        for name in tree.input_names
+    }
+    dense = ("B", "C", "D")
+    lines = [line.strip() for line in _kernel_source(lower(tree, sol), bind(tree, sol, tensors, dense)).splitlines()]
+    assert not any(re.match(r"tw\d+ = \[\]", line) for line in lines)
+    assert "w0[:] = zw0" in lines and "w1[:] = zw1" in lines
+    # the loops over r: W's producer, V's producer and R's
+    assert sum(bool(re.fullmatch(r"for x\d+ in e5:", line)) for line in lines) == 3
+    assert sum(line.startswith("for x") for line in lines) == 4  # and R's s loop
+    _check(tree, sol, tensors, dense)
+
+
 def _pinned(text: str, loops: Sequence[str], bound: int = 1):
     """``text`` scheduled by hand at ``bound``: contraction k comes k-th and
     runs its loops in the order ``loops[k]``, and every layout keeps its
@@ -976,7 +1043,7 @@ def test_running_example_resets_and_scans_only_written_cells():
     # zero list over one, and no consumer scans a row of one in full
     inst = bench_generate("running_example", extents=12, density=0.1, seed=1)
     lines = _source(inst.network_text, inst.tensors).splitlines()
-    tracked = {m[1] for line in lines if (m := re.fullmatch(r"\s*f(w\d+) = \[False\] \* 144", line))}
+    tracked = {m[1] for line in lines if (m := re.fullmatch(r"\s*t(w\d+) = \[\]", line))}
     assert tracked == {"w0", "w1"}
     for k, line in enumerate(lines):
         for w in tracked:
