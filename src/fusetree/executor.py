@@ -9,20 +9,21 @@ are locals. Both walks keep explicit stacks, so only ``MAX_NESTED_LOOPS``
 limits a kernel's depth, never the number of ``where``s it nests.
 
 A ``forall`` drilled by a single CSF operand steps through that fiber's
-positions. A ``forall`` over one statement that two CSF operands drill
-co-iterates their intersection by leapfrogging: the lead fiber bisects the
-other for its coordinate and, on a miss, bisects itself forward to the
-other's coordinate, so the loop runs about as often as the shorter fiber has
-coordinates. A ``forall`` that a ``where`` shares across statements keeps the
-sorted union of the present operands' coordinate streams, so every statement
-sees the coordinates it needs, and a loop that some statement reaches only
-through dense operands runs over the full index range; both find each
-operand's position by bisection. A statement that the guard of a ``where``
-inside the loop covers is gated: it runs only where that producer multiplied,
-so it neither drives the loop nor makes it full-range, and finds its own
-levels by bisection. The loop follows the other statements alone, a step
-through one fiber or the union of several; where none of their fibers
-carries a coordinate, no statement multiplies.
+positions. A ``forall`` whose one ungated statement (see below) two CSF
+operands drill co-iterates their intersection by leapfrogging: the lead
+fiber bisects the other for its coordinate and, on a miss, bisects itself
+forward to the other's coordinate, so the loop runs about as often as the
+shorter fiber has coordinates. A ``forall`` that a ``where`` shares across
+several ungated statements keeps the sorted union of the present operands'
+coordinate streams, so every statement sees the coordinates it needs, and a
+loop that some statement reaches only through dense operands runs over the
+full index range; both find each operand's position by bisection. A
+statement that the guard of a ``where`` inside the loop covers is gated: it
+runs only where that producer multiplied, so it neither drives the loop nor
+makes it full-range, and finds its own levels by bisection. The loop
+follows the other statements alone, a step through one fiber or the union
+of several; where none of their fibers carries a coordinate, no statement
+multiplies.
 
 ``bind`` stores every input in the form its kernel reads, in the mode order
 the solution gives it: a CSF tree, or a flat tuple of dense values. It keeps
@@ -73,6 +74,19 @@ accumulates into a flat list of its row-major cells, which
 ``SparseTensor.from_dense`` turns into the result; a root of more than
 ``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
 
+A statement that writes the root may end in a tail of full-range loops that
+it runs alone, each over a root index, so each visit adds into cells of its
+own. Where both factors are dense operands or untracked workspaces reading
+only tail indices, and the tail covers ``VECTOR_TAIL_CELLS`` cells or more,
+it runs as a block: one numpy statement per visit, such as ``a[x1] += f *
+g``, adds the broadcast product into a view of the root, held in a float64
+ndarray, and counts the product of the factors' nonzero counts, or their
+joint nonzeros where they share an index. A finite product with a zero
+factor adds ±0.0, which changes no root cell's bits (none is ever -0.0), so
+a block runs only where both factors are finite, by a flag per dense operand
+that the prologue sets and the ``sum`` of the workspace; elsewhere the
+scalar tail runs. ``tests/kernel_lines.py`` counts a block as one line event.
+
 The source numbers every identifier, so no network name reaches it, and
 writes every stride, loop extent and workspace size as a literal. A kernel's
 parameters are the root accumulator and its operands: each CSF operand whole,
@@ -81,8 +95,9 @@ of the kernel, and each dense operand as its flat tuple. A kernel is planned
 and compiled once per signature: the IR; each input's bound layout and kind,
 CSF or dense; and the tree's extents, root reference and intermediate names.
 The cache entry keeps the compiled function and its operands' names in
-parameter order, and no tensor data. Each call picks the root accumulator and
-runs the kernel on it and the binding's operands as they are stored, so only
+parameter order, and no tensor data. Each call picks the root accumulator
+(``_accumulator``) and runs the kernel on it and the binding's operands as
+they are stored, so only
 the first run of a signature, such as a one-shot ``fusetree run``, pays for
 planning and compilation, and no call converts an operand. A schedule that
 fails its checks raises on every call, and a kernel nesting more than
@@ -94,6 +109,7 @@ live in :mod:`fusetree.check`, which imports none of this code.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import math
 import sys
@@ -128,6 +144,12 @@ ROOT_DENSE_CELLS = 2**16
 # (best of 40 in-process races on a 2-core Xeon VM); a row of 2 spares at
 # most one visit
 TRACKED_ROW_CELLS = 3
+# a tail of full-range loops over root indices runs as one numpy statement
+# from this many cells: on bench ttmc1 and ttmc3 (30x40x50, densities 0.01
+# and 0.002, rank r giving r x r tails), blocks made the kernel 47-57% slower
+# at 16 cells, 13-18% slower at 25, 4-8% faster at 36 and 35-38% faster at 64
+# (best of 60 in-process runs on a 2-core Xeon VM)
+VECTOR_TAIL_CELLS = 32
 # CPython compiles at most 20 statically nested blocks, and each forall of a
 # kernel nests one for loop
 MAX_NESTED_LOOPS = 20
@@ -247,6 +269,25 @@ class _Stmt:
 
 
 @dataclass(frozen=True)
+class _Block:
+    """A statement's tail of full-range loops over root indices, run as one
+    numpy statement per visit: the local of its outermost loop, its cells,
+    the root's view it adds into, and per factor its ndarray broadcast to
+    the view, its nonzero count and finiteness test; whether the factors
+    share an index; the dense operands the prologue views as arrays, with
+    their shapes, and its lists of per-row nonzero counts, each with its
+    operand and the axes it counts over."""
+
+    start: str
+    cells: int
+    view: str
+    factors: tuple[tuple[str, str, str], ...]
+    joint: bool
+    arrays: tuple[tuple[str, tuple[int, ...]], ...]
+    counts: tuple[tuple[str, str, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
 class _Where:
     zero: tuple[str, ...]  # workspaces
     # per consumer statement, the counters of the producer statements that
@@ -292,6 +333,8 @@ class _Plan:
     touched: Mapping[str, tuple[int, bool]]
     results: tuple[str, ...]  # of each statement, in counter order
     shape: tuple[int, ...]  # of the root
+    # per statement, the block of its tail of at least VECTOR_TAIL_CELLS cells
+    blocks: Mapping[int, _Block]
     body: _Node
 
 
@@ -355,6 +398,12 @@ def _plan(
     wheres: list[tuple[int, int]] = []
     whole: set[str] = set()  # order-1 workspaces written by full-range loops
     done: list[tuple[_Node, int]] = []  # planned subtrees, each with its first statement
+    index_of: dict[str, str] = {}  # loop local -> the index it binds
+    # per statement writing the root: its tail of full-range loops over root
+    # indices, and the block of the longest such tail that can run as one
+    tails: dict[int, tuple[tuple[str, int], ...]] = {}
+    blocks: dict[int, _Block] = {}
+    dense_root = bool(shape) and math.prod(shape) <= ROOT_DENSE_CELLS
 
     def var(ref: TensorRef, index: str) -> str:
         if index not in scope:
@@ -382,6 +431,52 @@ def _plan(
         if ref.indices != layout:
             raise ModeOrderMismatchError(f"reference {ref} disagrees with workspace layout {layout}")
         return local, offset(ref)
+
+    def block(stmt: _Stmt, tail: tuple[tuple[str, int], ...]) -> _Block | None:
+        """The block of a tail of full-range loops over root indices, if
+        each factor of ``stmt`` is a dense operand that reads a tail index,
+        or a workspace that reads tail indices only."""
+        extent = dict(tail)
+        order = [x for x, _ in stmt.cell if x in extent]  # the view's axes
+
+        def index(items: list[str]) -> str:
+            while items and items[-1] == ":":
+                items = items[:-1]
+            return f"[{', '.join(items)}]" if items else ""
+
+        factors, arrays, counts, reads = [], [], [], []
+        for role, (array, terms, deepest) in zip("fg", stmt.factors):
+            xs = [x for x, _ in terms]
+            own = [x for x in xs if x in extent]
+            if deepest is not None or not own:
+                return None
+            reads.append(set(own))
+            if array[0] == "d":
+                shape = tuple(_extent(extents, index_of[x]) for x in xs)
+                name = f"k{stmt.n}{role}"
+                arrays.append((array, shape))
+                counts.append((name, array, tuple(j for j, x in enumerate(xs) if x in extent)))
+                finite = f"q{array}"
+                expr = f"a{array}" + index([":" if x in extent else x for x in xs])
+                count = name + "".join(f"[{x}]" for x in xs if x not in extent)
+            elif own == xs:
+                expr = f"np.array({array})"
+                if len(own) > 1:
+                    expr += f".reshape({tuple(extent[x] for x in own)})"
+                count = f"({math.prod(extent[x] for x in own)} - {array}.count(0.0))"
+                finite = f"isfinite(sum({array}))"
+            else:
+                return None
+            at = [order.index(x) for x in own]
+            if at != sorted(at):
+                expr += f".transpose({tuple(sorted(range(len(at)), key=at.__getitem__))})"
+            expr += index([":" if p in at else "None" for p in range(min(at), len(order))])
+            factors.append((expr, count, finite))
+        if reads[0] | reads[1] != extent.keys():
+            return None
+        view = "a" + (index([":" if x in extent else x for x, _ in stmt.cell]) or "[...]")
+        cells, joint = math.prod(extent.values()), bool(reads[0] & reads[1])
+        return _Block(tail[0][0], cells, view, tuple(factors), joint, tuple(arrays), tuple(counts))
 
     def statement(node: Assign) -> None:
         factors: list[tuple[str, Terms, tuple[int, int] | None]] = []
@@ -436,6 +531,7 @@ def _plan(
                     f"a kernel nests more than {MAX_NESTED_LOOPS} loops, which Python cannot compile"
                 )
             scope[node.index] = (f"x{loops}", len(wheres))
+            index_of[f"x{loops}"] = node.index
             loops += 1
             todo += ((node,), node.body)
         elif isinstance(node, Where):
@@ -490,9 +586,9 @@ def _plan(
             elif over or is_full or not drivers:
                 # a row a full-range loop filled is read whole
                 kind, over = "range", extent
-            # a single fiber, or a single statement that needs every fiber
-            # present: step through the first, bisect the others
-            if (len(drivers) == 1 and not is_full) or (len(drivers) > 1 and single):
+            # a single fiber, or a single ungated statement that needs every
+            # fiber present: step through the first, bisect the others
+            if (len(drivers) == 1 and not is_full) or (len(drivers) > 1 and gated.count(0) == 1):
                 kind = "step" if len(drivers) == 1 else "leapfrog"
             elif kind == "union":
                 absent.update(drivers)
@@ -507,6 +603,18 @@ def _plan(
                     for info in stmts[start:]
                     if info[0] in workspaces and workspaces[info[0]][1] == (index,)
                 )
+            if single and kind == "range" and dense_root:
+                # a tail starts at the innermost loop and grows outward
+                stmt = body
+                while isinstance(stmt, _Loop):
+                    stmt = stmt.body
+                inner = tails.get(stmt.n, ())
+                at_root = stmt.target == "acc" and any(v == x for v, _ in stmt.cell)
+                if at_root and (stmt is body or inner and inner[0][0] == body.var):
+                    tails[stmt.n] = ((x, extent), *inner)
+                    candidate = block(stmt, tails[stmt.n])
+                    if candidate:
+                        blocks[stmt.n] = candidate
             done.append((_Loop(x, kind, tuple(drivers), tuple(probes), over, single, body), start))
     for name, (_, ref) in first.items():
         if ref.indices != layouts[name]:
@@ -523,6 +631,7 @@ def _plan(
         touched,
         tuple(name for name, _, _, _ in stmts),
         shape,
+        {n: b for n, b in blocks.items() if b.cells >= VECTOR_TAIL_CELLS},
         body,
     )
 
@@ -557,6 +666,16 @@ def _render(plan: _Plan) -> str:
             out += (f"    {var} = [None] * {cells}", f"    t{var} = []")
             if rows[var] > 1:
                 out.append(f"    r{var} = [[] for _ in range({rows[var]})]")
+    # a kernel with blocks views an ndarray root, and each dense operand a
+    # block reads, as arrays of their shapes; it flags a dense operand that
+    # holds inf or NaN, and counts the nonzeros of its rows
+    if plan.blocks:
+        out.append(f"    a = acc.reshape({plan.shape}) if type(acc) is nd else None")
+    for param, shape in sorted({pair for block in plan.blocks.values() for pair in block.arrays}):
+        out.append(f"    a{param} = np.fromiter({param}, float, {math.prod(shape)}).reshape({shape})")
+        out.append(f"    q{param} = bool(np.isfinite(a{param}).all())")
+    for name, param, axes in sorted({count for block in plan.blocks.values() for count in block.counts}):
+        out.append(f"    {name} = (a{param} != 0).sum({axes}).tolist()")
     # each full-range loop iterates a tuple of its extent's values, built here
     # once the walk has found them
     ranges: set[int] = set()
@@ -608,8 +727,8 @@ def _render(plan: _Plan) -> str:
                 pad += "    "
                 depth += 1
             (p, coords, _, span, _), *other = drivers
+            bounds(probes, pad)
             if not other:
-                bounds(probes, pad)
                 out.append(f"{pad}for {p} in range({span}):")
                 out.append(f"{pad}    {x} = {coords}[{p}]")
                 find(probes, pad + "    ")
@@ -624,6 +743,7 @@ def _render(plan: _Plan) -> str:
             out.append(f"{pad}    if {coords_q}[{q}] != {x}:")
             out.append(f"{pad}        {p} = bl({coords}, {coords_q}[{q}], {p} + 1, h{p})")
             out.append(f"{pad}        continue")
+            find(probes, pad + "    ")
             closes.append(f"{pad}    {p} += 1")
             return depth + 1
         bounds(drivers + probes, pad)
@@ -724,6 +844,15 @@ def _render(plan: _Plan) -> str:
             load = array if array in plan.scalars else f"{array}[{index}]"
             at[use] += (f"{role} = {load}", f"if {role}:")
         _, cell = offset(f"o{n}k", node.cell, len(own))
+        block = plan.blocks.get(n)
+        if block:
+            # one numpy statement where every factor is finite, so that
+            # each product with a zero factor adds 0.0; else the scalar tail
+            t = next(k for k, loop in enumerate(own) if loop.var == block.start)
+            (expr_f, count_f, finite_f), (expr_g, count_g, finite_g) = block.factors
+            count = "int(np.count_nonzero((f != 0) & (g != 0)))" if block.joint else f"{count_f} * {count_g}"
+            run = f"f = {expr_f}; g = {expr_g}; {block.view} += f * g; n{n} += {count}"
+            at[t] += (f"if a is not None and {finite_f} and {finite_g}: {run}", "else:")
         for lines, partial in zip(at, sums):
             lines += partial
         var = node.target
@@ -762,6 +891,7 @@ class _Compiled:
     shape: tuple[int, ...]  # of the root
     results: tuple[str, ...]  # of each statement, in counter order
     max_cells: int  # of the largest workspace
+    array_root: bool  # whether the root accumulator is an ndarray, for blocks
 
 
 @functools.lru_cache(maxsize=1024)  # room for a thousand small kernels, a few kB each
@@ -771,7 +901,7 @@ def _kernel(*signature) -> _Compiled:
     Exceptions are not cached, so a malformed schedule raises on every call.
     """
     plan = _plan(*signature)
-    namespace: dict = {"bl": bisect.bisect_left}
+    namespace: dict = {"bl": bisect.bisect_left, "np": np, "nd": np.ndarray, "isfinite": math.isfinite}
     exec(compile(_render(plan), "<fusetree kernel>", "exec"), namespace)
     return _Compiled(
         namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
@@ -779,7 +909,23 @@ def _kernel(*signature) -> _Compiled:
         plan.shape,
         plan.results,
         max((cells for _, cells in plan.workspaces), default=0),
+        bool(plan.blocks),
     )
+
+
+def _accumulator(kernel: _Compiled):
+    """A fresh root accumulator for one run of ``kernel``, chosen per call:
+    the root's row-major cells, in a float64 ndarray for a kernel that
+    writes blocks and a list for any other, or a dict keyed by flat offset
+    for a root of more than ``ROOT_DENSE_CELLS`` cells, on which a kernel
+    runs its blocks as scalar tails."""
+    cells = math.prod(kernel.shape)
+    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
+    if cells <= ROOT_DENSE_CELLS or not kernel.shape:
+        return np.zeros(cells) if kernel.array_root else [0.0] * cells
+    if cells > sys.maxsize:
+        raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
+    return defaultdict(float)
 
 
 def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
@@ -791,26 +937,20 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     another order than ``binding`` stores it raises
     :class:`ModeOrderMismatchError`. Later calls of the signature only run it
     on the operands of ``binding``, passed as they are stored, so a one-shot
-    run gains nothing. The root accumulator, a flat list or a dict, is chosen
-    per call. Workspaces, the root accumulator and counters are locals of the
-    call, so independent calls may run concurrently over the same (immutable)
-    binding.
+    run gains nothing. The root accumulator, a flat list, a float64 ndarray
+    or a dict, is chosen per call (``_accumulator``). Workspaces, the root
+    accumulator and counters are locals of the call, so independent calls may
+    run concurrently over the same (immutable) binding.
     """
     kernel = _kernel(*_signature(ir, binding))
     shape = kernel.shape
-    cells = math.prod(shape)
-    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
-    dense_root = cells <= ROOT_DENSE_CELLS or not shape
-    if not dense_root and cells > sys.maxsize:
-        raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
-    acc, counts = kernel.run(
-        [0.0] * cells if dense_root else defaultdict(float),
-        *(binding.operands[name] for name in kernel.operands),
-    )
+    # float64 arrays and scalars warn where Python floats overflow quietly
+    with np.errstate(all="ignore") if kernel.array_root else contextlib.nullcontext():
+        acc, counts = kernel.run(_accumulator(kernel), *(binding.operands[name] for name in kernel.operands))
     per_assignment = {name: count for name, count in zip(kernel.results, counts) if count}
     stats = ExecStats(sum(counts), kernel.max_cells, per_assignment)
-    if dense_root:
-        return SparseTensor.from_dense(np.array(acc).reshape(shape)), stats
+    if not isinstance(acc, dict):
+        return SparseTensor.from_dense(np.asarray(acc).reshape(shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
     offsets = sorted(key for key, value in acc.items() if value != 0.0)
     coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), shape)).T

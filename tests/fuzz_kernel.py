@@ -34,7 +34,9 @@ bind stored on them and give the same result, counts and workspace cells.
 Each run goes first through the kernel cache as the previous kind left it,
 which holds the kernel of the same IR bound otherwise (``ones`` differs from
 ``mixed`` only in its extents), and must give what it gives again after
-``cache_clear()``. Each kind with two or more satisfiable bounds also runs
+``cache_clear()``. It runs once more with ``executor.VECTOR_TAIL_CELLS`` at
+0, so that every tail that can run as a numpy block does, and must give the
+same coordinates, value bits, counts and workspace cells as at the default. Each kind with two or more satisfiable bounds also runs
 one crossed pair: the IR of the first bound's schedule on the binding of the
 last one. Where the two schedules store every input in the same mode order,
 its result must match both oracles; otherwise it must raise
@@ -137,6 +139,8 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
         _kernel.cache_clear()
         if execute(ir, binding) != (result, stats):
             problems.append("the cached kernel's run differs from a fresh kernel's")
+        if not identical(blocks_run(ir, binding), (result, stats)):
+            problems.append("the run with every tail a block differs from the run at the default cutoff")
         problems += oracle_problems(tree, tensors, result)
         expected = nonzero_products(tree, tensors)
         if stats.per_assignment != expected:
@@ -144,6 +148,27 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
     except Exception as exc:
         return None, problems + [f"raised {type(exc).__name__}: {exc}"]
     return stats.multiply_adds, problems
+
+
+def blocks_run(ir, binding):
+    """``execute`` with every tail that can run as a block running as one."""
+    cutoff = executor.VECTOR_TAIL_CELLS
+    executor.VECTOR_TAIL_CELLS = 0
+    _kernel.cache_clear()
+    try:
+        return execute(ir, binding)
+    finally:
+        executor.VECTOR_TAIL_CELLS = cutoff
+        _kernel.cache_clear()
+
+
+def identical(a, b) -> bool:
+    """Whether two ``execute`` outcomes hold the same coordinates, value bits
+    and counts, the first's all Python integers."""
+    (x, stats), (y, other) = a, b
+    same = x.shape == y.shape and np.array_equal(x.coords, y.coords) and stats == other
+    counts = (stats.multiply_adds, *stats.per_assignment.values())
+    return same and x.values.tobytes() == y.values.tobytes() and all(type(c) is int for c in counts)
 
 
 def checked_compare(a, b, problems: list[str]):

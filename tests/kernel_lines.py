@@ -7,7 +7,9 @@ Run from the root of a checkout (pytest does not collect this file):
 The bench instance of ``--kind`` (``--extents``, ``--rank``, ``--density``
 and ``--seed`` as in ``fusetree bench``) is planned at its minimal bound and
 its kernel run once under ``sys.settrace``. Every line of the kernel source
-is printed after the number of line events it raised, then the total.
+is printed after the number of line events it raised, then the total. A
+tail that runs as one numpy statement (a block, see ``fusetree.executor``)
+raises one line event per visit, however many multiply-adds it makes.
 ``--total`` prints the total alone. ``--repeat K`` then runs ``execute`` K
 more times untraced and prints the best of those times, for example
 

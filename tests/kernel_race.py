@@ -16,10 +16,13 @@ executors compile the kernels of these cases, each bound once:
 - the running example at 800 nonzeros per input for n = 25, 200 and 400,
   at its minimal bound.
 
-Each case's two kernels run interleaved, K times each, on fresh root
-accumulators and the same operands. Their accumulators must be identical
-bit for bit, and their counters equal; a difference is described on
-standard error and makes the exit status 1. One line per case prints the
+Each case's two kernels run interleaved, K times each, on the same
+operands and on fresh root accumulators, each allocated as its own
+executor's ``execute`` allocates it (an executor without
+``_accumulator`` takes a flat list, or a dict for a root of more than
+``ROOT_DENSE_CELLS`` cells). Their accumulators must be identical bit for
+bit, whether a list, an ndarray or a dict, and their counters equal; a
+difference is described on standard error and makes the exit status 1. One line per case prints the
 best of K for each side, in milliseconds, and the change from ``--parent``.
 """
 
@@ -32,6 +35,8 @@ import struct
 import sys
 import time
 from collections import defaultdict
+
+import numpy as np
 
 import fusetree.executor as executor
 from fusetree import bench_generate, bind, lower, search_min_order
@@ -62,8 +67,19 @@ def cases(seed: int):
         yield f"running_example n={n}", inst, search_min_order(inst.tree)[1]
 
 
+def accumulator(side, kernel):
+    """A fresh root accumulator for ``kernel``, allocated as ``side``'s
+    ``execute`` allocates it."""
+    if hasattr(side, "_accumulator"):
+        return side._accumulator(kernel)
+    cells = math.prod(kernel.shape)
+    return [0.0] * cells if cells <= side.ROOT_DENSE_CELLS or not kernel.shape else defaultdict(float)
+
+
 def bits(acc) -> tuple:
     """The accumulator's cells as raw float64 bits, so -0.0 differs from 0.0."""
+    if isinstance(acc, np.ndarray):
+        acc = acc.tolist()
     items = acc.items() if isinstance(acc, dict) else enumerate(acc)
     return tuple((key, struct.pack("<d", value)) for key, value in sorted(items))
 
@@ -80,12 +96,11 @@ def main(argv=None) -> int:
     for label, inst, sol in cases(args.seed):
         ir = lower(inst.tree, sol)
         binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
-        kernels = [side._kernel(*side._signature(ir, binding)) for side in (parent, executor)]
-        cells = math.prod(kernels[0].shape)
-        dense = cells <= executor.ROOT_DENSE_CELLS or not kernels[0].shape
+        sides = (parent, executor)
+        kernels = [side._kernel(*side._signature(ir, binding)) for side in sides]
 
-        def run(kernel):
-            acc = [0.0] * cells if dense else defaultdict(float)
+        def run(side, kernel):
+            acc = accumulator(side, kernel)
             operands = [binding.operands[name] for name in kernel.operands]
             start = time.perf_counter()
             acc, counts = kernel.run(acc, *operands)
@@ -94,10 +109,10 @@ def main(argv=None) -> int:
         best = [float("inf"), float("inf")]
         outcomes = [None, None]
         for _ in range(args.repeat):
-            for side, kernel in enumerate(kernels):
-                seconds, *outcome = run(kernel)
-                best[side] = min(best[side], seconds)
-                outcomes[side] = outcome
+            for k, (side, kernel) in enumerate(zip(sides, kernels)):
+                seconds, *outcome = run(side, kernel)
+                best[k] = min(best[k], seconds)
+                outcomes[k] = outcome
         if outcomes[0] != outcomes[1]:
             failed = True
             what = "accumulators" if outcomes[0][0] != outcomes[1][0] else "counters"

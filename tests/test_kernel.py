@@ -4,8 +4,9 @@ The expected multiply-add counts were produced by the recursive scalar
 interpreter this kernel replaced, so they pin its counting semantics exactly.
 Further tests pin the shape of the generated source (intersection, union,
 touched workspace cells, hoisted loads) and the corner cases of each, the
-dict accumulator of large roots, zeros that annihilate inf and NaN, and the
-kernel cache: what its signature must tell apart, and that it pins no input.
+dict accumulator of large roots, zeros that annihilate inf and NaN, the
+kernel cache: what its signature must tell apart, and that it pins no input,
+and the numpy blocks of root tails against the scalar tails they replace.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from fusetree import (
     compare,
     coo_from_entries,
     execute,
+    format_network,
     lower,
     oracle_nary,
     oracle_unfused,
@@ -423,10 +425,11 @@ def test_single_statement_loop_intersects():
     assert "continue" in source
 
 
-def test_loop_shared_by_a_where_keeps_its_union():
-    # the producer drives the shared i loop through both A and B, so the loop
-    # runs over the union of their rows; the consumer is gated, and finds
-    # C(i) by bisection
+def test_loop_shared_by_a_where_leapfrogs_its_one_ungated_statement():
+    # the producer, the loop's only ungated statement, drives the shared i
+    # loop through both A and B and multiplies only where both hold the row,
+    # so the loop leapfrogs their rows; the consumer is gated, and finds C(i)
+    # by bisection at each common row
     network = "extent i 5\nextent j 3\nextent k 3\nW[i,j] = A[i,k] * B[i,j]\nR[i,j] = W[i,j] * C[i]\n"
     tree, sol = _pinned(network, ("ikj", "ij"))
     tensors = {
@@ -435,8 +438,11 @@ def test_loop_shared_by_a_where_keeps_its_union():
         "C": _tensor((5,), {(0,): 2.0, (3,): -3.0, (4,): 7.0}),
     }
     source = _kernel_source(lower(tree, sol), bind(tree, sol, tensors))
-    assert "sorted({*c0_0[lp0_0:hp0_0], *c1_0[lp1_0:hp1_0]})" in source
+    assert "sorted({" not in source
+    assert "while p0_0 < hp0_0:" in source
+    assert "p1_0 = lp1_0 = bl(c1_0, x0, lp1_0, hp1_0)" in source
     assert "p2_0 = bl(c2_0, x0, lp2_0, hp2_0)" in source
+    assert "if p0_0 >= 0" not in source and "if p1_0 >= 0" not in source  # never absent
     result, _ = _check(tree, sol, tensors)
     assert result.entries == (((3, 0), -60.0), ((3, 2), 30.0))
 
@@ -1287,3 +1293,117 @@ def test_innermost_zero_annihilates_a_hoisted_non_finite_partner(bad):
     finite, _ = _annihilate([1.0, 2.0], b)
     assert (result, stats) == finite
     assert not compare(result, oracle).passed
+
+
+# ---------------------------------------------------------------------------
+# tails of full-range loops over root indices, run as numpy blocks
+
+
+def _tail_run(ir, binding, cutoff: int, monkeypatch):
+    """The kernel planned with ``VECTOR_TAIL_CELLS`` at ``cutoff``, and the
+    raw float64 bits of its root accumulator and its counters after one run
+    on an accumulator allocated as ``execute`` allocates it."""
+    monkeypatch.setattr(executor, "VECTOR_TAIL_CELLS", cutoff)
+    _kernel.cache_clear()
+    kernel = _kernel(*_signature(ir, binding))
+    with np.errstate(all="ignore"):  # as execute runs a kernel with blocks
+        acc, counts = kernel.run(executor._accumulator(kernel), *(binding.operands[n] for n in kernel.operands))
+    bits = repr(sorted(acc.items())) if isinstance(acc, dict) else np.asarray(acc, dtype=np.float64).tobytes()
+    return kernel, bits, counts
+
+
+def _blocks_match_scalar_tails(tree, sol, tensors, dense, monkeypatch) -> bool:
+    """Run the kernel with every tail that can be a block run as one, and
+    with none, and check that both give the same accumulator bits and
+    counters; returns whether the first has a block."""
+    ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
+    vector, *ran = _tail_run(ir, binding, 0, monkeypatch)
+    scalar, *also = _tail_run(ir, binding, 2**62, monkeypatch)
+    _kernel.cache_clear()  # no kernel of another cutoff is left for later tests
+    assert not scalar.array_root
+    assert ran == also, format_network(tree)
+    assert all(type(count) is int for count in ran[1])  # JSON takes no numpy integer
+    return vector.array_root
+
+
+@pytest.mark.parametrize("case", (*KINDS, *(f"{kind}-rank-outer" for kind in RANK_OUTER)))
+def test_blocks_match_scalar_tails_on_bench_kinds(case, monkeypatch):
+    kind = case.removesuffix("-rank-outer")
+    if kind == case:
+        inst = bench_generate(kind, seed=1)
+        sol = search_min_order(inst.tree)[1]
+    else:
+        inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+        sol = _witness(inst.tree, RANK_OUTER[kind])
+    has_block = _blocks_match_scalar_tails(inst.tree, sol, inst.tensors, inst.dense_names, monkeypatch)
+    # every factor kind's consumer reads a workspace and a dense factor in
+    # its tail; the rank-outer witnesses put the rank loop outside it
+    assert has_block == (kind == case and kind in FACTOR_KINDS)
+
+
+def test_blocks_match_scalar_tails_on_random_trees(monkeypatch):
+    # mixed inputs bind every second one dense at density 0.5, so blocks
+    # meet zero cells and count fewer multiply-adds than cells
+    with_blocks = 0
+    for seed in range(100):
+        tree = shuffle_root(random_tree(random.Random(seed)), random.Random(seed))
+        for mode in ("mixed", "dense"):
+            tensors, dense = _inputs(tree, mode, seed)
+            for _, sol in _schedules(tree):
+                with_blocks += _blocks_match_scalar_tails(tree, sol, tensors, dense, monkeypatch)
+    assert with_blocks >= 50
+
+
+def _ttmc1_inputs(b_dense: np.ndarray, c_dense: np.ndarray, scale: float = 1.0):
+    """ttmc1 at 9x10x11 and rank 8, with the factors B and C given, and T's
+    values made positive and scaled by ``scale``; its consumer's tail is one
+    8x8 block."""
+    inst = bench_generate("ttmc1", extents=(9, 10, 11), rank=8, density=0.1, seed=1)
+    t = inst.tensors["T"]
+    tensors = {"T": SparseTensor._trusted(t.shape, t.coords, np.abs(t.values) * scale)}
+    tensors |= {"B": SparseTensor.from_dense(b_dense), "C": SparseTensor.from_dense(c_dense)}
+    return inst.tree, search_min_order(inst.tree)[1], tensors, inst.dense_names
+
+
+@pytest.mark.parametrize("bad", (INF, -INF, NAN), ids=("inf", "-inf", "nan"))
+def test_blocks_leave_non_finite_dense_rows_to_the_scalar_tail(bad, monkeypatch):
+    # B's columns 1 and 5 are zero, so every W(y) row holds zeros there; C's
+    # rows 2 and 4 hold bad values that face them, which a block would turn
+    # into NaN, while the scalar tail skips the zero factor
+    nprng = np.random.default_rng(5)
+    b = nprng.integers(1, 17, (10, 8)) / 8.0
+    b[:, [1, 5]] = 0.0
+    c = nprng.integers(1, 17, (11, 8)) / 8.0
+    c[2, 3] = c[4, 0] = bad
+    case = _ttmc1_inputs(b, c)
+    assert _blocks_match_scalar_tails(*case, monkeypatch)
+    result, _ = execute(lower(*case[:2]), bind(case[0], case[1], case[2], case[3]))
+    assert not np.isfinite(result.values).all()
+
+
+def test_blocks_leave_an_overflowing_workspace_row_to_the_scalar_tail(monkeypatch):
+    # T's values times B's overflow every W(y) to inf, and C's zero columns
+    # face it
+    nprng = np.random.default_rng(6)
+    b = nprng.integers(1, 17, (10, 8)) * 1e300
+    c = nprng.integers(1, 17, (11, 8)) / 8.0
+    c[:, [0, 6]] = 0.0
+    case = _ttmc1_inputs(b, c, scale=1e10)
+    assert _blocks_match_scalar_tails(*case, monkeypatch)
+    result, stats = execute(lower(*case[:2]), bind(case[0], case[1], case[2], case[3]))
+    assert np.isinf(result.values).any() and not np.isnan(result.values).any()
+
+
+def test_blocks_count_only_products_of_nonzero_factors(monkeypatch):
+    # B's zero columns leave zero W(y) cells, and C's zero rows and cells
+    # zero factors, so a block's multiply-adds are fewer than its cells
+    nprng = np.random.default_rng(7)
+    b = nprng.integers(1, 17, (10, 8)) / 8.0
+    b[:, [2, 7]] = 0.0
+    c = nprng.integers(1, 17, (11, 8)) / 8.0
+    c[[0, 3], :] = 0.0
+    c[5, 4] = 0.0
+    tree, sol, tensors, dense = case = _ttmc1_inputs(b, c)
+    assert _blocks_match_scalar_tails(*case, monkeypatch)
+    result, stats = _check(tree, sol, tensors, dense)
+    assert stats.per_assignment == nonzero_products(tree, tensors)
