@@ -69,17 +69,17 @@ copying a list of zeros over them, among them an order-1 workspace that a
 full-range loop writes, whole rows or nothing, whose consumer is an ordinary
 full-range loop. Every full-range loop iterates a tuple of its extent's
 values, which the prologue builds once per extent. An order-0 workspace is
-a float local. The root
-accumulates into a flat list of its row-major cells, which
-``SparseTensor.from_dense`` turns into the result; a root of more than
-``ROOT_DENSE_CELLS`` cells accumulates into a dict keyed by flat offset.
+a float local. The prologue allocates the root accumulator as well, in a
+form fixed per signature: a flat list of the root's row-major cells, which
+``SparseTensor.from_dense`` turns into the result, or a dict keyed by flat
+offset for a root of more than ``ROOT_DENSE_CELLS`` cells.
 
 A statement that writes the root may end in a tail of full-range loops that
 it runs alone, each over a root index, so each visit adds into cells of its
 own. Where both factors are dense operands or untracked workspaces reading
 only tail indices, and the tail covers ``VECTOR_TAIL_CELLS`` cells or more,
 it runs as a block: one numpy statement per visit, such as ``a[x1] += f *
-g``, adds the broadcast product into a view of the root, held in a float64
+g``, adds the broadcast product into a view of the root, then a float64
 ndarray, and counts the product of the factors' nonzero counts, or their
 joint nonzeros where they share an index. A finite product with a zero
 factor adds ±0.0, which changes no root cell's bits (none is ever -0.0), so
@@ -89,21 +89,22 @@ scalar tail runs. ``tests/kernel_lines.py`` counts a block as one line event.
 
 The source numbers every identifier, so no network name reaches it, and
 writes every stride, loop extent and workspace size as a literal. A kernel's
-parameters are the root accumulator and its operands: each CSF operand whole,
-unpacked into its levels' coordinates and segments and its values at the top
-of the kernel, and each dense operand as its flat tuple. A kernel is planned
-and compiled once per signature: the IR; each input's bound layout and kind,
-CSF or dense; and the tree's extents, root reference and intermediate names.
-The cache entry keeps the compiled function and its operands' names in
-parameter order, and no tensor data. Each call picks the root accumulator
-(``_accumulator``) and runs the kernel on it and the binding's operands as
-they are stored, so only
-the first run of a signature, such as a one-shot ``fusetree run``, pays for
-planning and compilation, and no call converts an operand. A schedule that
-fails its checks raises on every call, and a kernel nesting more than
-``MAX_NESTED_LOOPS`` loops, which Python cannot compile, raises
-``TooLargeError``. The dense oracles and ``compare`` that check the kernels
-live in :mod:`fusetree.check`, which imports none of this code.
+parameters are its operands: each CSF operand whole, unpacked into its
+levels' coordinates and segments and its values at the top of the kernel,
+and each dense operand as its flat tuple. A kernel is planned and compiled
+once per signature: the IR; each input's bound layout and kind, CSF or
+dense; and the tree's extents, root reference and intermediate names. The
+cache entry keeps the compiled function and its operands' names in
+parameter order, and no tensor data. Each call runs the kernel on the
+binding's operands as they are stored, so only the first run of a
+signature, such as a one-shot ``fusetree run``, pays for planning and
+compilation, and no call converts an operand. A schedule that fails its
+checks raises on every call, and so does, with ``TooLargeError``, a kernel
+nesting more than ``MAX_NESTED_LOOPS`` loops, which Python cannot compile,
+a root of more than ``sys.maxsize`` cells, or a workspace (in ``bind``, a
+dense input) of more than ``DENSE_SPACE_BUDGET`` cells. The dense oracles
+and ``compare`` that check the kernels live in :mod:`fusetree.check`, which
+imports none of this code.
 """
 
 from __future__ import annotations
@@ -119,6 +120,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .check import DENSE_SPACE_BUDGET
 from .constraints import ScheduleSolution
 from .errors import (
     ExtentMismatchError,
@@ -203,11 +205,12 @@ def bind(
 
     Every name in ``dense_names`` must be an input of ``tree``. ``sol`` must
     order exactly the modes of every input, else :class:`MissingVariableError`.
-    These checks run on every call. Each layout, a CSF tree or a flat tuple,
-    is built on the first bind of its tensor, kind and mode order, and kept on
-    the tensor for later binds, as long as the tensor lives; a one-shot
-    ``fusetree run`` builds every layout once and gains nothing. Each tensor
-    was checked canonical and in bounds when it was built.
+    A dense input must have at most ``DENSE_SPACE_BUDGET`` cells, else
+    :class:`TooLargeError`. These checks run on every call. Each layout, a
+    CSF tree or a flat tuple, is built on the first bind of its tensor, kind
+    and mode order, and kept on the tensor for later binds, as long as the
+    tensor lives; a one-shot ``fusetree run`` builds every layout once and
+    gains nothing. Each tensor was checked canonical and in bounds when built.
     """
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
@@ -229,6 +232,8 @@ def bind(
         perm = sol.mode_perm(name)
         layouts[name] = tuple(ref.indices[j] for j in perm)  # sol.layout_indices(ref)
         kind = "dense" if name in dense_names or t.order == 0 else "csf"
+        if kind == "dense" and math.prod(t.shape) > DENSE_SPACE_BUDGET:
+            raise TooLargeError(f"dense input '{name}' needs {math.prod(t.shape)} cells")
         stored = t._layouts.get((kind, perm))
         if stored is None:
             if kind == "dense":
@@ -271,15 +276,14 @@ class _Stmt:
 @dataclass(frozen=True)
 class _Block:
     """A statement's tail of full-range loops over root indices, run as one
-    numpy statement per visit: the local of its outermost loop, its cells,
-    the root's view it adds into, and per factor its ndarray broadcast to
-    the view, its nonzero count and finiteness test; whether the factors
-    share an index; the dense operands the prologue views as arrays, with
-    their shapes, and its lists of per-row nonzero counts, each with its
-    operand and the axes it counts over."""
+    numpy statement per visit: the local of its outermost loop, the root's
+    view it adds into, and per factor its ndarray broadcast to the view, its
+    nonzero count and finiteness test; whether the factors share an index;
+    the dense operands the prologue views as arrays, with their shapes, and
+    its lists of per-row nonzero counts, each with its operand and the axes
+    it counts over."""
 
     start: str
-    cells: int
     view: str
     factors: tuple[tuple[str, str, str], ...]
     joint: bool
@@ -333,6 +337,7 @@ class _Plan:
     touched: Mapping[str, tuple[int, bool]]
     results: tuple[str, ...]  # of each statement, in counter order
     shape: tuple[int, ...]  # of the root
+    root: str  # the expression allocating the root accumulator
     # per statement, the block of its tail of at least VECTOR_TAIL_CELLS cells
     blocks: Mapping[int, _Block]
     body: _Node
@@ -371,12 +376,17 @@ def _plan(
     once its body is planned. An input's first reference (by contraction,
     then side) must be in its bound layout, as a workspace reference must be
     in the workspace's, else ``ModeOrderMismatchError``; the input's later
-    references carry the same solved mode order.
+    references carry the same solved mode order. A root of more than
+    ``sys.maxsize`` cells, or a workspace of more than ``DENSE_SPACE_BUDGET``,
+    raises :class:`TooLargeError`.
     """
     layouts = {name: layout for name, layout, _ in inputs}
     csf = {name for name, _, is_csf in inputs if is_csf}
     extents = dict(extents)
     shape = tuple(_extent(extents, index) for index in root.indices)
+    size = math.prod(shape)
+    if size > sys.maxsize:
+        raise TooLargeError(f"result of {size} cells has offsets numpy cannot decode")
     operands: dict[str, str] = {}  # CSF operand -> parameter
     dense: dict[str, str] = {}  # dense operand -> parameter
     fibers: list[tuple[str, int]] = []
@@ -403,7 +413,8 @@ def _plan(
     # indices, and the block of the longest such tail that can run as one
     tails: dict[int, tuple[tuple[str, int], ...]] = {}
     blocks: dict[int, _Block] = {}
-    dense_root = bool(shape) and math.prod(shape) <= ROOT_DENSE_CELLS
+    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
+    dict_root = bool(shape) and size > ROOT_DENSE_CELLS
 
     def var(ref: TensorRef, index: str) -> str:
         if index not in scope:
@@ -433,9 +444,10 @@ def _plan(
         return local, offset(ref)
 
     def block(stmt: _Stmt, tail: tuple[tuple[str, int], ...]) -> _Block | None:
-        """The block of a tail of full-range loops over root indices, if
-        each factor of ``stmt`` is a dense operand that reads a tail index,
-        or a workspace that reads tail indices only."""
+        """The block of a tail of full-range loops over root indices, if it
+        covers ``VECTOR_TAIL_CELLS`` cells or more and each factor of
+        ``stmt`` is a dense operand that reads a tail index, or a workspace
+        that reads tail indices only."""
         extent = dict(tail)
         order = [x for x, _ in stmt.cell if x in extent]  # the view's axes
 
@@ -472,11 +484,10 @@ def _plan(
                 expr += f".transpose({tuple(sorted(range(len(at)), key=at.__getitem__))})"
             expr += index([":" if p in at else "None" for p in range(min(at), len(order))])
             factors.append((expr, count, finite))
-        if reads[0] | reads[1] != extent.keys():
+        if reads[0] | reads[1] != extent.keys() or math.prod(extent.values()) < VECTOR_TAIL_CELLS:
             return None
         view = "a" + (index([":" if x in extent else x for x, _ in stmt.cell]) or "[...]")
-        cells, joint = math.prod(extent.values()), bool(reads[0] & reads[1])
-        return _Block(tail[0][0], cells, view, tuple(factors), joint, tuple(arrays), tuple(counts))
+        return _Block(tail[0][0], view, tuple(factors), bool(reads[0] & reads[1]), tuple(arrays), tuple(counts))
 
     def statement(node: Assign) -> None:
         factors: list[tuple[str, Terms, tuple[int, int] | None]] = []
@@ -514,6 +525,8 @@ def _plan(
         else:
             if name in intermediates and name not in workspaces:
                 cells = math.prod(_extent(extents, i) for i in node.result.indices)
+                if cells > DENSE_SPACE_BUDGET:
+                    raise TooLargeError(f"workspace '{name}' needs {cells} cells")
                 workspaces[name] = (f"w{len(workspaces)}", node.result.indices, cells)
             (target, at), row = cell(node.result), offset(node.result, node.result.indices[:-1])
         stmts.append((name, {node.lhs.tensor, node.rhs.tensor}, reads, levels))
@@ -603,7 +616,7 @@ def _plan(
                     for info in stmts[start:]
                     if info[0] in workspaces and workspaces[info[0]][1] == (index,)
                 )
-            if single and kind == "range" and dense_root:
+            if single and kind == "range" and not dict_root:
                 # a tail starts at the innermost loop and grows outward
                 stmt = body
                 while isinstance(stmt, _Loop):
@@ -631,7 +644,8 @@ def _plan(
         touched,
         tuple(name for name, _, _, _ in stmts),
         shape,
-        {n: b for n, b in blocks.items() if b.cells >= VECTOR_TAIL_CELLS},
+        "dd(float)" if dict_root else f"np.zeros({size})" if blocks else f"[0.0] * {size}",
+        blocks,
         body,
     )
 
@@ -645,7 +659,7 @@ def _render(plan: _Plan) -> str:
     go into the slot of the loop that binds its last variable, and each
     offset's terms into the slots that bind them, after their zero tests.
     """
-    params = ["acc", *(param for _, param in plan.operands)]
+    params = [param for _, param in plan.operands]
     out = [f"def kernel({', '.join(params)}, bl=bl):"]
     for n, (param, levels) in enumerate(plan.fibers):
         for array, field in (("c", "coords"), ("s", "segs")):
@@ -666,11 +680,12 @@ def _render(plan: _Plan) -> str:
             out += (f"    {var} = [None] * {cells}", f"    t{var} = []")
             if rows[var] > 1:
                 out.append(f"    r{var} = [[] for _ in range({rows[var]})]")
-    # a kernel with blocks views an ndarray root, and each dense operand a
-    # block reads, as arrays of their shapes; it flags a dense operand that
-    # holds inf or NaN, and counts the nonzeros of its rows
+    # the root accumulator; a kernel with blocks views its ndarray, and each
+    # dense operand a block reads, as arrays of their shapes, flags a dense
+    # operand that holds inf or NaN, and counts the nonzeros of its rows
+    out.append(f"    acc = {plan.root}")
     if plan.blocks:
-        out.append(f"    a = acc.reshape({plan.shape}) if type(acc) is nd else None")
+        out.append(f"    a = acc.reshape({plan.shape})")
     for param, shape in sorted({pair for block in plan.blocks.values() for pair in block.arrays}):
         out.append(f"    a{param} = np.fromiter({param}, float, {math.prod(shape)}).reshape({shape})")
         out.append(f"    q{param} = bool(np.isfinite(a{param}).all())")
@@ -852,7 +867,7 @@ def _render(plan: _Plan) -> str:
             (expr_f, count_f, finite_f), (expr_g, count_g, finite_g) = block.factors
             count = "int(np.count_nonzero((f != 0) & (g != 0)))" if block.joint else f"{count_f} * {count_g}"
             run = f"f = {expr_f}; g = {expr_g}; {block.view} += f * g; n{n} += {count}"
-            at[t] += (f"if a is not None and {finite_f} and {finite_g}: {run}", "else:")
+            at[t] += (f"if {finite_f} and {finite_g}: {run}", "else:")
         for lines, partial in zip(at, sums):
             lines += partial
         var = node.target
@@ -884,7 +899,7 @@ def _render(plan: _Plan) -> str:
 @dataclass(frozen=True)
 class _Compiled:
     """A compiled kernel and the names of its operands, CSF then dense, in
-    parameter order after the root accumulator. It holds no binding data."""
+    parameter order. It holds no binding data."""
 
     run: Callable
     operands: tuple[str, ...]
@@ -901,7 +916,7 @@ def _kernel(*signature) -> _Compiled:
     Exceptions are not cached, so a malformed schedule raises on every call.
     """
     plan = _plan(*signature)
-    namespace: dict = {"bl": bisect.bisect_left, "np": np, "nd": np.ndarray, "isfinite": math.isfinite}
+    namespace: dict = {"bl": bisect.bisect_left, "np": np, "dd": defaultdict, "isfinite": math.isfinite}
     exec(compile(_render(plan), "<fusetree kernel>", "exec"), namespace)
     return _Compiled(
         namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
@@ -913,21 +928,6 @@ def _kernel(*signature) -> _Compiled:
     )
 
 
-def _accumulator(kernel: _Compiled):
-    """A fresh root accumulator for one run of ``kernel``, chosen per call:
-    the root's row-major cells, in a float64 ndarray for a kernel that
-    writes blocks and a list for any other, or a dict keyed by flat offset
-    for a root of more than ``ROOT_DENSE_CELLS`` cells, on which a kernel
-    runs its blocks as scalar tails."""
-    cells = math.prod(kernel.shape)
-    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
-    if cells <= ROOT_DENSE_CELLS or not kernel.shape:
-        return np.zeros(cells) if kernel.array_root else [0.0] * cells
-    if cells > sys.maxsize:
-        raise TooLargeError(f"result of {cells} cells has offsets numpy cannot decode")
-    return defaultdict(float)
-
-
 def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     """Run the loop IR as a generated kernel and assemble the canonical result.
 
@@ -937,21 +937,20 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     another order than ``binding`` stores it raises
     :class:`ModeOrderMismatchError`. Later calls of the signature only run it
     on the operands of ``binding``, passed as they are stored, so a one-shot
-    run gains nothing. The root accumulator, a flat list, a float64 ndarray
-    or a dict, is chosen per call (``_accumulator``). Workspaces, the root
-    accumulator and counters are locals of the call, so independent calls may
-    run concurrently over the same (immutable) binding.
+    run gains nothing. The kernel allocates its root accumulator, a flat
+    list, a float64 ndarray or a dict, in the form planned for the signature.
+    Workspaces, the root accumulator and counters are locals of the call, so
+    independent calls may run concurrently over the same (immutable) binding.
     """
     kernel = _kernel(*_signature(ir, binding))
-    shape = kernel.shape
     # float64 arrays and scalars warn where Python floats overflow quietly
     with np.errstate(all="ignore") if kernel.array_root else contextlib.nullcontext():
-        acc, counts = kernel.run(_accumulator(kernel), *(binding.operands[name] for name in kernel.operands))
+        acc, counts = kernel.run(*(binding.operands[name] for name in kernel.operands))
     per_assignment = {name: count for name, count in zip(kernel.results, counts) if count}
     stats = ExecStats(sum(counts), kernel.max_cells, per_assignment)
     if not isinstance(acc, dict):
-        return SparseTensor.from_dense(np.asarray(acc).reshape(shape)), stats
+        return SparseTensor.from_dense(np.asarray(acc).reshape(kernel.shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
     offsets = sorted(key for key, value in acc.items() if value != 0.0)
-    coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), shape)).T
-    return SparseTensor._trusted(shape, coords, np.array([acc[key] for key in offsets])), stats
+    coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), kernel.shape)).T
+    return SparseTensor._trusted(kernel.shape, coords, np.array([acc[key] for key in offsets])), stats

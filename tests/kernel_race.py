@@ -17,19 +17,23 @@ executors compile the kernels of these cases, each bound once:
   at its minimal bound.
 
 Each case's two kernels run interleaved, K times each, on the same
-operands and on fresh root accumulators, each allocated as its own
-executor's ``execute`` allocates it (an executor without
-``_accumulator`` takes a flat list, or a dict for a root of more than
-``ROOT_DENSE_CELLS`` cells). Their accumulators must be identical bit for
+operands. A kernel allocates its own root accumulator; one of an older
+executor, whose first parameter is ``acc``, is handed a fresh one, allocated
+as that executor's ``execute`` allocates it (by ``_accumulator`` where it
+has one, else a flat list, or a dict for a root of more than
+``ROOT_DENSE_CELLS`` cells) before its timer starts, while a kernel's own
+allocation is timed with it. Their accumulators must be identical bit for
 bit, whether a list, an ndarray or a dict, and their counters equal; a
-difference is described on standard error and makes the exit status 1. One line per case prints the
-best of K for each side, in milliseconds, and the change from ``--parent``.
+difference is described on standard error and makes the exit status 1. One
+line per case prints the best of K for each side, in milliseconds, and the
+change from ``--parent``.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import math
 import struct
 import sys
@@ -68,8 +72,8 @@ def cases(seed: int):
 
 
 def accumulator(side, kernel):
-    """A fresh root accumulator for ``kernel``, allocated as ``side``'s
-    ``execute`` allocates it."""
+    """A fresh root accumulator for an older ``kernel``, which takes it as
+    its ``acc`` parameter, allocated as ``side``'s ``execute`` allocates it."""
     if hasattr(side, "_accumulator"):
         return side._accumulator(kernel)
     cells = math.prod(kernel.shape)
@@ -100,10 +104,11 @@ def main(argv=None) -> int:
         kernels = [side._kernel(*side._signature(ir, binding)) for side in sides]
 
         def run(side, kernel):
-            acc = accumulator(side, kernel)
-            operands = [binding.operands[name] for name in kernel.operands]
+            args = [binding.operands[name] for name in kernel.operands]
+            if "acc" in inspect.signature(kernel.run).parameters:
+                args.insert(0, accumulator(side, kernel))
             start = time.perf_counter()
-            acc, counts = kernel.run(acc, *operands)
+            acc, counts = kernel.run(*args)
             return time.perf_counter() - start, bits(acc), counts
 
         best = [float("inf"), float("inf")]

@@ -357,6 +357,19 @@ class TestRun:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: no input 's' to bind dense\n"
 
+    def test_dense_input_beyond_the_budget_exits_with_an_error_line(self, tmp_path, monkeypatch, capsys):
+        import fusetree.executor as executor
+
+        net = tmp_path / "row.net"
+        net.write_text("extent i 64\nextent j 64\nR[i] = A[i,j] * B[j]\n")
+        monkeypatch.setattr(executor, "DENSE_SPACE_BUDGET", 4095)
+        code = main(["run", "--network", str(net), "--synthetic", "A=64x64:0.01:1",
+                     "--synthetic", "B=64:0.5:2", "--dense", "A"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "result:" not in captured.out
+        assert captured.err == "error: dense input 'A' needs 4096 cells\n"
+
 
 class TestVerifyCmd:
     def test_round_trip_pass_and_tampered_fail(self, running_net, tmp_path):

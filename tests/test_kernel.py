@@ -547,7 +547,7 @@ def test_intersection_bisects_follow_the_shorter_fiber(swap):
         return bisect.bisect_left(*args)
 
     compiled = _kernel(*_signature(ir, binding))
-    acc, counts = compiled.run([0.0], *(binding.operands[name] for name in compiled.operands), bl=counting)
+    acc, counts = compiled.run(*(binding.operands[name] for name in compiled.operands), bl=counting)
     assert (acc, counts) == ([2.0], (1,))
     assert len(calls) <= 4
 
@@ -1060,16 +1060,19 @@ def test_running_example_resets_and_scans_only_written_cells():
 
 
 def test_dict_root_matches_the_dense_root(monkeypatch):
-    import fusetree.executor as executor
-
+    inst = bench_generate("ttmc1", seed=1)
+    sol = search_min_order(inst.tree)[1]
+    ttmc1 = (lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names))
     dense = {
         (seed, mode, kind): (result, stats)
         for seed in SEEDS
         for mode in MODES
         for kind, _, result, stats, _, _ in _run_case(seed, mode)
     }
-    # the kernels cached by the first round must take the dict accumulator:
-    # the root is chosen per call, never when the kernel is built
+    expected = execute(*ttmc1)
+    assert executor._plan(*_signature(*ttmc1)).blocks
+    # the root's form is planned with the kernel: only kernels planned under
+    # the patch take the dict accumulator, so the cache is cleared for them
     made = []
 
     def recording(factory):
@@ -1078,13 +1081,20 @@ def test_dict_root_matches_the_dense_root(monkeypatch):
 
     monkeypatch.setattr(executor, "ROOT_DENSE_CELLS", 0)
     monkeypatch.setattr(executor, "defaultdict", recording)
-    runs = 0
-    for seed in SEEDS:
-        for mode in MODES:
-            for kind, tree, result, stats, _, _ in _run_case(seed, mode):
-                assert (result, stats) == dense[seed, mode, kind], (seed, mode, kind)
-                runs += bool(tree.root.result.indices)  # an order-0 root takes the list
-    assert runs > 0 and len(made) == runs
+    _kernel.cache_clear()
+    try:
+        runs = 0
+        for seed in SEEDS:
+            for mode in MODES:
+                for kind, tree, result, stats, _, _ in _run_case(seed, mode):
+                    assert (result, stats) == dense[seed, mode, kind], (seed, mode, kind)
+                    runs += bool(tree.root.result.indices)  # an order-0 root takes the list
+        # a dict root runs no block
+        assert not executor._plan(*_signature(*ttmc1)).blocks
+        assert execute(*ttmc1) == expected
+        assert runs > 0 and len(made) == runs + 1
+    finally:
+        _kernel.cache_clear()  # no kernel with a dict root is left for later tests
 
 
 # ---------------------------------------------------------------------------
@@ -1171,8 +1181,8 @@ def _nested(n: int):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_parameters_are_its_operands(kind):
-    # sizes are compiled in: a kernel takes the root accumulator, each CSF
-    # operand whole, each dense operand's flat tuple and the bisection
+    # sizes are compiled in, and the kernel allocates its root: it takes each
+    # CSF operand whole, each dense operand's flat tuple and the bisection
     inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
@@ -1185,7 +1195,7 @@ def test_kernel_parameters_are_its_operands(kind):
     kinds = [type(binding.operands[name]) for name in compiled.operands]
     csf = [f"t{k}" for k in range(kinds.count(CsfTensor))]
     dense = [f"d{k}" for k in range(kinds.count(tuple))]
-    assert list(params) == ["acc", *csf, *dense, "bl"]
+    assert list(params) == [*csf, *dense, "bl"]
     assert params["bl"].default is bisect.bisect_left
     assert kinds == sorted(kinds, key=lambda kind: kind is tuple)
     assert sorted(compiled.operands) == sorted(binding.operands)
@@ -1194,8 +1204,7 @@ def test_kernel_parameters_are_its_operands(kind):
 @pytest.mark.parametrize("dense", ("bench", "all"))
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_reads_each_bound_operand_itself(kind, dense, monkeypatch):
-    # every argument after the root accumulator is the layout bind stored,
-    # not a copy made per call
+    # every argument is the layout bind stored, not a copy made per call
     inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
@@ -1203,9 +1212,9 @@ def test_kernel_reads_each_bound_operand_itself(kind, dense, monkeypatch):
     compiled = _kernel(*_signature(ir, binding))
     calls = []
 
-    def run(acc, *operands):
+    def run(*operands):
         calls.append(operands)
-        return compiled.run(acc, *operands)
+        return compiled.run(*operands)
 
     monkeypatch.setattr(executor, "_kernel", lambda *signature: dataclasses.replace(compiled, run=run))
     execute(ir, binding)
@@ -1223,6 +1232,49 @@ def test_typed_errors_raise_on_every_call():
             execute(deep, deep_binding)
         with pytest.raises(MalformedScheduleError, match="bound twice"):
             execute(twice, binding)
+    assert _kernel.cache_info().currsize == 0
+
+
+def test_a_root_past_the_offset_limit_raises_before_a_kernel_is_built():
+    # 2^64 root cells: a flat offset does not fit numpy's index type
+    n = 2**32
+    tree = parse_network(f"extent i {n}\nextent j {n}\nextent k 2\nR[i,j] = A[i,k] * B[k,j]\n")
+    a = SparseTensor((n, 2), (((0, 1), 1.0), ((n - 1, 0), 2.0)))
+    b = SparseTensor((2, n), (((0, 7), 3.0), ((1, n - 1), 4.0)))
+    _, sol = search_min_order(tree)
+    ir, binding = lower(tree, sol), bind(tree, sol, {"A": a, "B": b})
+    _kernel.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TooLargeError, match=f"result of {n * n} cells"):
+            execute(ir, binding)
+    assert _kernel.cache_info().currsize == 0
+
+
+# a minimal schedule keeps one index of X, so the workspace has 5 cells
+WORKSPACE = "extent i 5\nextent j 5\nextent k 5\nextent r 5\nX[i,j,r] = T[i,j,k] * C[k,r]\nR[i,r] = X[i,j,r] * B[j,r]\n"
+
+
+@pytest.mark.parametrize("what", ("dense input", "workspace"))
+def test_arrays_beyond_the_dense_budget_raise_on_every_call(what, monkeypatch):
+    if what == "dense input":
+        tree = parse_network("extent i 4\nextent j 6\nR[i] = A[i,j] * B[j]\n")
+        dense, cells = ("A", "B"), 24
+    else:
+        tree, dense, cells = parse_network(WORKSPACE), (), 5
+    rng = np.random.default_rng(5)
+    tensors = {name: synthetic_tensor(tree.ref_shape(tree.abstract_ref(name)), 0.5, rng) for name in tree.input_names}
+    _, sol = search_min_order(tree)
+    ir = lower(tree, sol)
+    # the budget is read where the executor allocates, not where check does
+    monkeypatch.setattr(executor, "DENSE_SPACE_BUDGET", cells)
+    result, stats = execute(ir, bind(tree, sol, tensors, dense))
+    assert compare(result, oracle_nary(tree, tensors)).passed
+    assert stats.max_workspace_cells == (cells if what == "workspace" else 0)
+    monkeypatch.setattr(executor, "DENSE_SPACE_BUDGET", cells - 1)
+    _kernel.cache_clear()
+    for _ in range(2):
+        with pytest.raises(TooLargeError, match=f"{what} '[AX]' needs {cells} cells"):
+            execute(ir, bind(tree, sol, tensors, dense))
     assert _kernel.cache_info().currsize == 0
 
 
@@ -1301,13 +1353,12 @@ def test_innermost_zero_annihilates_a_hoisted_non_finite_partner(bad):
 
 def _tail_run(ir, binding, cutoff: int, monkeypatch):
     """The kernel planned with ``VECTOR_TAIL_CELLS`` at ``cutoff``, and the
-    raw float64 bits of its root accumulator and its counters after one run
-    on an accumulator allocated as ``execute`` allocates it."""
+    raw float64 bits of its root accumulator and its counters after one run."""
     monkeypatch.setattr(executor, "VECTOR_TAIL_CELLS", cutoff)
     _kernel.cache_clear()
     kernel = _kernel(*_signature(ir, binding))
     with np.errstate(all="ignore"):  # as execute runs a kernel with blocks
-        acc, counts = kernel.run(executor._accumulator(kernel), *(binding.operands[n] for n in kernel.operands))
+        acc, counts = kernel.run(*(binding.operands[n] for n in kernel.operands))
     bits = repr(sorted(acc.items())) if isinstance(acc, dict) else np.asarray(acc, dtype=np.float64).tobytes()
     return kernel, bits, counts
 
