@@ -26,13 +26,17 @@ of several; where none of their fibers carries a coordinate, no statement
 multiplies.
 
 ``bind`` stores every input in the form its kernel reads, in the mode order
-the solution gives it: a CSF tree, or a flat tuple of dense values. It keeps
-them in one operand map and records each layout. Each layout is built once
-per tensor, kind and mode order and held by the tensor as long as it lives,
-so later binds of the tensor in that layout reuse it; a one-shot ``fusetree
-run`` builds each once and gains nothing. Dense inputs are flat tuples and
-workspaces flat lists, each addressed row-major in its reference's own index
-order; a reference that disagrees with the bound or workspace layout raises
+the solution gives it: a CSF tree, or a dense record of the flat tuple of
+its values, the same cells as a read-only float64 array, and its nonzero
+counts along any axes, counted on first use. Each layout also says whether
+every value it holds is finite. ``bind`` keeps them in one operand map and
+records each layout. Each layout is built once per tensor, kind and mode
+order and held by the tensor as long as it lives, so later binds of the
+tensor in that layout reuse it and no kernel call builds any of it again; a
+one-shot ``fusetree run`` builds each once and gains nothing. Dense inputs
+are read through their flat tuples and workspaces are flat lists, each
+addressed row-major in its reference's own index order; a reference that
+disagrees with the bound or workspace layout raises
 ``ModeOrderMismatchError`` when the kernel is planned.
 
 A statement contributes only when every sparse operand carries the current
@@ -45,7 +49,18 @@ loop that binds them. A zero factor therefore skips the whole inner loop and
 its index arithmetic, never a ``where`` sibling. Zeros annihilate: a
 zero factor skips its partner even when that is inf or NaN, so such a product
 adds nothing and counts no multiply-add, while the dense oracles compute NaN
-and ``compare`` fails the run.
+and ``compare`` fails the run. A finite product with a zero factor adds
+±0.0, which changes no cell's bits, since no root or workspace cell is ever
+-0.0 (each starts at +0.0, and round-to-nearest gives -0.0 only for -0.0 +
+-0.0). So an innermost full-range loop that multiplies an input value,
+loaded and tested outside it, by a row of a dense operand (every factor
+kind's producer, ``W(y) += T(k,i,j) * B(j,y)``) adds every cell of the row
+untested and then the row's nonzero count, where the input's layout says it
+is finite; elsewhere the tested loop runs. The row's own values may be
+anything: its zeros meet a finite factor, and its inf and NaN are nonzero
+either way. A tracked workspace keeps the tested loop, which would list a
+zero product's cell as written, and so does a dict root, which would grow a
+key for it.
 
 Each ``where`` zeroes the producer's workspaces, runs the producer, then the
 consumer, once per enclosing iteration. Where every consumer statement reads
@@ -72,32 +87,35 @@ values, which the prologue builds once per extent. An order-0 workspace is
 a float local. The prologue allocates the root accumulator as well, in a
 form fixed per signature: a flat list of the root's row-major cells, which
 ``SparseTensor.from_dense`` turns into the result, or a dict keyed by flat
-offset for a root of more than ``ROOT_DENSE_CELLS`` cells.
+offset for a root of more than ``ROOT_DENSE_CELLS`` cells. A kernel with
+blocks (below) accumulates into a float64 ndarray instead, of up to
+``ROOT_ARRAY_CELLS`` cells, which costs a few ns per cell where a list
+costs about 40.
 
 A statement that writes the root may end in a tail of full-range loops that
 it runs alone, each over a root index, so each visit adds into cells of its
 own. Where both factors are dense operands or untracked workspaces reading
 only tail indices, and the tail covers ``VECTOR_TAIL_CELLS`` cells or more,
-it runs as a block: one numpy statement per visit, such as ``a[x1] += f *
-g``, adds the broadcast product into a view of the root, then a float64
-ndarray, and counts the product of the factors' nonzero counts, or their
-joint nonzeros where they share an index. A finite product with a zero
-factor adds ±0.0, which changes no root cell's bits (none is ever -0.0), so
-a block runs only where both factors are finite, by a flag per dense operand
-that the prologue sets and the ``sum`` of the workspace; elsewhere the
-scalar tail runs. ``tests/kernel_lines.py`` counts a block as one line event.
+it runs as a block: one numpy statement per visit, such as ``v = a[x1];
+v += f * g``, adds the broadcast product in place into a view of the root,
+and counts the product of the factors' nonzero counts, or their joint
+nonzeros where they share an index. Neither factor is tested, so a block
+runs only where both are finite, by the flag of each dense operand's layout
+and the ``sum`` of the workspace; elsewhere the scalar tail runs.
+``tests/kernel_lines.py`` counts a block as one line event per visit.
 
 The source numbers every identifier, so no network name reaches it, and
 writes every stride, loop extent and workspace size as a literal. A kernel's
 parameters are its operands: each CSF operand whole, unpacked into its
 levels' coordinates and segments and its values at the top of the kernel,
-and each dense operand as its flat tuple. A kernel is planned and compiled
-once per signature: the IR; each input's bound layout and kind, CSF or
-dense; and the tree's extents, root reference and intermediate names. The
-cache entry keeps the compiled function and its operands' names in
-parameter order, and no tensor data. Each call runs the kernel on the
-binding's operands as they are stored, so only the first run of a
-signature, such as a one-shot ``fusetree run``, pays for planning and
+and each dense operand as its record, of which the top of the kernel reads
+the flat tuple and whatever blocks and untested rows read. A kernel is
+planned and compiled once per signature: the IR; each input's bound layout
+and kind, CSF or dense; and the tree's extents, root reference and
+intermediate names. The cache entry keeps the compiled function and its
+operands' names in parameter order, and no tensor data. Each call runs the
+kernel on the binding's operands as they are stored, so only the first run
+of a signature, such as a one-shot ``fusetree run``, pays for planning and
 compilation, and no call converts an operand. A schedule that fails its
 checks raises on every call, and so does, with ``TooLargeError``, a kernel
 nesting more than ``MAX_NESTED_LOOPS`` loops, which Python cannot compile,
@@ -133,13 +151,21 @@ from .errors import (
 )
 from .lowering import Assign, Forall, IrNode, Where
 from .network import ContractionTree, TensorRef
-from .tensor import CsfTensor, SparseTensor, csf_build
+from .tensor import CsfTensor, DenseTensor, SparseTensor, csf_build, dense_build
 
 # a root of up to this many cells accumulates into a flat list, a larger one
 # into a dict keyed by flat offset: filling and scanning the list costs about
 # 40 ns per cell (2.5 ms at the limit on a 2-core Xeon VM), about what sorting
 # and decoding a few thousand dict entries costs
 ROOT_DENSE_CELLS = 2**16
+# a kernel with blocks accumulates into a float64 ndarray of up to this many
+# cells, a larger root into a dict: on ttmc1 with 64-cell tails and roots of
+# 2^16 to 2^22 cells, an ndarray root of 2^19 cells cost 0.9 ms with no
+# nonzero (the list root at its limit 2.3 ms) and still beat the dict root
+# with 100 nonzeros, 3.6 against 4.6 ms, where 2^20 cells lost, 6.0 against
+# 4.6 ms; with 1,000 nonzeros it won up to 2^22 (best of 5 on a 2-core Xeon
+# VM)
+ROOT_ARRAY_CELLS = 2**19
 # a workspace with shorter rows keeps full scans and resets by slice copy: on
 # solver_chains' TTMc networks, tracking rows of 2 cells cost 1% more kernel
 # time at input density 0.1 and 6% at 0.5, where rows of 3 gained 5% at 0.1
@@ -182,15 +208,15 @@ class Binding:
 
     ``operands`` holds every input in the form its kernel reads, in the mode
     order the solution gives it: a CSF tree built in that order, or, flagged
-    dense or of order 0, the flat row-major tuple of its values transposed to
-    it. The trees and tuples belong to the input tensors, which keep them for
-    every binding of the same kind and mode order. ``layouts`` names each
+    dense or of order 0, a :class:`DenseTensor` of its values transposed to
+    it. The layouts belong to the input tensors, which keep them for every
+    binding of the same kind and mode order. ``layouts`` names each
     input's indices in that order, as ``ScheduleSolution.layout_indices``
     does for its first reference.
     """
 
     tree: ContractionTree
-    operands: Mapping[str, CsfTensor | tuple[float, ...]]
+    operands: Mapping[str, CsfTensor | DenseTensor]
     layouts: Mapping[str, tuple[str, ...]]
 
 
@@ -207,7 +233,7 @@ def bind(
     order exactly the modes of every input, else :class:`MissingVariableError`.
     A dense input must have at most ``DENSE_SPACE_BUDGET`` cells, else
     :class:`TooLargeError`. These checks run on every call. Each layout, a
-    CSF tree or a flat tuple, is built on the first bind of its tensor, kind
+    CSF tree or a dense record, is built on the first bind of its tensor, kind
     and mode order, and kept on the tensor for later binds, as long as the
     tensor lives; a one-shot ``fusetree run`` builds every layout once and
     gains nothing. Each tensor was checked canonical and in bounds when built.
@@ -215,7 +241,7 @@ def bind(
     unknown = sorted(set(dense_names) - set(tree.input_names))
     if unknown:
         raise UnknownTensorError(f"no input {', '.join(map(repr, unknown))} to bind dense")
-    operands: dict[str, CsfTensor | tuple[float, ...]] = {}
+    operands: dict[str, CsfTensor | DenseTensor] = {}
     layouts: dict[str, tuple[str, ...]] = {}
     for name in tree.input_names:
         if name not in tensors:
@@ -236,10 +262,7 @@ def bind(
             raise TooLargeError(f"dense input '{name}' needs {math.prod(t.shape)} cells")
         stored = t._layouts.get((kind, perm))
         if stored is None:
-            if kind == "dense":
-                stored = tuple(t.to_dense().transpose(perm).ravel().tolist())
-            else:
-                stored = csf_build(t, perm)
+            stored = dense_build(t, perm) if kind == "dense" else csf_build(t, perm)
             t._layouts[kind, perm] = stored  # a racing bind may store an equal layout
         operands[name] = stored
     return Binding(tree, operands, layouts)
@@ -279,16 +302,28 @@ class _Block:
     numpy statement per visit: the local of its outermost loop, the root's
     view it adds into, and per factor its ndarray broadcast to the view, its
     nonzero count and finiteness test; whether the factors share an index;
-    the dense operands the prologue views as arrays, with their shapes, and
-    its lists of per-row nonzero counts, each with its operand and the axes
-    it counts over."""
+    and per dense factor, which it reads as an array, its table of nonzero
+    counts, with its operand and the axes it counts along."""
 
     start: str
     view: str
     factors: tuple[tuple[str, str, str], ...]
     joint: bool
-    arrays: tuple[tuple[str, tuple[int, ...]], ...]
     counts: tuple[tuple[str, str, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class _Row:
+    """A statement's innermost full-range loop that multiplies a factor
+    loaded and tested outside it, an input, by a row of a dense operand:
+    which factor is the row, the operand of the other, whose finiteness
+    flag decides, and the row's table of nonzero counts (local, operand and
+    axis) with the index that picks the row's count."""
+
+    row: int
+    flag: str
+    table: tuple[str, str, tuple[int, ...]]
+    at: str
 
 
 @dataclass(frozen=True)
@@ -338,8 +373,10 @@ class _Plan:
     results: tuple[str, ...]  # of each statement, in counter order
     shape: tuple[int, ...]  # of the root
     root: str  # the expression allocating the root accumulator
-    # per statement, the block of its tail of at least VECTOR_TAIL_CELLS cells
+    # per statement, the block of its tail of at least VECTOR_TAIL_CELLS cells,
+    # and the dense row its innermost loop reads untested
     blocks: Mapping[int, _Block]
+    dense_rows: Mapping[int, _Row]
     body: _Node
 
 
@@ -408,13 +445,19 @@ def _plan(
     wheres: list[tuple[int, int]] = []
     whole: set[str] = set()  # order-1 workspaces written by full-range loops
     done: list[tuple[_Node, int]] = []  # planned subtrees, each with its first statement
-    index_of: dict[str, str] = {}  # loop local -> the index it binds
     # per statement writing the root: its tail of full-range loops over root
     # indices, and the block of the longest such tail that can run as one
     tails: dict[int, tuple[tuple[str, int], ...]] = {}
     blocks: dict[int, _Block] = {}
-    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
-    dict_root = bool(shape) and size > ROOT_DENSE_CELLS
+    # per statement whose innermost loop is full-range: that loop's local
+    innermost: dict[int, tuple[str, _Stmt]] = {}
+
+    def nonzeros(param: str, xs: list[str], axes) -> tuple[tuple[str, str, tuple[int, ...]], str]:
+        """The table of nonzero counts of dense operand ``param``, read by
+        the locals ``xs``, along the loops of ``axes``, and the index that
+        picks a row's count."""
+        at = tuple(j for j, x in enumerate(xs) if x in axes)
+        return (f"k{param}_{'_'.join(map(str, at))}", param, at), "".join(f"[{x}]" for x in xs if x not in axes)
 
     def var(ref: TensorRef, index: str) -> str:
         if index not in scope:
@@ -456,21 +499,19 @@ def _plan(
                 items = items[:-1]
             return f"[{', '.join(items)}]" if items else ""
 
-        factors, arrays, counts, reads = [], [], [], []
-        for role, (array, terms, deepest) in zip("fg", stmt.factors):
+        factors, reads, counts = [], [], []
+        for array, terms, deepest in stmt.factors:
             xs = [x for x, _ in terms]
             own = [x for x in xs if x in extent]
             if deepest is not None or not own:
                 return None
             reads.append(set(own))
             if array[0] == "d":
-                shape = tuple(_extent(extents, index_of[x]) for x in xs)
-                name = f"k{stmt.n}{role}"
-                arrays.append((array, shape))
-                counts.append((name, array, tuple(j for j, x in enumerate(xs) if x in extent)))
+                table, at = nonzeros(array, xs, extent)
+                counts.append(table)
                 finite = f"q{array}"
                 expr = f"a{array}" + index([":" if x in extent else x for x in xs])
-                count = name + "".join(f"[{x}]" for x in xs if x not in extent)
+                count = table[0] + at
             elif own == xs:
                 expr = f"np.array({array})"
                 if len(own) > 1:
@@ -487,7 +528,7 @@ def _plan(
         if reads[0] | reads[1] != extent.keys() or math.prod(extent.values()) < VECTOR_TAIL_CELLS:
             return None
         view = "a" + (index([":" if x in extent else x for x, _ in stmt.cell]) or "[...]")
-        return _Block(tail[0][0], view, tuple(factors), bool(reads[0] & reads[1]), tuple(arrays), tuple(counts))
+        return _Block(tail[0][0], view, tuple(factors), bool(reads[0] & reads[1]), tuple(counts))
 
     def statement(node: Assign) -> None:
         factors: list[tuple[str, Terms, tuple[int, int] | None]] = []
@@ -544,7 +585,6 @@ def _plan(
                     f"a kernel nests more than {MAX_NESTED_LOOPS} loops, which Python cannot compile"
                 )
             scope[node.index] = (f"x{loops}", len(wheres))
-            index_of[f"x{loops}"] = node.index
             loops += 1
             todo += ((node,), node.body)
         elif isinstance(node, Where):
@@ -616,7 +656,9 @@ def _plan(
                     for info in stmts[start:]
                     if info[0] in workspaces and workspaces[info[0]][1] == (index,)
                 )
-            if single and kind == "range" and not dict_root:
+            if single and kind == "range" and isinstance(body, _Stmt):
+                innermost[body.n] = (x, body)
+            if single and kind == "range" and size <= ROOT_ARRAY_CELLS:
                 # a tail starts at the innermost loop and grows outward
                 stmt = body
                 while isinstance(stmt, _Loop):
@@ -635,6 +677,23 @@ def _plan(
                 f"reference {ref} disagrees with the bound layout {layouts[name]}"
             )
     ((body, _),) = done
+    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
+    dict_root = not blocks and bool(shape) and size > ROOT_DENSE_CELLS
+    # a finite factor tested nonzero times a zero of the row adds 0.0, which
+    # changes no cell's bits, so only that factor's finiteness decides; a
+    # tracked workspace would list such a cell as written, and a dict root
+    # would grow a key for it
+    dense_rows: dict[int, _Row] = {}
+    for n, (x, stmt) in innermost.items():
+        if stmt.target in touched or stmt.target == "acc" and dict_root:
+            continue
+        for k in (0, 1):
+            (row, terms, _), (other, loaded, deepest) = stmt.factors[k], stmt.factors[1 - k]
+            xs = [v for v, _ in terms]
+            # the other factor is an input, loaded outside the loop
+            flag = fibers[deepest[0]][0] if deepest else other if other[0] == "d" else None
+            if row[0] == "d" and x in xs and flag and all(v != x for v, _ in loaded):
+                dense_rows[n] = _Row(k, flag, *nonzeros(row, xs, {x}))
     return _Plan(
         (*operands.items(), *dense.items()),
         tuple(fibers),
@@ -646,6 +705,7 @@ def _plan(
         shape,
         "dd(float)" if dict_root else f"np.zeros({size})" if blocks else f"[0.0] * {size}",
         blocks,
+        dense_rows,
         body,
     )
 
@@ -680,17 +740,21 @@ def _render(plan: _Plan) -> str:
             out += (f"    {var} = [None] * {cells}", f"    t{var} = []")
             if rows[var] > 1:
                 out.append(f"    r{var} = [[] for _ in range({rows[var]})]")
-    # the root accumulator; a kernel with blocks views its ndarray, and each
-    # dense operand a block reads, as arrays of their shapes, flags a dense
-    # operand that holds inf or NaN, and counts the nonzeros of its rows
+    # the root accumulator; a kernel with blocks views its ndarray. Blocks
+    # and dense rows read what bind keeps of each operand: a dense operand's
+    # array and tables of nonzero counts, and finiteness flags; every other
+    # line reads a dense operand's flat tuple
     out.append(f"    acc = {plan.root}")
     if plan.blocks:
         out.append(f"    a = acc.reshape({plan.shape})")
-    for param, shape in sorted({pair for block in plan.blocks.values() for pair in block.arrays}):
-        out.append(f"    a{param} = np.fromiter({param}, float, {math.prod(shape)}).reshape({shape})")
-        out.append(f"    q{param} = bool(np.isfinite(a{param}).all())")
-    for name, param, axes in sorted({count for block in plan.blocks.values() for count in block.counts}):
-        out.append(f"    {name} = (a{param} != 0).sum({axes}).tolist()")
+    arrays = {param for block in plan.blocks.values() for _, param, _ in block.counts}
+    out += (f"    a{param} = {param}.array" for param in sorted(arrays))
+    flags = arrays | {row.flag for row in plan.dense_rows.values()}
+    out += (f"    q{param} = {param}.finite" for param in sorted(flags))
+    counts = {count for block in plan.blocks.values() for count in block.counts}
+    counts.update(row.table for row in plan.dense_rows.values())
+    out += (f"    {name} = {param}.nonzeros({axes})" for name, param, axes in sorted(counts))
+    out += (f"    {param} = {param}.values" for _, param in plan.operands if param[0] == "d")
     # each full-range loop iterates a tuple of its extent's values, built here
     # once the walk has found them
     ranges: set[int] = set()
@@ -852,12 +916,13 @@ def _render(plan: _Plan) -> str:
             return use, partial[0] if partial else "0"
 
         n = node.n
+        loads = []
         for role, (array, terms, deepest) in zip("fg", node.factors):
             use, index = offset(f"o{n}{role}", terms)
             if deepest in plan.absent:
                 at[use].append(f"if {index} >= 0:")
-            load = array if array in plan.scalars else f"{array}[{index}]"
-            at[use] += (f"{role} = {load}", f"if {role}:")
+            loads.append(array if array in plan.scalars else f"{array}[{index}]")
+            at[use] += (f"{role} = {loads[-1]}", f"if {role}:")
         _, cell = offset(f"o{n}k", node.cell, len(own))
         block = plan.blocks.get(n)
         if block:
@@ -866,11 +931,21 @@ def _render(plan: _Plan) -> str:
             t = next(k for k, loop in enumerate(own) if loop.var == block.start)
             (expr_f, count_f, finite_f), (expr_g, count_g, finite_g) = block.factors
             count = "int(np.count_nonzero((f != 0) & (g != 0)))" if block.joint else f"{count_f} * {count_g}"
-            run = f"f = {expr_f}; g = {expr_g}; {block.view} += f * g; n{n} += {count}"
+            run = f"f = {expr_f}; g = {expr_g}; v = {block.view}; v += f * g; n{n} += {count}"
             at[t] += (f"if {finite_f} and {finite_g}: {run}", "else:")
         for lines, partial in zip(at, sums):
             lines += partial
         var = node.target
+        update = var if var in plan.scalars else f"{var}[{cell}]"
+        row = plan.dense_rows.get(n)
+        if row:
+            # the row's cells untested where the other factor is finite, then
+            # its nonzero count; else the tested loop
+            loop = own[-1]
+            factors = ["f", "g"]
+            factors[row.row] = loads[row.row]
+            run = f"for {loop.var} in e{loop.over}: {update} += {' * '.join(factors)}"
+            at[-2] += (f"if q{row.flag}:\n    {run}\n    n{n} += {row.table[0]}{row.at}", "else:")
         if var in rows:
             # a cell that holds None is written for the first time
             first = f"t{var}.append({cell})"
@@ -878,7 +953,6 @@ def _render(plan: _Plan) -> str:
                 first += f"; r{var}[{' + '.join(term for _, term in node.row)}].append({node.cell[-1][0]})"
             at[-1] += (f"h = {var}[{cell}]", f"if h is None: {first}; h = 0.0", f"{var}[{cell}] = h + f * g")
         else:
-            update = var if var in plan.scalars else f"{var}[{cell}]"
             at[-1].append(f"{update} += f * g")
         at[-1].append(f"n{n} += 1")
         for k, lines in enumerate(at):
@@ -886,7 +960,7 @@ def _render(plan: _Plan) -> str:
                 depth = head(own[k - 1], depth, closes)
             pad = "    " * depth
             for line in lines:
-                out.append(pad + line)
+                out += (pad + part for part in line.split("\n"))
                 if line[-1] == ":":
                     pad += "    "
                     depth += 1

@@ -1,9 +1,11 @@
 """Sparse tensor storage and interchange.
 
-Tensors live in two forms: a canonical coordinate list (:class:`SparseTensor`)
-used for interchange, oracles, and I/O, and a compressed-sparse-fiber tree
-(:class:`CsfTensor`) built under a chosen mode permutation for execution. A
-coordinate list holds coordinate and value arrays, checked once when built.
+Tensors live in three forms: a canonical coordinate list
+(:class:`SparseTensor`) used for interchange, oracles, and I/O, and, for
+execution under a chosen mode permutation, a compressed-sparse-fiber tree
+(:class:`CsfTensor`) or, for a dense operand, every cell
+(:class:`DenseTensor`). A coordinate list holds coordinate and value arrays,
+checked once when built.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -62,7 +64,7 @@ class SparseTensor:
     and values are; a NaN value equals nothing.
 
     ``_layouts`` is where ``executor.bind`` keeps each layout it builds of
-    the tensor, a CSF tree or a flat tuple of its transposed dense values,
+    the tensor, a CSF tree or a :class:`DenseTensor` of its transposed values,
     keyed by kind and mode order, so that later binds reuse it. The layouts,
     like ``entries`` and the dense array, live as long as the tensor does;
     equality, hashing and ``repr`` ignore them.
@@ -180,7 +182,8 @@ class CsfTensor:
     ``coords[d]`` holds the non-zero coordinates of level ``d`` (one per tree
     node); ``segs[0]`` is the synthetic root segment bracketing level 0, and
     ``segs[d]`` for ``d >= 1`` brackets the children of each level ``d-1``
-    node. ``values`` aligns with the deepest coordinate level.
+    node. ``values`` aligns with the deepest coordinate level, and ``finite``
+    says whether every value is finite.
     """
 
     shape: tuple[int, ...]  # extents in layout order
@@ -188,6 +191,7 @@ class CsfTensor:
     coords: tuple[tuple[int, ...], ...]
     segs: tuple[tuple[int, ...], ...]
     values: tuple[float, ...]
+    finite: bool
 
     @property
     def order(self) -> int:
@@ -224,6 +228,55 @@ def csf_build(t: SparseTensor, order: Sequence[int]) -> CsfTensor:
         coords=coords,
         segs=tuple(segs),
         values=tuple(values.tolist()),
+        finite=bool(np.isfinite(values).all()),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class DenseTensor:
+    """Every cell of a tensor under a fixed mode order, row-major.
+
+    ``values`` is the flat tuple that scalar kernels index, ``array`` the same
+    cells as a read-only float64 array (extents in layout order), and
+    ``finite`` says whether every cell is finite.
+    ``nonzeros(axes)`` counts the nonzero cells along ``axes``, once per
+    tuple of axes. Equality is identity.
+    """
+
+    mode_order: tuple[int, ...]  # source mode stored at each axis
+    values: tuple[float, ...]
+    array: np.ndarray
+    finite: bool
+    _nonzeros: dict = field(default_factory=dict, init=False, repr=False)
+
+    def nonzeros(self, axes: tuple[int, ...]):
+        """The number of nonzero cells of each row along ``axes``, nested
+        tuples of Python ints indexed by the other axes in layout order (a
+        bare int when ``axes`` holds every axis). A racing call may count
+        again and store an equal value."""
+        counts = self._nonzeros.get(axes)
+        if counts is None:
+            counts = self._nonzeros[axes] = _frozen(np.count_nonzero(self.array, axis=axes).tolist())
+        return counts
+
+
+def _frozen(x):
+    """Nested lists as nested tuples, so that bindings can share them."""
+    return tuple(map(_frozen, x)) if isinstance(x, list) else x
+
+
+def dense_build(t: SparseTensor, order: Sequence[int]) -> DenseTensor:
+    """Every cell of ``t`` with its modes permuted to ``order``."""
+    perm = _check_perm(order, t.order)
+    array = t.to_dense()  # read-only
+    if perm != tuple(range(t.order)):
+        array = np.ascontiguousarray(array.transpose(perm))
+        array.flags.writeable = False
+    return DenseTensor(
+        mode_order=perm,
+        values=tuple(array.ravel().tolist()),
+        array=array,
+        finite=bool(np.isfinite(array).all()),
     )
 
 

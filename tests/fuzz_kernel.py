@@ -35,8 +35,11 @@ Each run goes first through the kernel cache as the previous kind left it,
 which holds the kernel of the same IR bound otherwise (``ones`` differs from
 ``mixed`` only in its extents), and must give what it gives again after
 ``cache_clear()``. It runs once more with ``executor.VECTOR_TAIL_CELLS`` at
-0, so that every tail that can run as a numpy block does, and must give the
-same coordinates, value bits, counts and workspace cells as at the default. Each kind with two or more satisfiable bounds also runs
+0, so that every tail that can run as a numpy block does, and once more on
+its layouts with every finiteness flag false, so that every dense row and
+block takes its tested loop; each must give the same coordinates, value
+bits, counts and workspace cells as the first run. Each kind with two or
+more satisfiable bounds also runs
 one crossed pair: the IR of the first bound's schedule on the binding of the
 last one. Where the two schedules store every input in the same mode order,
 its result must match both oracles; otherwise it must raise
@@ -56,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import random
 import sys
@@ -141,6 +145,9 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
             problems.append("the cached kernel's run differs from a fresh kernel's")
         if not identical(blocks_run(ir, binding), (result, stats)):
             problems.append("the run with every tail a block differs from the run at the default cutoff")
+        unflagged = {name: dataclasses.replace(x, finite=False) for name, x in binding.operands.items()}
+        if not identical(execute(ir, dataclasses.replace(binding, operands=unflagged)), (result, stats)):
+            problems.append("the run on layouts flagged non-finite differs from the run on their flags")
         problems += oracle_problems(tree, tensors, result)
         expected = nonzero_products(tree, tensors)
         if stats.per_assignment != expected:

@@ -3,6 +3,7 @@
 Run from the root of a checkout (pytest does not collect this file):
 
     PYTHONPATH=src python3 tests/kernel_race.py --parent <path to another executor.py> [--seed N] [--repeat K]
+        [--extents 2000x3000x4000 --rank 8 --density 2e-6]
 
 The file named by ``--parent``, typically ``src/fusetree/executor.py`` of
 another commit, is loaded as a sibling module of the installed ``fusetree``
@@ -10,20 +11,25 @@ package, so it shares that package's lowering, tensors and errors. Both
 executors compile the kernels of these cases, each bound once:
 
 - the 8 bench kinds at the bench defaults (30x40x50, rank 8, density 0.01),
-  planned at their minimal bound;
+  planned at their minimal bound; ``--extents``, ``--rank`` and
+  ``--density`` set the six factor kinds' sizes, as in ``fusetree bench``;
 - the ``RANK_OUTER`` witnesses of ``test_kernel.py`` (4x5x6, rank 2,
   density 0.3), whose workspaces track their written cells;
 - the running example at 800 nonzeros per input for n = 25, 200 and 400,
   at its minimal bound.
 
 Each case's two kernels run interleaved, K times each, on the same
-operands. A kernel allocates its own root accumulator; one of an older
-executor, whose first parameter is ``acc``, is handed a fresh one, allocated
-as that executor's ``execute`` allocates it (by ``_accumulator`` where it
-has one, else a flat list, or a dict for a root of more than
-``ROOT_DENSE_CELLS`` cells) before its timer starts, while a kernel's own
-allocation is timed with it. Their accumulators must be identical bit for
-bit, whether a list, an ndarray or a dict, and their counters equal; a
+operands, bound once by the installed ``bind``. An older executor that keeps
+no dense records (it has no ``dense_build``) is handed each dense operand's
+flat tuple, and its kernel builds what it needs of it on every call. A
+kernel allocates its own root accumulator; one of an older executor, whose
+first parameter is ``acc``, is handed a fresh one, allocated as that
+executor's ``execute`` allocates it (by ``_accumulator`` where it has one,
+else a flat list, or a dict for a root of more than ``ROOT_DENSE_CELLS``
+cells) before its timer starts, while a kernel's own allocation is timed
+with it. Their accumulators must hold the same nonzero cells bit for bit,
+whether a list, an ndarray or a dict (a cell of +0.0 and an absent key both
+read as zero in the result), and their counters must be equal; a
 difference is described on standard error and makes the exit status 1. One
 line per case prints the best of K for each side, in milliseconds, and the
 change from ``--parent``.
@@ -44,7 +50,8 @@ import numpy as np
 
 import fusetree.executor as executor
 from fusetree import bench_generate, bind, lower, search_min_order
-from fusetree.bench import KINDS
+from fusetree.bench import _FACTOR_FORMS, KINDS
+from fusetree.tensor import DenseTensor
 from test_kernel import RANK_OUTER, _witness
 
 
@@ -58,10 +65,11 @@ def load_sibling(path: str):
     return module
 
 
-def cases(seed: int):
-    """(label, bench instance, schedule) of every case the race runs."""
+def cases(seed: int, sizes: dict):
+    """(label, bench instance, schedule) of every case the race runs; the
+    factor kinds take ``sizes``, the keyword arguments of ``bench_generate``."""
     for kind in KINDS:
-        inst = bench_generate(kind, seed=seed)
+        inst = bench_generate(kind, seed=seed, **(sizes if kind in _FACTOR_FORMS else {}))
         yield kind, inst, search_min_order(inst.tree)[1]
     for kind, loops in RANK_OUTER.items():
         inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=seed)
@@ -80,12 +88,16 @@ def accumulator(side, kernel):
     return [0.0] * cells if cells <= side.ROOT_DENSE_CELLS or not kernel.shape else defaultdict(float)
 
 
+ZERO = struct.pack("<d", 0.0)
+
+
 def bits(acc) -> tuple:
-    """The accumulator's cells as raw float64 bits, so -0.0 differs from 0.0."""
+    """The accumulator's cells other than +0.0 as raw float64 bits, so -0.0
+    differs from 0.0."""
     if isinstance(acc, np.ndarray):
         acc = acc.tolist()
     items = acc.items() if isinstance(acc, dict) else enumerate(acc)
-    return tuple((key, struct.pack("<d", value)) for key, value in sorted(items))
+    return tuple((key, b) for key, value in sorted(items) if (b := struct.pack("<d", value)) != ZERO)
 
 
 def main(argv=None) -> int:
@@ -93,11 +105,15 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", required=True, help="path of the executor.py to race against")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--repeat", type=int, default=15, metavar="K", help="runs per kernel and side")
+    ap.add_argument("--extents", default="30x40x50", help="of the factor kinds")
+    ap.add_argument("--rank", type=int, default=8, help="of the factor kinds")
+    ap.add_argument("--density", type=float, default=0.01, help="of the factor kinds")
     args = ap.parse_args(argv)
+    sizes = {"extents": [int(n) for n in args.extents.split("x")], "rank": args.rank, "density": args.density}
     parent = load_sibling(args.parent)
     failed = False
     print(f"{'case':<28}{'parent ms':>11}{'change ms':>11}{'change':>9}")
-    for label, inst, sol in cases(args.seed):
+    for label, inst, sol in cases(args.seed, sizes):
         ir = lower(inst.tree, sol)
         binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
         sides = (parent, executor)
@@ -105,6 +121,8 @@ def main(argv=None) -> int:
 
         def run(side, kernel):
             args = [binding.operands[name] for name in kernel.operands]
+            if not hasattr(side, "dense_build"):
+                args = [x.values if isinstance(x, DenseTensor) else x for x in args]
             if "acc" in inspect.signature(kernel.run).parameters:
                 args.insert(0, accumulator(side, kernel))
             start = time.perf_counter()

@@ -30,6 +30,7 @@ from fusetree import (
     verify_solution,
 )
 from fusetree.bench import bench_generate, synthetic_tensor
+from fusetree.tensor import DenseTensor
 from fusetree.errors import (
     ExtentMismatchError,
     MissingVariableError,
@@ -192,7 +193,28 @@ class TestBoundLayouts:
             assert binding.layouts[name] == sol.layout_indices(inst.tree.abstract_ref(name))
         for name in inst.dense_names:
             stored = inst.tensors[name].to_dense().transpose(sol.mode_perm(name))
-            assert binding.operands[name] == tuple(stored.ravel().tolist())
+            assert binding.operands[name].values == tuple(stored.ravel().tolist())
+            assert np.array_equal(binding.operands[name].array, stored)
+
+    def test_bound_arrays_are_read_only(self):
+        # a layout in its declared order keeps the tensor's own dense array,
+        # a transposed one a copy; every kernel call reads them, so no
+        # caller may write them
+        inst = bench_generate("ttmc1", extents=(4, 5, 6), rank=7, density=0.3, seed=1)
+        _, sol = search_min_order(inst.tree)
+        binding = bind(inst.tree, sol, inst.tensors, inst.tree.input_names)
+        layouts = list(binding.operands.values())
+        declared = [x for x in layouts if x.mode_order == tuple(range(len(x.mode_order)))]
+        assert declared and len(declared) < len(layouts)
+        for name, layout in binding.operands.items():
+            assert (layout.array is inst.tensors[name].to_dense()) == (layout in declared)
+            assert not layout.array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                layout.array[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                layout.array += 1.0
+            with pytest.raises(TypeError):
+                layout.nonzeros((1,))[0] = 0  # nested tuples
 
     @pytest.mark.parametrize("modes", (None, {0: 0}, {0: 0, 1: 1, 2: 2}, {0: 1, 2: 0}))
     @pytest.mark.parametrize("dense", ((), ("S",)))
@@ -271,7 +293,7 @@ class TestLayoutMemo:
         tree, sol = _referenced_twice(second)
         tensors = _two_inputs()
         first = bind(tree, sol, tensors, ("A", "B"))
-        assert builds == [] and all(type(first.operands[n]) is tuple for n in ("A", "B"))
+        assert builds == [] and all(type(first.operands[n]) is DenseTensor for n in ("A", "B"))
         second = bind(tree, sol, tensors, ("A", "B"))
         assert all(second.operands[n] is first.operands[n] for n in ("A", "B"))
 
@@ -285,8 +307,8 @@ class TestLayoutMemo:
         assert (ij.operands["A"].mode_order, ji.operands["A"].mode_order) == ((0, 1), (1, 0))
         dense_ij, dense_ji = bind(tree_ij, sol_ij, tensors, ("A",)), bind(tree_ji, sol_ji, tensors, ("A",))
         assert [order for t, order in builds if t is a] == [(0, 1), (1, 0)]
-        assert dense_ij.operands["A"] == tuple(a.to_dense().ravel().tolist())
-        assert dense_ji.operands["A"] == tuple(a.to_dense().T.ravel().tolist())
+        assert dense_ij.operands["A"].values == tuple(a.to_dense().ravel().tolist())
+        assert dense_ji.operands["A"].values == tuple(a.to_dense().T.ravel().tolist())
         assert bind(tree_ij, sol_ij, tensors, ("A",)).operands["A"] is dense_ij.operands["A"]
         assert bind(tree_ji, sol_ji, tensors).operands["A"] is ji.operands["A"]
 

@@ -51,7 +51,7 @@ from fusetree.errors import MalformedScheduleError, TooLargeError
 from fusetree.executor import _kernel, _signature
 from fusetree.lowering import Forall
 from fusetree.network import Contraction
-from fusetree.tensor import CsfTensor, SparseTensor
+from fusetree.tensor import CsfTensor, DenseTensor, SparseTensor
 from conftest import nonzero_products, random_tree, shuffle_root
 
 MODES = ("sparse", "mixed", "dense", "zero", "single")
@@ -335,32 +335,42 @@ def test_network_names_are_never_spliced_into_source():
 
 
 def test_concurrent_calls_share_nothing():
-    inst = bench_generate("running_example", extents=5, density=0.4, seed=3)
-    bound, sol = search_min_order(inst.tree)
-    ir = lower(inst.tree, sol)
-    binding = bind(inst.tree, sol, inst.tensors, ())
-    want = execute(ir, binding)
-    outcomes = []
+    # ttmc1's kernel runs a block and a dense row, reading the layouts'
+    # arrays, flags and count tables from every thread
+    for inst in (
+        bench_generate("running_example", extents=5, density=0.4, seed=3),
+        bench_generate("ttmc1", seed=3),
+    ):
+        bound, sol = search_min_order(inst.tree)
+        ir = lower(inst.tree, sol)
+        # the threads' layouts count their rows' nonzeros on first use, so
+        # the threads race to count them
+        copies = {name: SparseTensor(t.shape, t.entries) for name, t in inst.tensors.items()}
+        want = execute(ir, bind(inst.tree, sol, copies, inst.dense_names))
+        binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
+        plan = executor._plan(*_signature(ir, binding))
+        assert bool(plan.blocks) == bool(plan.dense_rows) == (inst.kind == "ttmc1")
+        outcomes = []
 
-    def worker():
-        for _ in range(3):
-            outcomes.append(execute(ir, binding))
+        def worker():
+            for _ in range(3):
+                outcomes.append(execute(ir, binding))
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
-    assert len(outcomes) == 12
-    for result, stats in outcomes:
-        assert result == want[0]
-        assert stats == want[1]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert len(outcomes) == 12
+        for result, stats in outcomes:
+            assert result == want[0]
+            assert stats == want[1]
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +637,11 @@ def test_shared_loop_visits_the_rows_of_its_last_fiber():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_kernel_lines_count_each_statement_as_its_stats(kind, capsys):
+def test_kernel_lines_count_each_statement_as_its_stats(kind, capsys, monkeypatch):
     import kernel_lines
 
+    # the tested loops count each multiply-add by one line event
+    monkeypatch.setattr(kernel_lines, "bind", lambda *args: _unflagged_binding(bind(*args)))
     args = ["--kind", kind, "--extents", "4x5x6", "--rank", "2", "--density", "0.3", "--seed", "1"]
     assert kernel_lines.main(args) == 0
     *rows, total = capsys.readouterr().out.splitlines()
@@ -965,9 +977,11 @@ def test_a_row_filled_from_a_filled_row_is_not_tracked(seed):
     lines = [line.strip() for line in _kernel_source(lower(tree, sol), bind(tree, sol, tensors, dense)).splitlines()]
     assert not any(re.match(r"tw\d+ = \[\]", line) for line in lines)
     assert "w0[:] = zw0" in lines and "w1[:] = zw1" in lines
-    # the loops over r: W's producer, V's producer and R's
+    # the loops over r: W's producer, V's producer and R's; W's producer
+    # also reads B's row untested where A's value is finite, in one line
     assert sum(bool(re.fullmatch(r"for x\d+ in e5:", line)) for line in lines) == 3
-    assert sum(line.startswith("for x") for line in lines) == 4  # and R's s loop
+    assert sum(line.startswith("for x") and line.endswith(":") for line in lines) == 4  # and R's s loop
+    assert sum(bool(re.fullmatch(r"for x\d+ in e5: w0\[.*\] \+= f \* d0\[.*\]", line)) for line in lines) == 1
     _check(tree, sol, tensors, dense)
 
 
@@ -1080,6 +1094,7 @@ def test_dict_root_matches_the_dense_root(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(executor, "ROOT_DENSE_CELLS", 0)
+    monkeypatch.setattr(executor, "ROOT_ARRAY_CELLS", 0)
     monkeypatch.setattr(executor, "defaultdict", recording)
     _kernel.cache_clear()
     try:
@@ -1182,7 +1197,8 @@ def _nested(n: int):
 @pytest.mark.parametrize("kind", KINDS)
 def test_kernel_parameters_are_its_operands(kind):
     # sizes are compiled in, and the kernel allocates its root: it takes each
-    # CSF operand whole, each dense operand's flat tuple and the bisection
+    # CSF operand whole, each dense operand's record (its flat tuple, array,
+    # finiteness flag and nonzero counts) whole, and the bisection
     inst = bench_generate(kind, extents=4, rank=2, density=0.3, seed=1)
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
@@ -1194,10 +1210,10 @@ def test_kernel_parameters_are_its_operands(kind):
     params = inspect.signature(compiled.run).parameters
     kinds = [type(binding.operands[name]) for name in compiled.operands]
     csf = [f"t{k}" for k in range(kinds.count(CsfTensor))]
-    dense = [f"d{k}" for k in range(kinds.count(tuple))]
+    dense = [f"d{k}" for k in range(kinds.count(DenseTensor))]
     assert list(params) == [*csf, *dense, "bl"]
     assert params["bl"].default is bisect.bisect_left
-    assert kinds == sorted(kinds, key=lambda kind: kind is tuple)
+    assert kinds == sorted(kinds, key=lambda kind: kind is DenseTensor)
     assert sorted(compiled.operands) == sorted(binding.operands)
 
 
@@ -1220,6 +1236,11 @@ def test_kernel_reads_each_bound_operand_itself(kind, dense, monkeypatch):
     execute(ir, binding)
     (operands,) = calls
     assert len(operands) == len(compiled.operands) == len(binding.operands)
+    # and the kernel only reads what bind keeps of a dense operand: no line
+    # converts one, or counts or tests its cells
+    for line in _kernel_source(ir, binding).splitlines():
+        if re.search(r"\bd\d+\b", line) and not re.search(r"\bd\d+\[", line) and "def kernel" not in line:
+            assert re.fullmatch(r"    \w+ = (d\d+)\.(array|finite|values|nonzeros\(\(\d+(, \d+)*,?\)\))", line), line
     assert all(operand is binding.operands[name] for operand, name in zip(operands, compiled.operands))
 
 
@@ -1286,21 +1307,21 @@ def test_cached_kernels_pin_no_binding():
     # the input tensors keep their layouts for later binds, so the layouts
     # live as long as the tensors; a call must add no reference to them
     csf = [x for x in binding.operands.values() if type(x) is CsfTensor]
-    dense = [x for x in binding.operands.values() if type(x) is tuple]
+    dense = [x for x in binding.operands.values() if type(x) is DenseTensor]
     assert csf and dense
-    refs = [weakref.ref(x) for x in (binding, *inst.tensors.values(), *csf)]
-    # the CSF tuples a call unpacks in its kernel
+    refs = [weakref.ref(x) for x in (binding, *inst.tensors.values(), *csf, *dense)]
+    # the CSF tuples a call unpacks in its kernel, and what it reads of the
+    # dense layouts
     tuples = [x for t in csf for x in (*t.coords, *t.segs, t.values) if x]
+    tuples += [x for d in dense for x in (d.values, d.array)]
     held = [sys.getrefcount(x) for x in (*csf, *dense, *tuples)]
     _kernel.cache_clear()
     execute(ir, binding)
     assert _kernel.cache_info().currsize == 1
     assert [sys.getrefcount(x) for x in (*csf, *dense, *tuples)] == held
-    del binding, inst, csf
+    del binding, inst, csf, dense
     gc.collect()
     assert [ref() for ref in refs] == [None] * len(refs)
-    # a tuple takes no weak reference: held by this list alone, it dies with it
-    assert [sys.getrefcount(dense[k]) for k in range(len(dense))] == [2] * len(dense)
 
 
 # ---------------------------------------------------------------------------
@@ -1351,16 +1372,21 @@ def test_innermost_zero_annihilates_a_hoisted_non_finite_partner(bad):
 # tails of full-range loops over root indices, run as numpy blocks
 
 
+def _raw_run(kernel, binding):
+    """The raw float64 bits of one run's root accumulator, and its counters."""
+    with np.errstate(all="ignore"):  # as execute runs a kernel with blocks
+        acc, counts = kernel.run(*(binding.operands[n] for n in kernel.operands))
+    bits = repr(sorted(acc.items())) if isinstance(acc, dict) else np.asarray(acc, dtype=np.float64).tobytes()
+    return bits, counts
+
+
 def _tail_run(ir, binding, cutoff: int, monkeypatch):
     """The kernel planned with ``VECTOR_TAIL_CELLS`` at ``cutoff``, and the
     raw float64 bits of its root accumulator and its counters after one run."""
     monkeypatch.setattr(executor, "VECTOR_TAIL_CELLS", cutoff)
     _kernel.cache_clear()
     kernel = _kernel(*_signature(ir, binding))
-    with np.errstate(all="ignore"):  # as execute runs a kernel with blocks
-        acc, counts = kernel.run(*(binding.operands[n] for n in kernel.operands))
-    bits = repr(sorted(acc.items())) if isinstance(acc, dict) else np.asarray(acc, dtype=np.float64).tobytes()
-    return kernel, bits, counts
+    return (kernel, *_raw_run(kernel, binding))
 
 
 def _blocks_match_scalar_tails(tree, sol, tensors, dense, monkeypatch) -> bool:
@@ -1458,3 +1484,99 @@ def test_blocks_count_only_products_of_nonzero_factors(monkeypatch):
     assert _blocks_match_scalar_tails(*case, monkeypatch)
     result, stats = _check(tree, sol, tensors, dense)
     assert stats.per_assignment == nonzero_products(tree, tensors)
+
+
+# ---------------------------------------------------------------------------
+# dense rows: an innermost full-range loop that multiplies a factor loaded and
+# tested outside it by a dense operand's row adds the row untested, and its
+# nonzero count once, where that factor's layout is finite
+
+
+def _unflagged_binding(binding):
+    """``binding`` with every layout's finiteness flag false, so every dense
+    row and block takes its tested loop."""
+    operands = {name: dataclasses.replace(x, finite=False) for name, x in binding.operands.items()}
+    return dataclasses.replace(binding, operands=operands)
+
+
+def _rows_match_tested_loops(tree, sol, tensors, dense) -> int:
+    """Run the kernel on the bound layouts and on the same layouts flagged
+    non-finite, and check that both give the same accumulator bits and
+    counters; returns how many statements read a dense row untested."""
+    ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
+    kernel = _kernel(*_signature(ir, binding))
+    untested = _raw_run(kernel, binding)
+    assert untested == _raw_run(kernel, _unflagged_binding(binding)), format_network(tree)
+    assert all(type(count) is int for count in untested[1])  # JSON takes no numpy integer
+    return len(executor._plan(*_signature(ir, binding)).dense_rows)
+
+
+def test_every_factor_kind_reads_its_producer_row_untested():
+    for kind in FACTOR_KINDS:
+        inst = bench_generate(kind, seed=1)
+        sol = search_min_order(inst.tree)[1]
+        plan = executor._plan(*_signature(lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names)))
+        # W(y) += T(k,i,j) * B(j,y): T's value is loaded outside the rank loop
+        assert list(plan.dense_rows) == [0], kind
+        assert plan.dense_rows[0].flag == "t0"
+        assert _rows_match_tested_loops(inst.tree, sol, inst.tensors, inst.dense_names) == 1
+
+
+def test_dense_rows_match_tested_loops_on_random_trees():
+    # dense inputs at density 0.5 hold zeros, so a row's nonzero count is
+    # less than its length; mixed inputs bind every second one dense
+    with_rows = 0
+    for seed in range(100):
+        tree = shuffle_root(random_tree(random.Random(seed)), random.Random(seed))
+        nprng = np.random.default_rng(2000 + seed)
+        half = {
+            name: synthetic_tensor(tree.ref_shape(tree.abstract_ref(name)), 0.5, nprng)
+            for name in tree.input_names
+        }
+        for tensors, dense in (_inputs(tree, "mixed", seed), (half, tree.input_names)):
+            for _, sol in _schedules(tree):
+                with_rows += bool(_rows_match_tested_loops(tree, sol, tensors, dense))
+    assert with_rows >= 200  # of 400 runs
+
+
+def test_a_dense_row_holding_inf_beside_a_zero_still_annihilates():
+    # B's row 3 holds inf beside an exact zero, under T's finite values, so
+    # W(2) turns inf where T carries j = 3; C's zero column 5 faces it and
+    # annihilates it, and no product turns NaN
+    nprng = np.random.default_rng(8)
+    b = nprng.integers(1, 17, (10, 8)) / 8.0
+    b[3, 2], b[3, 3] = INF, 0.0
+    c = nprng.integers(1, 17, (11, 8)) / 8.0
+    c[:, 5] = 0.0
+    tree, sol, tensors, dense = case = _ttmc1_inputs(b, c)
+    assert _rows_match_tested_loops(*case) == 1
+    binding = bind(tree, sol, tensors, dense)
+    assert binding.operands["T"].finite and not binding.operands["B"].finite
+    result, _ = execute(lower(tree, sol), binding)
+    assert np.isinf(result.values).any() and not np.isnan(result.values).any()
+    assert not any(key[1:] == (2, 5) for key, _ in result.entries)
+
+
+@pytest.mark.parametrize("bad", (INF, -INF, NAN), ids=("inf", "-inf", "nan"))
+def test_a_non_finite_hoisted_value_leaves_the_row_to_the_tested_loop(bad):
+    # T holds a bad value, loaded outside the rank loop, and B's finite rows
+    # hold zero cells in column 6 that face it: untested, 0 times the bad
+    # value would turn W(6) NaN, so the tested loop skips the zero
+    nprng = np.random.default_rng(9)
+    b = nprng.integers(1, 17, (10, 8)) / 8.0
+    b[:, 6] = 0.0
+    c = nprng.integers(1, 17, (11, 8)) / 8.0
+    tree, sol, tensors, dense = _ttmc1_inputs(b, c)
+    t = tensors["T"]
+    values = t.values.copy()
+    values[[0, 7]] = bad
+    tensors["T"] = SparseTensor._trusted(t.shape, t.coords, values)
+    assert _rows_match_tested_loops(tree, sol, tensors, dense) == 1
+    binding = bind(tree, sol, tensors, dense)
+    assert binding.operands["B"].finite and not binding.operands["T"].finite
+    result, _ = execute(lower(tree, sol), binding)
+    assert not np.isfinite(result.values).all()
+    # every product with column 6 was skipped, so no NaN came of it
+    assert not any(key[1] == 6 for key, _ in result.entries)
+    if bad == bad:
+        assert not np.isnan(result.values).any()
