@@ -307,7 +307,8 @@ def main(argv=None) -> int:
         print(f"unsat: {exc}", file=sys.stderr)
         return EXIT_UNSAT
     except SolveTimeout as exc:
-        print(f"timeout: {exc} at workspace order bound {exc.bound}", file=sys.stderr)
+        searched = f" (search nodes: {exc.nodes})" if exc.nodes is not None else ""
+        print(f"timeout: {exc} at workspace order bound {exc.bound}{searched}", file=sys.stderr)
         return EXIT_TIMEOUT
     except (FusetreeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,6 +14,11 @@ consumer is not yet placed leaves its fused prefix open, and the contraction
 placed next must have at least as many loops as the longest open prefix and
 copy it position by position.
 
+The search reads the clock on its first node and on every ``CLOCK_STRIDE``-th
+(64th) node after it, a node being one call that places a contraction or one
+loop. It may therefore overrun its time budget by at most 64 nodes before it
+raises :class:`SolveTimeout`, which reports the nodes visited.
+
 Three routes answer satisfiability questions and are kept as separate code
 paths: :func:`solve` (backtracking search), :func:`verify_solution` (direct
 evaluation of the materialized constraint records), and
@@ -39,6 +44,8 @@ from .errors import (
 from .network import Contraction, ContractionTree, TensorRef, topological_orders
 
 DEFAULT_TIME_BUDGET = 10.0
+CLOCK_STRIDE = 64  # search nodes per clock read; a power of two
+CLOCK_MASK = CLOCK_STRIDE - 1
 
 
 # ---------------------------------------------------------------------------
@@ -340,13 +347,22 @@ def solve(
     module docstring. A layout pin constrains every reference of its tensor
     by mode: a loop is placed only after the loops that some pinned reference
     of its contraction puts before it, so every pinned tensor ends in its
-    pinned mode order. Raises :class:`SolveTimeout` when the budget is
-    exceeded and :class:`TooLargeError` when the tree is deeper than the
+    pinned mode order.
+
+    What a node reads that does not change during the search (each fused
+    edge's width, each contraction's candidates, children, allowed indices
+    per position and pins) is gathered before it, so a node does only its own
+    work. Where an open prefix fixes a position, its index is the one
+    candidate tried. Raises :class:`SolveTimeout`, with the nodes visited,
+    when the budget is exceeded (the clock is read on the first node and on
+    every 64th after it, so the search overruns its budget by at most 64
+    nodes) and :class:`TooLargeError` when the tree is deeper than the
     search can recurse.
     """
     if bound < 1:
         raise InvalidBoundError(f"bound must be >= 1, got {bound}")
-    deadline = time.monotonic() + time_budget
+    clock = time.monotonic
+    deadline = clock() + time_budget
     m = tree.m
     contractions = tree.contractions
     # larger extents first, so the sparse tensor's long loops go outside and
@@ -355,22 +371,21 @@ def solve(
     keys = {c.cid: tuple(sorted(_candidate_key(c), key=lambda x: -extents.get(x, 0))) for c in contractions}
     edges = tree.edges
     produces = {e.producer: e for e in edges}
-    children = {c.cid: tree.children_of(c.cid) for c in contractions}
     constrained = set(tree.layout_constrained)
     # each pin translated by mode to every reference of its tensor: the loops
     # that some pinned reference of a contraction puts before each loop
-    before: dict[tuple[int, str], set[str]] = {}
+    before: dict[int, dict[str, set[str]]] = {c.cid: {} for c in contractions}
     for c in contractions:
         for ref in (c.result, c.lhs, c.rhs):
             if ref.tensor in tree.layouts:
                 declared = tree.abstract_ref(ref.tensor).indices
                 order = [ref.indices[declared.index(x)] for x in tree.layouts[ref.tensor]]
                 for p in range(1, len(order)):
-                    before.setdefault((c.cid, order[p]), set()).update(order[:p])
+                    before[c.cid].setdefault(order[p], set()).update(order[:p])
     # forward check: the index a producer puts at fused position s is mirrored
     # by its consumer, which must fill s from its own result while s lies in
-    # its own fused prefix, and so on up the chain
-    allowed: dict[tuple[int, int], set[str]] = {}
+    # its own fused prefix, and so on up the chain; None leaves s unlimited
+    allowed: dict[int, list[set[str] | None]] = {c.cid: [None] * len(keys[c.cid]) for c in contractions}
     for edge in edges:
         for s in range(edge.order - bound):
             indices = set(edge.indices)
@@ -378,55 +393,72 @@ def solve(
             while up is not None and s < up.order - bound:
                 indices &= set(up.indices)
                 up = produces.get(up.consumer)
-            allowed[edge.producer, s] = indices
+            allowed[edge.producer][s] = indices
+    # what each node reads, gathered once: the width of every prefix that
+    # must fuse, with its edge, and each contraction's record
+    fused = [(e.order - bound, e.producer, e.consumer) for e in edges if e.order > bound]
+    places = [
+        (c.cid, keys[c.cid], frozenset(tree.children_of(c.cid)), allowed[c.cid], before[c.cid])
+        for c in contractions
+    ]
+    nodes = 0  # visited so far; the clock is read when nodes % CLOCK_STRIDE == 1
 
     loops: dict[int, list[str]] = {}  # the loops of each placed contraction, in placement order
 
-    def position_ok(cid: int, s: int, x: str) -> bool:
-        indices = allowed.get((cid, s))
-        if indices is not None and x not in indices:
-            return False
-        pinned = before.get((cid, x))
-        return pinned is None or pinned.issubset(loops[cid])
-
-    def try_loops(cid: int, prefix: list[str]) -> ScheduleSolution | None:
-        if time.monotonic() > deadline:
-            raise SolveTimeout(time_budget, tree, bound)
-        s = len(loops[cid])
-        if s == len(keys[cid]):
+    def try_loops(
+        placed: list[str],
+        key: tuple[str, ...],
+        allow: list[set[str] | None],
+        before_loop: dict[str, set[str]],
+        prefix: list[str],
+    ) -> ScheduleSolution | None:
+        # ``placed`` is loops[cid]; ``key``, ``allow`` and ``before_loop`` are from cid's record
+        nonlocal nodes
+        nodes += 1
+        if nodes & CLOCK_MASK == 1 and clock() > deadline:
+            raise SolveTimeout(time_budget, tree, bound, nodes)
+        s = len(placed)
+        if s == len(key):
             return try_place()
-        for x in keys[cid]:
-            if x in loops[cid] or (s < len(prefix) and x != prefix[s]):
+        if s < len(prefix):
+            # the open prefix leaves one candidate, if the contraction has that index
+            candidates = (prefix[s],) if prefix[s] in key else ()
+        else:
+            candidates = key
+        indices = allow[s]
+        for x in candidates:
+            if x in placed or (indices is not None and x not in indices):
                 continue
-            if not position_ok(cid, s, x):
+            earlier = before_loop.get(x)
+            if earlier is not None and not earlier.issubset(placed):
                 continue
-            loops[cid].append(x)
-            sol = try_loops(cid, prefix)
+            placed.append(x)
+            sol = try_loops(placed, key, allow, before_loop, prefix)
             if sol is not None:
                 return sol
-            loops[cid].pop()
+            placed.pop()
         return None
 
     def try_place() -> ScheduleSolution | None:
-        if time.monotonic() > deadline:
-            raise SolveTimeout(time_budget, tree, bound)
+        nonlocal nodes
+        nodes += 1
+        if nodes & CLOCK_MASK == 1 and clock() > deadline:
+            raise SolveTimeout(time_budget, tree, bound, nodes)
         if len(loops) == m:
             return finalize()
         # open prefixes agree where they overlap (each copied the earlier ones), so the longest decides
         prefix: list[str] = []
-        for e in edges:
-            if e.order - bound > len(prefix) and e.producer in loops and e.consumer not in loops:
-                prefix = loops[e.producer][: e.order - bound]
-        for c in contractions:
-            if c.cid in loops or len(keys[c.cid]) < len(prefix):
+        for width, producer, consumer in fused:
+            if width > len(prefix) and producer in loops and consumer not in loops:
+                prefix = loops[producer][:width]
+        for cid, key, kids, allow, before_loop in places:
+            if cid in loops or len(key) < len(prefix) or not loops.keys() >= kids:
                 continue
-            if any(child not in loops for child in children[c.cid]):
-                continue
-            loops[c.cid] = []
-            sol = try_loops(c.cid, prefix)
+            loops[cid] = placed = []
+            sol = try_loops(placed, key, allow, before_loop, prefix)
             if sol is not None:
                 return sol
-            del loops[c.cid]
+            del loops[cid]
         return None
 
     def finalize() -> ScheduleSolution | None:

@@ -59,13 +59,15 @@ class TooLargeError(FusetreeError):
 
 
 class SolveTimeout(FusetreeError):
-    """The solver exceeded its time budget; the tree and the bound are attached."""
+    """The solver exceeded its time budget; the tree, the bound and the
+    number of search nodes visited, when known, are attached."""
 
-    def __init__(self, budget, tree=None, bound=None):
+    def __init__(self, budget, tree=None, bound=None, nodes=None):
         super().__init__(f"solve exceeded time budget of {budget:.3f}s")
         self.budget = budget
         self.tree = tree
         self.bound = bound
+        self.nodes = nodes
 
 
 class UnsatisfiableError(FusetreeError):

@@ -4,7 +4,9 @@ that only the tests use."""
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +37,17 @@ extent j 2
 extent k 2
 R[i,j] = T[i,k] * S[k,j]
 """
+
+
+def load_sibling(path: str, name: str):
+    """The module file at ``path``, typically one of ``src/fusetree`` at
+    another commit, loaded as ``name`` inside the installed ``fusetree``
+    package, so that it shares that package's other modules."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses resolve annotations through it
+    spec.loader.exec_module(module)
+    return module
 
 
 def ir_text_equal(a: str, b: str) -> bool:
@@ -240,7 +253,9 @@ def nonzero_products(tree: ContractionTree, tensors) -> dict[str, int]:
     the points of its index space where both operands are non-zero.
 
     Intermediates are evaluated densely, children first, so the count holds
-    when no sum of non-zero products cancels to exactly zero.
+    when no sum of non-zero products cancels to exactly zero. As in the
+    kernel, a zero factor skips its partner: a product with a zero factor adds
+    nothing, so a zero facing inf or NaN leaves no NaN behind.
     """
     env = {name: tensors[name].to_dense() for name in tree.input_names}
     preorder = [tree.root.cid]
@@ -249,11 +264,22 @@ def nonzero_products(tree: ContractionTree, tensors) -> dict[str, int]:
     counts: dict[str, int] = {}
     for cid in reversed(preorder):
         c = tree.contractions[cid]
-        sub = _letters(sorted(c.index_set))
-        lhs, rhs, out = ("".join(sub[i] for i in ref.indices) for ref in (c.lhs, c.rhs, c.result))
-        a, b = env[c.lhs.tensor], env[c.rhs.tensor]
-        count = int(np.einsum(f"{lhs},{rhs}->", (a != 0).astype(float), (b != 0).astype(float)))
+        axes = sorted(c.index_set)  # one axis per index of the contraction's space
+        sub = _letters(axes)
+        a, b = (_spread(env[ref.tensor], ref.indices, axes) for ref in (c.lhs, c.rhs))
+        both = (a != 0) & (b != 0)
+        count = int(both.sum())
         if count:
             counts[c.result.tensor] = count
-        env[c.result.tensor] = np.einsum(f"{lhs},{rhs}->{out}", a, b)
+        products = np.multiply(a, b, out=np.zeros(both.shape), where=both)
+        space, out = ("".join(sub[i] for i in indices) for indices in (axes, c.result.indices))
+        env[c.result.tensor] = np.einsum(f"{space}->{out}", products)
     return counts
+
+
+def _spread(x: np.ndarray, indices: tuple[str, ...], axes: list[str]) -> np.ndarray:
+    """``x``, whose modes are ``indices``, as an array over ``axes`` that
+    broadcasts along the axes it lacks."""
+    kept = [k for k in axes if k in indices]
+    x = np.transpose(x, [indices.index(k) for k in kept])
+    return x.reshape([x.shape[kept.index(k)] if k in indices else 1 for k in axes])

@@ -38,7 +38,6 @@ change from ``--parent``.
 from __future__ import annotations
 
 import argparse
-import importlib.util
 import inspect
 import math
 import struct
@@ -52,17 +51,8 @@ import fusetree.executor as executor
 from fusetree import bench_generate, bind, lower, search_min_order
 from fusetree.bench import _FACTOR_FORMS, KINDS
 from fusetree.tensor import DenseTensor
+from conftest import load_sibling
 from test_kernel import RANK_OUTER, _witness
-
-
-def load_sibling(path: str):
-    """The executor at ``path``, loaded as ``fusetree._race_parent``."""
-    name = "fusetree._race_parent"
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolve annotations through it
-    spec.loader.exec_module(module)
-    return module
 
 
 def cases(seed: int, sizes: dict):
@@ -110,7 +100,7 @@ def main(argv=None) -> int:
     ap.add_argument("--density", type=float, default=0.01, help="of the factor kinds")
     args = ap.parse_args(argv)
     sizes = {"extents": [int(n) for n in args.extents.split("x")], "rank": args.rank, "density": args.density}
-    parent = load_sibling(args.parent)
+    parent = load_sibling(args.parent, "fusetree._race_parent")
     failed = False
     print(f"{'case':<28}{'parent ms':>11}{'change ms':>11}{'change':>9}")
     for label, inst, sol in cases(args.seed, sizes):

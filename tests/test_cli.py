@@ -54,6 +54,17 @@ class TestPlan:
         assert captured.out == ""
         assert captured.err == "timeout: solve exceeded time budget of 10.000s at workspace order bound 3\n"
 
+    def test_solver_timeout_line_counts_the_nodes_searched(self, running_net, monkeypatch, capsys):
+        import fusetree.cli as cli
+        from fusetree import search_min_order
+
+        # a spent budget stops the real search on its first node
+        monkeypatch.setattr(cli, "search_min_order", lambda tree, l_max=None: search_min_order(tree, l_max, -1.0))
+        assert main(["plan", "--network", str(running_net)]) == 4
+        assert capsys.readouterr().err == (
+            "timeout: solve exceeded time budget of -1.000s at workspace order bound 1 (search nodes: 1)\n"
+        )
+
     @pytest.mark.parametrize("n, root_first", [(400, False), (1100, True)])
     def test_deep_chain_exits_with_an_error_line(self, n, root_first, tmp_path, capsys):
         net = tmp_path / "chain.net"

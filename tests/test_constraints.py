@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import itertools
 import random
 
@@ -25,6 +26,7 @@ from fusetree import (
     solve,
     verify_solution,
 )
+from fusetree import constraints
 from fusetree.bench import bench_generate, running_example_network
 from fusetree.constraints import (
     ConsumerMatch,
@@ -54,6 +56,57 @@ W0[c,f] = A1[c,h] * B2[f]
 W1[b,e,f] = C3[e] * D4[f,b]
 R[b,e,f] = W0[c,f] * W1[b,e,f]
 """
+
+# tree 0 that tests/fuzz_solver.py draws at seed 1
+FUZZ_TREE_0 = """
+extent a 2
+extent d 2
+extent e 2
+extent g 2
+extent h 2
+extent i 2
+extent k 2
+extent l 2
+extent m 2
+extent p 2
+W0[e,h,l,p] = L5[a,l,h,e] * L1[p]
+W1[i,m,p] = L0[i] * L2[p,k,g,m]
+W2[h,m,p] = L4[m] * W0[e,h,l,p]
+W3[h,m] = W1[i,m,p] * W2[h,m,p]
+R[h] = W3[h,m] * L3[d,h]
+"""
+
+# Each bound tried for the first 32 trees of tests/fuzz_solver.py at seed 1,
+# searched bound by bound until one is satisfiable, with the first 12 hex
+# digits of the sha256 of the witness's report_text. Recorded before the
+# search's per-node work was cut; trees 3, 7, 8, 10, 12, 15, 17 and 28, which
+# took 20-300 ms each then, are left out.
+FUZZ_REPORT_DIGESTS = {
+    0: "1:unsat 2:sat:9bea15cc3ea1",
+    1: "1:unsat 2:sat:97800caca514",
+    2: "1:sat:4f9b8fa91622",
+    4: "1:unsat 2:unsat 3:sat:3f799d65a03b",
+    5: "1:unsat 2:sat:551e0cd758bb",
+    6: "1:unsat 2:sat:64b54cee7d72",
+    9: "1:sat:907c752e8efc",
+    11: "1:unsat 2:sat:a719b1a6f5c1",
+    13: "1:unsat 2:sat:130173c9bb99",
+    14: "1:unsat 2:sat:bd43b1f25440",
+    16: "1:sat:9d424e7ade49",
+    18: "1:sat:7783a8039d95",
+    19: "1:unsat 2:sat:a1896b2448b8",
+    20: "1:unsat 2:sat:5a61843e66e6",
+    21: "1:sat:af52a1cd2faa",
+    22: "1:sat:bb0a990388fa",
+    23: "1:unsat 2:sat:8c4924f93ad8",
+    24: "1:unsat 2:unsat 3:sat:2cfb4c3241e0",
+    25: "1:sat:ddb7d879b971",
+    26: "1:sat:4da128dbcaee",
+    27: "1:unsat 2:unsat 3:sat:e3e0b908502e",
+    29: "1:unsat 2:sat:2f41efa43fa1",
+    30: "1:sat:703b9780faca",
+    31: "1:sat:cfc93814ba8a",
+}
 
 
 class TestBuildModel:
@@ -144,6 +197,50 @@ class TestSolve:
             solve(running_tree, 2, time_budget=-1.0)
         assert info.value.tree is running_tree
         assert info.value.bound == 2
+        assert info.value.nodes == 1  # the first node reads the clock
+
+    def test_an_open_prefix_index_the_next_contraction_lacks_ends_the_branch(self):
+        # tree 0 of fuzz_solver.py at seed 1: at bound 2, W0 placed first
+        # leaves the prefix p, e open, and W1, tried next, lacks e; the forced
+        # candidate must be refused, or W1 takes e in place of one of its own
+        # loops and finalize fails (KeyError: 'i')
+        tree = parse_network(FUZZ_TREE_0)
+        w0, w1 = (tree.contractions[tree.producer_of[name]] for name in ("W0", "W1"))
+        assert "e" in w0.result.indices and "e" not in w1.index_set
+        assert solve(tree, 1) is None
+        sol = solve(tree, 2)
+        assert verify_solution(tree, 2, sol) == []
+        assert sol.loop_order(w0.cid)[:2] == ("p", "e")
+        assert [c.result.tensor for c in sorted(tree.contractions, key=lambda c: sol.ap[c.cid])] == [
+            "W0", "W2", "W1", "W3", "R"
+        ]
+
+
+class TestClockStride:
+    """The search reads the clock on its first node and then on every 64th."""
+
+    def _clock(self, monkeypatch, expire_at: int) -> list:
+        # the first read sets the deadline; the read numbered expire_at, and any after, is past it
+        reads = []
+
+        def clock():
+            reads.append(None)
+            return 0.0 if len(reads) < expire_at else float("inf")
+
+        monkeypatch.setattr(constraints.time, "monotonic", clock)
+        return reads
+
+    @pytest.mark.parametrize("expire_at", (2, 3, 4, 12))
+    def test_reads_come_one_stride_apart(self, monkeypatch, expire_at):
+        # read 2 is node 1's, so a spent budget stops the first node, and
+        # read k is node 64 * (k - 2) + 1's; the reverse-pinned order-4 chain
+        # visits far more nodes than that at bound 3
+        tree = parse_network(_ttmc_chain(4).replace("X1[", "layout R r3,r2,r1,r0\nX1[", 1))
+        reads = self._clock(monkeypatch, expire_at)
+        with pytest.raises(SolveTimeout) as info:
+            solve(tree, 3, time_budget=1.0)
+        assert info.value.nodes == 64 * (expire_at - 2) + 1
+        assert len(reads) == expire_at
 
 
 def _ttmc_chain(order: int) -> str:
@@ -309,6 +406,25 @@ def test_solver_fuzz_runs_clean(capsys):
     # outcome counts depend on the wall-clock budget, so only the verdict is pinned
     assert fuzz_solver.main(["--seed", "1", "--trees", "25", "--budget", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].endswith("; invalid witnesses 0")
+
+
+def test_fuzz_trees_keep_their_witnesses():
+    import fuzz_solver
+
+    rng = random.Random(1)
+    for n in range(max(FUZZ_REPORT_DIGESTS) + 1):
+        tree = parse_network(fuzz_solver.random_network(rng))
+        if n not in FUZZ_REPORT_DIGESTS:
+            continue
+        outcomes = []
+        for bound in itertools.count(1):
+            sol = solve(tree, bound)
+            if sol is None:
+                outcomes.append(f"{bound}:unsat")
+                continue
+            outcomes.append(f"{bound}:sat:{hashlib.sha256(report_text(tree, sol).encode()).hexdigest()[:12]}")
+            break
+        assert " ".join(outcomes) == FUZZ_REPORT_DIGESTS[n], f"tree {n}"
 
 
 def test_search_leaves_no_cyclic_garbage():

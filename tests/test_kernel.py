@@ -1552,9 +1552,12 @@ def test_a_dense_row_holding_inf_beside_a_zero_still_annihilates():
     assert _rows_match_tested_loops(*case) == 1
     binding = bind(tree, sol, tensors, dense)
     assert binding.operands["T"].finite and not binding.operands["B"].finite
-    result, _ = execute(lower(tree, sol), binding)
+    result, stats = execute(lower(tree, sol), binding)
     assert np.isinf(result.values).any() and not np.isnan(result.values).any()
     assert not any(key[1:] == (2, 5) for key, _ in result.entries)
+    # the count model skips zero factors too, so W's zeros facing inf form no NaN cell
+    counts = nonzero_products(tree, tensors)
+    assert counts["A1"] == 3318 and stats.per_assignment == counts
 
 
 @pytest.mark.parametrize("bad", (INF, -INF, NAN), ids=("inf", "-inf", "nan"))
