@@ -67,11 +67,23 @@ consumer, once per enclosing iteration. Where every consumer statement reads
 a workspace the ``where`` zeroes, the consumer runs only when some statement
 has every such workspace it reads written, as the producer statements'
 counters tell: an unwritten one holds only 0.0, so every product the
-consumer could form has a zero factor. A workspace that the consumer reads
-in an innermost full-range loop over its last layout index tracks the cells
-written to it, if its rows (every index but the last; an order-1 workspace
-is one row) hold at least ``TRACKED_ROW_CELLS`` cells. A cell not written
-since the reset holds None: a write that reads None is the cell's first, lists
+consumer could form has a zero factor.
+
+A loop that runs several statements ends an iteration right after it finds
+its fiber positions where its body could write nothing a later statement
+reads. A statement needs the deepest level found so far of each of its CSF
+factors; a ``where`` needs what its consumer needs, and also what its
+producer needs when its guard covers every consumer statement. The loop
+tests each needed level that it or an enclosing loop found by bisection and
+no enclosing loop tested yet, and ``continue``s where one is -1, a leapfrog
+stepping its lead first; a level stepped through or intersected is never
+-1. So multiply-adds count the products the schedule performs, and two
+schedules of one bound may count different numbers on the same inputs.
+
+A workspace that the consumer reads in an innermost full-range loop over
+its last layout index tracks the cells written to it, if its rows (every
+index but the last; an order-1 workspace is one row) hold at least
+``TRACKED_ROW_CELLS`` cells. A cell not written since the reset holds None: a write that reads None is the cell's first, lists
 the cell's offset and, in its row's list, its column, and adds to 0.0; a test
 for 0.0 would list a cell again after its sum cancels to 0.0 and it is
 written once more. The ``where`` stores None into exactly the listed cells and
@@ -340,9 +352,10 @@ class _Where:
 class _Loop:
     """A ``forall``: its local, how it iterates, the (fiber, level) pairs
     whose coordinates it iterates (``drivers``) and those it finds by
-    bisection (``probes``), and whether it runs a ``single`` statement alone.
-    Its ``kind`` is ``step``, ``leapfrog``, ``union``, ``range`` over the
-    extent ``over`` or ``cells`` over the cells written to one row of a
+    bisection (``probes``), whether it runs a ``single`` statement alone, and
+    the fibers its body ``needs`` present to write anything a later statement
+    reads. Its ``kind`` is ``step``, ``leapfrog``, ``union``, ``range`` over
+    the extent ``over`` or ``cells`` over the cells written to one row of a
     workspace, ``over`` holding the workspace and the terms of the row's
     number."""
 
@@ -352,6 +365,7 @@ class _Loop:
     probes: tuple[tuple[int, int], ...]
     over: int | tuple[str, Terms] | None
     single: bool
+    needs: frozenset[int]
     body: "_Node"
 
 
@@ -444,7 +458,9 @@ def _plan(
     # first, and the last plus one
     wheres: list[tuple[int, int]] = []
     whole: set[str] = set()  # order-1 workspaces written by full-range loops
-    done: list[tuple[_Node, int]] = []  # planned subtrees, each with its first statement
+    # planned subtrees, each with its first statement and the fibers it needs
+    # present to write anything a later statement reads
+    done: list[tuple[_Node, int, frozenset[int]]] = []
     # per statement writing the root: its tail of full-range loops over root
     # indices, and the block of the longest such tail that can run as one
     tails: dict[int, tuple[tuple[str, int], ...]] = {}
@@ -571,7 +587,8 @@ def _plan(
                 workspaces[name] = (f"w{len(workspaces)}", node.result.indices, cells)
             (target, at), row = cell(node.result), offset(node.result, node.result.indices[:-1])
         stmts.append((name, {node.lhs.tensor, node.rhs.tensor}, reads, levels))
-        done.append((_Stmt(len(stmts) - 1, tuple(factors), target, at, row), len(stmts) - 1))
+        fibers_read = frozenset(deepest[0] for _, _, deepest in factors if deepest)
+        done.append((_Stmt(len(stmts) - 1, tuple(factors), target, at, row), len(stmts) - 1, fibers_read))
 
     todo: list = [ir]  # IR nodes to plan, and (node,) once its children are planned
     loops = 0
@@ -592,7 +609,7 @@ def _plan(
         elif isinstance(node, Assign):
             statement(node)
         elif isinstance(node[0], Where):
-            (consumer, mid), (producer, start) = done.pop(), done.pop()
+            (consumer, mid, needs), (producer, start, made) = done.pop(), done.pop()
             written = {stmts[k][0]: k for k in range(start, mid) if stmts[k][0] in workspaces}
             reads = [names for _, names, _, _ in stmts[mid:]]
             zero = tuple(workspaces[name][0] for name in sorted(written.keys() & set().union(*reads)))
@@ -600,10 +617,11 @@ def _plan(
             guard = tuple(sorted(guard)) if all(guard) else ()
             if guard:
                 wheres.append((mid, len(stmts)))
-            done.append((_Where(zero, guard, producer, consumer), start))
+            # a guarded consumer runs only where the producer wrote something
+            done.append((_Where(zero, guard, producer, consumer), start, needs | made if guard else needs))
         else:
             index = node[0].index
-            body, start = done.pop()
+            body, start, needs = done.pop()
             (x, mark), extent = scope.pop(index), _extent(extents, index)
             # a statement the guard of a where in this loop covers runs only
             # where that producer multiplied, so it is gated: the loop follows
@@ -670,13 +688,13 @@ def _plan(
                     candidate = block(stmt, tails[stmt.n])
                     if candidate:
                         blocks[stmt.n] = candidate
-            done.append((_Loop(x, kind, tuple(drivers), tuple(probes), over, single, body), start))
+            done.append((_Loop(x, kind, tuple(drivers), tuple(probes), over, single, needs, body), start, needs))
     for name, (_, ref) in first.items():
         if ref.indices != layouts[name]:
             raise ModeOrderMismatchError(
                 f"reference {ref} disagrees with the bound layout {layouts[name]}"
             )
-    ((body, _),) = done
+    ((body, _, _),) = done
     # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
     dict_root = not blocks and bool(shape) and size > ROOT_DENSE_CELLS
     # a finite factor tested nonzero times a zero of the row adds 0.0, which
@@ -843,13 +861,16 @@ def _render(plan: _Plan) -> str:
         find(drivers + probes, pad + "    ")
         return depth + 1
 
-    todo: list = [(plan.body, 1)]  # (record, depth) still to write, and literal lines
+    # (record, depth, the fibers whose deepest level found so far may be -1
+    # and is not yet tested, each with that level) still to write, and
+    # literal lines
+    todo: list = [(plan.body, 1, {})]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        node, depth = item
+        node, depth, untested = item
         pad = "    " * depth
         if isinstance(node, _Where):
             for var in node.zero:
@@ -879,12 +900,24 @@ def _render(plan: _Plan) -> str:
                 for var in node.zero
                 if rows.get(var) == 1 and plan.touched[var][1]
             )
-            todo += ((node.consumer, inner), *reversed(between), (node.producer, depth))
+            todo += ((node.consumer, inner, untested), *reversed(between), (node.producer, depth, untested))
             continue
         closes: list[str] = []  # the last line of each loop that has one, outermost first
         if isinstance(node, _Loop) and not node.single:
             inner = head(node, depth, closes)
-            todo += (*reversed(closes), (node.body, inner))
+            untested = dict(untested)
+            for n, level in (*node.drivers, *node.probes):
+                if (n, level) in plan.absent:
+                    untested[n] = level
+                else:
+                    untested.pop(n, None)
+            # a body that needs a missing level writes nothing that is read,
+            # so the iteration ends here; a leapfrog steps its lead first
+            missing = [f"p{n}_{untested.pop(n)} < 0" for n in sorted(node.needs & untested.keys())]
+            if missing:
+                step = closes[-1].strip() + "; " if node.kind == "leapfrog" else ""
+                out.append(f"{'    ' * inner}if {' or '.join(missing)}: {step}continue")
+            todo += (*reversed(closes), (node.body, inner, untested))
             continue
         own: list[_Loop] = []
         while isinstance(node, _Loop):

@@ -1,5 +1,5 @@
 """Shared fixtures and helpers: reference networks, the worked witness,
-random trees, the CSF and IR-text checks and the multiply-add count model
+random trees, the CSF and IR-text checks and the multiply-add count models
 that only the tests use."""
 
 from __future__ import annotations
@@ -11,9 +11,10 @@ import sys
 import numpy as np
 import pytest
 
-from fusetree import ContractionTree, CsfTensor, ScheduleSolution, SparseTensor, build_tree, parse_network
+from fusetree import ContractionTree, CsfTensor, ScheduleSolution, SparseTensor, build_tree, lower, parse_network
 from fusetree.bench import running_example_network
 from fusetree.check import _letters
+from fusetree.lowering import Assign, Forall
 from fusetree.network import Contraction, TensorRef
 
 GOLDEN_IR = """
@@ -249,14 +250,90 @@ def _random_tree_once(rng: random.Random, max_contractions: int) -> ContractionT
 
 
 def nonzero_products(tree: ContractionTree, tensors) -> dict[str, int]:
-    """Multiply-adds per result that a kernel performs: for each contraction,
-    the points of its index space where both operands are non-zero.
+    """Multiply-adds per result that a kernel performs at most: for each
+    contraction, the points of its index space where both operands are
+    non-zero. A kernel performs all of them where no input is sparse.
 
     Intermediates are evaluated densely, children first, so the count holds
     when no sum of non-zero products cancels to exactly zero. As in the
     kernel, a zero factor skips its partner: a product with a zero factor adds
     nothing, so a zero facing inf or NaN leaves no NaN behind.
     """
+    return _products(tree, tensors, {})
+
+
+def demanded_products(tree: ContractionTree, sol: ScheduleSolution, tensors, dense=()) -> dict[str, int]:
+    """Multiply-adds per result that the kernel of schedule ``sol`` performs:
+    the products ``nonzero_products`` counts, less those of the iterations
+    that the schedule skips because no statement reads what they write.
+
+    The model lowers ``sol`` and walks its loops. A statement needs each of
+    its CSF operands, the inputs not in ``dense`` and of order 1 or more; a
+    loop needs what its body needs; a ``where`` needs what its consumer
+    needs and, when every consumer statement reads a result of a producer
+    statement, what its producer needs too. A product counts only where,
+    for every loop around its statement, each operand that the loop's body
+    needs holds a stored coordinate, a stored 0.0 included, on the prefix of
+    its layout (from ``sol``) that the loops so far bind.
+    """
+    csf = {name for name in tree.input_names if name not in dense and tensors[name].order}
+    # per contraction: for each loop around its statement, the indices bound
+    # so far and the CSF inputs the loop's body needs
+    around: dict[int, list[tuple[set[str], set[str]]]] = {}
+
+    def statements(node) -> list[Assign]:
+        if isinstance(node, Assign):
+            return [node]
+        if isinstance(node, Forall):
+            return statements(node.body)
+        return statements(node.consumer) + statements(node.producer)
+
+    def needs(node) -> set[str]:
+        if isinstance(node, Assign):
+            return {ref.tensor for ref in (node.lhs, node.rhs) if ref.tensor in csf}
+        if isinstance(node, Forall):
+            return needs(node.body)
+        written = {s.result.tensor for s in statements(node.producer)}
+        guarded = all({s.lhs.tensor, s.rhs.tensor} & written for s in statements(node.consumer))
+        return needs(node.consumer) | (needs(node.producer) if guarded else set())
+
+    def walk(node, bound: set[str], loops: list) -> None:
+        if isinstance(node, Assign):
+            around[node.cid] = loops
+        elif isinstance(node, Forall):
+            inner = bound | {node.index}
+            walk(node.body, inner, loops + [(inner, needs(node.body))])
+        else:
+            walk(node.consumer, bound, loops)
+            walk(node.producer, bound, loops)
+
+    walk(lower(tree, sol), set(), [])
+    masks = {}
+    for cid, loops in around.items():
+        axes = sorted(tree.contractions[cid].index_set)
+        mask = np.ones([tree.extents[i] for i in axes], dtype=bool)
+        for bound, names in loops:
+            for name in names:
+                layout = sol.layout_indices(tree.abstract_ref(name))
+                prefix = layout[: next((k for k, i in enumerate(layout) if i not in bound), len(layout))]
+                if prefix:
+                    mask &= _spread(_stored(tree, tensors[name], name, prefix), prefix, axes)
+        masks[cid] = mask
+    return _products(tree, tensors, masks)
+
+
+def _stored(tree: ContractionTree, t: SparseTensor, name: str, prefix: tuple[str, ...]) -> np.ndarray:
+    """Whether ``t``, input ``name``, stores a coordinate with each value of
+    the indices ``prefix``, as an array over them."""
+    modes = [tree.abstract_ref(name).indices.index(i) for i in prefix]
+    out = np.zeros([t.shape[m] for m in modes], dtype=bool)
+    out[tuple(t.coords[:, modes].T)] = True
+    return out
+
+
+def _products(tree: ContractionTree, tensors, masks: dict[int, np.ndarray]) -> dict[str, int]:
+    """The points of each contraction's index space where both operands are
+    non-zero and its mask, if it has one, holds, counted by result."""
     env = {name: tensors[name].to_dense() for name in tree.input_names}
     preorder = [tree.root.cid]
     for cid in preorder:
@@ -268,7 +345,7 @@ def nonzero_products(tree: ContractionTree, tensors) -> dict[str, int]:
         sub = _letters(axes)
         a, b = (_spread(env[ref.tensor], ref.indices, axes) for ref in (c.lhs, c.rhs))
         both = (a != 0) & (b != 0)
-        count = int(both.sum())
+        count = int((both & masks.get(cid, True)).sum())
         if count:
             counts[c.result.tensor] = count
         products = np.multiply(a, b, out=np.zeros(both.shape), where=both)

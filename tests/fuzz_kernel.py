@@ -22,7 +22,9 @@ Every bound from 1 to the largest intermediate order is solved; ``ones``
 reuses the schedules of the unchanged tree. Each satisfiable bound's schedule
 must pass ``verify_solution``, and its kernel's result must match
 ``oracle_nary`` and ``oracle_unfused`` and its multiply-adds per result must
-equal ``conftest.nonzero_products``. Every ``compare`` report, and the
+equal ``conftest.demanded_products``, the products its schedule performs. They
+must be at most ``conftest.nonzero_products``, and equal to it where every
+input is bound dense. Every ``compare`` report, and the
 report ``compare`` gives with ``check.COMPARE_SCAN_VALUES`` at 0 (numpy for
 any values), must equal, field for field, the one of ``dict_compare`` from
 ``test_check.py``, the comparison through dicts. ``oracle_nary`` runs a
@@ -49,7 +51,9 @@ One line is printed per tree: its number, its size, the bounds it ran, the
 multiply-adds per kind and a digest of the sources of the kernels its runs
 compiled, in order, so a ``diff`` of the output of two checkouts shows
 whether they generate the same kernels. The last line counts the runs, the
-crossed runs among them and those of these that raised the mismatch. The
+crossed runs among them and those of these that raised the mismatch, and
+the products the runs' schedules skipped: ``nonzero_products`` less
+``demanded_products``, summed over the runs that did not raise. The
 exit status is 1 on any mismatch, violation or exception, each of which is
 described on standard error.
 ``--show N`` prints the network of tree N instead.
@@ -66,7 +70,7 @@ import sys
 
 import numpy as np
 
-from conftest import nonzero_products, random_tree
+from conftest import demanded_products, nonzero_products, random_tree
 from test_check import dict_compare
 from fusetree import (
     Contraction,
@@ -128,8 +132,9 @@ def draw_inputs(tree, kind: str, rng: np.random.Generator):
     return tensors, tuple(dense)
 
 
-def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]:
-    """Multiply-adds of one run, None if it raised, and what it got wrong."""
+def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, int, list[str]]:
+    """Multiply-adds of one run, None if it raised, the products its
+    schedule skipped, and what it got wrong."""
     problems: list[str] = []
     try:
         problems += [f"verify: {v}" for v in verify_solution(tree, bound, sol)]
@@ -149,12 +154,17 @@ def check(tree, tensors, dense, bound: int, sol) -> tuple[int | None, list[str]]
         if not identical(execute(ir, dataclasses.replace(binding, operands=unflagged)), (result, stats)):
             problems.append("the run on layouts flagged non-finite differs from the run on their flags")
         problems += oracle_problems(tree, tensors, result)
-        expected = nonzero_products(tree, tensors)
+        expected = demanded_products(tree, sol, tensors, dense)
         if stats.per_assignment != expected:
             problems.append(f"multiply-adds {stats.per_assignment}, expected {expected}")
+        most = nonzero_products(tree, tensors)
+        every_dense = set(dense) >= {name for name in tree.input_names if tensors[name].order}
+        above = any(n > most.get(name, 0) for name, n in expected.items())
+        if above or every_dense and expected != most:
+            problems.append(f"demanded multiply-adds {expected}, nonzero pairs {most}")
     except Exception as exc:
-        return None, problems + [f"raised {type(exc).__name__}: {exc}"]
-    return stats.multiply_adds, problems
+        return None, 0, problems + [f"raised {type(exc).__name__}: {exc}"]
+    return stats.multiply_adds, sum(most.values()) - sum(expected.values()), problems
 
 
 def blocks_run(ir, binding):
@@ -270,7 +280,7 @@ def main(argv=None) -> int:
 def fuzz(args, sources: list[str]) -> int:
     """Run the fuzz; ``sources`` collects the kernels it compiles."""
     rng = random.Random(args.seed)
-    runs = bad = crossed = mismatched = 0
+    runs = bad = crossed = mismatched = skipped = 0
     for n in range(args.trees):
         tree = random_tree(rng)
         if args.show is not None:
@@ -288,8 +298,9 @@ def fuzz(args, sources: list[str]) -> int:
             counts = set()
             run_schedules = satisfiable(run_tree) if kind == "scalar" else schedules
             for bound, sol in run_schedules:
-                count, problems = check(run_tree, tensors, dense, bound, sol)
+                count, spared, problems = check(run_tree, tensors, dense, bound, sol)
                 runs += 1
+                skipped += spared
                 if count is not None:
                     counts.add(count)
                 bad += bool(problems)
@@ -308,7 +319,10 @@ def fuzz(args, sources: list[str]) -> int:
         bounds = ",".join(str(bound) for bound, _ in schedules)
         kernels = hashlib.sha256("".join(sources).encode()).hexdigest()[:12]
         print(f"tree {n} m={tree.m} bounds {bounds}: {' '.join(madds)} kernels {kernels}", flush=True)
-    print(f"trees {args.trees}: runs {runs} ({crossed} crossed, {mismatched} mismatched), failed {bad}")
+    print(
+        f"trees {args.trees}: runs {runs} ({crossed} crossed, {mismatched} mismatched),"
+        f" {skipped} products skipped, failed {bad}"
+    )
     return 1 if bad else 0
 
 

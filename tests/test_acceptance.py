@@ -30,7 +30,17 @@ from fusetree import (
     verify_solution,
 )
 from fusetree.bench import bench_generate, running_example_network, synthetic_tensor
-from conftest import GOLDEN_IR, CHAIN_NETWORK, csf_flatten, ir_text_equal, permute, random_tree, reference_witness
+from conftest import (
+    CHAIN_NETWORK,
+    GOLDEN_IR,
+    csf_flatten,
+    demanded_products,
+    ir_text_equal,
+    nonzero_products,
+    permute,
+    random_tree,
+    reference_witness,
+)
 
 REL_TOL = 1e-10
 
@@ -135,7 +145,8 @@ def test_criterion_4_numerical_equivalence():
 def test_criterion_5_complexity_reduction_dense_counts():
     """Counted multiply-adds on fully dense inputs follow the binary-tree
     complexity expression (sum of per-contraction index-space products), far
-    below the n-ary oracle's full index space N^6."""
+    below the n-ary oracle's full index space N^6. On sparse inputs they are
+    the products the schedule demands, fewer than the non-zero pairs."""
 
     def binary_tree_ops(tree) -> int:
         total = 0
@@ -157,7 +168,18 @@ def test_criterion_5_complexity_reduction_dense_counts():
             nary_space *= ext
         assert nary_space == n**6
         assert stats.multiply_adds < nary_space
+        sol = search_min_order(inst.tree)[1]
+        counts = demanded_products(inst.tree, sol, inst.tensors, inst.dense_names)
+        assert stats.per_assignment == counts == nonzero_products(inst.tree, inst.tensors)
         _ok(5, f"N={n}: fused {stats.multiply_adds} = N^5+N^5+N^4 vs n-ary {nary_space} = N^6")
+    inst = bench_generate("running_example", extents=8, density=0.2, seed=1)
+    sol = search_min_order(inst.tree)[1]
+    _, stats = _run_fused(inst.tree, inst.tensors, inst.dense_names)
+    most = nonzero_products(inst.tree, inst.tensors)
+    assert stats.per_assignment == demanded_products(inst.tree, sol, inst.tensors, inst.dense_names)
+    assert all(count <= most[name] for name, count in stats.per_assignment.items())
+    assert stats.multiply_adds < sum(most.values())
+    _ok(5, f"N=8, density 0.2: fused {stats.multiply_adds} of {sum(most.values())} non-zero pairs")
 
 
 def test_criterion_6_fusion_memory_reduction():
