@@ -41,9 +41,9 @@ disagrees with the bound or workspace layout raises
 
 A statement contributes only when every sparse operand carries the current
 coordinates and no factor is exactly zero. Each factor is loaded, and tested
-for presence and for an exact zero, just inside the loop that binds the last
-of its variables (for a CSF operand, the loop driving its deepest level), but
-never outside the loops that run its statement alone; each flat offset is
+for an exact zero, just inside the loop that binds the last of its variables
+(for a CSF operand, the loop driving its deepest level), but never outside
+the loops that run its statement alone; each flat offset is
 summed term by term as its variables are bound, after the zero tests of the
 loop that binds them. A zero factor therefore skips the whole inner loop and
 its index arithmetic, never a ``where`` sibling. Zeros annihilate: a
@@ -69,16 +69,20 @@ has every such workspace it reads written, as the producer statements'
 counters tell: an unwritten one holds only 0.0, so every product the
 consumer could form has a zero factor.
 
-A loop that runs several statements ends an iteration right after it finds
-its fiber positions where its body could write nothing a later statement
+A loop skips its body where the body could write nothing a later statement
 reads. A statement needs the deepest level found so far of each of its CSF
 factors; a ``where`` needs what its consumer needs, and also what its
-producer needs when its guard covers every consumer statement. The loop
-tests each needed level that it or an enclosing loop found by bisection and
-no enclosing loop tested yet, and ``continue``s where one is -1, a leapfrog
-stepping its lead first; a level stepped through or intersected is never
--1. So multiply-adds count the products the schedule performs, and two
-schedules of one bound may count different numbers on the same inputs.
+producer needs when its guard covers every consumer statement. Only the
+render walk knows which positions may be -1: those found by bisection and
+not tested since, which a level stepped through or intersected never is.
+Each is tested once on any path. One guard just before a loop tests those
+found outside it that its body needs or that a step or leapfrog reads as a
+parent; a ``continue`` just after the loop finds its positions tests the
+needed ones it bisects, a leapfrog stepping its lead first; a factor loaded
+before the loops that run its statement alone tests its own. An untested
+parent that none of these covers gives its child the empty range. So
+multiply-adds count the products the schedule performs, and two schedules of
+one bound may count different numbers on the same inputs.
 
 A workspace that the consumer reads in an innermost full-range loop over
 its last layout index tracks the cells written to it, if its rows (every
@@ -378,7 +382,6 @@ class _Plan:
 
     operands: tuple[tuple[str, str], ...]  # input and parameter, CSF then dense
     fibers: tuple[tuple[str, int], ...]  # per fiber: its operand's parameter and levels
-    absent: frozenset[tuple[int, int]]  # (fiber, level) found by bisection, so maybe -1
     workspaces: tuple[tuple[str, int], ...]  # local and cells
     scalars: frozenset[str]  # workspaces of order 0, each one float local
     # workspaces that record their written cells: the cells of a row, and
@@ -443,7 +446,6 @@ def _plan(
     fibers: list[tuple[str, int]] = []
     workspaces: dict[str, tuple[str, tuple[str, ...], int]] = {}  # -> local, layout, cells
     touched: dict[str, tuple[int, bool]] = {}
-    absent: set[tuple[int, int]] = set()
     # per statement: its result, its operands' names, the local, last layout
     # index and row terms of each workspace it reads, and per index of its
     # operands the fiber levels it drives, none if it reaches the index only
@@ -661,11 +663,8 @@ def _plan(
             # fiber present: step through the first, bisect the others
             if (len(drivers) == 1 and not is_full) or (len(drivers) > 1 and gated.count(0) == 1):
                 kind = "step" if len(drivers) == 1 else "leapfrog"
-            elif kind == "union":
-                absent.update(drivers)
-            else:
+            elif kind != "union":
                 probes, drivers = drivers + probes, []
-            absent.update(probes)
             if kind == "range":
                 # a full-range loop writes the whole row of an order-1
                 # workspace, or nothing, so tracking its cells gains nothing
@@ -715,7 +714,6 @@ def _plan(
     return _Plan(
         (*operands.items(), *dense.items()),
         tuple(fibers),
-        frozenset(absent),
         tuple((local, cells) for local, _, cells in workspaces.values()),
         frozenset(local for local, layout, _ in workspaces.values() if not layout),
         touched,
@@ -780,57 +778,51 @@ def _render(plan: _Plan) -> str:
     counters = [f"n{s}" for s in range(len(plan.results))]
     out.append(f"    {' = '.join(counters)} = 0")
 
-    def head(loop: _Loop, depth: int, closes: list[str]) -> int:
+    def head(loop: _Loop, depth: int, closes: list[str], untested: dict[int, int]) -> int:
         """Bind the loop variable and the position of every fiber level it
         drives or probes; returns the depth of the loop body, and appends to
         ``closes`` the line that must end that body, if any.
 
-        An intersection is a ``while`` over the lead fiber's positions: the
-        lead bisects the other fiber for its coordinate, leaves the loop when
-        the other is exhausted and, on a miss, bisects itself forward to the
-        other's coordinate; after a match the closing line steps it by one.
-        A level found by bisection, in a union or full-range loop or as a
-        probe of a step, gets position -1 for a missing coordinate, and a
-        level under a -1 parent gets the empty range, so presence is decided
-        by the deepest level. Positions stepped through or found by an
-        intersection are never -1.
+        ``untested`` maps each fiber whose deepest level found so far may be
+        -1, and is not yet tested, to that level, and the loop updates it: a
+        level it bisects becomes untested, in a union or full-range loop or
+        as a probe of a step, and gets position -1 for a missing coordinate;
+        one it steps through or intersects is present, with its parents. One
+        guard before the loop tests each untested level that the body needs
+        or a step or leapfrog driver reads as its parent, and a ``continue``
+        just inside it each needed level it bisects, a leapfrog stepping its
+        lead first. An untested parent that neither covers gives the empty
+        range, so presence is decided by the deepest level. An intersection
+        is a ``while`` over the lead fiber's positions: the lead bisects the
+        other fiber for its coordinate, leaves the loop when the other is
+        exhausted and, on a miss, bisects itself forward to the other's
+        coordinate; after a match the closing line steps it by one.
         """
         pad = "    " * depth
         x = loop.var
+        steps = loop.kind in ("step", "leapfrog")
+        reads = loop.needs | {n for n, _ in loop.drivers} if steps else loop.needs
+        tested = [f"p{n}_{untested.pop(n)} >= 0" for n in sorted(reads & untested.keys())]
+        if tested:
+            out.append(f"{pad}if {' and '.join(tested)}:")
+            pad += "    "
+            depth += 1
 
         def names(n: int, level: int):
             parent = f"p{n}_{level - 1}" if level else "0"
             span = f"s{n}_{level}[{parent}], s{n}_{level}[{parent} + 1]"
-            absent = level > 0 and (n, level - 1) in plan.absent  # the parent may be -1
-            return f"p{n}_{level}", f"c{n}_{level}", parent, span, absent
+            if n in untested:  # the parent may be -1
+                span = f"({span}) if {parent} >= 0 else (0, 0)"
+            return f"p{n}_{level}", f"c{n}_{level}", span
 
-        def bounds(levels, pad: str) -> None:
-            for p, _, parent, span, absent in levels:
-                if absent:
-                    span = f"({span}) if {parent} >= 0 else (0, 0)"
-                out.append(f"{pad}l{p}, h{p} = {span}")
-
-        def find(levels, pad: str) -> None:
-            for p, coords, *_ in levels:
-                out.append(f"{pad}{p} = bl({coords}, {x}, l{p}, h{p})")
-                out.append(f"{pad}if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
-
-        drivers = [names(*driver) for driver in loop.drivers]
-        probes = [names(*probe) for probe in loop.probes]
-        if loop.kind in ("step", "leapfrog"):
-            guards = [f"{parent} >= 0" for _, _, parent, _, absent in drivers if absent]
-            if guards:
-                out.append(f"{pad}if {' and '.join(guards)}:")
-                pad += "    "
-                depth += 1
-            (p, coords, _, span, _), *other = drivers
-            bounds(probes, pad)
-            if not other:
-                out.append(f"{pad}for {p} in range({span}):")
-                out.append(f"{pad}    {x} = {coords}[{p}]")
-                find(probes, pad + "    ")
-                return depth + 1
-            ((q, coords_q, _, span_q, _),) = other
+        found = loop.probes if steps else loop.drivers + loop.probes  # by bisection
+        drivers, bisected = [names(*level) for level in loop.drivers], [names(*level) for level in found]
+        out.extend(f"{pad}l{p}, h{p} = {span}" for p, _, span in bisected)
+        if loop.kind == "step":
+            ((p, coords, span),) = drivers
+            out.extend((f"{pad}for {p} in range({span}):", f"{pad}    {x} = {coords}[{p}]"))
+        elif steps:
+            (p, coords, span), (q, coords_q, span_q) = drivers
             out.append(f"{pad}l{q}, h{q} = {span_q}")
             out.append(f"{pad}{p}, h{p} = {span}")
             out.append(f"{pad}while {p} < h{p}:")
@@ -840,25 +832,32 @@ def _render(plan: _Plan) -> str:
             out.append(f"{pad}    if {coords_q}[{q}] != {x}:")
             out.append(f"{pad}        {p} = bl({coords}, {coords_q}[{q}], {p} + 1, h{p})")
             out.append(f"{pad}        continue")
-            find(probes, pad + "    ")
             closes.append(f"{pad}    {p} += 1")
-            return depth + 1
-        bounds(drivers + probes, pad)
-        if loop.kind == "cells":
-            var, row = loop.over
-            if rows[var] == 1:
-                values = f"t{var}"
-            else:
-                values = f"r{var}[{' + '.join(term for _, term in row)}]"
-                if plan.touched[var][1]:
-                    values = f"sorted({values})"
-        elif loop.kind == "range":
-            ranges.add(loop.over)
-            values = f"e{loop.over}"
         else:
-            values = f"sorted({{{', '.join(f'*{coords}[l{p}:h{p}]' for p, coords, *_ in drivers)}}})"
-        out.append(f"{pad}for {x} in {values}:")
-        find(drivers + probes, pad + "    ")
+            if loop.kind == "cells":
+                var, row = loop.over
+                if rows[var] == 1:
+                    values = f"t{var}"
+                else:
+                    values = f"r{var}[{' + '.join(term for _, term in row)}]"
+                    if plan.touched[var][1]:
+                        values = f"sorted({values})"
+            elif loop.kind == "range":
+                ranges.add(loop.over)
+                values = f"e{loop.over}"
+            else:
+                values = f"sorted({{{', '.join(f'*{coords}[l{p}:h{p}]' for p, coords, _ in drivers)}}})"
+            out.append(f"{pad}for {x} in {values}:")
+        for p, coords, _ in bisected:
+            out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
+            out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
+        untested.update(found)
+        # a body that needs a missing level writes nothing that is read, so
+        # the iteration ends here
+        missing = [f"p{n}_{untested.pop(n)} < 0" for n in sorted(loop.needs & untested.keys())]
+        if missing:
+            step = closes[-1].strip() + "; " if loop.kind == "leapfrog" else ""
+            out.append(f"{pad}    if {' or '.join(missing)}: {step}continue")
         return depth + 1
 
     # (record, depth, the fibers whose deepest level found so far may be -1
@@ -903,20 +902,9 @@ def _render(plan: _Plan) -> str:
             todo += ((node.consumer, inner, untested), *reversed(between), (node.producer, depth, untested))
             continue
         closes: list[str] = []  # the last line of each loop that has one, outermost first
+        untested = dict(untested)  # a where hands one map to its producer and consumer
         if isinstance(node, _Loop) and not node.single:
-            inner = head(node, depth, closes)
-            untested = dict(untested)
-            for n, level in (*node.drivers, *node.probes):
-                if (n, level) in plan.absent:
-                    untested[n] = level
-                else:
-                    untested.pop(n, None)
-            # a body that needs a missing level writes nothing that is read,
-            # so the iteration ends here; a leapfrog steps its lead first
-            missing = [f"p{n}_{untested.pop(n)} < 0" for n in sorted(node.needs & untested.keys())]
-            if missing:
-                step = closes[-1].strip() + "; " if node.kind == "leapfrog" else ""
-                out.append(f"{'    ' * inner}if {' or '.join(missing)}: {step}continue")
+            inner = head(node, depth, closes, untested)
             todo += (*reversed(closes), (node.body, inner, untested))
             continue
         own: list[_Loop] = []
@@ -952,7 +940,10 @@ def _render(plan: _Plan) -> str:
         loads = []
         for role, (array, terms, deepest) in zip("fg", node.factors):
             use, index = offset(f"o{n}{role}", terms)
-            if deepest in plan.absent:
+            # the loops that run a statement alone bisect nothing, so only a
+            # factor found before them may be untested
+            if deepest in untested.items():
+                del untested[deepest[0]]
                 at[use].append(f"if {index} >= 0:")
             loads.append(array if array in plan.scalars else f"{array}[{index}]")
             at[use] += (f"{role} = {loads[-1]}", f"if {role}:")
@@ -990,7 +981,7 @@ def _render(plan: _Plan) -> str:
         at[-1].append(f"n{n} += 1")
         for k, lines in enumerate(at):
             if k:
-                depth = head(own[k - 1], depth, closes)
+                depth = head(own[k - 1], depth, closes, untested)
             pad = "    " * depth
             for line in lines:
                 out += (pad + part for part in line.split("\n"))

@@ -765,9 +765,10 @@ def test_a_leapfrog_loop_steps_its_lead_before_it_skips():
 
 def test_a_level_found_outside_is_tested_where_the_body_needs_it():
     # C(i,k) is bisected at the shared i loop, where nothing needs it: V's
-    # producer there feeds R whether W is written or not. Inside W's j loop,
-    # W's where needs C, so the j loop tests the level the i loop found,
-    # and X's producer makes nothing at i = 1, where C has no row.
+    # producer there feeds R whether W is written or not. W's j loop, whose
+    # where needs C, runs under one guard that tests the level the i loop
+    # found, beside the parent the loop steps from, and no iteration tests it
+    # again; X's producer makes nothing at i = 1, where C has no row.
     network = (
         "extent i 3\nextent j 2\nextent k 2\nextent p 2\nextent l 2\n"
         "X[i,j,k] = A[i,j,p] * B[p,k]\nW[i] = X[i,j,k] * C[i,k]\nV[i] = D[i,l] * E[l]\nR[i] = W[i] * V[i]\n"
@@ -779,7 +780,8 @@ def test_a_level_found_outside_is_tested_where_the_body_needs_it():
     source, stats = _skipping(tree, sol, tensors)
     lines = source.splitlines()
     (j_loop,) = [k for k, line in enumerate(lines) if line.strip().startswith("for p0_1 in ")]
-    assert lines[j_loop + 2] == "                if p2_0 < 0: continue"
+    assert lines[j_loop - 1] == "        if p0_0 >= 0 and p2_0 >= 0:"
+    assert not any("p2_0 < 0" in line for line in lines)
     sliced = {**tensors, "A": _without(tensors["A"], lambda c: c[0] == 1)}
     assert stats.per_assignment == nonzero_products(tree, sliced)
 
@@ -1077,18 +1079,27 @@ def _range_loops(plan) -> set[tuple[str, int]]:
     return found
 
 
-@pytest.mark.parametrize("case", (*KINDS, *(f"{kind}-rank-outer" for kind in RANK_OUTER)))
+BENCH_CASES = (*KINDS, *(f"{kind}-rank-outer" for kind in RANK_OUTER))
+
+
+def _bench_case(case: str):
+    """The bench instance of ``case`` at seed 1 and its schedule: a bench
+    kind at the bench defaults and its minimal bound, or a ``RANK_OUTER``
+    witness at 4x5x6, rank 2 and density 0.3."""
+    kind = case.removesuffix("-rank-outer")
+    if kind == case:
+        inst = bench_generate(kind, seed=1)
+        return inst, search_min_order(inst.tree)[1]
+    inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
+    return inst, _witness(inst.tree, RANK_OUTER[kind])
+
+
+@pytest.mark.parametrize("case", BENCH_CASES)
 def test_full_range_loops_iterate_one_prologue_tuple_per_extent(case):
     # every full-range loop, a dense-filled row's consumer among them,
     # iterates the tuple of its extent's values, which the prologue builds
     # once per extent; no kernel keeps a flag list
-    kind = case.removesuffix("-rank-outer")
-    if kind == case:
-        inst = bench_generate(kind, seed=1)
-        sol = search_min_order(inst.tree)[1]
-    else:
-        inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
-        sol = _witness(inst.tree, RANK_OUTER[kind])
+    inst, sol = _bench_case(case)
     ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names)
     plan = executor._plan(*_signature(ir, binding))
     lines = executor._render(plan).splitlines()
@@ -1100,6 +1111,77 @@ def test_full_range_loops_iterate_one_prologue_tuple_per_extent(case):
     tuples = [k for k, line in enumerate(lines) if re.match(r"\s*e\d+ = ", line)]
     assert [lines[k] for k in tuples] == [f"    e{n} = tuple(range({n}))" for n in extents]
     assert all(k < _line(lines, r"^    n0 = ") for k in tuples)
+
+
+POSITION_TEST = re.compile(r"\b(p\d+_\d+) (<|>=) 0\b")
+POSITION_SET = re.compile(r"\bfor (p\d+_\d+) in |\b(p\d+_\d+)(?:, h\w+)? \+?= ")
+
+
+def _retests(source: str) -> list[str]:
+    """The lines of ``source`` that test a CSF position (``< 0`` or ``>= 0``,
+    in an ``if``, a ``continue`` or a ternary) inside the block of an earlier
+    test of that position, with no assignment to it in between: the body of
+    an ``if`` that tested it present, or the rest of the block of an ``if``
+    that ``continue``s where it is -1. A ternary covers no later line."""
+    found, known = [], []  # (position, indent of its test, whether that opens a block)
+    for line in source.splitlines():
+        indent, text = _indent(line), line.strip()
+        known = [(p, at, body) for p, at, body in known if indent > at or indent == at and not body]
+        tests = POSITION_TEST.findall(text)
+        if any(p == q for p, _ in tests for q, _, _ in known):
+            found.append(line)
+        assigned = {a or b for a, b in POSITION_SET.findall(text)}
+        known = [entry for entry in known if entry[0] not in assigned]
+        if text.endswith(":"):
+            known += ((p, indent, True) for p, op in tests if op == ">=")
+        elif text.endswith("continue"):
+            known += ((p, indent, False) for p, op in tests if op == "<")
+    return found
+
+
+@pytest.mark.parametrize("case", BENCH_CASES)
+def test_each_position_is_tested_at_most_once_on_a_path(case):
+    # a -1 position is tested by one guard before the loop that needs it, by
+    # one continue after the loop that finds it, or by the load of the
+    # factor it addresses, never again below a test that already passed
+    inst, sol = _bench_case(case)
+    source = _solved_source(inst, sol)
+    assert _retests(source) == []
+    # the running example's one guard is its j loop's, which steps through
+    # a fiber that the r loop found by bisection and nothing needed there
+    assert len(re.findall(r"\bp\d+_\d+ >= 0", source)) == (case == "running_example")
+
+
+def _renamed(text: str, indices) -> tuple[str, dict[str, str]]:
+    """``text`` with its indices and its tensors each renamed in the reverse
+    of their sorted order, so that a tie broken by name breaks the other way;
+    returns the text and the new name of every tensor."""
+    names = set(re.findall(r"\b[A-Za-z_]\w*", text)) - {"extent", "layout"}
+    new = {}
+    for prefix, group in (("q", names & set(indices)), ("Z", names - set(indices))):
+        ordered = sorted(group)
+        new.update((name, f"{prefix}{len(ordered) - k:02d}") for k, name in enumerate(ordered))
+    text = re.sub(r"\b[A-Za-z_]\w*", lambda m: new.get(m[0], m[0]), text)
+    return text, {name: to for name, to in new.items() if name not in indices}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_renaming_every_index_and_tensor_changes_nothing(kind):
+    # a bijection of names leaves the minimal bound, the kernel source (which
+    # numbers every identifier), the multiply-adds and the result's bits alone
+    inst = bench_generate(kind, seed=3)
+    text, new = _renamed(inst.network_text, inst.tree.extents)
+    assert text != inst.network_text
+    renamed = ({new[name]: t for name, t in inst.tensors.items()}, tuple(new[name] for name in inst.dense_names))
+    runs = []
+    for network, (tensors, dense) in ((inst.network_text, (inst.tensors, inst.dense_names)), (text, renamed)):
+        tree = parse_network(network)
+        bound, sol = search_min_order(tree)
+        ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
+        result, stats = execute(ir, binding)
+        runs.append((bound, _kernel_source(ir, binding), stats.multiply_adds, [(c, v.hex()) for c, v in result.entries]))
+    assert runs[0] == runs[1]
+    assert runs[0][2] > 0
 
 
 # W and V are rows of r under the shared i loop: W's producer reaches r only
@@ -1149,15 +1231,18 @@ def _pinned(text: str, loops: Sequence[str], bound: int = 1):
 GUARDED = "extent i 4\nextent j 3\nextent k 3\nW[i,j] = A[i,k] * B[k,j]\nR[i,j] = W[i,j] * C[i]\n"
 
 
-def test_hoisted_csf_load_keeps_its_guard():
+def test_hoisted_csf_load_reads_the_position_its_loop_tested():
     tree, sol = _pinned(GUARDED, ("ikj", "ij"))
     # C lacks rows 0 and 2, which A carries, and A lacks row 3
     a = _tensor((4, 3), {(0, 1): 2.0, (1, 0): -1.0, (1, 2): 3.0, (2, 2): 5.0})
     tensors = {"A": a, "B": synthetic_tensor((3, 3), 0.6, np.random.default_rng(5)),
                "C": _tensor((4,), {(1,): 2.0, (3,): -3.0})}
     lines = _kernel_source(lower(tree, sol), bind(tree, sol, tensors)).splitlines()
+    # the consumer needs C(i), so the loop that finds it ends an iteration
+    # where it is -1, and the load needs no guard of its own
+    assert "        if p2_0 < 0: continue" in lines
     load = _line(lines, r"^\s*g = v2\[p2_0\]")
-    assert lines[load - 1].strip() == "if p2_0 >= 0:"
+    assert not any("p2_0 >= 0" in line for line in lines)
     assert re.fullmatch(r"\s*for x\d+ in tw0:", lines[load + 3])
     _check(tree, sol, tensors)
 
@@ -1550,15 +1635,10 @@ def _blocks_match_scalar_tails(tree, sol, tensors, dense, monkeypatch) -> bool:
     return vector.array_root
 
 
-@pytest.mark.parametrize("case", (*KINDS, *(f"{kind}-rank-outer" for kind in RANK_OUTER)))
+@pytest.mark.parametrize("case", BENCH_CASES)
 def test_blocks_match_scalar_tails_on_bench_kinds(case, monkeypatch):
     kind = case.removesuffix("-rank-outer")
-    if kind == case:
-        inst = bench_generate(kind, seed=1)
-        sol = search_min_order(inst.tree)[1]
-    else:
-        inst = bench_generate(kind, extents=(4, 5, 6), rank=2, density=0.3, seed=1)
-        sol = _witness(inst.tree, RANK_OUTER[kind])
+    inst, sol = _bench_case(case)
     has_block = _blocks_match_scalar_tails(inst.tree, sol, inst.tensors, inst.dense_names, monkeypatch)
     # every factor kind's consumer reads a workspace and a dense factor in
     # its tail; the rank-outer witnesses put the rank loop outside it
