@@ -28,6 +28,7 @@ from .errors import (
     MalformedSolutionError,
     SolveTimeout,
     TooLargeError,
+    UnknownTensorError,
     UnsatisfiableError,
 )
 from .executor import bind, execute
@@ -158,9 +159,19 @@ def _run_and_check(tree, sol, ir, tensors, dense_names, args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.check:  # before anything is planned, printed or written
+    # the tolerances and the names of the given tensors are checked before
+    # anything is planned, printed or written
+    if args.check:
         check_tolerances(args.rel_tol, args.abs_tol)
     tree = _load_tree(args)
+    # a tensor given for an intermediate or the root would play no part; a
+    # spec with no "=" is reported as malformed where it is read
+    for flag in ("tensor", "synthetic", "dense"):
+        for item in getattr(args, flag) or ():
+            name, eq, _ = item.partition("=")
+            if name not in tree.input_names and (eq or flag == "dense"):
+                how = " dense" if flag == "dense" else ""
+                raise UnknownTensorError(f"no input {name!r} to bind{how}")
     bound, sol, ir, _ = _plan(tree, args)
     print(f"minimal workspace order: {bound}")
     _emit_plan_outputs(tree, sol, ir, args)

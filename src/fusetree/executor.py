@@ -3,10 +3,11 @@
 Planning walks the IR once, checking the schedule and deciding the kernel as
 a tree of frozen records: each loop's kind and drivers, each ``where``'s
 resets and guard, each statement's factors and cell, and the parameters,
-prologue and workspaces. Rendering walks that tree once more, writing the
-source of one function in which loop variables, CSF positions and counters
-are locals. Both walks keep explicit stacks, so only ``MAX_NESTED_LOOPS``
-limits a kernel's depth, never the number of ``where``s it nests.
+prologue and workspaces; a second walk of the records decides the presence
+tests (below). Rendering prints the records as the source of one function, in
+which loop variables, CSF positions and counters are locals. Each walk keeps
+an explicit stack, so only ``MAX_NESTED_LOOPS`` limits a kernel's depth,
+never the number of ``where``s it nests.
 
 A ``forall`` drilled by a single CSF operand steps through that fiber's
 positions. A ``forall`` whose one ungated statement (see below) two CSF
@@ -72,17 +73,17 @@ consumer could form has a zero factor.
 A loop skips its body where the body could write nothing a later statement
 reads. A statement needs the deepest level found so far of each of its CSF
 factors; a ``where`` needs what its consumer needs, and also what its
-producer needs when its guard covers every consumer statement. Only the
-render walk knows which positions may be -1: those found by bisection and
-not tested since, which a level stepped through or intersected never is.
-Each is tested once on any path. One guard just before a loop tests those
-found outside it that its body needs or that a step or leapfrog reads as a
-parent; a ``continue`` just after the loop finds its positions tests the
-needed ones it bisects, a leapfrog stepping its lead first; a factor loaded
-before the loops that run its statement alone tests its own. An untested
-parent that none of these covers gives its child the empty range. So
-multiply-adds count the products the schedule performs, and two schedules of
-one bound may count different numbers on the same inputs.
+producer needs when its guard covers every consumer statement. The plan
+alone decides which positions may be -1: those found by bisection and not
+tested since, which a level stepped through or intersected never is, in the
+order the source is written. Each is tested once on any path. One guard just
+before a loop tests those found outside it that its body needs or that a
+step or leapfrog reads as a parent; a ``continue`` just after the loop finds
+its positions tests the needed ones it bisects, a leapfrog stepping its lead
+first; a factor loaded before the loops that run its statement alone tests
+its own. An untested parent that none of these covers gives its child the
+empty range. So multiply-adds count the products the schedule performs, and
+two schedules of one bound may count different numbers on the same inputs.
 
 A workspace that the consumer reads in an innermost full-range loop over
 its last layout index tracks the cells written to it, if its rows (every
@@ -129,16 +130,16 @@ the flat tuple and whatever blocks and untested rows read. A kernel is
 planned and compiled once per signature: the IR; each input's bound layout
 and kind, CSF or dense; and the tree's extents, root reference and
 intermediate names. The cache entry keeps the compiled function and its
-operands' names in parameter order, and no tensor data. Each call runs the
-kernel on the binding's operands as they are stored, so only the first run
-of a signature, such as a one-shot ``fusetree run``, pays for planning and
-compilation, and no call converts an operand. A schedule that fails its
-checks raises on every call, and so does, with ``TooLargeError``, a kernel
-nesting more than ``MAX_NESTED_LOOPS`` loops, which Python cannot compile,
-a root of more than ``sys.maxsize`` cells, or a workspace (in ``bind``, a
-dense input) of more than ``DENSE_SPACE_BUDGET`` cells. The dense oracles
-and ``compare`` that check the kernels live in :mod:`fusetree.check`, which
-imports none of this code.
+plan, and no tensor data. Each call runs the kernel on the binding's
+operands as they are stored, so only the first run of a signature, such as a
+one-shot ``fusetree run``, pays for planning and compilation, and no call
+converts an operand. A schedule that fails its checks raises on every call,
+and so does, with ``TooLargeError``, a kernel nesting more than
+``MAX_NESTED_LOOPS`` loops, which Python cannot compile, a root of more than
+``sys.maxsize`` cells, or a workspace (in ``bind``, a dense input) of more
+than ``DENSE_SPACE_BUDGET`` cells. The dense oracles and ``compare`` that
+check the kernels live in :mod:`fusetree.check`, which imports none of this
+code.
 """
 
 from __future__ import annotations
@@ -293,6 +294,7 @@ def _extent(extents: Mapping[str, int], index: str) -> int:
 
 # the terms of a flat offset, each with the loop variable it reads
 Terms = tuple[tuple[str, str], ...]
+Levels = tuple[tuple[int, int], ...]  # (fiber, level) pairs
 
 
 @dataclass(frozen=True)
@@ -356,17 +358,17 @@ class _Where:
 class _Loop:
     """A ``forall``: its local, how it iterates, the (fiber, level) pairs
     whose coordinates it iterates (``drivers``) and those it finds by
-    bisection (``probes``), whether it runs a ``single`` statement alone, and
-    the fibers its body ``needs`` present to write anything a later statement
-    reads. Its ``kind`` is ``step``, ``leapfrog``, ``union``, ``range`` over
-    the extent ``over`` or ``cells`` over the cells written to one row of a
-    workspace, ``over`` holding the workspace and the terms of the row's
-    number."""
+    bisection (``probes``, a union's drivers among them), whether it runs a
+    ``single`` statement alone, and the fibers its body ``needs`` present to
+    write anything a later statement reads. Its ``kind`` is ``step``,
+    ``leapfrog``, ``union``, ``range`` over the extent ``over`` or ``cells``
+    over the cells written to one row of a workspace, ``over`` holding the
+    workspace and the terms of the row's number."""
 
     var: str
     kind: str
-    drivers: tuple[tuple[int, int], ...]
-    probes: tuple[tuple[int, int], ...]
+    drivers: Levels
+    probes: Levels
     over: int | tuple[str, Terms] | None
     single: bool
     needs: frozenset[int]
@@ -378,7 +380,7 @@ _Node = _Loop | _Where | _Stmt
 
 @dataclass(frozen=True)
 class _Plan:
-    """Every decision one kernel's source holds."""
+    """Every decision one kernel's source holds, its presence tests included."""
 
     operands: tuple[tuple[str, str], ...]  # input and parameter, CSF then dense
     fibers: tuple[tuple[str, int], ...]  # per fiber: its operand's parameter and levels
@@ -394,6 +396,11 @@ class _Plan:
     # and the dense row its innermost loop reads untested
     blocks: Mapping[int, _Block]
     dense_rows: Mapping[int, _Row]
+    # per loop local, the levels its guard tests, the fibers whose parent may
+    # be -1 where it bisects, and the levels its ``continue`` tests; per
+    # statement, the deepest levels of the factors tested where they are loaded
+    tests: Mapping[str, tuple[Levels, frozenset[int], Levels]]
+    guarded: Mapping[int, Levels]
     body: _Node
 
 
@@ -463,12 +470,6 @@ def _plan(
     # planned subtrees, each with its first statement and the fibers it needs
     # present to write anything a later statement reads
     done: list[tuple[_Node, int, frozenset[int]]] = []
-    # per statement writing the root: its tail of full-range loops over root
-    # indices, and the block of the longest such tail that can run as one
-    tails: dict[int, tuple[tuple[str, int], ...]] = {}
-    blocks: dict[int, _Block] = {}
-    # per statement whose innermost loop is full-range: that loop's local
-    innermost: dict[int, tuple[str, _Stmt]] = {}
 
     def nonzeros(param: str, xs: list[str], axes) -> tuple[tuple[str, str, tuple[int, ...]], str]:
         """The table of nonzero counts of dense operand ``param``, read by
@@ -663,8 +664,8 @@ def _plan(
             # fiber present: step through the first, bisect the others
             if (len(drivers) == 1 and not is_full) or (len(drivers) > 1 and gated.count(0) == 1):
                 kind = "step" if len(drivers) == 1 else "leapfrog"
-            elif kind != "union":
-                probes, drivers = drivers + probes, []
+            else:
+                probes, drivers = drivers + probes, drivers if kind == "union" else []
             if kind == "range":
                 # a full-range loop writes the whole row of an order-1
                 # workspace, or nothing, so tracking its cells gains nothing
@@ -673,20 +674,6 @@ def _plan(
                     for info in stmts[start:]
                     if info[0] in workspaces and workspaces[info[0]][1] == (index,)
                 )
-            if single and kind == "range" and isinstance(body, _Stmt):
-                innermost[body.n] = (x, body)
-            if single and kind == "range" and size <= ROOT_ARRAY_CELLS:
-                # a tail starts at the innermost loop and grows outward
-                stmt = body
-                while isinstance(stmt, _Loop):
-                    stmt = stmt.body
-                inner = tails.get(stmt.n, ())
-                at_root = stmt.target == "acc" and any(v == x for v, _ in stmt.cell)
-                if at_root and (stmt is body or inner and inner[0][0] == body.var):
-                    tails[stmt.n] = ((x, extent), *inner)
-                    candidate = block(stmt, tails[stmt.n])
-                    if candidate:
-                        blocks[stmt.n] = candidate
             done.append((_Loop(x, kind, tuple(drivers), tuple(probes), over, single, needs, body), start, needs))
     for name, (_, ref) in first.items():
         if ref.indices != layouts[name]:
@@ -694,23 +681,76 @@ def _plan(
                 f"reference {ref} disagrees with the bound layout {layouts[name]}"
             )
     ((body, _, _),) = done
-    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
-    dict_root = not blocks and bool(shape) and size > ROOT_DENSE_CELLS
-    # a finite factor tested nonzero times a zero of the row adds 0.0, which
-    # changes no cell's bits, so only that factor's finiteness decides; a
-    # tracked workspace would list such a cell as written, and a dict root
-    # would grow a key for it
+    tests: dict[str, tuple[Levels, frozenset[int], Levels]] = {}
+    guarded: dict[int, Levels] = {}
+    blocks: dict[int, _Block] = {}
     dense_rows: dict[int, _Row] = {}
-    for n, (x, stmt) in innermost.items():
-        if stmt.target in touched or stmt.target == "acc" and dict_root:
+
+    def presence(loop: _Loop, untested: dict[int, int]) -> None:
+        """Decide the presence tests of ``loop`` by the rule of the module
+        docstring, and update ``untested`` to what holds in its body: a level
+        the loop bisects becomes untested, and one it steps through or
+        intersects is present, with its parents."""
+        reads = loop.needs if loop.kind == "union" else loop.needs | {n for n, _ in loop.drivers}
+        guard = tuple((n, untested.pop(n)) for n in sorted(reads & untested.keys()))
+        parents = frozenset(n for n, _ in loop.probes if n in untested)
+        untested.update(loop.probes)
+        skip = tuple((n, untested.pop(n)) for n in sorted(loop.needs & untested.keys()))
+        tests[loop.var] = (guard, parents, skip)
+
+    # one pass in the render walk's order decides every presence test; each
+    # item's map holds the fibers whose deepest level found so far may be -1,
+    # and is not yet tested, each with that level, and a where copies it
+    walk: list = [(body, {})]
+    while walk:
+        node, untested = walk.pop()
+        if isinstance(node, _Where):
+            walk += ((node.consumer, untested), (node.producer, dict(untested)))
             continue
+        if isinstance(node, _Loop) and not node.single:
+            presence(node, untested)
+            walk.append((node.body, untested))
+            continue
+        own: list[_Loop] = []  # the loops that run the statement alone
+        while isinstance(node, _Loop):
+            own.append(node)
+            node = node.body
+        # the loops that run a statement alone bisect nothing, so only a
+        # factor found before them may be untested
+        guarded[node.n] = tuple(deepest for _, _, deepest in node.factors if deepest in untested.items())
+        for n, _ in guarded[node.n]:
+            del untested[n]
+        for loop in own:
+            presence(loop, untested)
+        # a tail of full-range loops over root indices that the statement runs
+        # alone grows outward from the innermost loop, and the longest tail
+        # that can run as one is its block
+        tail: tuple[tuple[str, int], ...] = ()
+        for loop in reversed(own if node.target == "acc" and size <= ROOT_ARRAY_CELLS else []):
+            if loop.kind != "range" or all(v != loop.var for v, _ in node.cell):
+                break
+            tail = ((loop.var, loop.over), *tail)
+            candidate = block(node, tail)
+            if candidate:
+                blocks[node.n] = candidate
+        # a finite factor tested nonzero times a zero of the row adds 0.0, which
+        # changes no cell's bits, so only that factor's finiteness decides; a
+        # tracked workspace would list such a cell as written, and a dict root
+        # would grow a key for it (below)
+        if not own or own[-1].kind != "range" or node.target in touched:
+            continue
+        x = own[-1].var
         for k in (0, 1):
-            (row, terms, _), (other, loaded, deepest) = stmt.factors[k], stmt.factors[1 - k]
+            (row, terms, _), (other, loaded, deepest) = node.factors[k], node.factors[1 - k]
             xs = [v for v, _ in terms]
             # the other factor is an input, loaded outside the loop
             flag = fibers[deepest[0]][0] if deepest else other if other[0] == "d" else None
             if row[0] == "d" and x in xs and flag and all(v != x for v, _ in loaded):
-                dense_rows[n] = _Row(k, flag, *nonzeros(row, xs, {x}))
+                dense_rows[node.n] = _Row(k, flag, *nonzeros(row, xs, {x}))
+    # an order-0 root is one cell, and np.unravel_index takes no 0-d shape
+    dict_root = not blocks and bool(shape) and size > ROOT_DENSE_CELLS
+    if dict_root:
+        dense_rows = {n: row for n, row in dense_rows.items() if stmts[n][0] != root.tensor}
     return _Plan(
         (*operands.items(), *dense.items()),
         tuple(fibers),
@@ -722,6 +762,8 @@ def _plan(
         "dd(float)" if dict_root else f"np.zeros({size})" if blocks else f"[0.0] * {size}",
         blocks,
         dense_rows,
+        tests,
+        guarded,
         body,
     )
 
@@ -778,50 +820,39 @@ def _render(plan: _Plan) -> str:
     counters = [f"n{s}" for s in range(len(plan.results))]
     out.append(f"    {' = '.join(counters)} = 0")
 
-    def head(loop: _Loop, depth: int, closes: list[str], untested: dict[int, int]) -> int:
+    def head(loop: _Loop, depth: int, closes: list[str]) -> int:
         """Bind the loop variable and the position of every fiber level it
         drives or probes; returns the depth of the loop body, and appends to
         ``closes`` the line that must end that body, if any.
 
-        ``untested`` maps each fiber whose deepest level found so far may be
-        -1, and is not yet tested, to that level, and the loop updates it: a
-        level it bisects becomes untested, in a union or full-range loop or
-        as a probe of a step, and gets position -1 for a missing coordinate;
-        one it steps through or intersects is present, with its parents. One
-        guard before the loop tests each untested level that the body needs
-        or a step or leapfrog driver reads as its parent, and a ``continue``
-        just inside it each needed level it bisects, a leapfrog stepping its
-        lead first. An untested parent that neither covers gives the empty
-        range, so presence is decided by the deepest level. An intersection
-        is a ``while`` over the lead fiber's positions: the lead bisects the
-        other fiber for its coordinate, leaves the loop when the other is
-        exhausted and, on a miss, bisects itself forward to the other's
-        coordinate; after a match the closing line steps it by one.
+        It writes the presence tests ``plan.tests`` holds for the loop. A
+        level it bisects gets position -1 for a missing coordinate. An
+        intersection is a ``while`` over the lead fiber's positions: the lead
+        bisects the other fiber for its coordinate, leaves the loop when the
+        other is exhausted and, on a miss, bisects itself forward to the
+        other's coordinate; after a match the closing line steps it by one.
         """
         pad = "    " * depth
         x = loop.var
-        steps = loop.kind in ("step", "leapfrog")
-        reads = loop.needs | {n for n, _ in loop.drivers} if steps else loop.needs
-        tested = [f"p{n}_{untested.pop(n)} >= 0" for n in sorted(reads & untested.keys())]
-        if tested:
-            out.append(f"{pad}if {' and '.join(tested)}:")
+        guard, parents, skip = plan.tests[x]
+        if guard:
+            out.append(f"{pad}if {' and '.join(f'p{n}_{level} >= 0' for n, level in guard)}:")
             pad += "    "
             depth += 1
 
         def names(n: int, level: int):
             parent = f"p{n}_{level - 1}" if level else "0"
             span = f"s{n}_{level}[{parent}], s{n}_{level}[{parent} + 1]"
-            if n in untested:  # the parent may be -1
+            if n in parents:  # the parent may be -1
                 span = f"({span}) if {parent} >= 0 else (0, 0)"
             return f"p{n}_{level}", f"c{n}_{level}", span
 
-        found = loop.probes if steps else loop.drivers + loop.probes  # by bisection
-        drivers, bisected = [names(*level) for level in loop.drivers], [names(*level) for level in found]
+        drivers, bisected = [names(*level) for level in loop.drivers], [names(*level) for level in loop.probes]
         out.extend(f"{pad}l{p}, h{p} = {span}" for p, _, span in bisected)
         if loop.kind == "step":
             ((p, coords, span),) = drivers
             out.extend((f"{pad}for {p} in range({span}):", f"{pad}    {x} = {coords}[{p}]"))
-        elif steps:
+        elif loop.kind == "leapfrog":
             (p, coords, span), (q, coords_q, span_q) = drivers
             out.append(f"{pad}l{q}, h{q} = {span_q}")
             out.append(f"{pad}{p}, h{p} = {span}")
@@ -851,25 +882,22 @@ def _render(plan: _Plan) -> str:
         for p, coords, _ in bisected:
             out.append(f"{pad}    {p} = bl({coords}, {x}, l{p}, h{p})")
             out.append(f"{pad}    if {p} == h{p} or {coords}[{p}] != {x}: {p} = -1")
-        untested.update(found)
         # a body that needs a missing level writes nothing that is read, so
         # the iteration ends here
-        missing = [f"p{n}_{untested.pop(n)} < 0" for n in sorted(loop.needs & untested.keys())]
-        if missing:
+        if skip:
+            missing = " or ".join(f"p{n}_{level} < 0" for n, level in skip)
             step = closes[-1].strip() + "; " if loop.kind == "leapfrog" else ""
-            out.append(f"{pad}    if {' or '.join(missing)}: {step}continue")
+            out.append(f"{pad}    if {missing}: {step}continue")
         return depth + 1
 
-    # (record, depth, the fibers whose deepest level found so far may be -1
-    # and is not yet tested, each with that level) still to write, and
-    # literal lines
-    todo: list = [(plan.body, 1, {})]
+    # (record, depth) still to write, and literal lines
+    todo: list = [(plan.body, 1)]
     while todo:
         item = todo.pop()
         if isinstance(item, str):
             out.append(item)
             continue
-        node, depth, untested = item
+        node, depth = item
         pad = "    " * depth
         if isinstance(node, _Where):
             for var in node.zero:
@@ -899,13 +927,12 @@ def _render(plan: _Plan) -> str:
                 for var in node.zero
                 if rows.get(var) == 1 and plan.touched[var][1]
             )
-            todo += ((node.consumer, inner, untested), *reversed(between), (node.producer, depth, untested))
+            todo += ((node.consumer, inner), *reversed(between), (node.producer, depth))
             continue
         closes: list[str] = []  # the last line of each loop that has one, outermost first
-        untested = dict(untested)  # a where hands one map to its producer and consumer
         if isinstance(node, _Loop) and not node.single:
-            inner = head(node, depth, closes, untested)
-            todo += (*reversed(closes), (node.body, inner, untested))
+            inner = head(node, depth, closes)
+            todo += (*reversed(closes), (node.body, inner))
             continue
         own: list[_Loop] = []
         while isinstance(node, _Loop):
@@ -940,10 +967,7 @@ def _render(plan: _Plan) -> str:
         loads = []
         for role, (array, terms, deepest) in zip("fg", node.factors):
             use, index = offset(f"o{n}{role}", terms)
-            # the loops that run a statement alone bisect nothing, so only a
-            # factor found before them may be untested
-            if deepest in untested.items():
-                del untested[deepest[0]]
+            if deepest in plan.guarded[n]:
                 at[use].append(f"if {index} >= 0:")
             loads.append(array if array in plan.scalars else f"{array}[{index}]")
             at[use] += (f"{role} = {loads[-1]}", f"if {role}:")
@@ -981,7 +1005,7 @@ def _render(plan: _Plan) -> str:
         at[-1].append(f"n{n} += 1")
         for k, lines in enumerate(at):
             if k:
-                depth = head(own[k - 1], depth, closes, untested)
+                depth = head(own[k - 1], depth, closes)
             pad = "    " * depth
             for line in lines:
                 out += (pad + part for part in line.split("\n"))
@@ -994,36 +1018,16 @@ def _render(plan: _Plan) -> str:
     return "\n".join(out) + "\n"
 
 
-@dataclass(frozen=True)
-class _Compiled:
-    """A compiled kernel and the names of its operands, CSF then dense, in
-    parameter order. It holds no binding data."""
-
-    run: Callable
-    operands: tuple[str, ...]
-    shape: tuple[int, ...]  # of the root
-    results: tuple[str, ...]  # of each statement, in counter order
-    max_cells: int  # of the largest workspace
-    array_root: bool  # whether the root accumulator is an ndarray, for blocks
-
-
 @functools.lru_cache(maxsize=1024)  # room for a thousand small kernels, a few kB each
-def _kernel(*signature) -> _Compiled:
-    """The kernel of one signature, planned and compiled on its first call.
+def _kernel(*signature) -> tuple[Callable, _Plan]:
+    """The kernel and plan of one signature, built on its first call; neither holds binding data.
 
     Exceptions are not cached, so a malformed schedule raises on every call.
     """
     plan = _plan(*signature)
     namespace: dict = {"bl": bisect.bisect_left, "np": np, "dd": defaultdict, "isfinite": math.isfinite}
     exec(compile(_render(plan), "<fusetree kernel>", "exec"), namespace)
-    return _Compiled(
-        namespace.pop("kernel"),  # no function <-> globals cycle left for the collector
-        tuple(name for name, _ in plan.operands),
-        plan.shape,
-        plan.results,
-        max((cells for _, cells in plan.workspaces), default=0),
-        bool(plan.blocks),
-    )
+    return namespace.pop("kernel"), plan  # no function <-> globals cycle left for the collector
 
 
 def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
@@ -1040,15 +1044,15 @@ def execute(ir: IrNode, binding: Binding) -> tuple[SparseTensor, ExecStats]:
     Workspaces, the root accumulator and counters are locals of the call, so
     independent calls may run concurrently over the same (immutable) binding.
     """
-    kernel = _kernel(*_signature(ir, binding))
+    kernel, plan = _kernel(*_signature(ir, binding))
     # float64 arrays and scalars warn where Python floats overflow quietly
-    with np.errstate(all="ignore") if kernel.array_root else contextlib.nullcontext():
-        acc, counts = kernel.run(*(binding.operands[name] for name in kernel.operands))
-    per_assignment = {name: count for name, count in zip(kernel.results, counts) if count}
-    stats = ExecStats(sum(counts), kernel.max_cells, per_assignment)
+    with np.errstate(all="ignore") if plan.blocks else contextlib.nullcontext():
+        acc, counts = kernel(*(binding.operands[name] for name, _ in plan.operands))
+    per_assignment = {name: count for name, count in zip(plan.results, counts) if count}
+    stats = ExecStats(sum(counts), max((cells for _, cells in plan.workspaces), default=0), per_assignment)
     if not isinstance(acc, dict):
-        return SparseTensor.from_dense(np.asarray(acc).reshape(kernel.shape)), stats
+        return SparseTensor.from_dense(np.asarray(acc).reshape(plan.shape)), stats
     # row-major offsets sort in the lexicographic order of their coordinates
     offsets = sorted(key for key, value in acc.items() if value != 0.0)
-    coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), kernel.shape)).T
-    return SparseTensor._trusted(kernel.shape, coords, np.array([acc[key] for key in offsets])), stats
+    coords = np.array(np.unravel_index(np.array(offsets, dtype=np.intp), plan.shape)).T
+    return SparseTensor._trusted(plan.shape, coords, np.array([acc[key] for key in offsets])), stats

@@ -27,12 +27,14 @@ first parameter is ``acc``, is handed a fresh one, allocated as that
 executor's ``execute`` allocates it (by ``_accumulator`` where it has one,
 else a flat list, or a dict for a root of more than ``ROOT_DENSE_CELLS``
 cells) before its timer starts, while a kernel's own allocation is timed
-with it. Their accumulators must hold the same nonzero cells bit for bit,
-whether a list, an ndarray or a dict (a cell of +0.0 and an absent key both
-read as zero in the result), and their counters must be equal; a
-difference is described on standard error and makes the exit status 1. One
-line per case prints the best of K for each side, in milliseconds, and the
-change from ``--parent``.
+with it. Where ``_kernel`` returns a record of the function and its
+operands' names, as an older executor's does, the race reads them from it;
+where it returns the function and its plan, from the plan. Their
+accumulators must hold the same nonzero cells bit for bit, whether a list,
+an ndarray or a dict (a cell of +0.0 and an absent key both read as zero in
+the result), and their counters must be equal; a difference is described on
+standard error and makes the exit status 1. One line per case prints the
+best of K for each side, in milliseconds, and the change from ``--parent``.
 """
 
 from __future__ import annotations
@@ -110,13 +112,17 @@ def main(argv=None) -> int:
         kernels = [side._kernel(*side._signature(ir, binding)) for side in sides]
 
         def run(side, kernel):
-            args = [binding.operands[name] for name in kernel.operands]
+            if isinstance(kernel, tuple):  # a compiled function and its plan
+                function, names = kernel[0], [name for name, _ in kernel[1].operands]
+            else:  # an older executor's record of the function and its operands' names
+                function, names = kernel.run, kernel.operands
+            args = [binding.operands[name] for name in names]
             if not hasattr(side, "dense_build"):
                 args = [x.values if isinstance(x, DenseTensor) else x for x in args]
-            if "acc" in inspect.signature(kernel.run).parameters:
+            if "acc" in inspect.signature(function).parameters:
                 args.insert(0, accumulator(side, kernel))
             start = time.perf_counter()
-            acc, counts = kernel.run(*args)
+            acc, counts = function(*args)
             return time.perf_counter() - start, bits(acc), counts
 
         best = [float("inf"), float("inf")]

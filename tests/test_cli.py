@@ -368,6 +368,35 @@ class TestRun:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: no input 's' to bind dense\n"
 
+    @pytest.mark.parametrize("given, message", [
+        (["--synthetic", "X=3x2:1:4"], "no input 'X' to bind"),
+        (["--synthetic", "R=3:1:4"], "no input 'R' to bind"),
+        (["--tensor", "X={tmp}/X.tns"], "no input 'X' to bind"),
+        (["--dense", "X"], "no input 'X' to bind dense"),
+        (["--dense", "R"], "no input 'R' to bind dense"),
+    ], ids=("synthetic-intermediate", "synthetic-root", "tensor-intermediate", "dense-intermediate", "dense-root"))
+    def test_a_tensor_for_a_name_that_is_no_input_plans_and_writes_nothing(self, given, message, tmp_path, capsys):
+        # an intermediate or the root takes no tensor, which would play no part
+        net = tmp_path / "two.net"
+        net.write_text("extent i 3\nextent j 4\nextent k 2\nX[i,k] = A[i,j] * B[j,k]\nR[i] = X[i,k] * C[k]\n")
+        (tmp_path / "X.tns").write_text("1 1 2.0\n")
+        solution, ir = tmp_path / "s.json", tmp_path / "ir.txt"
+        argv = ["run", "--network", str(net), "--solution", str(solution), "--emit-ir", str(ir)]
+        for name, shape in (("A", "3x4"), ("B", "4x2"), ("C", "2")):
+            argv += ["--synthetic", f"{name}={shape}:1:1"]
+        assert main(argv + [arg.format(tmp=tmp_path) for arg in given]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not solution.exists() and not ir.exists()
+        assert main(argv) == 0  # and the same run without it passes
+
+    def test_a_tensor_spec_with_no_equals_sign_is_reported_as_malformed(self, tmp_path, capsys):
+        net = tmp_path / "mm.net"
+        net.write_text(MATMUL_NETWORK)
+        assert main(["run", "--network", str(net), "--tensor", "T.tns"]) == 1
+        assert capsys.readouterr().err == "error: bad --tensor 'T.tns'; expected <id>=<path.tns>\n"
+
     def test_dense_input_beyond_the_budget_exits_with_an_error_line(self, tmp_path, monkeypatch, capsys):
         import fusetree.executor as executor
 

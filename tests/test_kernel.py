@@ -8,7 +8,8 @@ of the generated source (intersection, union, touched workspace cells,
 hoisted loads, skipped iterations) and the corner cases of each, the
 dict accumulator of large roots, zeros that annihilate inf and NaN, the
 kernel cache: what its signature must tell apart, and that it pins no input,
-and the numpy blocks of root tails against the scalar tails they replace.
+the numpy blocks of root tails against the scalar tails they replace, and
+that every presence test in a kernel's source is one the plan holds.
 """
 
 from __future__ import annotations
@@ -576,8 +577,8 @@ def test_intersection_bisects_follow_the_shorter_fiber(swap):
         calls.append(args)
         return bisect.bisect_left(*args)
 
-    compiled = _kernel(*_signature(ir, binding))
-    acc, counts = compiled.run(*(binding.operands[name] for name in compiled.operands), bl=counting)
+    run, plan = _kernel(*_signature(ir, binding))
+    acc, counts = run(*(binding.operands[name] for name, _ in plan.operands), bl=counting)
     assert (acc, counts) == ([2.0], (1,))
     assert len(calls) <= 4
 
@@ -592,7 +593,8 @@ def test_consumer_of_an_empty_workspace_is_skipped():
     _, sol = search_min_order(inst.tree)
     ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, tensors)
     source, counts, _ = kernel_lines.line_counts(ir, binding)
-    param = f"t{_kernel(*_signature(ir, binding)).operands.index('C')}"
+    _, plan = _kernel(*_signature(ir, binding))
+    param = f"t{[name for name, _ in plan.operands].index('C')}"
     (unpack,) = [line for line in source if line.endswith(f" = {param}.coords")]
     level1 = re.findall(r"c\d+_1\b", unpack)[0]
     reads = [k for k, line in enumerate(source) if re.search(rf"\b{level1}\b", line) and line != unpack]
@@ -756,19 +758,16 @@ def test_a_leapfrog_loop_steps_its_lead_before_it_skips():
             raise TimeoutError("the leapfrog loop does not end")
         return bisect.bisect_left(*args)
 
-    compiled = _kernel(*_signature(ir, binding))
-    _, counts = compiled.run(*(binding.operands[name] for name in compiled.operands), bl=budgeted)
+    run, plan = _kernel(*_signature(ir, binding))
+    _, counts = run(*(binding.operands[name] for name, _ in plan.operands), bl=budgeted)
     assert counts == (2, 2)
     _, stats = _skipping(tree, sol, tensors)
     assert stats.per_assignment == {"W": 2, "R": 2}
 
 
-def test_a_level_found_outside_is_tested_where_the_body_needs_it():
-    # C(i,k) is bisected at the shared i loop, where nothing needs it: V's
-    # producer there feeds R whether W is written or not. W's j loop, whose
-    # where needs C, runs under one guard that tests the level the i loop
-    # found, beside the parent the loop steps from, and no iteration tests it
-    # again; X's producer makes nothing at i = 1, where C has no row.
+def _found_outside():
+    """A tree, schedule and inputs in which C(i,k) is bisected at the shared
+    i loop, where nothing needs it, and tested by the guard of W's j loop."""
     network = (
         "extent i 3\nextent j 2\nextent k 2\nextent p 2\nextent l 2\n"
         "X[i,j,k] = A[i,j,p] * B[p,k]\nW[i] = X[i,j,k] * C[i,k]\nV[i] = D[i,l] * E[l]\nR[i] = W[i] * V[i]\n"
@@ -777,6 +776,16 @@ def test_a_level_found_outside_is_tested_where_the_body_needs_it():
     nprng = np.random.default_rng(3)
     tensors = {name: _eighths(tree.ref_shape(tree.abstract_ref(name)), 1.0, nprng) for name in "ABDE"}
     tensors["C"] = _tensor((3, 2), {(0, 0): 1.0, (0, 1): 0.5, (2, 1): 2.0})
+    return tree, sol, tensors
+
+
+def test_a_level_found_outside_is_tested_where_the_body_needs_it():
+    # C(i,k) is bisected at the shared i loop, where nothing needs it: V's
+    # producer there feeds R whether W is written or not. W's j loop, whose
+    # where needs C, runs under one guard that tests the level the i loop
+    # found, beside the parent the loop steps from, and no iteration tests it
+    # again; X's producer makes nothing at i = 1, where C has no row.
+    tree, sol, tensors = _found_outside()
     source, stats = _skipping(tree, sol, tensors)
     lines = source.splitlines()
     (j_loop,) = [k for k, line in enumerate(lines) if line.strip().startswith("for p0_1 in ")]
@@ -801,7 +810,8 @@ def test_kernel_lines_count_each_statement_as_its_stats(kind, capsys, monkeypatc
     ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names)
     _, stats = execute(ir, binding)
     assert stats.multiply_adds > 0
-    for k, name in enumerate(_kernel(*_signature(ir, binding)).results):
+    _, plan = _kernel(*_signature(ir, binding))
+    for k, name in enumerate(plan.results):
         (row,) = [row for row in rows if row[9:].strip() == f"n{k} += 1"]
         assert int(row[:9]) == stats.per_assignment.get(name, 0)
 
@@ -1152,6 +1162,66 @@ def test_each_position_is_tested_at_most_once_on_a_path(case):
     assert len(re.findall(r"\bp\d+_\d+ >= 0", source)) == (case == "running_example")
 
 
+# the inner union loop over b finds B2(d,b) by bisection under a parent
+# that the outer union loop bisected and nothing tested, so its span is the
+# empty range where that parent is -1
+SPANNED = "extent b 2\nextent d 3\nW0[b,d] = A1[d] * B2[b,d]\nW1[b,d] = C3[b,d] * D4[d]\nR[] = W0[b,d] * W1[b,d]\n"
+
+
+@pytest.mark.parametrize("case", (*BENCH_CASES, "spanned"))
+def test_the_plan_holds_every_presence_test_the_source_writes(case):
+    # each position test in the source is a guard, continue or span ternary
+    # of some loop's record in the plan, or the test of a factor's load, so
+    # the render writes none of its own
+    if case == "spanned":
+        tree = parse_network(SPANNED)
+        tensors = {name: _tensor(tree.ref_shape(tree.abstract_ref(name)), {}) for name in tree.input_names}
+        ir, binding = _plan(SPANNED, tensors)[1:]
+    else:
+        inst, sol = _bench_case(case)
+        ir, binding = lower(inst.tree, sol), bind(inst.tree, sol, inst.tensors, inst.dense_names)
+    plan = executor._plan(*_signature(ir, binding))
+    planned = sum(len(levels) for tests in plan.tests.values() for levels in tests)
+    planned += sum(len(levels) for levels in plan.guarded.values())
+    assert len(POSITION_TEST.findall(executor._render(plan))) == planned
+    if case == "spanned":  # one of its tests is a span ternary
+        assert any(parents for _, parents, _ in plan.tests.values())
+
+
+def _dropped(plan, loop: str, part: int):
+    """``plan`` with the levels that loop ``loop``'s guard (``part`` 0) or
+    ``continue`` (``part`` 2) tests dropped."""
+    tests = list(plan.tests[loop])
+    tests[part] = ()
+    return dataclasses.replace(plan, tests={**plan.tests, loop: tuple(tests)})
+
+
+@pytest.mark.parametrize("part", (0, 2), ids=("guard", "skip"))
+def test_the_render_writes_the_tests_the_plan_holds(part, monkeypatch):
+    # a plan whose x1 loop drops its guard, or its skip, renders a kernel
+    # that multiplies more than the schedule performs: the render decides no
+    # test on its own. Each result still passes compare, so counts tell.
+    if part:
+        inst = bench_generate("running_example", extents=12, density=0.1, seed=911)
+        tree, sol, tensors = inst.tree, search_min_order(inst.tree)[1], inst.tensors
+    else:
+        tree, sol, tensors = _found_outside()
+    ir, binding = lower(tree, sol), bind(tree, sol, tensors)
+    plan = executor._plan(*_signature(ir, binding))
+    assert plan.tests["x1"][part]
+    _kernel.cache_clear()
+    _, stats = execute(ir, binding)
+    assert stats.per_assignment == demanded_products(tree, sol, tensors)
+    monkeypatch.setattr(executor, "_plan", lambda *signature: _dropped(plan, "x1", part))
+    _kernel.cache_clear()
+    try:
+        _, mutant = execute(ir, binding)
+    finally:
+        _kernel.cache_clear()  # no kernel of the changed plan is left for later tests
+    assert mutant.per_assignment != demanded_products(tree, sol, tensors)
+    assert mutant.multiply_adds > stats.multiply_adds
+
+
 def _renamed(text: str, indices) -> tuple[str, dict[str, str]]:
     """``text`` with its indices and its tensors each renamed in the reverse
     of their sorted order, so that a tie broken by name breaks the other way;
@@ -1437,16 +1507,17 @@ def test_kernel_parameters_are_its_operands(kind):
     binding = bind(inst.tree, sol, inst.tensors, inst.dense_names)
     _kernel.cache_clear()
     execute(ir, binding)
-    compiled = _kernel(*_signature(ir, binding))
+    run, plan = _kernel(*_signature(ir, binding))
     assert _kernel.cache_info().hits == 1
-    params = inspect.signature(compiled.run).parameters
-    kinds = [type(binding.operands[name]) for name in compiled.operands]
+    params = inspect.signature(run).parameters
+    names = [name for name, _ in plan.operands]
+    kinds = [type(binding.operands[name]) for name in names]
     csf = [f"t{k}" for k in range(kinds.count(CsfTensor))]
     dense = [f"d{k}" for k in range(kinds.count(DenseTensor))]
     assert list(params) == [*csf, *dense, "bl"]
     assert params["bl"].default is bisect.bisect_left
     assert kinds == sorted(kinds, key=lambda kind: kind is DenseTensor)
-    assert sorted(compiled.operands) == sorted(binding.operands)
+    assert sorted(names) == sorted(binding.operands)
 
 
 @pytest.mark.parametrize("dense", ("bench", "all"))
@@ -1457,23 +1528,24 @@ def test_kernel_reads_each_bound_operand_itself(kind, dense, monkeypatch):
     _, sol = search_min_order(inst.tree)
     ir = lower(inst.tree, sol)
     binding = bind(inst.tree, sol, inst.tensors, inst.dense_names if dense == "bench" else inst.tree.input_names)
-    compiled = _kernel(*_signature(ir, binding))
+    kernel, plan = _kernel(*_signature(ir, binding))
+    names = [name for name, _ in plan.operands]
     calls = []
 
     def run(*operands):
         calls.append(operands)
-        return compiled.run(*operands)
+        return kernel(*operands)
 
-    monkeypatch.setattr(executor, "_kernel", lambda *signature: dataclasses.replace(compiled, run=run))
+    monkeypatch.setattr(executor, "_kernel", lambda *signature: (run, plan))
     execute(ir, binding)
     (operands,) = calls
-    assert len(operands) == len(compiled.operands) == len(binding.operands)
+    assert len(operands) == len(names) == len(binding.operands)
     # and the kernel only reads what bind keeps of a dense operand: no line
     # converts one, or counts or tests its cells
     for line in _kernel_source(ir, binding).splitlines():
         if re.search(r"\bd\d+\b", line) and not re.search(r"\bd\d+\[", line) and "def kernel" not in line:
             assert re.fullmatch(r"    \w+ = (d\d+)\.(array|finite|values|nonzeros\(\(\d+(, \d+)*,?\)\))", line), line
-    assert all(operand is binding.operands[name] for operand, name in zip(operands, compiled.operands))
+    assert all(operand is binding.operands[name] for operand, name in zip(operands, names))
 
 
 def test_typed_errors_raise_on_every_call():
@@ -1605,9 +1677,11 @@ def test_innermost_zero_annihilates_a_hoisted_non_finite_partner(bad):
 
 
 def _raw_run(kernel, binding):
-    """The raw float64 bits of one run's root accumulator, and its counters."""
+    """The raw float64 bits of one run's root accumulator, and its counters,
+    for ``kernel`` a compiled function and its plan."""
+    run, plan = kernel
     with np.errstate(all="ignore"):  # as execute runs a kernel with blocks
-        acc, counts = kernel.run(*(binding.operands[n] for n in kernel.operands))
+        acc, counts = run(*(binding.operands[n] for n, _ in plan.operands))
     bits = repr(sorted(acc.items())) if isinstance(acc, dict) else np.asarray(acc, dtype=np.float64).tobytes()
     return bits, counts
 
@@ -1626,13 +1700,13 @@ def _blocks_match_scalar_tails(tree, sol, tensors, dense, monkeypatch) -> bool:
     with none, and check that both give the same accumulator bits and
     counters; returns whether the first has a block."""
     ir, binding = lower(tree, sol), bind(tree, sol, tensors, dense)
-    vector, *ran = _tail_run(ir, binding, 0, monkeypatch)
-    scalar, *also = _tail_run(ir, binding, 2**62, monkeypatch)
+    (_, vector), *ran = _tail_run(ir, binding, 0, monkeypatch)
+    (_, scalar), *also = _tail_run(ir, binding, 2**62, monkeypatch)
     _kernel.cache_clear()  # no kernel of another cutoff is left for later tests
-    assert not scalar.array_root
+    assert not scalar.blocks
     assert ran == also, format_network(tree)
     assert all(type(count) is int for count in ran[1])  # JSON takes no numpy integer
-    return vector.array_root
+    return bool(vector.blocks)
 
 
 @pytest.mark.parametrize("case", BENCH_CASES)
